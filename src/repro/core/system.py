@@ -62,10 +62,11 @@ class System:
         tuple_entries: int = 100000,
     ) -> None:
         #: How events execute (:mod:`repro.sim.batch`).  ``None`` keeps
-        #: the original continuous-time per-tuple loop, bit-identical to
+        #: the original continuous-time per-event loop, bit-identical to
         #: every pre-batch release.  An :class:`ExecutionConfig` puts the
-        #: simulator in tick mode; its ``batch_size`` selects the batch
-        #: kernel (default) or the per-tuple compatibility kernel (1).
+        #: simulator in tick mode; its ``batch_size`` selects the tick
+        #: kernel with the coalescing fabric (default) or the per-event
+        #: loop (1).  Nodes run the same code under all three.
         self.execution = execution
         self.sim = Simulator(
             seed=seed,
@@ -98,7 +99,7 @@ class System:
             self.kernel = BatchKernel(self.sim)
             self.sim.use_batch_kernel(self.kernel)
             if transport == "udp":
-                self.network.enable_batch_fabric()
+                self.network.use_batch_fabric()
         self.id_bits = id_bits
         #: Overload-protection config applied to every node (None keeps
         #: all hot paths exactly as before; see :mod:`repro.overload`).
@@ -186,9 +187,6 @@ class System:
         )
         if node.overload is not None and self.telemetry.enabled:
             node.overload.telemetry = self.telemetry
-        if self.kernel is not None:
-            node.enable_batch(self.kernel, self.execution.batch_size)
-            self.network.attach_batch(address, node.receive_batch)
         self.nodes[address] = node
         self._node_config[address] = {
             "tracing": tracing,

@@ -48,17 +48,20 @@ DROP_BACKLOG = "send_backlog_full"
 class Message:
     """An in-flight network message (a marshaled tuple payload).
 
-    ``decoded`` caches the unmarshaled payload when a receiver-side
-    admission gate (overload protection) had to inspect the relation
-    name before acking — the node's ``receive`` then reuses it instead
-    of decoding twice, and its presence signals the frame was already
-    admitted by the reliable gate.
+    ``decoded`` carries the unmarshaled payload when someone already
+    has it — a zero-copy sender, or a receiver-side admission gate
+    (overload protection) that had to inspect the relation name before
+    acking — so the node's ``receive`` does not decode again.
+    ``admitted`` is set once the reliable gate accepted the frame: the
+    receiver counts the arrival instead of deciding admission twice.
 
     A plain __slots__ class rather than a dataclass: one Message is
     built per send, on the hot path.
     """
 
-    __slots__ = ("src", "dst", "payload", "sent_at", "size", "decoded")
+    __slots__ = (
+        "src", "dst", "payload", "sent_at", "size", "decoded", "admitted",
+    )
 
     def __init__(
         self,
@@ -75,6 +78,7 @@ class Message:
         self.sent_at = sent_at
         self.size = size
         self.decoded = decoded
+        self.admitted = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -220,9 +224,6 @@ class Network:
         # simulator event per (delivery tick, destination) carrying the
         # whole message list, instead of one event per message.
         self._batch_fabric = False
-        self._batch_receivers: Dict[
-            Address, Callable[[List[Message]], None]
-        ] = {}
         self._pending_batches: Dict[Tuple[float, Address], List[Message]] = {}
         self.stats = NetworkStats()
         #: Telemetry plane (``repro.obs.telemetry.Telemetry``) or None;
@@ -248,13 +249,12 @@ class Network:
             raise NetworkError(f"address already attached: {address}")
         self._receivers[address] = receiver
 
-    def enable_batch_fabric(self) -> None:
+    def use_batch_fabric(self) -> None:
         """Coalesce UDP deliveries into per-(tick, destination) batches.
 
-        Requires tick mode; the batch kernel's group executors consume
-        the batched events.  Reliable-transport frames keep per-message
-        events (their ack/retransmit machinery is per-frame) — they
-        still batch at the receiving node's pump.
+        Requires tick mode.  Reliable-transport frames keep
+        per-message events (their ack/retransmit machinery is
+        per-frame).
         """
         if not self._det:
             raise NetworkError("the batch fabric requires tick mode")
@@ -265,15 +265,6 @@ class Network:
     def batch_fabric(self) -> bool:
         """True when UDP deliveries coalesce per (tick, destination)."""
         return self._batch_fabric
-
-    def attach_batch(
-        self,
-        address: Address,
-        receiver: Callable[[List[Message]], None],
-    ) -> None:
-        """Register a batched receive callback (fabric mode): called
-        once per tick with every message arriving at ``address``."""
-        self._batch_receivers[address] = receiver
 
     def set_admission(
         self, address: Address, gate: Callable[[Message], bool]
@@ -292,7 +283,6 @@ class Network:
         """Remove a node from the network (future messages to it drop)."""
         self._receivers.pop(address, None)
         self._admission.pop(address, None)
-        self._batch_receivers.pop(address, None)
 
     def is_attached(self, address: Address) -> bool:
         return address in self._receivers
@@ -374,9 +364,8 @@ class Network:
         only exhaustion makes it a (sender-visible) drop.
 
         ``decoded`` is the already-unmarshaled payload dict (zero-copy
-        fast path): it rides the message only over the batch fabric,
-        where the batched receiver knows it is not the reliable gate's
-        preadmission marker.
+        fast path): with it the sender may pass ``payload=None``, so it
+        is honoured only over the UDP batch fabric.
         """
         self.stats.messages_sent += 1
         self.stats.bytes_sent += size
@@ -502,66 +491,10 @@ class Network:
         return channel
 
     def _deliver_batch(self, key: Tuple[float, Address]) -> None:
-        """Deliver one (tick, destination) batch of UDP messages.
-
-        Per-message fault semantics are preserved — each message
-        re-checks down/detached exactly as :meth:`_deliver` would — but
-        the survivors reach the node through its batched receiver in
-        one call (falling back to the per-message receiver if the node
-        never registered one).
-        """
-        messages = self._pending_batches.pop(key, None)
-        if not messages:
-            return
-        dst = key[1]
-        down = self._down
-        live: List[Message] = []
-        if down:
-            for message in messages:
-                if message.dst in down or message.src in down:
-                    self._drop(DROP_DOWN, message.src, message.dst)
-                else:
-                    live.append(message)
-        else:
-            live = messages
-        if not live:
-            return
-        receiver = self._receivers.get(dst)
-        if receiver is None:
-            for message in live:
-                self._drop(DROP_NO_RECEIVER, message.src, message.dst)
-            return
-        stats = self.stats
-        stats.messages_delivered += len(live)
-        per_node = stats.per_node_received
-        per_node[dst] = per_node.get(dst, 0) + len(live)
-        if self.obs is not None:
-            now = self._sim.now
-            observe = self.obs.msg_latency.observe
-            for message in live:
-                observe(
-                    now - message.sent_at,
-                    link=f"{message.src}->{message.dst}",
-                )
-        batch_receiver = self._batch_receivers.get(dst)
-        if batch_receiver is not None:
-            batch_receiver(live)
-        else:
-            from repro.net.marshal import encode_message
-
-            for message in live:
-                # The per-message receiver reads a non-None ``decoded``
-                # as the reliable gate's preadmission marker; the
-                # zero-copy payload must not masquerade as that.  An
-                # encode-skipped send carries no bytes at all — marshal
-                # them now, from the same inputs the sender had.
-                if message.payload is None and message.decoded is not None:
-                    d = message.decoded
-                    message.payload = encode_message(
-                        d["tuple"], d["src"], d["src_tid"], mid=d["mid"]
-                    )
-                message.decoded = None
-                receiver(message)
+        """Deliver one (tick, destination) batch of UDP messages, each
+        exactly as its own :meth:`_deliver` event would have been."""
+        for message in self._pending_batches.pop(key, ()):
+            self._deliver(message)
 
     def _deliver(self, message: Message) -> None:
         # Re-check faults at delivery time: a node that crashed while the
@@ -569,6 +502,11 @@ class Network:
         if message.dst in self._down or message.src in self._down:
             self._drop(DROP_DOWN, message.src, message.dst)
             return
+        self._hand_over(message)
+
+    def _hand_over(self, message: Message) -> None:
+        """Give ``message`` to its destination's receiver (or count the
+        drop if it has none) with delivery stats and latency."""
         receiver = self._receivers.get(message.dst)
         if receiver is None:
             self._drop(DROP_NO_RECEIVER, message.src, message.dst)
@@ -701,13 +639,15 @@ class Network:
         duplicate = seq in channel.seen or seq < channel.next_deliver
         if not duplicate:
             gate = self._admission.get(message.dst)
-            if gate is not None and not gate(message):
-                # Receiver pushback: withhold the ack and send an
-                # explicit BUSY nack instead — the sender keeps the
-                # message and re-arms its retransmit backoff.
-                self.stats.busy_nacks += 1
-                self._send_busy(channel, seq)
-                return
+            if gate is not None:
+                if not gate(message):
+                    # Receiver pushback: withhold the ack and send an
+                    # explicit BUSY nack instead — the sender keeps the
+                    # message and re-arms its retransmit backoff.
+                    self.stats.busy_nacks += 1
+                    self._send_busy(channel, seq)
+                    return
+                message.admitted = True
             config = self.reliable_config
             if (
                 config.reorder_cap is not None
@@ -727,32 +667,17 @@ class Network:
         # (acked or abandoned) — deliver held frames below it and stop
         # waiting for dead gaps, instead of stalling out the hold timer.
         for queued in channel.advance_base(base):
-            self._deliver_app(queued)
+            self._hand_over(queued)
         ready = channel.accept(seq, message)
         if not ready and channel.gapped:
             # Held behind a gap: bound head-of-line blocking in case the
             # sender has given up on the missing frame.
             self._arm_gap_timer(channel)
         for queued in ready:
-            self._deliver_app(queued)
+            self._hand_over(queued)
         if not channel.gapped and channel.gap_timer is not None:
             channel.gap_timer.cancel()
             channel.gap_timer = None
-
-    def _deliver_app(self, message: Message) -> None:
-        receiver = self._receivers.get(message.dst)
-        if receiver is None:
-            self._drop(DROP_NO_RECEIVER, message.src, message.dst)
-            return
-        self.stats.messages_delivered += 1
-        per_node = self.stats.per_node_received
-        per_node[message.dst] = per_node.get(message.dst, 0) + 1
-        if self.obs is not None:
-            self.obs.msg_latency.observe(
-                self._sim.now - message.sent_at,
-                link=f"{message.src}->{message.dst}",
-            )
-        receiver(message)
 
     def _send_ack(self, channel: ReliableChannel, seq: int) -> None:
         """Ship an ack back over the reverse link (it can be lost too)."""
@@ -836,7 +761,7 @@ class Network:
                 "net.gap_skip", link=f"{channel.src}->{channel.dst}"
             )
         for queued in channel.skip_gap():
-            self._deliver_app(queued)
+            self._hand_over(queued)
         if channel.gapped:
             self._arm_gap_timer(channel)
 

@@ -6,6 +6,14 @@ tuple — application state, network message, event, log entry — moves
 through :meth:`_deliver_local`, which makes the introspection story
 uniform: the tracer and event subscribers observe everything.
 
+There is one execution path: :meth:`receive` admits and applies one
+message, :meth:`_pump` drains the work queue one ``(strand, trigger)``
+at a time, and :meth:`RuleStrand.fire` runs it.  The simulator loop
+and the fabric (continuous, per-event on the tick grid, or the tick
+kernel's coalesced deliveries — :mod:`repro.sim.batch`) only decide
+*when* those are called, so tracers, telemetry and overload control
+attach to the path every node runs rather than selecting another one.
+
 Tracing attachment is by composition to keep layering clean: the
 introspection package sets ``node.hooks`` (a
 :class:`repro.runtime.strand.TraceHooks`) and ``node.registry`` (tuple
@@ -99,14 +107,11 @@ class P2Node:
         self._pumping = False
         self._stopped = False
 
-        # Batch execution (repro.sim.batch): set via enable_batch().
-        # When active, the node registers itself as its address group's
-        # executor with the kernel, receives whole per-tick message
-        # batches, and pumps strand deltasets instead of single tuples.
-        self._batch_mode = False
-        self._batch_size: Optional[int] = None
-        self._batch_kernel = None
-        self._zero_copy = False
+        # Zero-copy sends: over the coalescing UDP fabric the sender
+        # attaches the decoded payload (marshal.payload_for) so the
+        # receiver skips the unmarshal.  The wire size is still
+        # accounted exactly — only the encode/decode pair is elided.
+        self._zero_copy = network.transport == "udp" and network.batch_fabric
 
         # Overload protection (repro.overload): None keeps every hot
         # path exactly as before — no admission checks, no mailbox.
@@ -158,46 +163,6 @@ class P2Node:
                 group=str(address),
             )
         )
-
-    # ------------------------------------------------------------------
-    # Batch execution
-
-    def enable_batch(self, kernel, batch_size: Optional[int] = None) -> None:
-        """Run this node under the batch kernel.
-
-        Registers the node as the executor for its address group: the
-        kernel hands it each tick's events (deliveries, timers, drains)
-        in canonical order and the node fires strands over deltasets,
-        chunked to ``batch_size`` triggers (None = unbounded).
-        """
-        self._batch_mode = True
-        self._batch_size = batch_size
-        self._batch_kernel = kernel
-        # Zero-copy sends: over the UDP batch fabric the sender can
-        # attach the decoded payload (marshal.payload_for) so receivers
-        # skip the unmarshal.  The wire bytes are still produced and
-        # accounted — only the receive-side decode is elided.
-        self._zero_copy = (
-            self.network.transport == "udp" and self.network.batch_fabric
-        )
-        kernel.register_group(str(self.address), self._execute_tick)
-
-    def _execute_tick(self, events: List[Any]) -> None:
-        """Group executor: run one tick's events in canonical order.
-
-        Each event's own handler pumps the node to fixpoint before the
-        next event runs — exactly the per-tuple kernel's discipline — so
-        strand firings never observe a later same-tick insert they would
-        not have seen under per-tuple execution.  The batch economies
-        live a layer down: the fabric hands deliveries to
-        :meth:`receive_batch` as one event, and the pump fires strands
-        over contiguous same-strand runs.
-        """
-        if self._stopped:
-            return
-        for event in events:
-            if not event.cancelled:
-                event.callback()
 
     # ------------------------------------------------------------------
     # Time
@@ -327,22 +292,27 @@ class P2Node:
     # Tuple entry points
 
     def receive(self, message: Message) -> None:
-        """Network delivery callback: unmarshal, admit, and deliver."""
+        """Network delivery callback: unmarshal, admit, and deliver.
+
+        Serves per-message and coalesced fabric delivery alike.  Each
+        message is processed to strand fixpoint before the caller hands
+        over the next one, so a firing never observes a later same-tick
+        arrival.
+        """
         if self._stopped:
             return
         self.work.reset_micro()
         self.work.charge("receive")
-        preadmitted = message.decoded is not None
-        payload = (
-            message.decoded if preadmitted else decode_message(message.payload)
-        )
+        payload = message.decoded
+        if payload is None:
+            payload = decode_message(message.payload)
         ctrl = self.overload
         if ctrl is None:
             self._process_payload(payload)
             self._pump()
             return
         relation = payload.get("name", "")
-        if preadmitted:
+        if message.admitted:
             # The reliable-transport gate (:meth:`_admit_frame`) already
             # ran admit_remote and accepted; count the arrival without
             # re-deciding, or we would double-count the offer.
@@ -362,69 +332,6 @@ class P2Node:
             ctrl.shed_after_admit(relation)
             return
         self._schedule_drain()
-
-    def receive_batch(self, messages: List[Message]) -> None:
-        """Batched fabric delivery: one tick's messages for this node.
-
-        Executes exactly N :meth:`receive` calls in order — same
-        admission decisions, same work charges, and crucially the same
-        *pump discipline*: each message is processed to strand fixpoint
-        before the next message's tuple is inserted, so a firing can
-        never observe a later same-tick arrival it would not have seen
-        under per-tuple delivery.  What the batch path elides is the
-        per-message machinery around that core: the heap event, the
-        callback dispatch, and the wire decode (the fabric attaches the
-        sender's already-decoded payload; only the UDP fabric calls
-        this, so a non-None ``message.decoded`` here is that zero-copy
-        payload, *not* the reliable gate's preadmission marker).
-        """
-        if self._stopped:
-            return
-        work = self.work
-        reset_micro = work.reset_micro
-        charge = work.charge
-        process = self._process_payload
-        pump = self._pump
-        ctrl = self.overload
-        if ctrl is None:
-            for message in messages:
-                reset_micro()
-                charge("receive")
-                decoded = message.decoded
-                process(
-                    decoded
-                    if decoded is not None
-                    else decode_message(message.payload)
-                )
-                # The insert observer already pumped any cascade to
-                # fixpoint; pump again only if work remains (event
-                # predicates enqueue without pumping).
-                if self._queue:
-                    pump()
-            return
-        inline = ctrl.service_delay <= 0.0
-        pushed = False
-        for message in messages:
-            reset_micro()
-            charge("receive")
-            decoded = message.decoded
-            payload = (
-                decoded
-                if decoded is not None
-                else decode_message(message.payload)
-            )
-            relation = payload.get("name", "")
-            if not ctrl.admit_mailbox(relation):
-                continue
-            if inline:
-                process(payload)
-                pump()
-            elif ctrl.mailbox_push(payload):
-                pushed = True
-            else:
-                ctrl.shed_after_admit(relation)
-        if pushed:
-            self._schedule_drain()
 
     def _process_payload(self, payload: Dict[str, Any]) -> None:
         """Apply one decoded wire payload (tuple or delete) locally."""
@@ -456,7 +363,8 @@ class P2Node:
         Called before a non-duplicate frame is acked; False becomes a
         BUSY nack that feeds the sender's retransmit backoff.  Decodes
         once and stashes the payload on the message so :meth:`receive`
-        neither decodes nor re-admits it.
+        does not decode it again; the network marks an accepted frame
+        ``admitted`` so :meth:`receive` does not re-admit it either.
         """
         if self._stopped or self.overload is None:
             return True
@@ -557,9 +465,6 @@ class P2Node:
     def _pump(self) -> None:
         if self._pumping or self._stopped:
             return
-        if self._batch_mode:
-            self._pump_batched()
-            return
         self._pumping = True
         ctrl = self.overload
         try:
@@ -579,80 +484,6 @@ class P2Node:
                     actions = self._fire_observed(strand, trigger)
                 for action in actions:
                     self._route(action)
-        finally:
-            self._pumping = False
-
-    def _pump_batched(self) -> None:
-        """Deltaset pump: fire strands over contiguous trigger runs.
-
-        The FIFO queue is drained exactly as the per-tuple pump drains
-        it; the batching unit is a *run* — consecutive queue entries for
-        the same strand (a cascade inserting N tuples into one relation
-        enqueues its delta strands as N-long runs).  A run fires as one
-        deltaset through :meth:`RuleStrand.fire_batch` with routing
-        interleaved per trigger, so the sequence of fire/route effects
-        is identical to per-tuple execution — batching changes where
-        the per-call overheads are paid, never what executes.  Runs are
-        chunked to ``batch_size`` triggers; a batched firing over N
-        triggers counts as N rule executions (the counter is semantic,
-        not call-counting).
-        """
-        self._pumping = True
-        ctrl = self.overload
-        limit = self._batch_size
-        # Run gathering engages only on the bare hot path.  Overload
-        # controllers sample queue depth after every single pop (the
-        # depth peaks are fingerprinted by storm campaigns) and trace
-        # hooks/telemetry observe per-firing — for those, execute the
-        # per-tuple pump body verbatim so every observation point sees
-        # exactly the per-tuple values.
-        if ctrl is not None or self.obs is not None or self.hooks is not None:
-            try:
-                while self._queue:
-                    strand, trigger = self._queue.popleft()
-                    if ctrl is not None:
-                        ctrl.note_strand_depth(len(self._queue))
-                    self.rule_executions += 1
-                    if self.obs is None:
-                        actions = strand.fire(
-                            trigger,
-                            self.ctx,
-                            hooks=self.hooks,
-                            charge=self.work.charge,
-                        )
-                    else:
-                        actions = self._fire_observed(strand, trigger)
-                    for action in actions:
-                        self._route(action)
-            finally:
-                self._pumping = False
-            return
-        work = self.work
-        ctx = self.ctx
-        route = self._route
-        try:
-            while self._queue:
-                # Re-bind each run: stop() and uninstall() replace or
-                # clear the queue object mid-pump.
-                queue = self._queue
-                strand, first = queue.popleft()
-                if not (queue and queue[0][0] is strand):
-                    # Run of one — the common cascade shape.  Fire
-                    # directly; fire_batch's accumulator would only add
-                    # overhead for a single trigger.
-                    self.rule_executions += 1
-                    for action in strand.fire(first, ctx, charge=work.charge):
-                        route(action)
-                    continue
-                triggers = [first]
-                while (
-                    queue
-                    and queue[0][0] is strand
-                    and (limit is None or len(triggers) < limit)
-                ):
-                    triggers.append(queue.popleft()[1])
-                self.rule_executions += len(triggers)
-                strand.fire_batch(triggers, ctx, work=work, route=route)
         finally:
             self._pumping = False
 
@@ -718,10 +549,9 @@ class P2Node:
             src_tid = self.registry.on_send(tup, str(tup.location))
         self._wire_mid += 1
         if self._zero_copy:
-            # Batch-fabric fast path: nobody reads the wire bytes (the
-            # receiver consumes the precomputed payload dict), so skip
-            # marshaling and charge the exact would-be wire size.  The
-            # fabric re-encodes lazily in its per-message fallback.
+            # Nobody reads the wire bytes (the receiver consumes the
+            # precomputed payload dict), so skip marshaling and charge
+            # the exact would-be wire size.
             self.network.send(
                 self.address,
                 str(tup.location),
@@ -842,9 +672,6 @@ class P2Node:
         if self._stopped:
             return
         self._stopped = True
-        if self._batch_kernel is not None:
-            self._batch_kernel.unregister_group(str(self.address))
-            self._batch_kernel = None
         for timer in self._timers:
             timer.cancel()
         self._timers.clear()

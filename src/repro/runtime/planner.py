@@ -251,14 +251,6 @@ class Planner:
             aggregate=aggregate,
             periodic=periodic,
         )
-        # Batch-probe annotation: when the strand leads with an indexed
-        # join, deltaset firing (RuleStrand.fire_batch) can warm that
-        # index with the whole batch's key vector in one call.  Decided
-        # here, at plan time, so the per-batch hot path never inspects
-        # element structure.
-        first = ops[0] if ops else None
-        if isinstance(first, JoinElement) and first.index is not None:
-            strand.batch_probe = first
         return strand
 
     @staticmethod

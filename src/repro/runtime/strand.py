@@ -115,11 +115,6 @@ class CompositeTraceHooks(TraceHooks):
             hook.stage_completed(strand, stage)
 
 
-#: Sentinel distinguishing "not pre-unified" from "pre-unified to None
-#: (no match)" in :meth:`RuleStrand.fire`.
-_UNMATCHED = object()
-
-
 class RuleStrand:
     """One compiled (rule, trigger) pair, executable against a node."""
 
@@ -146,9 +141,6 @@ class RuleStrand:
         # Overload-protection priority class ("data"/"monitor"/"trace");
         # set from the owning Program's role at install time.
         self.overload_class = "data"
-        # Set by the planner when the strand leads with an indexed join:
-        # fire_batch warms that index with the batch's key vector.
-        self.batch_probe: Optional[JoinElement] = None
         self.firings = 0
         self.outputs = 0
 
@@ -178,19 +170,9 @@ class RuleStrand:
         ctx: EvalContext,
         hooks: Optional[TraceHooks] = None,
         charge: Optional[Callable[[str, int], None]] = None,
-        _prematched: Any = _UNMATCHED,
     ) -> List[Action]:
-        """Run the strand on ``trigger``; returns the actions produced.
-
-        ``_prematched`` lets :meth:`fire_batch` hand over the trigger
-        unification it already performed while building probe-key
-        vectors; the ``match`` work charge is still levied here so
-        accounting is independent of which path unified.
-        """
-        if _prematched is _UNMATCHED:
-            bindings = self.match.match(trigger)
-        else:
-            bindings = _prematched
+        """Run the strand on ``trigger``; returns the actions produced."""
+        bindings = self.match.match(trigger)
         if charge:
             charge("match", 1)
         if bindings is None:
@@ -266,90 +248,6 @@ class RuleStrand:
         self.outputs += len(actions)
         if charge:
             charge("project", max(1, len(actions)))
-        return actions
-
-    # ------------------------------------------------------------------
-
-    def fire_batch(
-        self,
-        triggers: List[Tuple],
-        ctx: EvalContext,
-        hooks: Optional[TraceHooks] = None,
-        work: Any = None,
-        route: Optional[Callable[[Action], None]] = None,
-    ) -> List[Action]:
-        """Fire the strand once over a whole deltaset of triggers.
-
-        Semantics are exactly ``fire`` per trigger, in order — each
-        trigger is its own derivation scope (its own aggregate fold),
-        and when ``route`` is given each trigger's actions are routed
-        *before* the next trigger fires, so table state evolves exactly
-        as under per-tuple execution even for rules that read relations
-        they write.  The batch path adds the economies:
-
-        the whole deltaset is unified against the trigger pattern up
-        front and the first join's hash index is probed with the
-        batch's key vector in one call (:meth:`Table.warm_index`), so
-        bucket collection and scan-order sorting are paid once per
-        distinct key (mid-batch table writes invalidate the memo, so
-        prefetched buckets can never go stale).  Work charges go through
-        ``work.charge`` per operation, in the exact per-tuple order —
-        float accumulation order matters for bit-identical
-        ``busy_seconds``, so no batching there.
-
-        When trace hooks are active the strand falls back to per-trigger
-        ``fire`` so observation ordering is untouched.  Without
-        ``route`` the concatenated action list is returned instead.
-        """
-        actions: List[Action] = []
-        if hooks is not None or work is None:
-            for trigger in triggers:
-                fired = self.fire(trigger, ctx, hooks=hooks)
-                if route is not None:
-                    for action in fired:
-                        route(action)
-                else:
-                    actions.extend(fired)
-            return actions
-
-        charge = work.charge
-
-        # Pre-unify the deltaset and batch-probe the first join's index.
-        prematched: Any = None
-        first = self.batch_probe
-        if first is not None and len(triggers) > 1:
-            prematched = [self.match.match(t) for t in triggers]
-            key_sources = first.key_sources
-            keys = []
-            for bindings in prematched:
-                if bindings is None:
-                    continue
-                try:
-                    keys.append(
-                        tuple(
-                            bindings[var] if var is not None else const
-                            for var, const in key_sources
-                        )
-                    )
-                except KeyError:
-                    continue  # fire() will surface the planner bug
-            if keys:
-                first.table.warm_index(first.index, keys)
-
-        for position, trigger in enumerate(triggers):
-            fired = self.fire(
-                trigger,
-                ctx,
-                charge=charge,
-                _prematched=(
-                    _UNMATCHED if prematched is None else prematched[position]
-                ),
-            )
-            if route is not None:
-                for action in fired:
-                    route(action)
-            else:
-                actions.extend(fired)
         return actions
 
     # ------------------------------------------------------------------

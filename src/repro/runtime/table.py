@@ -64,58 +64,6 @@ class _Row:
         self.order = order
 
 
-class DeltaBuffer:
-    """Columnar buffer of one batch's change deltas for one table.
-
-    The batch kernel delivers tuples in per-tick deltasets;
-    :meth:`Table.insert_batch` records each row's insert outcome here.
-    Storage is row-major on arrival (the tuples themselves) with lazy
-    column materialization: :meth:`column` gathers one 0-based column
-    across the whole batch in a single pass, which is how the batched
-    join path builds probe-key vectors without touching every tuple
-    object per probe.
-    """
-
-    __slots__ = ("name", "tuples", "outcomes", "_columns")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.tuples: List[Tuple] = []
-        self.outcomes: List[InsertOutcome] = []
-        self._columns: Dict[int, List[Any]] = {}
-
-    def append(self, tup: Tuple, outcome: InsertOutcome) -> None:
-        self.tuples.append(tup)
-        self.outcomes.append(outcome)
-        if self._columns:
-            self._columns.clear()
-
-    def __len__(self) -> int:
-        return len(self.tuples)
-
-    def changed(self) -> List[Tuple]:
-        """Rows whose insert was a state change (NEW or REPLACED)."""
-        return [
-            tup
-            for tup, outcome in zip(self.tuples, self.outcomes)
-            if outcome is not InsertOutcome.REFRESHED
-        ]
-
-    def column(self, position: int) -> List[Any]:
-        """Column ``position`` (0-based) across the batch, one pass.
-
-        Rows too short for the position contribute ``None``.
-        """
-        cached = self._columns.get(position)
-        if cached is None:
-            cached = [
-                tup.values[position] if position < len(tup.values) else None
-                for tup in self.tuples
-            ]
-            self._columns[position] = cached
-        return cached
-
-
 class TableIndex:
     """A secondary hash index over a subset of 0-based column positions.
 
@@ -140,9 +88,9 @@ class TableIndex:
         # primary key -> _Row, for rows with unhashable index keys
         self._loose: Dict[PyTuple, _Row] = {}
         # Probe memo: probe key -> candidate list, valid until the next
-        # mutation.  A batched firing probes the same key once per
-        # trigger (e.g. every succ-table probe at node n uses key (n,)),
-        # so the sort-and-collect work is paid once per batch.
+        # mutation.  Consecutive firings probe the same key over and
+        # over (e.g. every succ-table probe at node n uses key (n,)),
+        # so the sort-and-collect work is paid once per quiet stretch.
         self._memo: Dict[PyTuple, List[Tuple]] = {}
         # Probe counters for introspection and tests.
         self.probes = 0
@@ -184,8 +132,7 @@ class TableIndex:
         Returned in table scan order.  An unhashable probe key degrades
         to the full indexed row set (equivalent to a scan).  Results are
         memoized until the next index mutation; memo hits count toward
-        the probe statistics exactly like cold probes, so counters stay
-        kernel-independent.
+        the probe statistics exactly like cold probes.
         """
         self.probes += 1
         try:
@@ -211,42 +158,6 @@ class TableIndex:
         result = [r.tuple for r in rows]
         self._memo[probe_key] = result
         return result
-
-    def candidates_many(self, keys: List[PyTuple]) -> List[List[Tuple]]:
-        """Probe a whole batch of keys in one call.
-
-        Returns one candidate list per key, parallel to ``keys``.
-        Repeated keys within the batch (the common case for a node
-        firing one strand over a tick's deltaset) resolve through the
-        memo after the first lookup.  Counters advance exactly as the
-        equivalent per-key :meth:`candidates` calls would.
-        """
-        return [self.candidates(key) for key in keys]
-
-    def warm_many(self, keys: List[PyTuple]) -> None:
-        """Populate the probe memo for a batch of keys, in one pass.
-
-        Unlike :meth:`candidates_many` this does *not* advance the
-        probe counters: it is the batched firing path's prefetch, and
-        the per-trigger probes that follow do the counting, so probe
-        statistics stay identical across execution kernels.
-        """
-        memo = self._memo
-        buckets = self._buckets
-        loose = self._loose
-        for key in keys:
-            try:
-                probe_key = tuple(key)
-                if probe_key in memo:
-                    continue
-            except TypeError:
-                continue  # unhashable keys take the scan-degrade path
-            bucket = buckets.get(probe_key)
-            rows = list(bucket.values()) if bucket else []
-            if loose:
-                rows.extend(loose.values())
-            rows.sort(key=lambda r: r.order)
-            memo[probe_key] = [r.tuple for r in rows]
 
     def __len__(self) -> int:
         return sum(len(b) for b in self._buckets.values()) + len(self._loose)
@@ -321,34 +232,6 @@ class Table:
                 f"tuple {tup.name!r} inserted into table {self.name!r}"
             )
         self._expire_now()
-        return self._insert_core(tup)
-
-    def insert_batch(self, tuples: List[Tuple]) -> DeltaBuffer:
-        """Insert a deltaset in order; one expiry pass for the batch.
-
-        Semantically identical to calling :meth:`insert` per tuple —
-        observers fire per row, in order — except the TTL expiry scan
-        runs once up front.  Rows inserted earlier in the batch cannot
-        expire mid-batch (their deadline is strictly in the future at
-        the shared ``now``), so deferring expiry to the batch head is
-        unobservable.  Returns the batch's :class:`DeltaBuffer`.
-        """
-        delta = DeltaBuffer(self.name)
-        if not tuples:
-            return delta
-        self._expire_now()
-        append = delta.append
-        core = self._insert_core
-        name = self.name
-        for tup in tuples:
-            if tup.name != name:
-                raise SchemaError(
-                    f"tuple {tup.name!r} inserted into table {name!r}"
-                )
-            append(tup, core(tup))
-        return delta
-
-    def _insert_core(self, tup: Tuple) -> InsertOutcome:
         try:
             key = self._key_get(tup.values)
         except IndexError:
@@ -560,25 +443,6 @@ class Table:
         exactly as :meth:`scan` does)."""
         self._expire_now()
         return index.candidates(key_values)
-
-    def probe_index_batch(
-        self, index: TableIndex, keys: List[PyTuple]
-    ) -> List[List[Tuple]]:
-        """Probe a whole batch of keys against ``index`` in one call.
-
-        One expiry pass covers the batch; repeated keys hit the index's
-        probe memo.  Returns one candidate list per key, in scan order,
-        exactly as per-key :meth:`probe_index` calls would.
-        """
-        self._expire_now()
-        return index.candidates_many(keys)
-
-    def warm_index(self, index: TableIndex, keys: List[PyTuple]) -> None:
-        """Prefetch ``index``'s probe memo for a batch of keys (one
-        expiry pass, no counter movement — see
-        :meth:`TableIndex.warm_many`)."""
-        self._expire_now()
-        index.warm_many(keys)
 
     def _index_add(self, key: PyTuple, row: _Row) -> None:
         for index in self._indexes.values():

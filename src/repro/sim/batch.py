@@ -1,10 +1,9 @@
-"""Batch-execution kernel: tick-at-a-time, node-grouped event dispatch.
+"""Batch-execution kernel: tick-at-a-time event dispatch.
 
-The legacy loop (:meth:`repro.sim.simulator.Simulator.run_until`) pops
-one event at a time and lets each delivery pump its node to fixpoint
-before the next.  At a thousand nodes that per-tuple discipline is pure
-overhead: every message is its own heap entry, its own callback frame,
-its own decode, its own strand firing.
+The continuous loop (:meth:`repro.sim.simulator.Simulator.run_until`)
+pops one event at a time.  At a thousand nodes most of that is
+scheduler overhead: every message is its own heap entry and its own
+callback frame.
 
 This kernel executes one *tick* at a time instead:
 
@@ -13,32 +12,33 @@ This kernel executes one *tick* at a time instead:
 2. drain **all** events at ``t`` in canonical order
    ``(priority, origin, origin_seq)``;
 3. gather grouped events per *group* (the node that executes them) and
-   hand each node its whole tick at once — batched delivery, deltaset
-   strand firing, one pump;
+   run each group's events in that canonical order, groups in address
+   order;
 4. treat ungrouped (control/harness) events as ordering barriers: the
-   grouped events that canonically precede a control event are flushed
-   to their executors before it runs, because control code can touch
-   node state directly (injects, kills) and so *is* ordered relative
-   to each node's own event stream.
+   grouped events that canonically precede a control event run before
+   it, because control code can touch node state directly (injects,
+   kills) and so *is* ordered relative to each node's own event stream;
+5. call the ``on_tick`` hooks (the forensic store cuts segments here).
+
+The kernel only *schedules*: what a node does with an event — receive,
+pump, fire — is the same code under every loop.  The speed-up comes
+from draining a tick in one pass and from the fabric this kernel turns
+on: one event per ``(tick, destination)`` instead of one per message,
+and zero-copy sends (docs/SCALE.md).
 
 Equivalence contract (docs/SCALE.md): within a tick, nodes interact
 only through events scheduled for *later* ticks, and all per-message
 randomness is drawn from per-entity streams, so regrouping a tick per
 node cannot change any node's observable history.  The differential
-battery (``tests/batchexec/``) pins this: per-tuple and batched runs of
-every bundled program produce identical final tables, alarm streams,
-and campaign verdicts.
+battery (``tests/batchexec/``) pins this: per-event and per-tick runs
+of every bundled program produce identical final tables, alarm
+streams, and campaign verdicts.
 
-``ExecutionConfig`` is the one knob surface:
+``ExecutionConfig.batch_size`` selects the loop on the tick grid:
 
-- ``batch_size=1`` — compatibility mode: the legacy per-tuple loop
-  runs, bit-identical to the pre-batch scheduler (with ``tick=0``) or
-  in canonical tick order (with ``tick>0``).
-- ``batch_size=None`` (default) — unbounded deltasets: a node fires
-  each strand once over all of a tick's triggers.
-- ``batch_size=k`` — deltasets are chunked to at most ``k`` triggers
-  per firing; the Hypothesis battery checks chunking never changes
-  fixpoints.
+- ``None`` (default) — this kernel.
+- ``1`` — the per-event loop in canonical tick order, with per-message
+  fabric events: the reference ``tests/batchexec`` compares against.
 """
 
 from __future__ import annotations
@@ -58,19 +58,20 @@ DEFAULT_TICK = 0.01
 class ExecutionConfig:
     """How a :class:`~repro.core.system.System` executes events.
 
-    ``tick`` quantizes all scheduling onto a grid (required for
-    batching; 0 keeps continuous time and implies the legacy loop).
-    ``batch_size`` bounds one strand firing's deltaset; ``None`` means
-    unbounded and ``1`` selects the per-tuple compatibility kernel.
+    ``tick`` quantizes all scheduling onto a grid (the tick kernel
+    needs one; 0 keeps continuous time under the per-event loop).
+    ``batch_size`` selects the loop: ``None`` is the tick kernel, ``1``
+    the per-event loop; nothing else is accepted.
     """
 
     batch_size: Optional[int] = None
     tick: float = DEFAULT_TICK
 
     def __post_init__(self) -> None:
-        if self.batch_size is not None and self.batch_size < 1:
+        if self.batch_size not in (None, 1):
             raise SimulationError(
-                f"batch_size must be >= 1 or None: {self.batch_size}"
+                f"batch_size must be None (tick kernel) or 1 "
+                f"(per-event loop): {self.batch_size!r}"
             )
         if self.tick < 0:
             raise SimulationError(f"tick must be non-negative: {self.tick}")
@@ -79,19 +80,13 @@ class ExecutionConfig:
 
     @property
     def batched(self) -> bool:
-        """True when the batch kernel (not the legacy loop) runs."""
-        return self.batch_size != 1
+        """True when the tick kernel (not the per-event loop) runs."""
+        return self.batch_size is None
 
     @property
     def label(self) -> str:
-        if not self.batched:
-            return f"per-tuple(tick={self.tick:g})"
-        size = "inf" if self.batch_size is None else str(self.batch_size)
-        return f"batch(size={size},tick={self.tick:g})"
-
-
-#: A group executor takes one tick's worth of that group's events.
-GroupExecutor = Callable[[list], None]
+        kind = "batch" if self.batched else "per-tuple"
+        return f"{kind}(tick={self.tick:g})"
 
 
 class BatchKernel:
@@ -99,7 +94,6 @@ class BatchKernel:
 
     def __init__(self, sim) -> None:
         self._sim = sim
-        self._executors: Dict[str, GroupExecutor] = {}
         #: Ticks executed (one per distinct event time processed).
         self.ticks = 0
         #: Largest single-tick event batch seen (for BENCH_scale).
@@ -109,13 +103,6 @@ class BatchKernel:
         #: its segment cuts align with tick boundaries instead of
         #: landing mid-tick between two events of the same instant.
         self.on_tick: List[Callable[[float], None]] = []
-
-    def register_group(self, key: str, executor: GroupExecutor) -> None:
-        """Route group ``key``'s per-tick events through ``executor``."""
-        self._executors[str(key)] = executor
-
-    def unregister_group(self, key: str) -> None:
-        self._executors.pop(str(key), None)
 
     def run_until(self, when: float) -> None:
         sim = self._sim
@@ -134,7 +121,7 @@ class BatchKernel:
             for event in events:
                 # An earlier event this tick may have cancelled a later
                 # one (crash cancelling timers); honour it like the
-                # legacy loop's lazy-cancellation pop does.
+                # per-event loop's lazy-cancellation pop does.
                 if event.cancelled:
                     continue
                 group = event.group
@@ -159,7 +146,7 @@ class BatchKernel:
         sim.clock.advance_to(when)
 
     def _flush(self, groups: Dict[str, List]) -> None:
-        """Hand each group its gathered events, in stable address order.
+        """Run each group's gathered events, in stable address order.
 
         Node histories are interaction-free within a tick, so group
         order is unobservable; sorting makes it deterministic.
@@ -167,17 +154,9 @@ class BatchKernel:
         if not groups:
             return
         sim = self._sim
-        executors = self._executors
         for key in sorted(groups):
-            live = [e for e in groups[key] if not e.cancelled]
-            if not live:
-                continue
             sim._set_origin(key)
-            executor = executors.get(key)
-            if executor is not None:
-                executor(live)
-            else:
-                for event in live:
-                    if not event.cancelled:
-                        event.callback()
+            for event in groups[key]:
+                if not event.cancelled:
+                    event.callback()
         groups.clear()

@@ -187,8 +187,11 @@ class SegmentReader:
         Relation filtering matches plain records by their ``rel``
         column; burst records (whose column entry can be ``None`` for
         ``re.b``) are matched by expansion at the caller's level, so
-        this returns them when the other filters pass.
+        this returns them when the other filters pass.  For the same
+        reason ``kind="re"`` admits ``re.b`` rows: each stands for a
+        run of ``re`` records the caller expands and filters.
         """
+        kinds = (kind, fmt.RULE_BURST) if kind == fmt.RULE_EXEC else (kind,)
         columns = self.columns()
         t_col, k_col, n_col, rel_col = (
             columns["t"],
@@ -204,7 +207,7 @@ class SegmentReader:
                 continue
             if node is not None and n_col[i] != node:
                 continue
-            if kind is not None and k_col[i] != kind:
+            if kind is not None and k_col[i] not in kinds:
                 continue
             if relation is not None:
                 rel = rel_col[i]

@@ -27,6 +27,7 @@ from repro.monitors import (
     RingProbeMonitor,
     StatusFlowMonitor,
 )
+from repro.overload.controller import OverloadConfig
 from repro.sim.batch import DEFAULT_TICK, ExecutionConfig
 
 #: The two kernels under comparison.  Both run on the same tick grid —
@@ -42,7 +43,11 @@ MODES = {"per-tuple": PER_TUPLE, "batched": BATCHED}
 
 
 def node_state(node) -> Dict[str, Any]:
-    """Everything one node observably did, in canonical form."""
+    """Everything one node observably did, in canonical form.
+
+    ``tables`` includes the introspection rings (``ruleExec``,
+    ``tupleLog``, ``tableLog``) when the node is traced or logged.
+    """
     tables = {}
     for table in node.store.tables():
         tables[table.name] = sorted(repr(tup) for tup in table.scan())
@@ -56,6 +61,9 @@ def node_state(node) -> Dict[str, Any]:
         # of per-operation charges whose addition *order* the batch
         # path must reproduce (FP addition is not associative).
         "busy_seconds": node.work.busy_seconds.hex(),
+        "overload": (
+            node.overload.totals() if node.overload is not None else None
+        ),
     }
 
 
@@ -132,6 +140,33 @@ def run_chord(
     state = system_state(net.system, net.live_addresses())
     state["ring_correct"] = net.ring_correct()
     return state
+
+
+def run_chord_observed(
+    seed: int,
+    execution: ExecutionConfig,
+    nodes: int = 6,
+    duration: float = 45.0,
+) -> Dict[str, Any]:
+    """Chord with every observer attached: tracer, event logger,
+    telemetry spans and an overload controller on every node (UDP).
+
+    The paper's configuration.  Observers attach to the one
+    receive → pump → fire path, so the kernels must agree on what each
+    observer saw, not only on what the protocol computed.
+    """
+    net = ChordNetwork(
+        num_nodes=nodes,
+        seed=seed,
+        tracing=True,
+        logging=True,
+        observability=True,
+        overload=OverloadConfig(),
+        execution=execution,
+    )
+    net.start()
+    net.run_for(duration)
+    return system_state(net.system, net.addresses)
 
 
 def run_gossip(

@@ -36,10 +36,9 @@ def test_churn_campaign_fingerprint_identical():
 
 @pytest.mark.slow
 def test_storm_campaign_fingerprint_identical():
-    # Storm campaigns force the overload controller on, which makes the
-    # batched node take the per-tuple pump body verbatim — the ledger
+    # Storm campaigns force the overload controller on: the ledger
     # identity (offered == admitted + shed + deferred) and queue-depth
-    # peaks must still fingerprint identically.
+    # peaks must fingerprint identically under coalesced delivery.
     prints = _fingerprints(5, storm=True)
     assert prints["per-tuple"] == prints["batched"]
 

@@ -16,6 +16,7 @@ from tests.batchexec.harness import (
     differential,
     run_aggtree,
     run_chord,
+    run_chord_observed,
     run_gossip,
     run_monitors,
 )
@@ -31,6 +32,22 @@ def test_chord_identical(seed):
 @pytest.mark.parametrize("seed", FAST_SEEDS)
 def test_chord_with_failure_identical(seed):
     differential(run_chord, seed, nodes=10, duration=120.0, kill_last=True)
+
+
+@pytest.mark.parametrize("seed", FAST_SEEDS[:3])
+def test_observed_chord_identical(seed):
+    differential(run_chord_observed, seed)
+
+
+def test_observed_workload_is_not_vacuous():
+    """Every observer in the observed differential actually recorded."""
+    from tests.batchexec.harness import BATCHED
+
+    state = run_chord_observed(0, BATCHED)
+    for node in state["nodes"].values():
+        for ring in ("ruleExec", "tupleLog", "tableLog"):
+            assert node["tables"][ring], ring
+        assert sum(c["offered"] for c in node["overload"].values()) > 0
 
 
 @pytest.mark.parametrize("seed", FAST_SEEDS)

@@ -2,9 +2,9 @@
 
 Three families:
 
-- *Chunking invariance*: splitting a tick's deltasets into chunks of
-  any size (1, k, unbounded) never changes the fixpoint a program
-  reaches — ``batch_size`` is a pure performance knob.
+- *Loop invariance*: the per-event loop (``batch_size=1``) and the
+  tick kernel (``batch_size=None``) reach the same fixpoint — and no
+  other ``batch_size`` exists.
 - *Wire-length exactness*: :func:`repro.net.marshal.wire_length`
   equals ``len(encode_message(...))`` for arbitrary marshalable
   tuples (the zero-copy send path's byte accounting can never drift).
@@ -14,9 +14,11 @@ Three families:
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.system import System
+from repro.errors import SimulationError
 from repro.net.marshal import (
     decode_message,
     encode_message,
@@ -29,7 +31,7 @@ from repro.runtime.tuples import Tuple
 from repro.sim.batch import DEFAULT_TICK, ExecutionConfig
 
 # ----------------------------------------------------------------------
-# Chunking invariance
+# Loop invariance
 
 CASCADE_SOURCE = """
 materialize(link, infinity, infinity, keys(1,2)).
@@ -85,16 +87,18 @@ def link_sets(draw):
 
 
 @settings(max_examples=12, deadline=None)
-@given(
-    links=link_sets(),
-    chunk=st.integers(min_value=2, max_value=9),
-)
-def test_chunking_never_changes_fixpoint(links, chunk):
-    """A recursive join cascade reaches the same fixpoint whether
-    deltasets fire per-tuple, in chunks of ``chunk``, or unbounded."""
-    reference = _fixpoint(1, links)
-    assert _fixpoint(chunk, links) == reference
-    assert _fixpoint(None, links) == reference
+@given(links=link_sets())
+def test_loop_never_changes_fixpoint(links):
+    """A recursive join cascade reaches the same fixpoint under the
+    per-event loop and the tick kernel."""
+    assert _fixpoint(None, links) == _fixpoint(1, links)
+
+
+@pytest.mark.parametrize("batch_size", (0, 2, 4))
+def test_batch_size_is_not_a_chunk_size(batch_size):
+    """``batch_size`` selects a loop; there is no deltaset to size."""
+    with pytest.raises(SimulationError):
+        ExecutionConfig(batch_size=batch_size)
 
 
 # ----------------------------------------------------------------------

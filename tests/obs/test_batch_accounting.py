@@ -1,31 +1,22 @@
-"""Batched firings count as N rule executions, everywhere counts surface.
+"""Rule-execution counts are kernel-independent, everywhere they surface.
 
-The batch kernel's deltaset pump fires one strand over a run of N
-triggers in a single call; the accounting contract (docs/SCALE.md) is
-that this is N rule executions — the counter is semantic, never
-call-counting.  These tests pin that contract at every layer an
-operator reads:
+The per-event loop and the tick kernel run the same pump, so a seeded
+workload must report the same number of rule executions under both at
+every layer an operator reads (``tests/batchexec`` pins the raw
+``P2Node.rule_executions`` counter):
 
-- ``P2Node.rule_executions`` (the raw counter the lean batched pump
-  increments by run length);
 - the Dashboard's per-node ``rule-execs`` column (the
   ``node_rule_executions_total`` gauge);
 - ``repro.obs summarize`` over an exported artifact (per-rule ``fires``
   from the ``rule_duration_seconds`` histogram).
-
-Each comparison runs the same seeded Chord workload under the
-per-tuple and the batched kernel and demands identical numbers.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.chord.harness import ChordNetwork
 from repro.obs.export import write_jsonl
 from repro.obs.summarize import Artifact, summarize
 from repro.report import Dashboard
-from repro.runtime.strand import RuleStrand
 from repro.sim.batch import DEFAULT_TICK, ExecutionConfig
 
 PER_TUPLE = ExecutionConfig(batch_size=1, tick=DEFAULT_TICK)
@@ -46,33 +37,6 @@ def run_chord(execution, observability=False):
     net.start()
     net.run_for(DURATION)
     return net
-
-
-def executions_by_node(net):
-    return {
-        str(addr): net.system.node(addr).rule_executions
-        for addr in net.addresses
-    }
-
-
-def test_lean_batched_pump_counts_run_lengths(monkeypatch):
-    """Without observers the pump batches runs — and still counts N."""
-    run_lengths = []
-    orig = RuleStrand.fire_batch
-
-    def spy(self, triggers, ctx, **kwargs):
-        run_lengths.append(len(triggers))
-        return orig(self, triggers, ctx, **kwargs)
-
-    monkeypatch.setattr(RuleStrand, "fire_batch", spy)
-    batched = executions_by_node(run_chord(BATCHED))
-    monkeypatch.setattr(RuleStrand, "fire_batch", orig)
-    per_tuple = executions_by_node(run_chord(PER_TUPLE))
-
-    # The workload genuinely exercised multi-trigger deltasets.
-    assert run_lengths and max(run_lengths) > 1
-    assert batched == per_tuple
-    assert sum(batched.values()) > 0
 
 
 def test_dashboard_rule_execs_identical_across_kernels():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.system import System
 from repro.errors import RuntimeStateError
 from repro.overload.controller import (
     SHED_STOPPED,
@@ -9,6 +10,7 @@ from repro.overload.controller import (
 )
 from repro.overload.policy import CLASS_DATA, CLASS_MONITOR
 from repro.overlog.program import Program
+from repro.sim.batch import ExecutionConfig
 
 PROGRAM = "r out@Dst(X) :- evt@N(Dst, X)."
 
@@ -39,6 +41,56 @@ def test_zero_service_time_processes_inline(sim, make_node):
     assert len(got) == 5
     counts = b.overload.counts[CLASS_DATA]
     assert counts.offered == 5 and counts.admitted == 5
+
+
+@pytest.mark.parametrize(
+    "transport, execution, expected",
+    [
+        # Zero-copy UDP: the message carries a decoded payload but was
+        # never admitted, so the mailbox decides — exactly once.
+        ("udp", ExecutionConfig(), {"admit_mailbox": 1}),
+        # Reliable: the gate decided before the ack; receive only
+        # counts the arrival.
+        ("reliable", None, {"admit_remote": 1, "count_arrival": 1}),
+    ],
+)
+def test_admission_is_decided_once_per_message(
+    monkeypatch, transport, execution, expected
+):
+    system = System(
+        seed=1,
+        transport=transport,
+        execution=execution,
+        overload=OverloadConfig(service_time=0.0),
+    )
+    a = system.add_node("a:1")
+    b = system.add_node("b:1")
+    system.install_source(PROGRAM)
+    calls = {}
+    for name in ("admit_mailbox", "admit_remote", "count_arrival"):
+
+        def spy(relation, _name=name, _orig=getattr(b.overload, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _orig(relation)
+
+        monkeypatch.setattr(b.overload, name, spy)
+    sent = []
+    send = system.network.send
+
+    def record_send(src, dst, payload, size=0, decoded=None):
+        sent.append((payload, decoded))
+        send(src, dst, payload, size=size, decoded=decoded)
+
+    monkeypatch.setattr(system.network, "send", record_send)
+    got = b.collect("out")
+    flood(a, 1)
+    system.run_for(1.0)
+    assert len(got) == 1
+    assert calls == expected
+    (payload, decoded), = sent
+    assert (payload is None and decoded is not None) == (transport == "udp")
+    counts = b.overload.counts[CLASS_DATA]
+    assert counts.offered == 1 and counts.admitted == 1
 
 
 def test_mailbox_overflow_sheds_data_at_hard_full(sim, make_node):

@@ -151,13 +151,11 @@ def test_tick_mode_flushes_at_tick_barriers(tmp_path):
     )
 
 
-def test_compression_can_be_disabled(tmp_path):
+def poke_store(directory, compress):
     system = System(
         seed=2,
         store=StoreConfig(
-            directory=str(tmp_path / "store"),
-            segment_events=64,
-            compress=False,
+            directory=str(directory), segment_events=64, compress=compress
         ),
     )
     a = system.add_node("a:1", tracing=True, logging=True)
@@ -165,9 +163,28 @@ def test_compression_can_be_disabled(tmp_path):
     for i in range(60):
         a.inject("poke", ("a:1", i))
     system.run_for(2.0)
-    store = system.close_store()
+    return system.close_store()
+
+
+def test_compression_can_be_disabled(tmp_path):
+    store = poke_store(tmp_path / "store", compress=False)
     assert store.compression_ratio == 1.0
     assert store.bursts_written == 0
+
+
+def test_rule_exec_query_sees_through_burst_compression(tmp_path, capsys):
+    """``kind="re"`` returns the same rule executions whether or not
+    the segments hold them as ``re.b`` bursts."""
+    plain = poke_store(tmp_path / "plain", compress=False)
+    packed = poke_store(tmp_path / "packed", compress=True)
+    assert packed.bursts_written > 0
+    expected = [fmt.encode(r) for r in plain.events(kind=fmt.RULE_EXEC)]
+    assert len(expected) >= 60
+    assert [
+        fmt.encode(r) for r in packed.events(kind=fmt.RULE_EXEC)
+    ] == expected
+    assert store_cli(["query", packed.config.directory, "--kind", "re"]) == 0
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_cli_info_query_slice(tmp_path, capsys):
