@@ -2,9 +2,10 @@
 
 A table is declared by ``materialize(name, lifetime, size, keys(...))``:
 tuples expire ``lifetime`` seconds after their last (re-)insertion, the
-table holds at most ``size`` tuples (oldest evicted first), and the
-``keys`` positions form the primary key — inserting a tuple whose key
-matches an existing row replaces that row.
+table holds at most ``size`` tuples (least recently (re-)inserted
+evicted first, found through a lazily validated heap in O(log size)),
+and the ``keys`` positions form the primary key — inserting a tuple
+whose key matches an existing row replaces that row.
 
 Change callbacks drive the rest of the system: delta rule triggering,
 event logging, and tupleTable reference counting all hang off
@@ -23,6 +24,7 @@ observably identical (the differential harness in
 from __future__ import annotations
 
 import enum
+from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple as PyTuple
 
@@ -181,7 +183,6 @@ class Table:
             raise SchemaError(f"table {name!r}: key positions are 1-based")
         self.name = name
         self.lifetime = lifetime
-        self.max_size = max_size
         self.key_positions = list(key_positions)
         self._key_idx = [k - 1 for k in key_positions]
         # Insert-path constants, hoisted: the per-row TTL as a float (or
@@ -194,6 +195,16 @@ class Table:
             self._key_get = itemgetter(*self._key_idx)
         self._now = now
         self._rows: Dict[PyTuple, _Row] = {}
+        # Eviction order for the size bound: a min-heap of
+        # ``(inserted_at, seq, key)`` stamps, None until the table first
+        # overflows.  Entries are never removed in place — a row that
+        # was deleted, expired, replaced or refreshed leaves a stale
+        # stamp that ``_pop_victim`` skips — and the heap is dropped
+        # (rebuilt at the next overflow) once it outgrows
+        # ``_evict_slack``, so a table that is refreshed far more often
+        # than it overflows holds no more than that.
+        self._evict_heap: Optional[List[PyTuple]] = None
+        self.max_size = max_size
         self._seq = 0
         self._order = 0
         self._indexes: Dict[PyTuple, TableIndex] = {}
@@ -212,6 +223,17 @@ class Table:
         # Lifetime counters for introspection.
         self.total_inserts = 0
         self.total_removals = 0
+
+    @property
+    def max_size(self) -> Any:
+        """The declared size bound (a tuple count, or INFINITY)."""
+        return self._max_size
+
+    @max_size.setter
+    def max_size(self, value: Any) -> None:
+        self._max_size = value
+        self._limit = None if value is INFINITY else int(value)
+        self._evict_slack = 0 if value is INFINITY else 2 * int(value) + 16
 
     # ------------------------------------------------------------------
 
@@ -249,9 +271,17 @@ class Table:
         if existing is not None:
             if existing.tuple == tup:
                 existing.expires_at = expires
-                existing.inserted_at = now
-                for callback in list(self.on_refresh):
-                    callback(tup, expires)
+                if existing.inserted_at != now:
+                    # The row keeps its seq, so it sorts before a row
+                    # first inserted earlier at this same instant.
+                    existing.inserted_at = now
+                    self._stamp(key, existing)
+                callbacks = self.on_refresh
+                if len(callbacks) == 1:
+                    callbacks[0](tup, expires)
+                elif callbacks:
+                    for callback in list(callbacks):
+                        callback(tup, expires)
                 return InsertOutcome.REFRESHED
             old = existing.tuple
             self._seq += 1
@@ -259,6 +289,7 @@ class Table:
             # scan-order stamp) of the row it displaces.
             row = _Row(tup, now, expires, self._seq, existing.order)
             self._rows[key] = row
+            self._stamp(key, row)
             if indexes:
                 self._index_discard(key, existing)
                 self._index_add(key, row)
@@ -272,11 +303,13 @@ class Table:
         self._order += 1
         row = _Row(tup, now, expires, self._seq, self._order)
         self._rows[key] = row
+        self._stamp(key, row)
         if indexes:
             self._index_add(key, row)
         self.total_inserts += 1
-        if self.max_size is not INFINITY:
-            self._enforce_size(protect=key)
+        limit = self._limit
+        if limit is not None and len(self._rows) > limit:
+            self._enforce_size(limit, protect=key)
         self._notify_insert(tup, InsertOutcome.NEW)
         return InsertOutcome.NEW
 
@@ -364,6 +397,7 @@ class Table:
                 self._order,
             )
         self._rows[key] = row
+        self._stamp(key, row)
         self._index_add(key, row)
         if expires_at < self._next_expiry:
             self._next_expiry = expires_at
@@ -494,25 +528,54 @@ class Table:
         )
         return len(expired)
 
-    def _enforce_size(self, protect: PyTuple) -> None:
-        if self.max_size is INFINITY:
-            return
-        limit = int(self.max_size)
-        while len(self._rows) > limit:
+    def _stamp(self, key: PyTuple, row: _Row) -> None:
+        """Record ``row``'s new place in the eviction order."""
+        heap = self._evict_heap
+        if heap is not None:
+            if len(heap) >= self._evict_slack:
+                self._evict_heap = None
+            else:
+                heappush(heap, (row.inserted_at, row.seq, key))
+
+    def _enforce_size(self, limit: int, protect: PyTuple) -> None:
+        rows = self._rows
+        while len(rows) > limit:
             # Evict the least-recently (re-)inserted row: refreshing a
             # tuple keeps it alive, which is the soft-state contract the
             # Chord stabilization rules rely on.
-            victim_key = min(
-                (k for k in self._rows if k != protect),
-                key=lambda k: (self._rows[k].inserted_at, self._rows[k].seq),
-                default=None,
-            )
+            victim_key = self._pop_victim(protect)
             if victim_key is None:
                 return
-            row = self._rows.pop(victim_key)
+            row = rows.pop(victim_key)
             self._index_discard(victim_key, row)
             self.total_removals += 1
             self._notify_remove(row.tuple, RemoveReason.EVICTED)
+
+    def _pop_victim(self, protect: PyTuple) -> Optional[PyTuple]:
+        """Key of the live row with the least ``(inserted_at, seq)``
+        other than ``protect``, or None if there is no other row."""
+        rows = self._rows
+        heap = self._evict_heap
+        if heap is None:
+            heap = self._evict_heap = [
+                (row.inserted_at, row.seq, key) for key, row in rows.items()
+            ]
+            heapify(heap)
+        held = victim = None
+        while heap:
+            stamp = heappop(heap)
+            inserted_at, seq, key = stamp
+            row = rows.get(key)
+            if row is None or row.seq != seq or row.inserted_at != inserted_at:
+                continue  # deleted, expired, replaced or refreshed since
+            if key == protect:
+                held = stamp
+                continue
+            victim = key
+            break
+        if held is not None:
+            heappush(heap, held)
+        return victim
 
     def _notify_insert(self, tup: Tuple, outcome: InsertOutcome) -> None:
         callbacks = self.on_insert

@@ -28,7 +28,8 @@ SEGMENT_PATTERN = "seg-%06d"
 
 
 def _summary_of(records: List[Dict[str, Any]], size: int) -> Dict[str, Any]:
-    t_min = min(r["t"] for r in records)
+    # A burst's ``t`` is its last member's time; its window opens at ``tf``.
+    t_min = min(r.get("tf", r["t"]) for r in records)
     t_max = max(r["t"] for r in records)
     nodes = sorted({r["n"] for r in records})
     rels = sorted({r["rel"] for r in records if "rel" in r})
@@ -189,7 +190,9 @@ class SegmentReader:
         ``re.b``) are matched by expansion at the caller's level, so
         this returns them when the other filters pass.  For the same
         reason ``kind="re"`` admits ``re.b`` rows: each stands for a
-        run of ``re`` records the caller expands and filters.
+        run of ``re`` records the caller expands and filters, and its
+        ``t`` column is the *last* member's time, so ``t1`` cannot rule
+        the row out — earlier members may still fall inside the window.
         """
         kinds = (kind, fmt.RULE_BURST) if kind == fmt.RULE_EXEC else (kind,)
         columns = self.columns()
@@ -203,7 +206,11 @@ class SegmentReader:
         for i in range(len(t_col)):
             if t0 is not None and t_col[i] < t0:
                 continue
-            if t1 is not None and t_col[i] > t1:
+            if (
+                t1 is not None
+                and t_col[i] > t1
+                and k_col[i] != fmt.RULE_BURST
+            ):
                 continue
             if node is not None and n_col[i] != node:
                 continue

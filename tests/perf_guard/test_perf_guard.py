@@ -22,6 +22,11 @@ the quantity a regression guard should compare.  The 30% allowance on
 top absorbs cross-machine variance; real hot-path regressions (an
 accidental per-tuple re-encode, a dropped index) cost integer factors,
 not percents.
+
+One guard is a *ratio* with no pinned baseline: inserting into a full
+bounded table must cost the same whatever its capacity (the
+introspection rings are full for almost all of a long run, and a
+victim search that scans the ring makes every insert O(capacity)).
 """
 
 from __future__ import annotations
@@ -34,6 +39,9 @@ import pytest
 
 from repro.core.metrics import Meter
 from repro.core.system import System
+from repro.overlog.types import INFINITY
+from repro.runtime.table import Table
+from repro.runtime.tuples import Tuple
 
 # Baselines are pinned on the benchmark machine; a hosted CI runner
 # with different hardware can widen the allowance via the environment
@@ -135,3 +143,36 @@ def test_fig4_ops_per_second_holds():
         window=baseline["workload"]["window_s"],
     )
     assert_no_drop(live, baseline["ops_per_wall_second"], "BENCH_fig4")
+
+
+def full_table_inserts_per_second(capacity: int, inserts: int = 2000) -> float:
+    """Fresh-key inserts per wall second, each evicting one row, into a
+    table already holding ``capacity`` rows."""
+
+    def once() -> float:
+        clock = [0.0]
+        table = Table("ring", INFINITY, capacity, [1], lambda: clock[0])
+        for i in range(capacity):
+            clock[0] += 0.001
+            table.insert(Tuple("ring", (i, "x")))
+        fresh = [Tuple("ring", (capacity + i, "x")) for i in range(inserts)]
+        wall0 = time.perf_counter()
+        for tup in fresh:
+            clock[0] += 0.001
+            table.insert(tup)
+        wall = time.perf_counter() - wall0
+        assert len(table) == capacity
+        assert next(table.scan()).values[0] == inserts  # oldest went first
+        return inserts / wall
+
+    return best_of(once)
+
+
+def test_full_ring_insert_cost_does_not_grow_with_capacity():
+    small = full_table_inserts_per_second(256)
+    large = full_table_inserts_per_second(8192)
+    assert small < 3.0 * large, (
+        f"a full 8,192-row table takes {large:,.0f} inserts/s against "
+        f"{small:,.0f} for a full 256-row table ({small / large:.1f}x "
+        f"slower): eviction cost depends on capacity"
+    )

@@ -13,12 +13,15 @@ plan relies on:
   at the same moment.
 * **Size-bound eviction** — the bound holds after every operation and
   evicted rows leave all indexes.
+* **Bound maintenance** — under arbitrary insert / refresh / replace /
+  delete / expiry / restore sequences the table evicts exactly the rows
+  a reference that scans for its victim does, in the same order.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.overlog.types import INFINITY
-from repro.runtime.table import Table
+from repro.runtime.table import InsertOutcome, RemoveReason, Table
 from repro.runtime.tuples import Tuple
 
 
@@ -182,3 +185,257 @@ def test_node_id_and_int_probe_keys_are_interchangeable(ids, probe, as_node_id):
         t.values for t in expected
     ]
     assert len(expected) == ids.count(probe)
+
+
+# ----------------------------------------------------------------------
+# Bound maintenance against a reference model
+#
+# ``Table`` finds its eviction victim through a lazily validated heap;
+# the reference below keeps the definition it must agree with — the
+# least ``(inserted_at, seq)`` over every live row but the one just
+# inserted — by scanning, and mirrors the rest of the table contract
+# (lazy expiry, same-slot replacement, silent restore) in the plainest
+# way, so any divergence in outcomes, observer streams, scan order or
+# index probes is the heap's.
+
+MODEL_TTL = 5.0
+
+
+class ModelRow:
+    def __init__(self, values, inserted_at, expires_at, seq):
+        self.values = values
+        self.inserted_at = inserted_at
+        self.expires_at = expires_at
+        self.seq = seq
+
+
+class ModelTable:
+    """Reference soft-state table keyed on columns 1-2 of a 3-tuple."""
+
+    def __init__(self, max_size, now):
+        self.max_size = max_size
+        self.now = now
+        self.rows = {}  # key -> ModelRow, in scan order
+        self.seq = 0
+        self.events = []
+
+    def _expire(self):
+        now = self.now()
+        for key in [k for k, r in self.rows.items() if r.expires_at <= now]:
+            self.events.append((self.rows.pop(key).values, RemoveReason.EXPIRED))
+
+    def insert(self, values):
+        self._expire()
+        key, now = values[:2], self.now()
+        old = self.rows.get(key)
+        if old is not None and old.values == values:
+            old.inserted_at, old.expires_at = now, now + MODEL_TTL
+            self.events.append((values, old.expires_at))
+            return InsertOutcome.REFRESHED
+        self.seq += 1
+        self.rows[key] = ModelRow(values, now, now + MODEL_TTL, self.seq)
+        if old is not None:
+            self.events.append((old.values, RemoveReason.REPLACED))
+            self.events.append((values, InsertOutcome.REPLACED))
+            return InsertOutcome.REPLACED
+        while len(self.rows) > self.max_size:
+            victim = min(
+                (k for k in self.rows if k != key),
+                key=lambda k: (self.rows[k].inserted_at, self.rows[k].seq),
+                default=None,
+            )
+            if victim is None:
+                break
+            self.events.append((self.rows.pop(victim).values, RemoveReason.EVICTED))
+        self.events.append((values, InsertOutcome.NEW))
+        return InsertOutcome.NEW
+
+    def delete(self, values):
+        self._expire()
+        row = self.rows.get(values[:2])
+        if row is None or row.values != values:
+            return False
+        del self.rows[values[:2]]
+        self.events.append((values, RemoveReason.DELETED))
+        return True
+
+    def delete_matching(self, pattern):
+        self._expire()
+        victims = [
+            r.values
+            for r in self.rows.values()
+            if all(p is None or p == v for p, v in zip(pattern, r.values))
+        ]
+        for values in victims:
+            del self.rows[values[:2]]
+            self.events.append((values, RemoveReason.DELETED))
+        return len(victims)
+
+    def restore(self, values, expires_at, inserted_at):
+        now = self.now()
+        if expires_at <= now:
+            return False
+        self.seq += 1
+        self.rows[values[:2]] = ModelRow(
+            values, now if inserted_at is None else inserted_at, expires_at, self.seq
+        )
+        return True
+
+    def restore_remove(self, values):
+        row = self.rows.get(values[:2])
+        if row is None or row.values != values:
+            return False
+        del self.rows[values[:2]]
+        return True
+
+    def scan(self):
+        self._expire()
+        return [r.values for r in self.rows.values()]
+
+
+# Six keys against capacities of at most four, two payloads per key:
+# overflow, identical re-insert and same-key replace are all common.
+model_rows = st.tuples(
+    st.integers(min_value=0, max_value=2),
+    st.sampled_from(["a", "b"]),
+    st.integers(min_value=0, max_value=1),
+)
+patterns = st.tuples(
+    st.none() | st.integers(min_value=0, max_value=2),
+    st.none() | st.sampled_from(["a", "b"]),
+    st.none() | st.integers(min_value=0, max_value=1),
+)
+model_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), model_rows),
+        st.tuples(st.just("insert"), model_rows),
+        st.tuples(st.just("delete"), model_rows),
+        st.tuples(st.just("delete_matching"), patterns),
+        # Several operations share each instant; 6.0 outlives every row.
+        st.tuples(st.just("advance"), st.sampled_from([0.5, 1.0, 2.5, 6.0])),
+        st.tuples(
+            st.just("restore"),
+            st.tuples(
+                model_rows,
+                st.sampled_from([-1.0, 0.5, 3.0, 5.0]),  # deadline - now
+                st.sampled_from([None, 0.0, 1.0, 4.0]),  # now - inserted_at
+            ),
+        ),
+        st.tuples(st.just("restore_remove"), model_rows),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def bookkeeping_bound(capacity):
+    """The heap may hold stale stamps, but never more than this."""
+    return 2 * capacity + 16
+
+
+def run_against_model(sequence, capacity, observers=1):
+    clock = FakeClock()
+    table = make_table(clock, lifetime=MODEL_TTL, max_size=capacity)
+    index = table.index_on([2])
+    model = ModelTable(capacity, clock)
+    streams = [[] for _ in range(observers)]
+    for seen in streams:
+        tap = lambda tup, what, seen=seen: seen.append((tup.values, what))
+        table.on_insert.append(tap)
+        table.on_remove.append(tap)
+        table.on_refresh.append(tap)
+
+    for op, arg in sequence:
+        if op == "insert":
+            assert table.insert(Tuple("t", arg)) is model.insert(arg)
+        elif op == "delete":
+            assert table.delete(Tuple("t", arg)) == model.delete(arg)
+        elif op == "delete_matching":
+            assert table.delete_matching(list(arg)) == model.delete_matching(arg)
+        elif op == "advance":
+            clock.t += arg
+        elif op == "restore":
+            values, remaining, age = arg
+            expires_at = clock.t + remaining
+            inserted_at = None if age is None else clock.t - age
+            assert table.restore(
+                Tuple("t", values), expires_at, inserted_at
+            ) == model.restore(values, expires_at, inserted_at)
+        else:
+            assert table.restore_remove(Tuple("t", arg)) == model.restore_remove(arg)
+        assert len(table._evict_heap or ()) <= bookkeeping_bound(capacity)
+        assert all(seen == model.events for seen in streams)
+        live = model.scan()
+        assert [t.values for t in table.scan()] == live
+        for payload in range(2):
+            assert [t.values for t in table.probe_index(index, (payload,))] == [
+                v for v in live if v[2] == payload
+            ]
+        # ... and the scans above expired the same rows in the same order.
+        assert all(seen == model.events for seen in streams)
+    return table, model
+
+
+A0, B0, B1, C0, D0 = (0, "a", 0), (1, "a", 0), (1, "a", 1), (2, "a", 0), (0, "b", 0)
+
+
+@settings(max_examples=300, deadline=None)
+# A stamp superseded by a refresh must not evict the refreshed row ...
+@example(
+    sequence=[("insert", A0), ("insert", B0), ("insert", C0), ("advance", 1.0),
+              ("insert", B0), ("insert", D0)],
+    capacity=2,
+    observers=1,
+)
+# ... nor one superseded by a same-instant replace the replacing row.
+@example(
+    sequence=[("insert", A0), ("insert", B0), ("insert", C0), ("insert", B1),
+              ("insert", D0)],
+    capacity=2,
+    observers=1,
+)
+@given(
+    sequence=model_ops,
+    capacity=st.integers(min_value=0, max_value=4),
+    observers=st.integers(min_value=1, max_value=2),
+)
+def test_bounded_table_agrees_with_scanning_model(sequence, capacity, observers):
+    run_against_model(sequence, capacity, observers)
+
+
+def test_refreshed_row_sorts_before_a_row_inserted_earlier_that_instant():
+    # The first four inserts overflow once, so everything after goes
+    # through the live heap.  A is refreshed at t=1 *after* B was first
+    # inserted at t=1, yet keeps its older seq and so is evicted first.
+    z, a, y, w, b, c, d, e = [(i, "a", 0) for i in range(8)]
+    table, model = run_against_model(
+        [
+            ("insert", z), ("insert", a), ("insert", y), ("insert", w),
+            ("delete", y),
+            ("advance", 1.0),
+            ("insert", b),
+            ("insert", a),
+            ("insert", c), ("insert", d), ("insert", e),
+        ],
+        capacity=3,
+    )
+    assert [v for v, why in model.events if why is RemoveReason.EVICTED] == [
+        z, w, a, b
+    ]
+
+
+def test_stale_stamps_never_outgrow_the_bound():
+    # A table that overflowed once and is then only refreshed must not
+    # accumulate one stamp per refresh.
+    clock = FakeClock()
+    table = make_table(clock, max_size=2)
+    for i in range(3):
+        table.insert(Tuple("t", (i, "a", 0)))
+    assert table._evict_heap is not None
+    for _ in range(200):
+        clock.t += 1.0
+        table.insert(Tuple("t", (1, "a", 0)))
+        table.insert(Tuple("t", (2, "a", 0)))
+        assert len(table._evict_heap or ()) <= bookkeeping_bound(2)
+    table.insert(Tuple("t", (3, "a", 0)))
+    assert [t.values[0] for t in table.scan()] == [2, 3]

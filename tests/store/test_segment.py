@@ -23,6 +23,14 @@ def sample_records():
     ]
 
 
+def rule_run():
+    """Six firings of one rule, at t = 1.5 .. 6.5: one ``re.b`` burst."""
+    return [
+        fmt.rule_exec_record("n1:1", "r1", 10 + i, 11 + i, 1.0 + i, 1.5 + i, True)
+        for i in range(6)
+    ]
+
+
 def test_write_segment_summary(tmp_path):
     summary = write_segment(str(tmp_path), 1, sample_records())
     assert summary["t0"] == 0.5 and summary["t1"] == 1.1
@@ -82,12 +90,24 @@ def test_select_filters(tmp_path):
     assert any(r["k"] == fmt.TUPLE_LOG for r in only_hop)
 
 
+def test_burst_is_reachable_by_any_window_touching_its_members(tmp_path):
+    # The run collapses into one re.b row whose ``t`` is 6.5: neither
+    # the segment summary nor the sidecar pre-filter may use that to
+    # drop a window ending mid-burst.
+    compressed = BurstCompressor(min_run=4).compress(rule_run())
+    assert [r["k"] for r in compressed] == [fmt.RULE_BURST]
+    summary = write_segment(str(tmp_path), 1, compressed)
+    assert summary["t0"] <= 1.5 and summary["t1"] == 6.5
+    reader = SegmentReader(str(tmp_path), summary)
+    assert reader.overlaps_time(None, 3.0)
+    assert not reader.overlaps_time(None, 0.5)
+    assert reader.select(t1=3.0) == compressed
+    assert reader.select(t0=3.0, t1=4.0, kind=fmt.RULE_EXEC) == compressed
+    assert reader.select(t0=7.0) == []
+
+
 def test_provenance_lookups_expand_bursts(tmp_path):
-    run = [
-        fmt.rule_exec_record("n1:1", "r1", 10 + i, 11 + i, 1.0 + i, 1.5 + i, True)
-        for i in range(6)
-    ]
-    compressed = BurstCompressor(min_run=4).compress(run)
+    compressed = BurstCompressor(min_run=4).compress(rule_run())
     assert compressed[0]["k"] == fmt.RULE_BURST
     reader = SegmentReader(
         str(tmp_path), write_segment(str(tmp_path), 1, compressed)

@@ -151,7 +151,10 @@ def test_tick_mode_flushes_at_tick_barriers(tmp_path):
     )
 
 
-def poke_store(directory, compress):
+def poke_store(directory, compress, spacing=0.0):
+    """Sixty firings of one rule into a closed store; with ``spacing``
+    they are that many sim-s apart, so every ``re.b`` burst covers a
+    stretch of time rather than an instant."""
     system = System(
         seed=2,
         store=StoreConfig(
@@ -162,6 +165,8 @@ def poke_store(directory, compress):
     a.install_source("r local@N(X) :- poke@N(X).")
     for i in range(60):
         a.inject("poke", ("a:1", i))
+        if spacing:
+            system.run_for(spacing)
     system.run_for(2.0)
     return system.close_store()
 
@@ -185,6 +190,38 @@ def test_rule_exec_query_sees_through_burst_compression(tmp_path, capsys):
     ] == expected
     assert store_cli(["query", packed.config.directory, "--kind", "re"]) == 0
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_time_window_cutting_through_a_burst_keeps_its_members(tmp_path):
+    """``events(t0, t1)`` is the brute-force time filter of ``events()``
+    even when ``t1`` falls inside a burst (whose sidecar ``t`` is its
+    last member's time), with compression on and off."""
+    plain = poke_store(tmp_path / "plain", compress=False, spacing=0.05)
+    packed = poke_store(tmp_path / "packed", compress=True, spacing=0.05)
+    bursts = [
+        r
+        for r in packed.events(expand_bursts=False)
+        if r["k"] == fmt.RULE_BURST
+    ]
+    assert bursts
+    everything = packed.events()
+    assert [fmt.encode(r) for r in plain.events()] == [
+        fmt.encode(r) for r in everything
+    ]
+    windows = [(None, 1.0), (0.4, 0.9), (1.0, 1.02), (2.0, None)]
+    for burst in bursts:
+        inside = (burst["to"][0] + burst["t"]) / 2
+        assert burst["to"][0] < inside < burst["t"]
+        windows += [(None, inside), (burst["to"][0], inside), (inside, inside)]
+    for t0, t1 in windows:
+        expected = [
+            fmt.encode(r)
+            for r in everything
+            if (t0 is None or r["t"] >= t0) and (t1 is None or r["t"] <= t1)
+        ]
+        for store in (packed, plain):
+            got = store.events(t0=t0, t1=t1)
+            assert [fmt.encode(r) for r in got] == expected, (t0, t1)
 
 
 def test_cli_info_query_slice(tmp_path, capsys):
