@@ -8,6 +8,8 @@ layout: language errors (lexing/parsing/validation), runtime errors
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro package."""
@@ -82,3 +84,28 @@ class EpochMismatchError(AggregationError):
     silently blend two different snapshots of the population, so the
     partial-state algebra refuses instead of guessing.
     """
+
+
+class StoreCorruptionError(ReproError):
+    """Raised when a forensic-store file cannot be trusted.
+
+    A truncated or undecodable segment line, an unreadable sidecar or
+    manifest, or a row that disagrees with its sidecar column entry —
+    always naming the file, and the row and byte offset when the fault
+    is in one row, so a damaged store is reported rather than sliced.
+    """
+
+    def __init__(
+        self,
+        path: str,
+        reason: str,
+        row: Optional[int] = None,
+        offset: Optional[int] = None,
+    ):
+        where = path
+        if row is not None:
+            where += f", row {row} at byte {offset}"
+        super().__init__(f"corrupt forensic store ({where}): {reason}")
+        self.path = path
+        self.row = row
+        self.offset = offset

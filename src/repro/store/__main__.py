@@ -147,10 +147,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         store = ForensicStore.open(args.directory)
+        return args.func(store, args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return args.func(store, args)
 
 
 if __name__ == "__main__":

@@ -14,17 +14,34 @@ holding:
 
 Both files are byte-stable for a given record sequence, so a seeded run
 produces an identical store every time.
+
+Reads answer from the sidecar and touch the data file only for the rows
+they return: selection and the provenance indexes come from the columns
+(only ``re.b`` rows are decoded to index their effect arrays), and rows
+are cut out of the file's text by offset and decoded a batch at a time.
+Because the sidecar is load-bearing, every fetched row is checked
+against its column entries and any disagreement, truncation or
+undecodable line raises :class:`~repro.errors.StoreCorruptionError`.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from bisect import bisect_right
+from operator import itemgetter
+from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Tuple as PyTuple
 
+from repro.errors import StoreCorruptionError
 from repro.store import format as fmt
 
 SEGMENT_PATTERN = "seg-%06d"
+
+#: A provenance index: node -> tuple id -> row indices, in row order.
+_TidIndex = Dict[Any, Dict[int, List[int]]]
+
+#: The sidecar's parallel arrays, one entry per record.
+COLUMNS = ("t", "k", "n", "rel", "tid", "off")
 
 
 def _summary_of(records: List[Dict[str, Any]], size: int) -> Dict[str, Any]:
@@ -72,12 +89,12 @@ def write_segment(
     index_path = os.path.join(directory, base + ".idx.json")
     offsets: List[int] = []
     position = 0
-    with open(data_path, "w") as handle:
+    with open(data_path, "wb") as handle:
         for record in records:
             offsets.append(position)
-            line = fmt.encode(record) + "\n"
+            line = (fmt.encode(record) + "\n").encode("ascii")
             handle.write(line)
-            position += len(line.encode("utf-8"))
+            position += len(line)
     summary = _summary_of(records, position)
     summary["file"] = base + ".jsonl"
     summary["index"] = base + ".idx.json"
@@ -87,24 +104,39 @@ def write_segment(
         "k": [r["k"] for r in records],
         "n": [r["n"] for r in records],
         "rel": [r.get("rel") for r in records],
-        "tid": [
-            (r["e"] if r["k"] == fmt.RULE_EXEC else r.get("i"))
-            for r in records
-        ],
+        "tid": [_tid_column(r) for r in records],
         "off": offsets,
     }
     with open(index_path, "w") as handle:
-        json.dump(
-            {"summary": summary, "columns": columns},
-            handle,
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        handle.write(fmt.encode({"summary": summary, "columns": columns}))
     return summary
 
 
+def _tid_column(record: Dict[str, Any]) -> Optional[int]:
+    """The ``tid`` column entry of one record: a plain ``re`` row is
+    indexed by its effect, a ``tt`` row by its id, nothing else is."""
+    if record["k"] == fmt.RULE_EXEC:
+        return record["e"]
+    return record.get("i")
+
+
+#: Columns every fetched row is held against, with the record field
+#: each was written from.
+_CHECKED_COLUMNS = (
+    ("k", itemgetter("k")),
+    ("n", itemgetter("n")),
+    ("tid", _tid_column),
+)
+
+
 class SegmentReader:
-    """Lazy reader over one written segment."""
+    """Lazy reader over one written segment.
+
+    Every query parses the sidecar plus the rows it returns: the
+    sidecar's columns pick row indices, and :meth:`rows_at` — the one
+    way rows leave the data file — cuts those rows out of the segment's
+    text by offset and decodes them in one parser call.
+    """
 
     def __init__(
         self, directory: str, summary: Dict[str, Any]
@@ -113,11 +145,15 @@ class SegmentReader:
         self.summary = summary
         self.seg_id = summary["id"]
         self._columns: Optional[Dict[str, List[Any]]] = None
-        self._records: Optional[List[Dict[str, Any]]] = None
-        # Per-node map: effect tid -> indices of re/re.b records, built
-        # on first provenance lookup into this segment.
-        self._effect_index: Optional[Dict[Any, Dict[int, List[int]]]] = None
-        self._ident_index: Optional[Dict[Any, Dict[int, List[int]]]] = None
+        # The data file's text (canonical JSON is ASCII: byte offsets
+        # are character offsets) and each row's end, read once.
+        self._text: Optional[str] = None
+        self._ends: List[int] = []
+        # (effect, identity) indexes, built from the sidecar on the
+        # first provenance lookup into this segment; the rows those
+        # lookups have fetched are memoised beside them.
+        self._indexes: Optional[PyTuple[_TidIndex, _TidIndex]] = None
+        self._provenance_rows: Dict[int, Dict[str, Any]] = {}
 
     # ------------------------------------------------------------------
     # Pruning
@@ -146,34 +182,122 @@ class SegmentReader:
     def data_path(self) -> str:
         return os.path.join(self.directory, self.summary["file"])
 
+    @property
+    def index_path(self) -> str:
+        return os.path.join(self.directory, self.summary["index"])
+
     def columns(self) -> Dict[str, List[Any]]:
         if self._columns is None:
-            with open(
-                os.path.join(self.directory, self.summary["index"])
-            ) as handle:
-                self._columns = json.load(handle)["columns"]
+            try:
+                with open(self.index_path) as handle:
+                    sidecar = fmt.decode(handle.read())
+                summary, columns = sidecar["summary"], sidecar["columns"]
+                if {len(columns[name]) for name in COLUMNS} != {
+                    summary["records"]
+                }:
+                    raise ValueError("a column is not one entry per record")
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                raise StoreCorruptionError(
+                    self.index_path, f"unreadable sidecar: {exc!r}"
+                ) from exc
+            if summary != self.summary:
+                raise StoreCorruptionError(
+                    self.index_path,
+                    "sidecar does not carry the manifest's summary of "
+                    f"segment {self.seg_id}",
+                )
+            self._columns = columns
         return self._columns
 
-    def records(self) -> List[Dict[str, Any]]:
-        """All records of the segment (cached after first load)."""
-        if self._records is None:
-            with open(self.data_path) as handle:
-                self._records = [
-                    fmt.decode(line) for line in handle if line.strip()
-                ]
-        return self._records
+    def _load_text(self) -> str:
+        """Read the data file once: it must be ASCII text of the size
+        the manifest recorded, which is what the offsets index into."""
+        size = self.summary["bytes"]
+        try:
+            with open(self.data_path, "rb") as handle:
+                data = handle.read()
+        except OSError as exc:
+            raise StoreCorruptionError(
+                self.data_path, f"unreadable segment: {exc!r}"
+            ) from exc
+        if len(data) != size:
+            raise self._fault_at(
+                min(len(data), size),
+                f"file is {len(data)} bytes, manifest says {size}",
+            )
+        try:
+            self._text = data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise self._fault_at(
+                exc.start, f"non-ASCII byte at {exc.start}"
+            ) from None
+        self._ends = self.columns()["off"][1:] + [size]
+        return self._text
 
-    def records_at(self, indices: List[int]) -> List[Dict[str, Any]]:
-        """Read just the records at the given row indices, by offset."""
-        if self._records is not None:
-            return [self._records[i] for i in indices]
+    def _fault_at(self, position: int, reason: str) -> StoreCorruptionError:
+        """A fault at one byte of the data file, blamed on its row."""
         offsets = self.columns()["off"]
-        out: List[Dict[str, Any]] = []
-        with open(self.data_path) as handle:
-            for i in indices:
-                handle.seek(offsets[i])
-                out.append(fmt.decode(handle.readline()))
-        return out
+        row = max(bisect_right(offsets, position) - 1, 0)
+        return StoreCorruptionError(
+            self.data_path, reason, row=row, offset=offsets[row]
+        )
+
+    def records_at(self, indices: Sequence[int]) -> List[Dict[str, Any]]:
+        """The records at the given row indices."""
+        return self.rows_at(indices)[1]
+
+    def rows_at(
+        self, indices: Sequence[int]
+    ) -> PyTuple[List[str], List[Dict[str, Any]]]:
+        """Stored lines and their decoded records at the given rows.
+
+        Lines are cut out of the segment's text by the ``off`` column
+        and decoded together; each record is then held against its
+        ``k`` / ``n`` / ``tid`` column entries, so a sidecar that does
+        not describe this data file is an error, never a wrong answer.
+        """
+        text = self._text if self._text is not None else self._load_text()
+        starts, ends = self.columns()["off"], self._ends
+        lines = [text[starts[i] : ends[i] - 1] for i in indices]
+        try:
+            return lines, self._decode(indices, lines)
+        except (ValueError, TypeError, KeyError):
+            pass
+        # The batch is bad: repeat the check a row at a time, only to
+        # name the row.
+        for i, line in zip(indices, lines):
+            try:
+                self._decode([i], [line])
+            except (ValueError, TypeError, KeyError) as exc:
+                raise StoreCorruptionError(
+                    self.data_path,
+                    f"undecodable or stale row: {exc}",
+                    row=i,
+                    offset=starts[i],
+                ) from None
+        raise StoreCorruptionError(
+            self.data_path, "rows do not decode as one record per line"
+        )
+
+    def _decode(
+        self, indices: Sequence[int], lines: List[str]
+    ) -> List[Dict[str, Any]]:
+        """Decode ``lines`` in one parser call and hold the records
+        against the sidecar's entries for rows ``indices``."""
+        records = fmt.decode_many(lines)
+        if len(records) != len(lines):
+            raise ValueError("not one record per line")
+        columns = self.columns()
+        for name, field in _CHECKED_COLUMNS:
+            got = [field(r) for r in records]
+            want = [columns[name][i] for i in indices]
+            if got != want:
+                raise ValueError(f"{name} is {got}, sidecar says {want}")
+        return records
+
+    def records(self) -> List[Dict[str, Any]]:
+        """All records of the segment."""
+        return self.records_at(range(len(self.columns()["off"])))
 
     def select(
         self,
@@ -183,7 +307,18 @@ class SegmentReader:
         relation: Optional[str] = None,
         kind: Optional[str] = None,
     ) -> List[Dict[str, Any]]:
-        """Records matching the filters, via the columnar sidecar.
+        """Records matching the filters (see :meth:`select_rows`)."""
+        return self.records_at(self.select_rows(t0, t1, node, relation, kind))
+
+    def select_rows(
+        self,
+        t0: Optional[float] = None,
+        t1: Optional[float] = None,
+        node: Optional[str] = None,
+        relation: Optional[str] = None,
+        kind: Optional[str] = None,
+    ) -> List[int]:
+        """Row indices matching the filters, from the sidecar alone.
 
         Relation filtering matches plain records by their ``rel``
         column; burst records (whose column entry can be ``None`` for
@@ -226,51 +361,64 @@ class SegmentReader:
                 ):
                     continue
             indices.append(i)
-        return self.records_at(indices)
+        return indices
 
     # ------------------------------------------------------------------
     # Provenance indexes (backward slicing)
 
-    def _build_provenance(self) -> None:
-        effect: Dict[Any, Dict[int, List[int]]] = {}
-        ident: Dict[Any, Dict[int, List[int]]] = {}
-        for i, record in enumerate(self.records()):
-            kind = record["k"]
-            node = record["n"]
-            if kind == fmt.RULE_EXEC:
-                effect.setdefault(node, {}).setdefault(
-                    record["e"], []
-                ).append(i)
-            elif kind == fmt.RULE_BURST:
-                per_node = effect.setdefault(node, {})
-                for e in record["e"]:
-                    per_node.setdefault(e, []).append(i)
-            elif kind == fmt.TUPLE_IDENT:
-                ident.setdefault(node, {}).setdefault(
-                    record["i"], []
-                ).append(i)
-        self._effect_index = effect
-        self._ident_index = ident
+    def _provenance(self) -> PyTuple[_TidIndex, _TidIndex]:
+        """The (effect, identity) indexes: node -> tid -> row indices.
+
+        Built from the sidecar's ``k`` / ``n`` / ``tid`` columns; only
+        ``re.b`` rows are decoded, because their effects are an array
+        inside the record.
+        """
+        if self._indexes is None:
+            columns = self.columns()
+            k_col, n_col, tid_col = columns["k"], columns["n"], columns["tid"]
+            self._held_rows(
+                [i for i, kind in enumerate(k_col) if kind == fmt.RULE_BURST]
+            )
+            effect: _TidIndex = {}
+            ident: _TidIndex = {}
+            for i, kind in enumerate(k_col):
+                if kind == fmt.RULE_EXEC:
+                    effect.setdefault(n_col[i], {}).setdefault(
+                        tid_col[i], []
+                    ).append(i)
+                elif kind == fmt.RULE_BURST:
+                    per_node = effect.setdefault(n_col[i], {})
+                    for e in self._provenance_rows[i]["e"]:
+                        per_node.setdefault(e, []).append(i)
+                elif kind == fmt.TUPLE_IDENT:
+                    ident.setdefault(n_col[i], {}).setdefault(
+                        tid_col[i], []
+                    ).append(i)
+            self._indexes = effect, ident
+        return self._indexes
+
+    def _held_rows(self, indices: List[int]) -> List[Dict[str, Any]]:
+        """Rows for a provenance lookup, fetched once per reader: a
+        warm lookup touches no file and returns the very records the
+        cold one did."""
+        held = self._provenance_rows
+        missing = [i for i in indices if i not in held]
+        if missing:
+            held.update(zip(missing, self.records_at(missing)))
+        return [held[i] for i in indices]
 
     def edges_to(self, node: str, tid: int) -> List[Dict[str, Any]]:
         """``re`` records (bursts expanded) whose effect is ``tid``."""
-        if self._effect_index is None:
-            self._build_provenance()
-        indices = self._effect_index.get(node, {}).get(tid, [])
+        indices = self._provenance()[0].get(node, {}).get(tid, [])
         out: List[Dict[str, Any]] = []
-        records = self.records()
-        for i in indices:
-            for edge in _expand_for_effect(records[i], tid):
-                out.append(edge)
+        for record in self._held_rows(indices):
+            out.extend(_expand_for_effect(record, tid))
         return out
 
     def ident_rows(self, node: str, tid: int) -> List[Dict[str, Any]]:
         """``tt`` records for one tuple id, in write order."""
-        if self._ident_index is None:
-            self._build_provenance()
-        indices = self._ident_index.get(node, {}).get(tid, [])
-        records = self.records()
-        return [records[i] for i in indices]
+        indices = self._provenance()[1].get(node, {}).get(tid, [])
+        return self._held_rows(indices)
 
 
 def _expand_for_effect(

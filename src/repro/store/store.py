@@ -25,12 +25,12 @@ too, so a live query never misses the tail.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple as PyTuple
 
-from repro.errors import ReproError
+from repro.errors import ReproError, StoreCorruptionError
 from repro.store import format as fmt
 from repro.store.compress import (
     BurstCompressor,
@@ -112,21 +112,26 @@ class ForensicStore:
         path = os.path.join(directory, MANIFEST)
         if not os.path.exists(path):
             raise ReproError(f"no forensic store manifest at {path}")
-        with open(path) as handle:
-            manifest = json.load(handle)
         store = cls(StoreConfig(directory=directory))
-        for summary in manifest["segments"]:
-            store._segments.append(SegmentReader(directory, summary))
-        store._next_seg = manifest["next_segment"]
-        store.events_appended = manifest["totals"]["events"]
-        store.records_written = manifest["totals"]["records"]
-        store.segments_written = len(store._segments)
-        store.bytes_written = manifest["totals"]["bytes"]
-        store.bursts_written = manifest["totals"]["bursts"]
-        store.ring_rotations = {
-            (entry["node"], entry["ring"]): entry["count"]
-            for entry in manifest.get("ring_rotations", [])
-        }
+        try:
+            with open(path) as handle:
+                manifest = fmt.decode(handle.read())
+            for summary in manifest["segments"]:
+                store._segments.append(SegmentReader(directory, summary))
+            store._next_seg = manifest["next_segment"]
+            store.events_appended = manifest["totals"]["events"]
+            store.records_written = manifest["totals"]["records"]
+            store.segments_written = len(store._segments)
+            store.bytes_written = manifest["totals"]["bytes"]
+            store.bursts_written = manifest["totals"]["bursts"]
+            store.ring_rotations = {
+                (entry["node"], entry["ring"]): entry["count"]
+                for entry in manifest.get("ring_rotations", [])
+            }
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise StoreCorruptionError(
+                path, f"unreadable manifest: {exc!r}"
+            ) from exc
         store.closed = True
         return store
 
@@ -275,7 +280,7 @@ class ForensicStore:
         }
         path = os.path.join(self.config.directory, MANIFEST)
         with open(path, "w") as handle:
-            json.dump(manifest, handle, sort_keys=True, separators=(",", ":"))
+            handle.write(fmt.encode(manifest))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -325,43 +330,50 @@ class ForensicStore:
 
         Results are sorted by timestamp with the canonical encoding as
         tie-break — a total, byte-stable order independent of segment
-        layout (the writer clusters records for compression).
+        layout (the writer clusters records for compression).  A stored
+        line *is* the canonical encoding of the record it decodes to,
+        so only burst members and buffered records are encoded here.
         """
-        out: List[Dict[str, Any]] = []
+        filters = (t0, t1, node, relation, kind)
+        keyed: List[PyTuple[float, str, Dict[str, Any]]] = []
         for segment in self._segments:
             if not (
                 segment.overlaps_time(t0, t1)
                 and segment.has_node(node)
-                and (relation is None or relation in segment.summary["rels"])
+                and segment.has_relation(relation)
             ):
                 continue
-            candidates = segment.select(
-                t0=t0, t1=t1, node=node, relation=relation, kind=kind
+            lines, records = segment.rows_at(segment.select_rows(*filters))
+            keyed.extend(
+                self._post_filter(zip(lines, records), filters, expand_bursts)
             )
-            out.extend(
-                self._post_filter(
-                    candidates, t0, t1, node, relation, kind, expand_bursts
-                )
-            )
-        out.extend(
+        keyed.extend(
             self._post_filter(
-                self._buffer, t0, t1, node, relation, kind, expand_bursts
+                ((None, r) for r in self._buffer), filters, expand_bursts
             )
         )
-        out.sort(key=lambda r: (r["t"], fmt.encode(r)))
+        keyed.sort(key=itemgetter(0, 1))
         if limit is not None:
-            out = out[:limit]
-        return out
+            del keyed[limit:]
+        return [entry for _, _, entry in keyed]
 
     def _post_filter(
-        self, records, t0, t1, node, relation, kind, expand_bursts
-    ) -> Iterator[Dict[str, Any]]:
-        for record in records:
-            expanded = expand(record) if expand_bursts else [record]
-            for entry in expanded:
-                if t0 is not None and entry["t"] < t0:
+        self, rows, filters, expand_bursts
+    ) -> Iterator[PyTuple[float, str, Dict[str, Any]]]:
+        """``(t, canonical line, record)`` for each logical event of
+        ``rows`` — ``(stored line or None, record)`` pairs — that passes
+        the filters exactly."""
+        t0, t1, node, relation, kind = filters
+        for stored, record in rows:
+            if expand_bursts and record["k"] == fmt.RULE_BURST:
+                entries = [(None, member) for member in expand(record)]
+            else:
+                entries = ((stored, record),)
+            for line, entry in entries:
+                when = entry["t"]
+                if t0 is not None and when < t0:
                     continue
-                if t1 is not None and entry["t"] > t1:
+                if t1 is not None and when > t1:
                     continue
                 if node is not None and entry["n"] != node:
                     continue
@@ -369,7 +381,7 @@ class ForensicStore:
                     continue
                 if relation is not None and entry.get("rel") != relation:
                     continue
-                yield entry
+                yield when, fmt.encode(entry) if line is None else line, entry
 
     # ------------------------------------------------------------------
     # Provenance lookups (backward slicing)

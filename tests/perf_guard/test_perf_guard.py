@@ -27,6 +27,13 @@ One guard is a *ratio* with no pinned baseline: inserting into a full
 bounded table must cost the same whatever its capacity (the
 introspection rings are full for almost all of a long run, and a
 victim search that scans the ring makes every insert O(capacity)).
+
+Two guards are *counts* with no clock at all: a cold backward slice
+may decode only a sliver of the stored lines (the sidecar's columns
+index provenance; decoding every record of every touched segment is
+what made a slice cost more than the run that wrote the history), and
+a relation scan may not re-encode the records it just read (their
+stored lines are already the canonical sort key).
 """
 
 from __future__ import annotations
@@ -42,6 +49,8 @@ from repro.core.system import System
 from repro.overlog.types import INFINITY
 from repro.runtime.table import Table
 from repro.runtime.tuples import Tuple
+from repro.store import ForensicStore, StoreConfig, StoreProvider, backward_slice
+from repro.store import format as fmt
 
 # Baselines are pinned on the benchmark machine; a hosted CI runner
 # with different hardware can widen the allowance via the environment
@@ -176,3 +185,100 @@ def test_full_ring_insert_cost_does_not_grow_with_capacity():
         f"{small:,.0f} for a full 256-row table ({small / large:.1f}x "
         f"slower): eviction cost depends on capacity"
     )
+
+
+# ----------------------------------------------------------------------
+# Store reads: work counted at the codec, not timed
+
+STORE_SEGMENTS = 16
+STORE_SEGMENT_EVENTS = 4096
+#: Records one chain appends (4 identities, 2 edges, 2 log entries).
+CHAIN_RECORDS = 8
+
+
+@pytest.fixture(scope="module")
+def chain_store(tmp_path_factory):
+    """A closed 16-segment x 4,096-record store of two-node chains:
+    ``start`` on ``a:1`` fires ``r1`` into ``hop``, shipped to ``b:1``
+    where ``r2`` turns it into ``alarm``.  Returns the directory and
+    the ``(node, tid)`` of one alarm in the middle of the history."""
+    directory = str(tmp_path_factory.mktemp("guard") / "store")
+    store = ForensicStore(
+        StoreConfig(directory=directory, segment_events=STORE_SEGMENT_EVENTS)
+    )
+    chains = STORE_SEGMENTS * STORE_SEGMENT_EVENTS // CHAIN_RECORDS
+    for c in range(chains):
+        t, a1, a2, b1, b2 = c * 0.01, 2 * c, 2 * c + 1, 2 * c, 2 * c + 1
+        for record in (
+            fmt.tuple_ident_record(
+                "a:1", a1, "a:1", a1, "a:1", t, {"rel": "start", "v": ["a:1", c]}
+            ),
+            fmt.tuple_ident_record(
+                "a:1", a2, "a:1", a2, "b:1", t, {"rel": "hop", "v": ["b:1", c]}
+            ),
+            fmt.rule_exec_record("a:1", "r1", a1, a2, t, t, True),
+            fmt.tuple_ident_record(
+                "b:1", b1, "a:1", a2, "b:1", t, {"rel": "hop", "v": ["b:1", c]}
+            ),
+            fmt.tuple_log_record("b:1", 2 * c, t, "hop", f"hop(b:1, {c})"),
+            fmt.tuple_ident_record(
+                "b:1", b2, "b:1", b2, "b:1", t, {"rel": "alarm", "v": ["b:1", c]}
+            ),
+            fmt.rule_exec_record("b:1", "r2", b1, b2, t, t, True),
+            fmt.tuple_log_record("b:1", 2 * c + 1, t, "alarm", f"alarm(b:1, {c})"),
+        ):
+            store._append(record)
+    store.close()
+    assert store.segments_written == STORE_SEGMENTS
+    assert store.bursts_written > 0, "no re.b rows: the index build is untested"
+    return directory, store.records_written, ("b:1", 2 * (chains // 2) + 1)
+
+
+def test_cold_slice_decodes_a_sliver_of_the_store(chain_store, monkeypatch):
+    directory, stored_lines, (node, tid) = chain_store
+    decoded = []
+    real_decode, real_decode_many = fmt.decode, fmt.decode_many
+    monkeypatch.setattr(
+        fmt, "decode", lambda line: decoded.append(1) or real_decode(line)
+    )
+    monkeypatch.setattr(
+        fmt,
+        "decode_many",
+        lambda lines: decoded.append(len(lines)) or real_decode_many(lines),
+    )
+    result = backward_slice(StoreProvider(ForensicStore.open(directory)), node, tid)
+    monkeypatch.undo()
+    assert [link["r"] for link in result.links] == ["r1", "r2"]
+    assert len(result.hops) == 1 and len(result.inputs) == 1
+    share = sum(decoded) / stored_lines
+    assert share < 0.05, (
+        f"a cold slice of one chain decoded {sum(decoded):,} of "
+        f"{stored_lines:,} stored lines ({share:.1%}); decoding every "
+        f"record of a touched segment to index it reads 100% of each"
+    )
+
+
+def test_relation_scan_encodes_nothing_it_read(chain_store, monkeypatch):
+    directory, _, _ = chain_store
+    store = ForensicStore.open(directory)
+    encoded = []
+    real_encode = fmt.encode
+    monkeypatch.setattr(
+        fmt, "encode", lambda record: encoded.append(record["k"]) or real_encode(record)
+    )
+    alarms = store.events(relation="alarm")
+    assert not encoded, (
+        f"a relation scan encoded {len(encoded):,} records to sort "
+        f"{len(alarms):,} it had the stored lines of"
+    )
+    edges = store.events(kind=fmt.RULE_EXEC)
+    monkeypatch.undo()
+    chains = STORE_SEGMENTS * STORE_SEGMENT_EVENTS // CHAIN_RECORDS
+    assert len(alarms) == 2 * chains  # one identity, one log entry each
+    assert len(edges) == 2 * chains
+    # Only members expanded out of a burst have no stored line.
+    assert len(encoded) <= len(edges) and set(encoded) == {fmt.RULE_EXEC}
+    in_plain_rows = sum(
+        r["k"] == fmt.RULE_EXEC for r in store.events(expand_bursts=False)
+    )
+    assert len(encoded) == len(edges) - in_plain_rows

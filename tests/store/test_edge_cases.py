@@ -13,14 +13,23 @@ Three ways real deployments break naive provenance walks:
   store does not — a pre-crash alarm still slices to its pre-crash
   firing, and a post-mortem replica backfills rows the rings rotated
   away.
+
+And one way disks do: a segment truncated mid-line, a flipped byte, a
+sidecar that belongs to another segment.  Every read path must answer
+with a :class:`~repro.errors.StoreCorruptionError` naming the file, row
+and byte offset — never a bare ``JSONDecodeError``, never a slice built
+from the wrong rows.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
 from repro.analysis import trace_back
 from repro.core.system import System
+from repro.errors import StoreCorruptionError
 from repro.net.network import ReliableConfig
 from repro.recovery import RecoveryManager
 from repro.store import (
@@ -31,6 +40,7 @@ from repro.store import (
     backward_slice,
 )
 from repro.store import format as fmt
+from repro.store.__main__ import main as store_cli
 from repro.store.store import StoreConfig as SC
 
 
@@ -244,3 +254,157 @@ def test_postmortem_backfills_rotated_rows_from_store(tmp_path):
     rings_only = manager.post_mortem("b:1", store=False)
     assert rings_only.backfilled["ruleExec"] == 0
     assert len(rings_only.query("ruleExec")) == live_rows
+
+
+# ----------------------------------------------------------------------
+# Damaged files: typed, located errors from every read path
+
+
+def two_segment_store(tmp_path):
+    """A closed two-segment store of plain records (chains 1 -> 2 -> 3
+    on ``n:1`` in the first segment, 11 -> 12 -> 13 in the second) and
+    the directory it lives in."""
+    directory = tmp_path / "s"
+    store = ForensicStore(
+        SC(directory=str(directory), segment_events=6, compress=False)
+    )
+    for base, t in ((1, 0.0), (11, 1.0)):
+        for i in range(3):
+            store._append(
+                fmt.tuple_ident_record(
+                    "n:1", base + i, "n:1", base + i, "n:1", t + i / 10,
+                    {"rel": "step", "v": ["n:1", base + i]},
+                )
+            )
+        for i in range(2):
+            store._append(
+                fmt.rule_exec_record(
+                    "n:1", "r", base + i, base + i + 1,
+                    t + i / 10, t + (i + 1) / 10, True,
+                )
+            )
+        store._append(
+            fmt.tuple_log_record("n:1", base, t + 0.3, "step", "step(...)")
+        )
+    store.close()
+    assert store.segments_written == 2
+    return directory
+
+
+def read_paths(directory):
+    """Each public way of reading segment 1 of ``two_segment_store``,
+    by name, each from a fresh open so nothing is served from memory.
+    The slice of tid 3 walks edges 2 -> 3 and 1 -> 2 and the identity
+    of tid 1; ``source_of`` reads only the identity row it is asked for."""
+    directory = str(directory)
+    return {
+        "events": lambda: ForensicStore.open(directory).events(),
+        "edges_to": lambda: ForensicStore.open(directory).edges_to("n:1", 3),
+        "source_of": lambda: ForensicStore.open(directory).source_of("n:1", 3),
+        "slice": lambda: backward_slice(
+            StoreProvider(ForensicStore.open(directory)), "n:1", 3
+        ),
+    }
+
+
+CLI = {
+    "events": lambda d: ["query", d],
+    "slice": lambda d: ["slice", d, "--node", "n:1", "--tid", "3"],
+}
+
+
+def assert_reads_fail(
+    directory, capsys, file, row=None,
+    reads=("events", "edges_to", "source_of", "slice"),
+):
+    paths = read_paths(directory)
+    for name in reads:
+        with pytest.raises(StoreCorruptionError) as caught:
+            paths[name]()
+        error = caught.value
+        assert error.path.endswith(file), (name, error)
+        assert file in str(error)
+        if row is not None:
+            assert error.row == row, (name, error)
+            assert f"row {row} at byte {error.offset}" in str(error)
+        if name in CLI:
+            assert store_cli(CLI[name](str(directory))) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: corrupt forensic store")
+            assert file in captured.err and "Traceback" not in captured.err
+    # What the damage does not reach still answers.
+    for name in set(paths) - set(reads):
+        paths[name]()
+
+
+def sidecar_offsets(directory):
+    sidecar = json.loads((directory / "seg-000001.idx.json").read_text())
+    return sidecar["columns"]["off"]
+
+
+def test_segment_truncated_mid_line_is_a_located_error(tmp_path, capsys):
+    directory = two_segment_store(tmp_path)
+    path = directory / "seg-000001.jsonl"
+    offsets = sidecar_offsets(directory)
+    path.write_bytes(path.read_bytes()[: offsets[4] + 9])
+    assert_reads_fail(directory, capsys, "seg-000001.jsonl", row=4)
+    error = pytest.raises(
+        StoreCorruptionError, ForensicStore.open(str(directory)).events
+    ).value
+    assert error.offset == offsets[4]
+    # The undamaged segment still answers.
+    assert ForensicStore.open(str(directory)).edges_to("n:1", 13)
+
+
+@pytest.mark.parametrize(
+    "flipped", [b"}", b"\xc3"], ids=["unbalanced-brace", "non-ascii"]
+)
+def test_flipped_byte_is_a_located_error(tmp_path, capsys, flipped):
+    directory = two_segment_store(tmp_path)
+    path = directory / "seg-000001.jsonl"
+    offsets = sidecar_offsets(directory)
+    data = bytearray(path.read_bytes())
+    data[offsets[4] + 5 : offsets[4] + 6] = flipped  # in the 2 -> 3 edge
+    path.write_bytes(bytes(data))
+    # A byte no ASCII text can hold fails the file; a byte that only
+    # breaks one line's JSON fails the reads that return that line.
+    reads = ("events", "edges_to", "slice") + (
+        ("source_of",) if flipped == b"\xc3" else ()
+    )
+    assert_reads_fail(directory, capsys, "seg-000001.jsonl", row=4, reads=reads)
+
+
+def test_swapped_sidecars_are_refused_not_sliced(tmp_path, capsys):
+    directory = two_segment_store(tmp_path)
+    one = directory / "seg-000001.idx.json"
+    two = directory / "seg-000002.idx.json"
+    first, second = one.read_bytes(), two.read_bytes()
+    one.write_bytes(second)
+    two.write_bytes(first)
+    assert_reads_fail(directory, capsys, "seg-000001.idx.json")
+
+
+def test_stale_column_entry_is_caught_on_the_row_it_describes(tmp_path, capsys):
+    """A sidecar with the right summary but two ``tid`` entries
+    exchanged: the index would answer a slice of tid 3 with the 1 -> 2
+    edge."""
+    directory = two_segment_store(tmp_path)
+    path = directory / "seg-000001.idx.json"
+    sidecar = json.loads(path.read_text())
+    tids = sidecar["columns"]["tid"]
+    assert (tids[3], tids[4]) == (2, 3)
+    tids[3], tids[4] = 3, 2
+    path.write_text(fmt.encode(sidecar))
+    assert_reads_fail(
+        directory, capsys, "seg-000001.jsonl", row=3,
+        reads=("events", "edges_to", "slice"),
+    )
+
+
+@pytest.mark.parametrize("name", ["seg-000001.idx.json", "manifest.json"])
+def test_unreadable_sidecar_or_manifest_is_a_typed_error(tmp_path, capsys, name):
+    directory = two_segment_store(tmp_path)
+    path = directory / name
+    path.write_bytes(path.read_bytes()[:40])
+    assert_reads_fail(directory, capsys, name)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -132,6 +133,72 @@ def test_seeded_runs_produce_identical_stores(tmp_path):
     assert [f.name for f in files_a] == [f.name for f in files_b]
     for fa, fb in zip(files_a, files_b):
         assert fa.read_bytes() == fb.read_bytes()
+
+
+#: sha256 of every file ``pinned_records`` produces, taken at a6de306
+#: (sidecar and manifest through ``json.dump``, data lines through a
+#: text-mode handle): the writer may get faster, never different.
+PINNED_DIGESTS = {
+    "manifest.json":
+        "b5f2f0e5b4f65a4febc46b283bc09e7721ac96bc12a14fe03bf634e08d32009a",
+    "seg-000001.idx.json":
+        "7542747022d12032bd638be905a6afbf7d2a9659ec9357e5e96f9d8b10ccdf53",
+    "seg-000001.jsonl":
+        "83e34809f50cc6e1a0c6d11f35df57aeb75f4438a5f5dd47551e2d4f2582cdb1",
+    "seg-000002.idx.json":
+        "339f91741c1a3429f786c23022493aa0666e4193d27b0ba6ff46af5e59606288",
+    "seg-000002.jsonl":
+        "624c60606c1a42992c538051216d4636ca8cf86f7939c956b2a47d3bd72e16d1",
+}
+
+
+def pinned_records():
+    """Every record kind, both burst kinds once compressed, and the
+    values a JSON writer can get wrong: non-ASCII text, ``-0.0``, a
+    small exponent, an int past 2**64, nesting, a degraded value."""
+    payload = {
+        "rel": "start",
+        "v": [
+            "n1:1", 7, "café ☃", -0.0, 1e-07, 2**70,
+            [1, [2.5, None]], {"!r": "<obj>"},
+        ],
+    }
+    records = [
+        fmt.tuple_ident_record("n1:1", 1, "n1:1", 1, "n1:1", 0.5, payload),
+        fmt.rule_exec_record("n1:1", "r1", 1, 2, 0.5, 0.6, True),
+        fmt.tuple_log_record("n1:1", 1, 0.6, "hop", "hop(n2:2, 7)"),
+        fmt.rule_exec_record("n2:2", "r2", 3, 4, 1.0, 1.1, False),
+        fmt.table_log_record("n2:2", 1, 1.1, "succ", "new", "succ(ü)"),
+    ]
+    records += [
+        fmt.rule_exec_record(
+            "n1:1", "r9", 10 + i, 11 + i, 1.0 + i, 1.5 + i, True
+        )
+        for i in range(6)
+    ]
+    records += [
+        fmt.tuple_log_record(
+            "n1:1", 2 + i, 2.0 + i / 8, "periodic", "periodic(n1:1)"
+        )
+        for i in range(5)
+    ]
+    return records
+
+
+def test_written_files_match_digests_pinned_at_the_parent(tmp_path):
+    store = ForensicStore(
+        StoreConfig(directory=str(tmp_path / "s"), segment_events=12)
+    )
+    for record in pinned_records():
+        store._append(record)
+    store.ring_rotated("n1:1", "tupleLog")
+    store.close()
+    assert store.bursts_written == 2
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (tmp_path / "s").iterdir()
+    }
+    assert digests == PINNED_DIGESTS
 
 
 def test_tick_mode_flushes_at_tick_barriers(tmp_path):
