@@ -103,5 +103,5 @@ def call_builtin(name: str, ctx: EvalContext, args: list) -> Any:
         raise EvaluationError(f"unknown built-in function {name!r}")
     try:
         return func(ctx, *args)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise EvaluationError(f"bad arguments to {name}: {exc}") from exc

@@ -1,8 +1,11 @@
-"""Expression evaluation over variable bindings.
+"""Expression semantics: an evaluator and a Python-source emitter.
 
-The evaluator walks an expression AST under a bindings dict (variable
+:func:`evaluate` walks an expression AST under a bindings dict (variable
 name -> value) and an :class:`EvalContext` (clock/randomness/ring size
-for builtins).  Unbound variables raise :class:`EvaluationError` — the
+for builtins).  :func:`emit_expr` turns the same AST into Python source
+that calls the same value helpers; rule strands run the emitted form
+(:mod:`repro.runtime.codegen`) and ``evaluate`` is the reference it is
+tested against.  Unbound variables raise :class:`EvaluationError` — the
 program validator catches unsafe rules before they reach here, so a
 raised error indicates an engine bug or an intentionally unbound delete
 wildcard (handled by the caller, not here).
@@ -20,7 +23,7 @@ Semantics worth noting:
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Callable, Dict, Iterable, Optional
 
 from repro.errors import EvaluationError
 from repro.overlog import ast
@@ -30,91 +33,91 @@ from repro.overlog.types import NodeID
 Bindings = Dict[str, Any]
 
 
-def compile_expr(expr: ast.Expr):
-    """Compile ``expr`` into a ``fn(bindings, ctx) -> value`` closure.
+def emit_expr(
+    expr: ast.Expr,
+    local: Callable[[str], Optional[str]],
+    const: Callable[[Any], str],
+) -> str:
+    """Python source of one expression whose value is ``expr``'s.
 
-    Semantics are identical to :func:`evaluate`; the per-node AST
-    dispatch (isinstance chains, operator string comparisons) happens
-    once here instead of on every evaluation, so elements that evaluate
-    the same expression millions of times compile it at construction.
-    Ill-formed nodes compile to closures that raise when *called*, not
-    here, preserving evaluate's lazy error behaviour (aggregate heads
-    are compiled but never invoked through this path).
+    The strand generator (:mod:`repro.runtime.codegen`) inlines this
+    text into the function it builds for a rule strand.  ``local(name)``
+    is the Python local holding the OverLog variable ``name``, or None
+    when the variable is unbound where the expression sits;
+    ``const(value)`` names a constant the generated function closes
+    over.  The text refers to ``ctx`` (the :class:`EvalContext`) and to
+    the helpers in :data:`EMITTED_NAMES` — the same functions
+    :func:`evaluate` calls — so the semantics listed in the module
+    docstring, the evaluation order and every error message are defined
+    once, here.  Nodes :func:`evaluate` rejects emit a call that raises
+    the same :class:`EvaluationError` when (and only when) reached.
     """
-    if isinstance(expr, ast.Const):
-        value = expr.value
-        return lambda bindings, ctx: value
-    if isinstance(expr, ast.Var):
-        name = expr.name
 
-        def load(bindings, ctx):
-            try:
-                return bindings[name]
-            except KeyError:
-                raise EvaluationError(
-                    f"unbound variable {name}"
-                ) from None
-
-        return load
-    if isinstance(expr, ast.SymbolicConst):
-        name = expr.name
-        return lambda bindings, ctx: name
-    if isinstance(expr, ast.UnaryOp):
-        operand = compile_expr(expr.operand)
-        if expr.op == "-":
-            return lambda b, c: _negate(operand(b, c))
-        if expr.op == "!":
-            return lambda b, c: not _truthy(operand(b, c))
-        return _raiser(f"unknown unary operator {expr.op!r}")
-    if isinstance(expr, ast.BinOp):
-        op = expr.op
-        left = compile_expr(expr.left)
-        right = compile_expr(expr.right)
-        if op == "&&":
-            return lambda b, c: (
-                _truthy(right(b, c)) if _truthy(left(b, c)) else False
+    def emit(node: ast.Expr) -> str:
+        if isinstance(node, ast.Const):
+            return const(node.value)
+        if isinstance(node, ast.Var):
+            return local(node.name) or f"_unbound({node.name!r})"
+        if isinstance(node, ast.SymbolicConst):
+            return const(node.name)
+        if isinstance(node, ast.UnaryOp):
+            if node.op == "-":
+                return f"_negate({emit(node.operand)})"
+            if node.op == "!":
+                return f"(not _truthy({emit(node.operand)}))"
+            return _emit_failure(
+                f"unknown unary operator {node.op!r}", emit(node.operand)
             )
-        if op == "||":
-            return lambda b, c: (
-                True if _truthy(left(b, c)) else _truthy(right(b, c))
+        if isinstance(node, ast.BinOp):
+            op, left, right = node.op, emit(node.left), emit(node.right)
+            if op == "&&":
+                return f"(_truthy({right}) if _truthy({left}) else False)"
+            if op == "||":
+                return f"(True if _truthy({left}) else _truthy({right}))"
+            if op == "==":
+                return f"values_equal({left}, {right})"
+            if op == "!=":
+                return f"(not values_equal({left}, {right}))"
+            if op in ("<", "<=", ">", ">="):
+                return f"_compare({op!r}, {left}, {right})"
+            if op in ("+", "-", "*", "/", "%"):
+                return f"_arith({op!r}, {left}, {right})"
+            return _emit_failure(f"unknown binary operator {op!r}", left, right)
+        if isinstance(node, ast.FuncCall):
+            args = ", ".join(emit(a) for a in node.args)
+            return f"call_builtin({node.name!r}, ctx, [{args}])"
+        if isinstance(node, ast.ListExpr):
+            return emit_tuple(emit(item) for item in node.items)
+        if isinstance(node, ast.RangeCheck):
+            return (
+                f"_interval({emit(node.subject)}, {emit(node.low)}, "
+                f"{emit(node.high)}, {node.low_closed!r}, {node.high_closed!r})"
             )
-        if op == "==":
-            return lambda b, c: values_equal(left(b, c), right(b, c))
-        if op == "!=":
-            return lambda b, c: not values_equal(left(b, c), right(b, c))
-        if op in ("<", "<=", ">", ">="):
-            return lambda b, c: _compare(op, left(b, c), right(b, c))
-        if op in ("+", "-", "*", "/", "%"):
-            return lambda b, c: _arith(op, left(b, c), right(b, c))
-        return _raiser(f"unknown binary operator {op!r}")
-    if isinstance(expr, ast.FuncCall):
-        name = expr.name
-        arg_fns = tuple(compile_expr(a) for a in expr.args)
-        return lambda b, c: call_builtin(
-            name, c, [fn(b, c) for fn in arg_fns]
-        )
-    if isinstance(expr, ast.ListExpr):
-        item_fns = tuple(compile_expr(item) for item in expr.items)
-        return lambda b, c: tuple(fn(b, c) for fn in item_fns)
-    if isinstance(expr, ast.RangeCheck):
-        subject = compile_expr(expr.subject)
-        low = compile_expr(expr.low)
-        high = compile_expr(expr.high)
-        low_closed = expr.low_closed
-        high_closed = expr.high_closed
-        return lambda b, c: _interval(
-            subject(b, c), low(b, c), high(b, c), low_closed, high_closed
-        )
-    if isinstance(expr, ast.Aggregate):
-        return _raiser("aggregates are only legal in rule heads")
-    return _raiser(f"cannot evaluate expression node {expr!r}")
+        if isinstance(node, ast.Aggregate):
+            return _emit_failure("aggregates are only legal in rule heads")
+        return _emit_failure(f"cannot evaluate expression node {node!r}")
+
+    return emit(expr)
 
 
-def _raiser(message: str):
-    def fail(bindings, ctx):
-        raise EvaluationError(message)
+def emit_tuple(items: Iterable[str]) -> str:
+    """Source of a tuple display of the given item sources."""
+    items = list(items)
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
 
-    return fail
+
+def _emit_failure(message: str, *operands: str) -> str:
+    return f"_fail({', '.join((repr(message),) + operands)})"
+
+
+def _fail(message: str, *evaluated: Any):
+    """Raise, once the operands :func:`evaluate` would have evaluated
+    first have been."""
+    raise EvaluationError(message)
+
+
+def _unbound(name: str):
+    raise EvaluationError(f"unbound variable {name}")
 
 
 def evaluate(expr: ast.Expr, bindings: Bindings, ctx: EvalContext) -> Any:
@@ -123,7 +126,7 @@ def evaluate(expr: ast.Expr, bindings: Bindings, ctx: EvalContext) -> Any:
         return expr.value
     if isinstance(expr, ast.Var):
         if expr.name not in bindings:
-            raise EvaluationError(f"unbound variable {expr.name}")
+            _unbound(expr.name)
         return bindings[expr.name]
     if isinstance(expr, ast.SymbolicConst):
         # Unresolved lower-case identifiers evaluate to their own name —
@@ -277,18 +280,24 @@ def _range_check(
 def _interval(
     subject: Any, low: Any, high: Any, low_closed: bool, high_closed: bool
 ) -> bool:
-    if isinstance(subject, NodeID):
-        return subject.in_interval(low, high, low_closed, high_closed)
-    if isinstance(low, NodeID) or isinstance(high, NodeID):
-        bits = low.bits if isinstance(low, NodeID) else high.bits
-        return NodeID(int(subject), bits).in_interval(
-            low, high, low_closed, high_closed
-        )
+    try:
+        if isinstance(subject, NodeID):
+            return subject.in_interval(low, high, low_closed, high_closed)
+        if isinstance(low, NodeID) or isinstance(high, NodeID):
+            bits = low.bits if isinstance(low, NodeID) else high.bits
+            return NodeID(int(subject), bits).in_interval(
+                low, high, low_closed, high_closed
+            )
 
-    # Plain linear interval for non-ring values.
-    above = subject >= low if low_closed else subject > low
-    below = subject <= high if high_closed else subject < high
-    return bool(above and below)
+        # Plain linear interval for non-ring values.
+        above = subject >= low if low_closed else subject > low
+        below = subject <= high if high_closed else subject < high
+        return bool(above and below)
+    except (TypeError, ValueError) as exc:
+        raise EvaluationError(
+            f"cannot test {subject!r} against the interval "
+            f"{low!r} .. {high!r}"
+        ) from exc
 
 
 def _truthy(value: Any) -> bool:
@@ -299,3 +308,13 @@ def _truthy(value: Any) -> bool:
         if value == "false":
             return False
     return bool(value)
+
+
+#: What source from :func:`emit_expr` expects to find in its globals.
+EMITTED_NAMES: Dict[str, Any] = {
+    fn.__name__: fn
+    for fn in (
+        values_equal, _arith, _compare, _interval, _negate, _truthy,
+        _fail, _unbound, call_builtin,
+    )
+}

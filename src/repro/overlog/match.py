@@ -18,74 +18,6 @@ Bindings = Dict[str, Any]
 IGNORE_PREFIX = "_"
 """Variables starting with '_' match anything without binding."""
 
-# Compiled-pattern step kinds (see compile_pattern).
-SKIP = 0    # '_'-prefixed variable: matches anything, binds nothing
-BIND = 1    # variable: bind, or compare against an existing binding
-CONST = 2   # constant / symbolic constant: compare by value
-REJECT = 3  # anything else: the validator forbids it in body functors
-
-
-def compile_pattern(patterns: Sequence[ast.Expr]):
-    """Precompile functor arguments into ``(kind, payload)`` steps.
-
-    Matching runs once per candidate row, so the per-row AST dispatch
-    (isinstance chains, prefix checks) is hoisted here; elements compile
-    their pattern once at construction and match with
-    :func:`match_compiled`.
-    """
-    steps = []
-    for pattern in patterns:
-        if isinstance(pattern, ast.Var):
-            if pattern.name.startswith(IGNORE_PREFIX):
-                steps.append((SKIP, None))
-            else:
-                steps.append((BIND, pattern.name))
-        elif isinstance(pattern, ast.Const):
-            steps.append((CONST, pattern.value))
-        elif isinstance(pattern, ast.SymbolicConst):
-            # Unresolved symbolic constants compare as their own name.
-            steps.append((CONST, pattern.name))
-        else:
-            steps.append((REJECT, None))
-    return tuple(steps)
-
-
-def match_compiled(
-    steps,
-    values: Sequence[Any],
-    bindings: Bindings,
-) -> Optional[Bindings]:
-    """Unify precompiled ``steps`` against ``values`` under ``bindings``.
-
-    Same contract as :func:`match_args`: returns a new dict extending
-    ``bindings`` on success (never mutating the caller's), None on
-    mismatch.
-    """
-    if len(steps) != len(values):
-        return None
-    out: Optional[Bindings] = None
-    for (kind, payload), value in zip(steps, values):
-        if kind == BIND:
-            if out is not None:
-                # out extends bindings, so it alone decides.
-                if payload in out:
-                    if not values_equal(out[payload], value):
-                        return None
-                else:
-                    out[payload] = value
-            elif payload in bindings:
-                if not values_equal(bindings[payload], value):
-                    return None
-            else:
-                out = dict(bindings)
-                out[payload] = value
-        elif kind == CONST:
-            if not values_equal(payload, value):
-                return None
-        elif kind == REJECT:
-            return None
-    return out if out is not None else dict(bindings)
-
 
 def match_args(
     patterns: Sequence[ast.Expr],
@@ -98,8 +30,30 @@ def match_args(
     failure.  The caller's dict is never mutated, so backtracking joins
     can reuse it for the next candidate.
 
-    One-shot convenience over :func:`compile_pattern` +
-    :func:`match_compiled`; hot paths compile their pattern once and
-    call :func:`match_compiled` directly.
+    This is the reference for pattern matching: rule strands run the
+    same unification as generated code (:mod:`repro.runtime.codegen`),
+    with bind-or-compare decided per column at plan time.
     """
-    return match_compiled(compile_pattern(patterns), values, bindings)
+    if len(patterns) != len(values):
+        return None
+    out = dict(bindings)
+    for pattern, value in zip(patterns, values):
+        if isinstance(pattern, ast.Var):
+            name = pattern.name
+            if name.startswith(IGNORE_PREFIX):
+                continue
+            if name in out:
+                if not values_equal(out[name], value):
+                    return None
+            else:
+                out[name] = value
+        elif isinstance(pattern, ast.Const):
+            if not values_equal(pattern.value, value):
+                return None
+        elif isinstance(pattern, ast.SymbolicConst):
+            # Unresolved symbolic constants compare as their own name.
+            if not values_equal(pattern.name, value):
+                return None
+        else:
+            return None  # the validator forbids it in body functors
+    return out

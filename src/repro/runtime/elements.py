@@ -13,9 +13,16 @@ elements (Figure 1 of the paper).  Our planner produces the same shapes:
 - :class:`ProjectElement` — evaluates the head arguments into an output
   tuple (or a deletion pattern for ``delete`` rules).
 
-Each element keeps invocation counters so introspection can expose the
-dataflow (the ``sysElement`` reflection table) and so the metrics layer
-can charge CPU-work per operation.
+Elements are the strand's *plan*: what each operator matches, probes or
+computes, plus the invocation counters introspection exposes (the
+``sysElement`` reflection table).  A firing does not call them — the
+strand runs one function generated from this plan
+(:mod:`repro.runtime.codegen`), which moves the counters itself.  The
+evaluating methods below (``match``, ``matches``, ``accepts``, ``apply``,
+``project``, ``delete_pattern``) are the reference semantics, written
+over a bindings dict with :func:`~repro.overlog.match.match_args` and
+:func:`~repro.overlog.expr.evaluate`; ``tests/runtime/test_strand_codegen``
+drives them beside the generated function and requires equal results.
 """
 
 from __future__ import annotations
@@ -25,8 +32,8 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple as PyTuple
 from repro.errors import EvaluationError, PlannerError
 from repro.overlog import ast
 from repro.overlog.builtins import EvalContext
-from repro.overlog.expr import compile_expr, values_equal, _truthy
-from repro.overlog.match import compile_pattern, match_compiled
+from repro.overlog.expr import evaluate, values_equal, _truthy
+from repro.overlog.match import match_args
 from repro.runtime.table import Table, TableIndex
 from repro.runtime.tuples import Tuple
 
@@ -65,18 +72,16 @@ class MatchElement(Element):
         super().__init__(pattern.name)
         self.pattern = pattern
         self.bind_args = bind_args
-        self._steps = compile_pattern(pattern.args)
-        self._loc_steps = self._steps[:1]
 
     def match(self, tup: Tuple) -> Optional[Bindings]:
         self.invocations += 1
         if tup.name != self.pattern.name:
             return None
         if self.bind_args:
-            return match_compiled(self._steps, tup.values, {})
+            return match_args(self.pattern.args, tup.values, {})
         if not tup.values:
             return None
-        return match_compiled(self._loc_steps, tup.values[:1], {})
+        return match_args(self.pattern.args[:1], tup.values[:1], {})
 
 
 class JoinElement(Element):
@@ -117,7 +122,6 @@ class JoinElement(Element):
         self.index = index
         self.key_sources = tuple(key_sources or ())
         self.probes = 0
-        self._steps = compile_pattern(pattern.args)
 
     @property
     def uses_index(self) -> bool:
@@ -136,10 +140,9 @@ class JoinElement(Element):
             candidates = self.table.probe_index(self.index, key)
         else:
             candidates = self.table.scan()
-        steps = self._steps
         for tup in candidates:
             self.probes += 1
-            extended = match_compiled(steps, tup.values, bindings)
+            extended = match_args(self.pattern.args, tup.values, bindings)
             if extended is not None:
                 yield tup, extended
 
@@ -152,11 +155,10 @@ class SelectElement(Element):
     def __init__(self, cond: ast.Cond) -> None:
         super().__init__(str(cond.expr))
         self.cond = cond
-        self._eval = compile_expr(cond.expr)
 
     def accepts(self, bindings: Bindings, ctx: EvalContext) -> bool:
         self.invocations += 1
-        return _truthy(self._eval(bindings, ctx))
+        return _truthy(evaluate(self.cond.expr, bindings, ctx))
 
 
 class AssignElement(Element):
@@ -171,13 +173,12 @@ class AssignElement(Element):
     def __init__(self, assign: ast.Assign) -> None:
         super().__init__(f"{assign.var}:={assign.expr}")
         self.assign = assign
-        self._eval = compile_expr(assign.expr)
 
     def apply(
         self, bindings: Bindings, ctx: EvalContext
     ) -> Optional[Bindings]:
         self.invocations += 1
-        value = self._eval(bindings, ctx)
+        value = evaluate(self.assign.expr, bindings, ctx)
         var = self.assign.var
         if var in bindings:
             return bindings if values_equal(bindings[var], value) else None
@@ -199,11 +200,10 @@ class ProjectElement(Element):
         super().__init__(head.name)
         self.head = head
         self.delete = delete
-        self._evals = tuple(compile_expr(arg) for arg in head.args)
 
     def project(self, bindings: Bindings, ctx: EvalContext) -> Tuple:
         self.invocations += 1
-        values = tuple([fn(bindings, ctx) for fn in self._evals])
+        values = tuple([evaluate(arg, bindings, ctx) for arg in self.head.args])
         return Tuple(self.head.name, values)
 
     def delete_pattern(
@@ -212,9 +212,9 @@ class ProjectElement(Element):
         """(location, values-with-None-wildcards) for a delete action."""
         self.invocations += 1
         values: List[Any] = []
-        for arg, fn in zip(self.head.args, self._evals):
+        for arg in self.head.args:
             try:
-                values.append(fn(bindings, ctx))
+                values.append(evaluate(arg, bindings, ctx))
             except EvaluationError:
                 if isinstance(arg, ast.Var):
                     values.append(None)  # wildcard

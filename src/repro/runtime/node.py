@@ -75,6 +75,8 @@ class P2Node:
         overload: Optional[OverloadConfig] = None,
     ) -> None:
         self.address = address
+        #: ``str(address)``: timer group and telemetry label.
+        self.label = str(address)
         self.sim = sim
         self.network = network
         self.id_bits = id_bits
@@ -121,7 +123,7 @@ class P2Node:
             self.overload = OverloadController(
                 overload,
                 clock=lambda: self.sim.now,
-                node_label=str(address),
+                node_label=self.label,
             )
 
         # Introspection attachment points (set by repro.introspect).
@@ -160,7 +162,7 @@ class P2Node:
                 sweep_interval,
                 self._sweep,
                 start_delay=sweep_interval,
-                group=str(address),
+                group=self.label,
             )
         )
 
@@ -266,7 +268,7 @@ class P2Node:
             period,
             lambda s=strand: self._fire_periodic(s),
             start_delay=start,
-            group=str(self.address),
+            group=self.label,
         )
         self._timers.append(timer)
         self._periodic_timers[strand] = timer
@@ -378,7 +380,7 @@ class P2Node:
         self._drain_timer = self.sim.schedule(
             self.overload.service_delay,
             self._drain_mailbox,
-            group=str(self.address),
+            group=self.label,
         )
 
     def _drain_mailbox(self) -> None:
@@ -496,7 +498,7 @@ class P2Node:
         model's probe counters.
         """
         obs = self.obs
-        label = str(self.address)
+        label = self.label
         counts = self.work.counters.counts
         rows0 = counts.get("join_probe", 0) + counts.get("join_indexed", 0)
         with obs.span(

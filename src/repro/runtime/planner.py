@@ -1,7 +1,8 @@
 """The planner: OverLog rules to executable rule strands.
 
 Mirrors P2's planner (§2 of the paper): each rule becomes one or more
-*rule strands* — element chains triggered by one body predicate.
+*rule strands* — element chains triggered by one body predicate, each
+lowered to one Python function (:mod:`repro.runtime.codegen`).
 
 Trigger selection implements P2's delta evaluation:
 
@@ -42,6 +43,7 @@ from typing import Iterator, List, Optional, Set, Tuple as PyTuple
 from repro.errors import PlannerError
 from repro.overlog import ast
 from repro.overlog.program import Program
+from repro.runtime.codegen import compile_strand
 from repro.runtime.elements import (
     AssignElement,
     Element,
@@ -240,18 +242,23 @@ class Planner:
             else:
                 ops.append(SelectElement(chosen))
 
+        match = MatchElement(trigger, bind_args=not rescan_trigger)
         project = ProjectElement(rule.head, rule.delete)
-        strand = RuleStrand(
+        source, bind = compile_strand(
+            f"{program_name}/{label}", match, ops, project, aggregate
+        )
+        return RuleStrand(
             rule=rule,
             strand_id=strand_id,
             program_name=program_name,
-            match=MatchElement(trigger, bind_args=not rescan_trigger),
+            match=match,
             ops=ops,
             project=project,
             aggregate=aggregate,
+            source=source,
+            bind=bind,
             periodic=periodic,
         )
-        return strand
 
     @staticmethod
     def _bound_positions(

@@ -1,11 +1,15 @@
 """Compiled rule strands: the executable form of one OverLog rule.
 
 A strand is the chain of dataflow elements the planner produced for one
-(rule, trigger-predicate) pair, as in the paper's Figure 1.  Firing a
-strand with a trigger tuple enumerates all derivations of the rule body
-by backtracking through the join elements, then projects head tuples
-(possibly after aggregation) into emit/delete actions that the node
-routes.
+(rule, trigger-predicate) pair, as in the paper's Figure 1, together
+with the Python function :mod:`repro.runtime.codegen` generated from
+that chain.  Firing a strand with a trigger tuple runs the function: it
+enumerates all derivations of the rule body by nested loops over the
+join probes, then projects head tuples (possibly after aggregation)
+into emit/delete actions that the node routes.  A derivation whose
+condition, assignment or head raises :class:`EvaluationError` is
+abandoned and counted in :attr:`RuleStrand.eval_errors`; the firing
+goes on.
 
 Tracing: the strand reports to an optional hooks object — input
 observation, per-stage precondition observations, output observations,
@@ -24,19 +28,14 @@ from typing import Any, Callable, Dict, List, Optional, Tuple as PyTuple, Union
 from repro.errors import EvaluationError
 from repro.overlog import ast
 from repro.overlog.builtins import EvalContext
-from repro.overlog.expr import evaluate
 from repro.runtime.elements import (
-    AssignElement,
     Element,
     JoinElement,
     MatchElement,
     ProjectElement,
-    SelectElement,
 )
 from repro.runtime.aggregates import apply_aggregate
 from repro.runtime.tuples import Tuple
-
-Bindings = Dict[str, Any]
 
 
 @dataclass
@@ -127,6 +126,8 @@ class RuleStrand:
         ops: List[Element],
         project: ProjectElement,
         aggregate: Optional[AggregateSpec],
+        source: str,
+        bind: Callable[["RuleStrand"], Callable[..., List[Action]]],
         periodic: Optional[PyTuple] = None,
     ) -> None:
         self.rule = rule
@@ -141,8 +142,18 @@ class RuleStrand:
         # Overload-protection priority class ("data"/"monitor"/"trace");
         # set from the owning Program's role at install time.
         self.overload_class = "data"
+        #: Pipeline stages = stateful (join) elements, at least 1.
+        self.num_stages = max(
+            1, sum(isinstance(op, JoinElement) for op in ops)
+        )
         self.firings = 0
         self.outputs = 0
+        #: Derivations abandoned because a condition, an assignment or
+        #: the head raised :class:`~repro.errors.EvaluationError`.
+        self.eval_errors = 0
+        #: Text of the function generated for this strand.
+        self.source = source
+        self._fire = bind(self)
 
     @property
     def rule_id(self) -> str:
@@ -151,12 +162,6 @@ class RuleStrand:
     @property
     def trigger_name(self) -> str:
         return self.match.pattern.name
-
-    @property
-    def num_stages(self) -> int:
-        """Pipeline stages = stateful (join) elements, at least 1."""
-        joins = sum(1 for op in self.ops if isinstance(op, JoinElement))
-        return max(1, joins)
 
     def elements(self) -> List[Element]:
         """All elements in strand order (for introspection)."""
@@ -172,163 +177,31 @@ class RuleStrand:
         charge: Optional[Callable[[str, int], None]] = None,
     ) -> List[Action]:
         """Run the strand on ``trigger``; returns the actions produced."""
-        bindings = self.match.match(trigger)
-        if charge:
-            charge("match", 1)
-        if bindings is None:
-            return []
-        self.firings += 1
-        if hooks:
-            hooks.input_observed(self, trigger, ctx.now())
+        return self._fire(trigger, ctx, hooks, charge)
 
-        results: List[Bindings] = []
-        actions: List[Action] = []
+    def fold_groups(self, groups: Dict[PyTuple, List[Any]]) -> List[Tuple]:
+        """Head tuples of an aggregate rule, one per group in first-seen
+        order (the generated function's last step for such a rule).
 
-        def solve(index: int, current: Bindings) -> None:
-            if index == len(self.ops):
-                results.append(current)
-                if self.aggregate is None:
-                    action = self._project_one(current, ctx)
-                    if action is not None:
-                        actions.append(action)
-                        if hooks and isinstance(action, EmitAction):
-                            hooks.output_observed(
-                                self, action.tuple, ctx.now()
-                            )
-                return
-            op = self.ops[index]
-            if isinstance(op, JoinElement):
-                # The element's own ``probes`` counter is the single
-                # source of truth for rows examined; the work charge is
-                # derived from its delta so profiling monitors and the
-                # work model can never disagree.
-                probes_before = op.probes
-                for tup, extended in op.matches(current):
-                    if hooks:
-                        hooks.precondition_observed(
-                            self, op.stage, tup, ctx.now()
-                        )
-                    solve(index + 1, extended)
-                if charge:
-                    charge("join", 1)
-                    examined = op.probes - probes_before
-                    charge(
-                        "join_indexed" if op.uses_index else "join_probe",
-                        max(1, examined),
-                    )
-            elif isinstance(op, SelectElement):
-                if charge:
-                    charge("select", 1)
-                try:
-                    ok = op.accepts(current, ctx)
-                except EvaluationError:
-                    ok = False
-                if ok:
-                    solve(index + 1, current)
-            elif isinstance(op, AssignElement):
-                if charge:
-                    charge("assign", 1)
-                extended = op.apply(current, ctx)
-                if extended is not None:
-                    solve(index + 1, extended)
-            else:  # pragma: no cover - planner only emits the above
-                raise TypeError(f"unexpected element {op!r}")
-
-        solve(0, bindings)
-
-        if self.aggregate is not None:
-            for action in self._project_aggregated(bindings, results, ctx):
-                actions.append(action)
-                if hooks and isinstance(action, EmitAction):
-                    hooks.output_observed(self, action.tuple, ctx.now())
-
-        if hooks:
-            for stage in range(1, self.num_stages + 1):
-                hooks.stage_completed(self, stage)
-        self.outputs += len(actions)
-        if charge:
-            charge("project", max(1, len(actions)))
-        return actions
-
-    # ------------------------------------------------------------------
-
-    def _project_one(
-        self, bindings: Bindings, ctx: EvalContext
-    ) -> Optional[Action]:
-        if self.rule.delete:
-            location, pattern = self.project.delete_pattern(bindings, ctx)
-            return DeleteAction(self.project.head.name, location, pattern)
-        try:
-            tup = self.project.project(bindings, ctx)
-        except EvaluationError:
-            return None
-        return EmitAction(tup)
-
-    def _project_aggregated(
-        self,
-        trigger_bindings: Bindings,
-        results: List[Bindings],
-        ctx: EvalContext,
-    ) -> List[Action]:
-        """Group results by the non-aggregate head args and fold.
-
-        When there are no results but every non-aggregate head argument
-        is computable from the trigger bindings alone, a ``count`` rule
-        still emits a zero row — the paper's rule sr8 relies on observing
-        ``count == 0`` for a fresh snapshot marker.
+        ``groups`` maps the non-aggregate head arguments to the values to
+        fold.  A group whose fold is undefined (``min`` of nothing) yields
+        no tuple; one whose fold fails (``min`` over incomparable values)
+        is dropped and counted in :attr:`eval_errors`.
         """
-        assert self.aggregate is not None
         spec = self.aggregate
-        head_args = self.project.head.args
-
-        groups: Dict[PyTuple, List[Any]] = {}
-        order: List[PyTuple] = []
-        for bindings in results:
+        name = self.project.head.name
+        out: List[Tuple] = []
+        for key, values in groups.items():
             try:
-                key = tuple(
-                    evaluate(arg, bindings, ctx)
-                    for i, arg in enumerate(head_args)
-                    if i != spec.index
-                )
+                folded = apply_aggregate(spec.func, values)
             except EvaluationError:
+                self.eval_errors += 1
                 continue
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            if spec.var is not None:
-                groups[key].append(bindings[spec.var])
-            else:
-                groups[key].append(1)
-
-        if not groups:
-            try:
-                key = tuple(
-                    evaluate(arg, trigger_bindings, ctx)
-                    for i, arg in enumerate(head_args)
-                    if i != spec.index
+            if folded is not None:
+                out.append(
+                    Tuple(name, key[: spec.index] + (folded,) + key[spec.index :])
                 )
-                groups[key] = []
-                order.append(key)
-            except EvaluationError:
-                return []
-
-        actions: List[Action] = []
-        for key in order:
-            folded = apply_aggregate(spec.func, groups[key])
-            if folded is None:
-                continue
-            values: List[Any] = []
-            position = 0
-            for i in range(len(head_args)):
-                if i == spec.index:
-                    values.append(folded)
-                else:
-                    values.append(key[position])
-                    position += 1
-            actions.append(
-                EmitAction(Tuple(self.project.head.name, tuple(values)))
-            )
-        return actions
+        return out
 
     def __repr__(self) -> str:
         return (

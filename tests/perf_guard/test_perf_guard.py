@@ -28,26 +28,38 @@ bounded table must cost the same whatever its capacity (the
 introspection rings are full for almost all of a long run, and a
 victim search that scans the ring makes every insert O(capacity)).
 
-Two guards are *counts* with no clock at all: a cold backward slice
+Three guards are *counts* with no clock at all: a cold backward slice
 may decode only a sliver of the stored lines (the sidecar's columns
 index provenance; decoding every record of every touched segment is
-what made a slice cost more than the run that wrote the history), and
-a relation scan may not re-encode the records it just read (their
-stored lines are already the canonical sort key).
+what made a slice cost more than the run that wrote the history), a
+relation scan may not re-encode the records it just read (their
+stored lines are already the canonical sort key), and a strand firing
+may make only so many Python-level calls per row its joins probe (the
+strand is one generated function; walking the plan per row costs
+several calls for each row and each derivation).
 """
 
 from __future__ import annotations
 
+import cProfile
 import json
 import os
+import pstats
+import random
 import time
 
 import pytest
 
 from repro.core.metrics import Meter
 from repro.core.system import System
+from repro.overlog.builtins import EvalContext
+from repro.overlog.program import Program
 from repro.overlog.types import INFINITY
+from repro.runtime.elements import JoinElement
+from repro.runtime.planner import Planner
+from repro.runtime.store import TableStore
 from repro.runtime.table import Table
+from repro.runtime.work import WorkModel
 from repro.runtime.tuples import Tuple
 from repro.store import ForensicStore, StoreConfig, StoreProvider, backward_slice
 from repro.store import format as fmt
@@ -282,3 +294,47 @@ def test_relation_scan_encodes_nothing_it_read(chain_store, monkeypatch):
         r["k"] == fmt.RULE_EXEC for r in store.events(expand_bursts=False)
     )
     assert len(encoded) == len(edges) - in_plain_rows
+
+
+# ----------------------------------------------------------------------
+# Strand firing: work counted by the profiler, not timed
+
+FANOUT = 64
+JOIN_WORKLOAD = """
+materialize(left, infinity, 1000, keys(1,2,3)).
+materialize(right, infinity, 1000, keys(1,2,3)).
+g pair@N(X, Y) :- ev@N(K), left@N(K, X), right@N(K, Y), X >= 0.
+"""
+#: Python-level calls (builtins included) per probed row.  The generated
+#: function makes 7.2: two ``values_equal`` per row, and per derivation
+#: ``Tuple`` (``tuple``, ``hash``), ``EmitAction`` and ``append``.
+#: Evaluating the plan element by element (a generator resume, a
+#: pattern matcher, a bindings-dict copy and a nested solver call per
+#: row; a closure per expression node) made 19.3.
+CALLS_PER_PROBED_ROW = 9.0
+
+
+def test_firing_makes_few_calls_per_probed_row():
+    store = TableStore(lambda: 0.0)
+    (strand,) = Planner(store).plan(Program.compile(JOIN_WORKLOAD)).strands
+    for key in range(4):
+        for i in range(FANOUT):
+            store.get("left").insert(Tuple("left", ("n", key, i)))
+            store.get("right").insert(Tuple("right", ("n", key, -i)))
+    joins = [op for op in strand.ops if isinstance(op, JoinElement)]
+    assert [join.uses_index for join in joins] == [True, True]
+    work = WorkModel()
+    ctx = EvalContext(lambda: 0.0, random.Random(0))
+    profile = cProfile.Profile()
+    profile.enable()
+    actions = strand.fire(Tuple("ev", ("n", 1)), ctx, None, work.charge)
+    profile.disable()
+    rows = sum(join.probes for join in joins)
+    assert rows == FANOUT + FANOUT * FANOUT
+    assert len(actions) == FANOUT * FANOUT
+    calls = pstats.Stats(profile).total_calls
+    assert calls <= CALLS_PER_PROBED_ROW * rows, (
+        f"one firing made {calls:,} calls for {rows:,} probed rows "
+        f"({calls / rows:.1f} per row; ceiling {CALLS_PER_PROBED_ROW}): "
+        f"something is interpreting the plan per row again"
+    )

@@ -41,10 +41,21 @@ def programs(draw):
         bound = ["A"]
         for join_index, table in enumerate(joins):
             var = VARS[(join_index + 1) % len(VARS)]
-            body.append(f"{table}@N({var})")
-            bound.append(var)
+            # A fresh variable, the trigger's (a repeat across
+            # patterns), a constant or an ignored column.
+            arg = draw(st.sampled_from([var, var, "A", "3", "_"]))
+            body.append(f"{table}@N({arg})")
+            if arg == var:
+                bound.append(var)
         if draw(st.booleans()):
             body.append(f"{draw(st.sampled_from(bound))} != 99")
+        if draw(st.booleans()):
+            body.append(f"{draw(st.sampled_from(bound))} in [0, 4]")
+        if draw(st.booleans()):
+            # Stays inside the injected domain, so a materialized head
+            # carrying D still reaches a fixpoint.
+            body.append(f"D := {draw(st.sampled_from(bound))} % 3")
+            bound.append("D")
         head_var = draw(st.sampled_from(bound))
         extra = ""
         if head_table == "outEvent" and draw(st.booleans()):

@@ -300,3 +300,28 @@ def test_node_status_property(make_node):
     assert node.status == "recovered"
     node.stop()
     assert node.status == "down"
+
+
+def test_failing_rule_does_not_take_the_pump_down(make_node):
+    """An expression that cannot be evaluated abandons its derivation —
+    in an assignment as in a condition or a head — and the strands
+    queued behind it fire in the same turn."""
+    node = make_node("a:1")
+    compiled = node.install_source(
+        """
+        materialize(t, 10, 10, keys(1,2)).
+        r1 out@N(X) :- ev@N(A), X := A / 0.
+        r2 out2@N(A) :- ev@N(A).
+        r3 delete t@N(A / 0) :- ev@N(A).
+        r4 lo@N(min<B>) :- ev@N(A), t@N(B).
+        """
+    )
+    node.inject("t", ("a:1", 1))
+    node.inject("t", ("a:1", "one"))
+    out, out2, lo = node.collect("out"), node.collect("out2"), node.collect("lo")
+    node.inject("ev", ("a:1", 5))
+    assert [t.values for t in out2] == [("a:1", 5)]
+    assert out == [] and lo == []
+    assert len(node.query("t")) == 2
+    assert [s.eval_errors for s in compiled.strands] == [1, 0, 1, 1]
+    assert not node._queue
