@@ -90,7 +90,7 @@ class PostMortem:
             (r.values[1], r.values[2], r.values[3], r.values[6])
             for r in rule_exec.scan()
         }
-        for record in self.store.events(node=label, kind=fmt.RULE_EXEC):
+        for record in self.store.iter_events(node=label, kind=fmt.RULE_EXEC):
             key = (record["r"], record["c"], record["e"], record["ev"])
             if key in present:
                 continue
@@ -119,7 +119,7 @@ class PostMortem:
                 Materialize("tupleTable", INFINITY, INFINITY, [2])
             )
         held = {r.values[1] for r in tuple_table.scan()}
-        for record in self.store.events(node=label, kind=fmt.TUPLE_IDENT):
+        for record in self.store.iter_events(node=label, kind=fmt.TUPLE_IDENT):
             if record["i"] in held:
                 continue
             held.add(record["i"])

@@ -48,7 +48,7 @@ def _cmd_info(store: ForensicStore, args) -> int:
 
 
 def _cmd_query(store: ForensicStore, args) -> int:
-    records = store.events(
+    for record in store.iter_events(
         t0=args.t0,
         t1=args.t1,
         node=args.node,
@@ -56,8 +56,7 @@ def _cmd_query(store: ForensicStore, args) -> int:
         kind=args.kind,
         expand_bursts=not args.raw,
         limit=args.limit,
-    )
-    for record in records:
+    ):
         print(fmt.encode(record))
     return 0
 

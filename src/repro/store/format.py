@@ -89,6 +89,11 @@ def payload_tuple(payload: Optional[Dict[str, Any]]) -> Optional[Tuple]:
     return Tuple(payload["rel"], values)
 
 
+#: One encoder for every record: ``json.dumps`` with non-default
+#: arguments builds a new one per call.
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def encode(record: Dict[str, Any]) -> str:
     """Canonical single-line JSON of one record.
 
@@ -99,7 +104,7 @@ def encode(record: Dict[str, Any]) -> str:
     is what lets a reader sort on the stored line instead of
     re-encoding the record it decoded from it.
     """
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _canonical(record)
 
 
 def decode(line: str) -> Dict[str, Any]:

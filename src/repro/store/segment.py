@@ -145,6 +145,7 @@ class SegmentReader:
         self.summary = summary
         self.seg_id = summary["id"]
         self._columns: Optional[Dict[str, List[Any]]] = None
+        self._columns_shared = False
         # The data file's text (canonical JSON is ASCII: byte offsets
         # are character offsets) and each row's end, read once.
         self._text: Optional[str] = None
@@ -309,6 +310,27 @@ class SegmentReader:
     ) -> List[Dict[str, Any]]:
         """Records matching the filters (see :meth:`select_rows`)."""
         return self.records_at(self.select_rows(t0, t1, node, relation, kind))
+
+    def scan_rows(
+        self, *filters: Any
+    ) -> PyTuple[List[str], List[Dict[str, Any]]]:
+        """:meth:`rows_at` of :meth:`select_rows`, for a scan.
+
+        A scan passes over the segment once, and over many segments:
+        the file text is not kept, and the columns, which are, are left
+        holding one string per distinct ``k`` / ``n`` / ``rel`` value
+        instead of the one per row the parser handed back.  (Not done
+        in :meth:`columns`: a cold slice reads a dozen sidecars to
+        return a dozen rows, and that pass was a tenth of its time.)
+        """
+        rows = self.rows_at(self.select_rows(*filters))
+        self._text, self._ends = None, []
+        if not self._columns_shared:
+            columns, share = self.columns(), {}.setdefault
+            for name in ("k", "n", "rel"):
+                columns[name] = list(map(share, columns[name], columns[name]))
+            self._columns_shared = True
+        return rows
 
     def select_rows(
         self,

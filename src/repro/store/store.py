@@ -16,9 +16,10 @@ kernel the cut is deferred to the next tick barrier (segments align to
 tick boundaries); under the legacy loop it happens inline.  ``close()``
 flushes the remainder and (re)writes ``manifest.json``.
 
-Read path: :meth:`events` for filtered scans (time / relation / node /
-kind / tuple id), and the provenance lookups (:meth:`edges_to`,
-:meth:`source_of`, :meth:`contents_of`, :meth:`tid_of`) that back
+Read path: :meth:`iter_events` / :meth:`events` for filtered scans
+(time / relation / node / kind), streamed in time order, and the
+provenance lookups (:meth:`edges_to`, :meth:`source_of`,
+:meth:`contents_of`, :meth:`tid_of`) that back
 :mod:`repro.store.slicing`.  Reads see buffered-but-unflushed records
 too, so a live query never misses the tail.
 """
@@ -26,11 +27,15 @@ too, so a live query never misses the tail.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import groupby, islice
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple as PyTuple
 
 from repro.errors import ReproError, StoreCorruptionError
+from repro.runtime.table import InsertOutcome
 from repro.store import format as fmt
 from repro.store.compress import (
     BurstCompressor,
@@ -175,8 +180,6 @@ class ForensicStore:
     # Capture callbacks
 
     def _on_rule_exec(self, node: str, row, outcome) -> None:
-        from repro.runtime.table import InsertOutcome
-
         if outcome is InsertOutcome.REFRESHED:
             return
         _, rule, cause, effect, in_t, out_t, is_event = row.values
@@ -254,9 +257,10 @@ class ForensicStore:
 
     def close(self) -> None:
         """Flush everything and finalize the manifest."""
+        if not self._buffer:
+            self._write_manifest()  # otherwise the last cut writes it
         while self._buffer:
             self.flush_segment()
-        self._write_manifest()
         self.closed = True
 
     def _write_manifest(self) -> None:
@@ -320,7 +324,24 @@ class ForensicStore:
         expand_bursts: bool = True,
         limit: Optional[int] = None,
     ) -> List[Dict[str, Any]]:
-        """Filtered scan over segments + the unflushed buffer.
+        """:meth:`iter_events` as a list: the first ``limit`` matching
+        events in time order (all of them when ``limit`` is ``None``)."""
+        return list(
+            self.iter_events(t0, t1, node, relation, kind, expand_bursts, limit)
+        )
+
+    def iter_events(
+        self,
+        t0: Optional[float] = None,
+        t1: Optional[float] = None,
+        node: Optional[str] = None,
+        relation: Optional[str] = None,
+        kind: Optional[str] = None,
+        expand_bursts: bool = True,
+        limit: Optional[int] = None,
+    ) -> Iterator[Dict[str, Any]]:
+        """Filtered scan over segments + the unflushed buffer, streamed
+        in time order.
 
         Segments are pruned through their sidecar summaries; matching
         lines are read by offset.  With ``expand_bursts`` (default),
@@ -328,41 +349,69 @@ class ForensicStore:
         records before filtering so callers never see representation
         details; counted ``log.b`` bursts pass through as themselves.
 
-        Results are sorted by timestamp with the canonical encoding as
+        Events come sorted by timestamp with the canonical encoding as
         tie-break — a total, byte-stable order independent of segment
-        layout (the writer clusters records for compression).  A stored
-        line *is* the canonical encoding of the record it decodes to,
-        so only burst members and buffered records are encoded here.
+        layout (the writer clusters records for compression).  The scan
+        is over the segments and buffered records the store held when
+        this was called, whatever is appended or flushed while the
+        iterator is consumed.
+
+        Sources — each segment, and the buffer — are opened in order of
+        the earliest time each can hold (a summary's ``t0``), and an
+        event is yielded once it is strictly older than every source
+        not yet opened: only segments whose time ranges overlap are
+        decoded at once, and a consumer that stops early leaves the
+        rest unread.
         """
+        if limit is not None and limit < 0:
+            raise ReproError(f"limit must be >= 0: {limit}")
         filters = (t0, t1, node, relation, kind)
-        keyed: List[PyTuple[float, str, Dict[str, Any]]] = []
-        for segment in self._segments:
-            if not (
-                segment.overlaps_time(t0, t1)
-                and segment.has_node(node)
-                and segment.has_relation(relation)
-            ):
-                continue
-            lines, records = segment.rows_at(segment.select_rows(*filters))
-            keyed.extend(
-                self._post_filter(zip(lines, records), filters, expand_bursts)
+        sources = [
+            (segment.summary["t0"], partial(segment.scan_rows, *filters))
+            for segment in self._segments
+            if segment.overlaps_time(t0, t1)
+            and segment.has_node(node)
+            and segment.has_relation(relation)
+        ]
+        if self._buffer:
+            buffered = list(self._buffer)
+            sources.append(
+                (
+                    min(r.get("tf", r["t"]) for r in buffered),
+                    lambda: ([None] * len(buffered), buffered),
+                )
             )
-        keyed.extend(
-            self._post_filter(
-                ((None, r) for r in self._buffer), filters, expand_bursts
+        sources.sort(key=itemgetter(0))
+        return islice(self._merge(sources, filters, expand_bursts), limit)
+
+    def _merge(self, sources, filters, expand_bursts) -> Iterator[Dict[str, Any]]:
+        """The events of ``sources`` in ``(t, canonical line)`` order.
+
+        ``sources`` are ``(bound, rows)`` pairs sorted by ``bound``, no
+        event of a source being older than its bound; ``rows()`` opens
+        one and returns its stored lines (``None`` for a record that
+        has none) and its records.  Only events not yet older than the
+        next bound are held.
+        """
+        pending: List[PyTuple[float, Optional[str], Dict[str, Any]]] = []
+        for watermark, rows in sources:
+            # Strictly older: an event *at* the watermark may tie with
+            # one the next source holds.
+            cut = bisect_left([when for when, _, _ in pending], watermark)
+            yield from _tie_broken(pending[:cut])
+            del pending[:cut]
+            pending.extend(
+                self._post_filter(zip(*rows()), filters, expand_bursts)
             )
-        )
-        keyed.sort(key=itemgetter(0, 1))
-        if limit is not None:
-            del keyed[limit:]
-        return [entry for _, _, entry in keyed]
+            pending.sort(key=itemgetter(0))
+        yield from _tie_broken(pending)
 
     def _post_filter(
         self, rows, filters, expand_bursts
-    ) -> Iterator[PyTuple[float, str, Dict[str, Any]]]:
-        """``(t, canonical line, record)`` for each logical event of
-        ``rows`` — ``(stored line or None, record)`` pairs — that passes
-        the filters exactly."""
+    ) -> Iterator[PyTuple[float, Optional[str], Dict[str, Any]]]:
+        """``(t, stored line or None, record)`` for each logical event
+        of ``rows`` — ``(stored line or None, record)`` pairs — that
+        passes the filters exactly."""
         t0, t1, node, relation, kind = filters
         for stored, record in rows:
             if expand_bursts and record["k"] == fmt.RULE_BURST:
@@ -381,7 +430,7 @@ class ForensicStore:
                     continue
                 if relation is not None and entry.get("rel") != relation:
                     continue
-                yield when, fmt.encode(entry) if line is None else line, entry
+                yield when, line, entry
 
     # ------------------------------------------------------------------
     # Provenance lookups (backward slicing)
@@ -434,7 +483,7 @@ class ForensicStore:
     def tid_of(self, node: str, payload: Dict[str, Any]) -> Optional[int]:
         """Newest tuple id whose persisted payload equals ``payload``."""
         best: Optional[int] = None
-        for record in self.events(
+        for record in self.iter_events(
             node=node, kind=fmt.TUPLE_IDENT, expand_bursts=False
         ):
             if record.get("rep") == payload:
@@ -450,3 +499,23 @@ class ForensicStore:
             seen.update(segment.summary["nodes"])
         seen.update(r["n"] for r in self._buffer)
         return sorted(seen)
+
+
+def _canonical_line(entry) -> str:
+    """What breaks a tie on ``t``.  A stored line *is* the canonical
+    encoding of the record it decodes to, so only burst members and
+    buffered records are encoded."""
+    _, line, record = entry
+    return fmt.encode(record) if line is None else line
+
+
+def _tie_broken(batch) -> Iterator[Dict[str, Any]]:
+    """The records of ``batch`` — ``(t, stored line or None, record)``
+    entries sorted on ``t`` — each run of equal ``t`` ordered by
+    canonical line."""
+    for _, run in groupby(batch, key=itemgetter(0)):
+        run = list(run)
+        if len(run) > 1:
+            run.sort(key=_canonical_line)
+        for _, _, record in run:
+            yield record

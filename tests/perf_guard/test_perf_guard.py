@@ -28,12 +28,17 @@ bounded table must cost the same whatever its capacity (the
 introspection rings are full for almost all of a long run, and a
 victim search that scans the ring makes every insert O(capacity)).
 
-Three guards are *counts* with no clock at all: a cold backward slice
+Five guards are *counts* with no clock at all: a cold backward slice
 may decode only a sliver of the stored lines (the sidecar's columns
 index provenance; decoding every record of every touched segment is
 what made a slice cost more than the run that wrote the history), a
-relation scan may not re-encode the records it just read (their
-stored lines are already the canonical sort key), and a strand firing
+scan may not re-encode the records it just read (their stored lines
+are already the canonical sort key) nor encode a burst member no other
+event shares a timestamp with, ``events(limit=100)`` may open only the
+head of the store and allocate a fraction of what an unlimited scan
+does (scans stream in time order; collecting every candidate and
+sorting made a small question cost the whole history), a finished scan
+may leave no data-file text behind in the readers, and a strand firing
 may make only so many Python-level calls per row its joins probe (the
 strand is one generated function; walking the plan per row costs
 several calls for each row and each derivation).
@@ -47,6 +52,8 @@ import os
 import pstats
 import random
 import time
+import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -63,6 +70,8 @@ from repro.runtime.work import WorkModel
 from repro.runtime.tuples import Tuple
 from repro.store import ForensicStore, StoreConfig, StoreProvider, backward_slice
 from repro.store import format as fmt
+from repro.store.compress import expand
+from repro.store.segment import SegmentReader
 
 # Baselines are pinned on the benchmark machine; a hosted CI runner
 # with different hardware can widen the allowance via the environment
@@ -283,17 +292,84 @@ def test_relation_scan_encodes_nothing_it_read(chain_store, monkeypatch):
         f"a relation scan encoded {len(encoded):,} records to sort "
         f"{len(alarms):,} it had the stored lines of"
     )
+    one_node = store.events(node="a:1", kind=fmt.RULE_EXEC)
+    assert not encoded, (
+        f"a scan encoded {len(encoded):,} of {len(one_node):,} edges of "
+        f"which no two share a timestamp: nothing needed a tie-break"
+    )
     edges = store.events(kind=fmt.RULE_EXEC)
     monkeypatch.undo()
     chains = STORE_SEGMENTS * STORE_SEGMENT_EVENTS // CHAIN_RECORDS
     assert len(alarms) == 2 * chains  # one identity, one log entry each
-    assert len(edges) == 2 * chains
-    # Only members expanded out of a burst have no stored line.
-    assert len(encoded) <= len(edges) and set(encoded) == {fmt.RULE_EXEC}
-    in_plain_rows = sum(
-        r["k"] == fmt.RULE_EXEC for r in store.events(expand_bursts=False)
+    assert len(edges) == 2 * chains and len(one_node) == chains
+    # Only members expanded out of a burst have no stored line, and a
+    # line is only needed to order events that share a timestamp.
+    members = [
+        member
+        for record in store.events(expand_bursts=False)
+        if record["k"] == fmt.RULE_BURST
+        for member in expand(record)
+    ]
+    shared = Counter(edge["t"] for edge in edges)
+    tied = sum(shared[member["t"]] > 1 for member in members)
+    assert 0 < tied <= len(members) <= len(edges)
+    assert len(encoded) == tied and set(encoded) == {fmt.RULE_EXEC}
+
+
+def test_limited_scan_reads_the_head_of_the_store(chain_store, monkeypatch):
+    directory, _, _ = chain_store
+    batches = []
+    real_decode_many = fmt.decode_many
+    monkeypatch.setattr(
+        fmt,
+        "decode_many",
+        lambda lines: batches.append(len(lines)) or real_decode_many(lines),
     )
-    assert len(encoded) == len(edges) - in_plain_rows
+    head = ForensicStore.open(directory).events(limit=100)
+    monkeypatch.undo()
+    assert len(head) == 100
+    # One batch per segment opened: the first, and the one whose start
+    # says the first hundred events are complete.
+    assert len(batches) <= 2 and sum(batches) <= 2 * STORE_SEGMENT_EVENTS, (
+        f"events(limit=100) decoded {sum(batches):,} lines in "
+        f"{len(batches)} batches from a {STORE_SEGMENTS}-segment store"
+    )
+
+
+def traced_peak(work) -> int:
+    """Peak bytes allocated while ``work()`` runs and its result lives."""
+    tracemalloc.start()
+    try:
+        result = work()  # kept alive while the peak is read
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_holds_what_it_returns_and_little_else(chain_store, monkeypatch):
+    directory, _, _ = chain_store
+    limited = traced_peak(lambda: ForensicStore.open(directory).events(limit=100))
+    store = ForensicStore.open(directory)
+    loads = []
+    real_load = SegmentReader._load_text
+    monkeypatch.setattr(
+        SegmentReader,
+        "_load_text",
+        lambda reader: loads.append(reader.seg_id) or real_load(reader),
+    )
+    full = traced_peak(store.events)
+    assert limited < 0.15 * full, (
+        f"events(limit=100) peaked at {limited:,} traced bytes, "
+        f"{limited / full:.0%} of an unlimited scan's {full:,}"
+    )
+    # A scan passes over each data file once and keeps none of them;
+    # the columns it leaves hold one string per distinct value.
+    assert sorted(loads) == list(range(1, STORE_SEGMENTS + 1))
+    for reader in store._segments:
+        assert reader._text is None and not reader._ends
+        for name in ("k", "n", "rel"):
+            column = reader.columns()[name]
+            assert len({id(v) for v in column}) == len(set(column))
 
 
 # ----------------------------------------------------------------------

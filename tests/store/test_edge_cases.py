@@ -29,7 +29,7 @@ import pytest
 
 from repro.analysis import trace_back
 from repro.core.system import System
-from repro.errors import StoreCorruptionError
+from repro.errors import ReproError, StoreCorruptionError
 from repro.net.network import ReliableConfig
 from repro.recovery import RecoveryManager
 from repro.store import (
@@ -408,3 +408,34 @@ def test_unreadable_sidecar_or_manifest_is_a_typed_error(tmp_path, capsys, name)
     path = directory / name
     path.write_bytes(path.read_bytes()[:40])
     assert_reads_fail(directory, capsys, name)
+
+
+# ----------------------------------------------------------------------
+# A limit that is not a count
+
+
+def test_negative_limit_is_an_error_not_a_shorter_answer(tmp_path, capsys):
+    directory = str(two_segment_store(tmp_path))
+    store = ForensicStore.open(directory)
+    assert len(store.events()) == 12
+    for limit in (-1, -3):
+        # Cutting ``[:limit]`` would answer with the last records missing.
+        with pytest.raises(ReproError, match=f"limit must be >= 0: {limit}"):
+            store.events(limit=limit)
+        with pytest.raises(ReproError):
+            store.iter_events(limit=limit)  # at the call, not the first next()
+    assert store_cli(["query", directory, "--limit", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: limit must be >= 0: -1\n"
+    assert store_cli(["query", directory, "--limit", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+def test_zero_limit_opens_nothing(tmp_path):
+    store = ForensicStore.open(str(two_segment_store(tmp_path)))
+    assert store.events(limit=0) == []
+    assert all(
+        reader._columns is None and reader._text is None
+        for reader in store._segments
+    )

@@ -32,7 +32,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.system import System
 from repro.runtime.tuples import Tuple
+from repro.sim.batch import ExecutionConfig
 from repro.store import ForensicStore, StoreConfig, StoreProvider, backward_slice
 from repro.store import format as fmt
 from repro.store.compress import BurstCompressor, expand
@@ -338,3 +340,203 @@ def test_warm_slice_is_the_cold_slice_and_decodes_nothing(
         SHARED_TID,
     )
     assert again.to_json() == cold.to_json()
+
+
+# ----------------------------------------------------------------------
+# Streamed scans: sources by t0, a watermark, ties re-sorted
+#
+# ``iter_events`` opens segments in order of their summaries' ``t0`` and
+# yields an event once it is strictly older than every source not yet
+# opened.  Each store below breaks one way of getting that wrong; all
+# are held against the line-by-line reference above, for every limit.
+#
+# Mutations tried against this section (each caught): watermark ``<=``
+# instead of ``<`` (boundary-ties), segments in file order instead of
+# ``t0`` order (out-of-order-blocks), the buffer opened last whatever
+# its oldest record (stale-tail), tie runs left in arrival order (all
+# five), and the scan taken when the iterator is first advanced rather
+# than when it is made (``test_scan_is_a_snapshot...``).
+
+
+def fill(directory, history, segment_events, compress=True):
+    store = ForensicStore(
+        StoreConfig(
+            directory=str(directory),
+            segment_events=segment_events,
+            compress=compress,
+        )
+    )
+    for record in history:
+        store._append(record)
+    return store
+
+
+def spans(store):
+    return [(s.summary["t0"], s.summary["t1"]) for s in store._segments]
+
+
+def boundary_ties(directory):
+    """Each segment's last events sit exactly on the next one's ``t0``,
+    and the later segment's lines sort first: ``a:1`` before ``c:1``,
+    then burst members (``{"c":...``) before log entries (``{"k":...``)."""
+    log = fmt.tuple_log_record
+    history = [
+        log("c:1", 0, 0.0, "hop", "x"), log("c:1", 1, 0.5, "hop", "x"),
+        log("c:1", 2, 1.0, "hop", "x"), log("b:1", 3, 1.0, "hop", "x"),
+        log("a:1", 4, 1.0, "hop", "x"), log("a:1", 5, 1.0, "alarm", "x"),
+        log("b:1", 6, 1.5, "hop", "x"), log("b:1", 7, 2.0, "hop", "x"),
+    ] + [
+        fmt.rule_exec_record("a:1", "r1", i, 10 + i, 2.0, when, True)
+        for i, when in enumerate([2.0, 2.0, 2.5, 3.0])
+    ]
+    store = fill(directory, history, segment_events=4)
+    store.close()
+    assert spans(store) == [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
+    assert store.bursts_written == 1
+    return store
+
+
+def tick_capture(directory):
+    """A live batch-kernel capture: segments are cut at tick barriers,
+    and a burst opens at its first member's *input* time, so a segment
+    starts before the one written ahead of it ends."""
+    system = System(
+        seed=3,
+        store=StoreConfig(directory=str(directory), segment_events=48),
+        execution=ExecutionConfig(tick=0.05),
+    )
+    a = system.add_node("a:1", tracing=True, logging=True)
+    b = system.add_node("b:1", tracing=True, logging=True)
+    a.install_source(
+        'r0 start@N("b:1", E) :- periodic@N(E, 0.02).\n'
+        "r1 hop@Dst(X) :- start@N(Dst, X)."
+    )
+    b.install_source("r2 alarm@N(X) :- hop@N(X).")
+    system.run_for(1.0)
+    store = system.store
+    assert store.tick_mode and store._buffer and store.bursts_written
+    ranges = spans(store)
+    assert any(
+        later[0] < earlier[1] for earlier, later in zip(ranges, ranges[1:])
+    ), "no two segment ranges overlap"
+    return store
+
+
+def out_of_order_blocks(directory):
+    """Segment-sized stretches of one history appended in shuffled
+    order: file order is not time order, a late segment holds the
+    oldest events."""
+    rng = random.Random(5)
+    history = synthetic_history(rng, 230)[:224]
+    blocks = [history[i : i + 32] for i in range(0, 224, 32)]
+    rng.shuffle(blocks)
+    store = fill(directory, [r for block in blocks for r in block], 32)
+    starts = [t0 for t0, _ in spans(store)]
+    assert len(starts) == 7 and store.bursts_written
+    assert starts[0] > min(starts) and starts != sorted(starts)
+    # Going by file order would pass a segment's start before opening it.
+    assert any(max(starts[:i]) > starts[i] for i in range(2, 7))
+    return store
+
+
+def shuffled(directory):
+    """One history appended in random order (uncompressed: a burst of
+    records out of clock order would open after its own members)."""
+    rng = random.Random(6)
+    history = synthetic_history(rng, 200)
+    rng.shuffle(history)
+    store = fill(directory, history, 32, compress=False)
+    assert len({t0 for t0, _ in spans(store)}) > 1
+    return store
+
+
+def stale_tail(directory):
+    """A live store whose buffered records are older than segments
+    already written."""
+    rng = random.Random(7)
+    store = fill(directory, synthetic_history(rng, 200), 32)
+    room = 31 - len(store._buffer)
+    for record in synthetic_history(rng, room)[:room]:  # spans 0..20 again
+        store._append(record)
+    last_t0, last_t1 = spans(store)[-1]
+    oldest = min(r["t"] for r in store._buffer)
+    assert store._buffer and oldest < last_t0 < last_t1
+    assert oldest < spans(store)[1][0], "the tail belongs before segment 2"
+    return store
+
+
+SCANNED = {
+    "boundary-ties": boundary_ties,
+    "tick-capture": tick_capture,
+    "out-of-order-blocks": out_of_order_blocks,
+    "shuffled": shuffled,
+    "stale-tail": stale_tail,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SCANNED))
+def scanned(request, tmp_path_factory):
+    return SCANNED[request.param](tmp_path_factory.mktemp("scan") / "s")
+
+
+scan_filters = st.fixed_dictionaries(
+    {
+        "t0": instants,
+        "t1": instants,
+        "node": st.none() | st.sampled_from(NODES),
+        "relation": st.none() | st.sampled_from(RELATIONS + ["start"]),
+        "kind": st.none()
+        | st.sampled_from(
+            [fmt.RULE_EXEC, fmt.TUPLE_IDENT, fmt.TUPLE_LOG, fmt.RULE_BURST]
+        ),
+        "expand_bursts": st.booleans(),
+    }
+)
+
+
+def encoded(records):
+    return [fmt.encode(r) for r in records]
+
+
+def check_every_limit(store, **query):
+    expected = encoded(reference_events(store, limit=None, **query))
+    assert encoded(store.iter_events(**query)) == expected
+    for n in range(len(expected) + 2):
+        assert encoded(store.events(limit=n, **query)) == expected[:n], n
+    return expected
+
+
+def test_unfiltered_scan_equals_the_reference_at_every_limit(scanned):
+    no_filter = dict.fromkeys(("t0", "t1", "node", "relation", "kind"))
+    for expand_bursts in (True, False):
+        expected = check_every_limit(
+            scanned, expand_bursts=expand_bursts, **no_filter
+        )
+        assert len(expected) >= 9
+    times = [r["t"] for r in scanned.events()]
+    assert len(set(times)) < len(times), "no timestamp ties to break"
+
+
+@settings(max_examples=15, deadline=None)
+@given(scan_filters)
+def test_filtered_scan_equals_the_reference_at_every_limit(scanned, query):
+    check_every_limit(scanned, **query)
+
+
+def test_scan_is_a_snapshot_of_the_store_at_the_call(tmp_path):
+    store = stale_tail(tmp_path / "s")
+    expected = encoded(
+        reference_events(store, None, None, None, None, None, None, True)
+    )
+    segments = store.segments_written
+    scan = store.iter_events()
+    # Nothing has been read yet; what follows must not be seen.
+    for record in synthetic_history(random.Random(8), 80):
+        store._append(record)
+    assert store.segments_written > segments and store._buffer
+    head = encoded(next(scan) for _ in range(50))
+    for record in synthetic_history(random.Random(9), 40):
+        store._append(record)
+    store.close()
+    assert head + encoded(scan) == expected
+    assert len(store.events()) > len(expected)

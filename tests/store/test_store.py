@@ -201,6 +201,33 @@ def test_written_files_match_digests_pinned_at_the_parent(tmp_path):
     assert digests == PINNED_DIGESTS
 
 
+def test_manifest_is_written_once_per_cut_and_once_by_an_idle_close(
+    tmp_path, monkeypatch
+):
+    store = ForensicStore(
+        StoreConfig(directory=str(tmp_path / "s"), segment_events=12)
+    )
+    writes = []
+    real = ForensicStore._write_manifest
+    monkeypatch.setattr(
+        ForensicStore,
+        "_write_manifest",
+        lambda self: writes.append(self.segments_written) or real(self),
+    )
+    for record in pinned_records():  # one full segment, four left over
+        store._append(record)
+    assert writes == [1]
+    store.close()
+    assert writes == [1, 2], "close() rewrote what its last cut just wrote"
+    assert ForensicStore.open(str(tmp_path / "s")).events() == store.events()
+
+    idle = ForensicStore(StoreConfig(directory=str(tmp_path / "idle")))
+    idle.ring_rotated("n1:1", "ruleExec")
+    idle.close()
+    assert writes == [1, 2, 0]
+    assert ForensicStore.open(str(tmp_path / "idle")).ring_rotations
+
+
 def test_tick_mode_flushes_at_tick_barriers(tmp_path):
     system, got = chain_system(
         tmp_path,
