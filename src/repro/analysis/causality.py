@@ -1,19 +1,19 @@
 """Causal-chain reconstruction from the trace tables.
 
-``trace_back`` walks the event-causality spine of a tuple: for the
-current tuple, find the ``ruleExec`` row (IsEvent = true) whose effect
-it is, step to the cause tuple, and — when the cause arrived over the
-network — hop to the sending node via ``tupleTable``'s (SrcAddr,
-SrcTID).  The result is the chain of rule executions, newest first,
-exactly what the paper's ep rules accumulate on-line.
+``trace_back`` is the event spine of a tuple's backward slice
+(:func:`repro.store.slicing.spine` — the one walker over ``ruleExec``
+and ``tupleTable``), projected into :class:`CausalLink` objects: the
+chain of rule executions, newest first, hopping to the sending node
+where a cause arrived over the network — exactly what the paper's ep
+rules accumulate on-line.
 
 The in-memory trace tables are bounded rings, so a long-lived system
 eventually rotates the very rows an investigation needs.  Passing a
-:class:`~repro.store.store.ForensicStore` as ``store`` makes every
-lookup fall back to the durable segments when memory comes up empty —
-producer rows, cross-node source hops, preconditions, and memoized
-tuple contents alike — so a walk that starts on a live node can finish
-in last week's history.
+:class:`~repro.store.store.ForensicStore` as ``store`` layers it under
+memory: edges are the union of both, and identities, cross-node source
+hops and tuple contents memory no longer holds come from the durable
+segments — so a walk that starts on a live node can finish in last
+week's history.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import Dict, List, Optional
 
 from repro.runtime.node import P2Node
 from repro.runtime.tuples import Tuple
+from repro.store.slicing import Layered, MemoryProvider, StoreProvider, spine
 
 
 @dataclass
@@ -66,125 +67,45 @@ def trace_back(
     """Walk the causal spine of ``tup`` backwards across nodes.
 
     ``nodes`` maps address -> node (all must have tracing enabled).
-    Returns links newest-first; an empty list means the tuple has no
-    recorded producer on ``start_node`` (e.g. it was injected).
+    Returns links newest-first; an empty list means nobody knows the
+    tuple or it has no recorded producer on ``start_node`` (e.g. it
+    was injected).
 
     With ``store``, any link memory no longer holds — its ring rotated,
     its memo was flushed, the node crashed — is read from the durable
     store instead; the walk can even hop through addresses that no
     longer exist in ``nodes``.
     """
-    chain: List[CausalLink] = []
-    address = start_node
-    node = nodes.get(address)
-    current_id = None
-    if node is not None and node.registry is not None:
-        current_id = node.registry.peek(tup)
-    if current_id is None and store is not None:
-        # The node is gone or its registry rotated the tuple away;
-        # resolve the identity from the durable records instead.
-        from repro.store import format as fmt
-
-        current_id = store.tid_of(address, fmt.tuple_payload(tup))
-    if current_id is None:
-        # Nobody knows this tuple — not the live registry, not the
-        # store.  Minting a fresh id here would pollute the registry
-        # with a historyless entry, so just report an empty chain.
-        return chain
-    crossed = False
-
-    for _ in range(max_depth):
-        values = _producer_values(node, store, address, current_id)
-        if values is None:
-            # Maybe the tuple arrived over the network: hop to its source.
-            source = None
-            if node is not None and node.registry is not None:
-                source = node.registry.source_of(current_id)
-            if source is None and store is not None:
-                source = store.source_of(address, current_id)
-            if source is None:
-                break
-            src_addr, src_tid = source
-            if src_addr == address and src_tid == current_id:
-                break
-            next_node = nodes.get(src_addr)
-            if (next_node is None or next_node.registry is None) and (
-                store is None
-            ):
-                break
-            node = next_node
-            address = src_addr
-            current_id = src_tid
-            crossed = True
-            continue
-        _, rule, cause_id, effect_id, in_t, out_t, _ = values
-        chain.append(
-            CausalLink(
-                node=address,
-                rule=rule,
-                cause_id=cause_id,
-                effect_id=effect_id,
-                in_time=in_t,
-                out_time=out_t,
-                cause=_contents(node, store, address, cause_id),
-                effect=_contents(node, store, address, effect_id),
-                crossed_network=crossed,
-                preconditions=_preconditions_of(
-                    node, store, address, rule, effect_id
-                ),
-            )
-        )
-        crossed = False
-        current_id = cause_id
-    return chain
-
-
-def _contents(
-    node: Optional[P2Node], store, address: str, tid: int
-) -> Optional[Tuple]:
-    """Memoized tuple contents, falling back to the store's payload."""
-    if node is not None and node.registry is not None:
-        tup = node.registry.lookup(tid)
-        if tup is not None:
-            return tup
+    provider = MemoryProvider(nodes)
     if store is not None:
-        from repro.store import format as fmt
-
-        return fmt.payload_tuple(store.contents_of(address, tid))
-    return None
-
-
-def _preconditions_of(
-    node: Optional[P2Node], store, address: str, rule: str, effect_id: int
-):
-    """Precondition rows (IsEvent=false) of one rule execution."""
-    out: List[Precondition] = []
-    seen = set()
-    if node is not None and node.store.has("ruleExec"):
-        for row in node.store.get("ruleExec").scan():
-            _, r, cause_id, eid, in_t, _, is_event = row.values
-            if r == rule and eid == effect_id and is_event is False:
-                seen.add(cause_id)
-                out.append(
-                    Precondition(
-                        tuple_id=cause_id,
-                        contents=_contents(node, store, address, cause_id),
-                        fetched_at=in_t,
-                    )
-                )
-    if store is not None:
-        for edge in store.edges_to(address, effect_id):
-            if edge["ev"] or edge["r"] != rule or edge["c"] in seen:
-                continue
-            seen.add(edge["c"])
-            out.append(
+        provider = Layered(provider, StoreProvider(store))
+    tid = provider.tid_of(start_node, tup)
+    if tid is None:
+        return []
+    return [
+        CausalLink(
+            node=event["n"],
+            rule=event["r"],
+            cause_id=event["c"],
+            effect_id=event["e"],
+            in_time=event["ti"],
+            out_time=event["to"],
+            cause=provider.contents_of(event["n"], event["c"]),
+            effect=provider.contents_of(event["n"], event["e"]),
+            crossed_network=crossed,
+            preconditions=[
                 Precondition(
                     tuple_id=edge["c"],
-                    contents=_contents(node, store, address, edge["c"]),
+                    contents=provider.contents_of(edge["n"], edge["c"]),
                     fetched_at=edge["ti"],
                 )
-            )
-    return out
+                for edge in preconditions
+            ],
+        )
+        for event, preconditions, crossed in spine(
+            provider, start_node, tid, max_depth
+        )
+    ]
 
 
 def dependencies(chain: List[CausalLink], name: str) -> List[Tuple]:
@@ -201,47 +122,3 @@ def dependencies(chain: List[CausalLink], name: str) -> List[Tuple]:
             if contents is not None and contents.name == name:
                 out.append(contents)
     return out
-
-
-def _producer_values(
-    node: Optional[P2Node], store, address: str, effect_id: int
-):
-    """The IsEvent=true producer row values for ``effect_id``.
-
-    Memory first (the live ring); then the store, where the *latest*
-    recorded event edge wins — matching the ring's replace-on-repeat
-    semantics so memory-backed and store-backed walks agree while both
-    still hold the row.
-    """
-    if node is not None and node.store.has("ruleExec"):
-        for row in node.store.get("ruleExec").scan():
-            if row.values[3] == effect_id and row.values[6] is True:
-                return row.values
-    if store is not None:
-        best = None
-        for edge in store.edges_to(address, effect_id):
-            if not edge["ev"]:
-                continue
-            if best is None or edge["to"] >= best["to"]:
-                best = edge
-        if best is not None:
-            return (
-                address,
-                best["r"],
-                best["c"],
-                best["e"],
-                best["ti"],
-                best["to"],
-                True,
-            )
-    return None
-
-
-def _producer_row(node: P2Node, effect_id: int):
-    """The IsEvent=true ruleExec row whose effect is ``effect_id``."""
-    if not node.store.has("ruleExec"):
-        return None
-    for row in node.store.get("ruleExec").scan():
-        if row.values[3] == effect_id and row.values[6] is True:
-            return row
-    return None

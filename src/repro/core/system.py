@@ -9,7 +9,6 @@ from repro.errors import ReproError
 from repro.net.address import Address
 from repro.net.network import Network, ReliableConfig
 from repro.net.topology import ConstantLatency, LatencyModel
-from repro.obs.hooks import ObsTraceHooks
 from repro.obs.telemetry import Telemetry, wire_system_metrics
 from repro.obs.export import (
     write_chrome_trace,
@@ -20,7 +19,6 @@ from repro.overload.controller import OverloadConfig
 from repro.overlog.program import Program
 from repro.overlog.types import DEFAULT_ID_BITS
 from repro.runtime.node import P2Node
-from repro.runtime.strand import CompositeTraceHooks
 from repro.sim.batch import BatchKernel, ExecutionConfig
 from repro.sim.simulator import Simulator
 from repro.introspect import EventLogger, Reflector, Tracer, enable_tracing
@@ -51,8 +49,6 @@ class System:
         reorder_rate: float = 0.0,
         duplicate_rate: float = 0.0,
         observability: bool = False,
-        obs_capacity: int = 65536,
-        obs_sample_rate: float = 1.0,
         overload: Optional[OverloadConfig] = None,
         execution: Optional[ExecutionConfig] = None,
         store: Optional[StoreConfig] = None,
@@ -75,13 +71,6 @@ class System:
         self.telemetry = Telemetry(
             clock=lambda: self.sim.now,
             enabled=observability,
-            capacity=obs_capacity,
-            sample_rate=obs_sample_rate,
-            rng=(
-                self.sim.random.stream("obs.sampling")
-                if obs_sample_rate < 1.0
-                else None
-            ),
         )
         self.network = Network(
             self.sim,
@@ -218,11 +207,6 @@ class System:
             self._watch_rings(address, node)
         if self.telemetry.enabled:
             node.obs = self.telemetry
-            obs_hooks = ObsTraceHooks(self.telemetry, str(address))
-            if node.hooks is not None:
-                node.hooks = CompositeTraceHooks([node.hooks, obs_hooks])
-            else:
-                node.hooks = obs_hooks
         return node
 
     def _watch_rings(self, address: Address, node: P2Node) -> None:

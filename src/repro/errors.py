@@ -109,3 +109,14 @@ class StoreCorruptionError(ReproError):
         self.path = path
         self.row = row
         self.offset = offset
+
+
+class DurableImageError(ReproError):
+    """Raised when a saved node image (``node_*.json``) cannot be read
+    back: truncated text, or JSON that is not an image.  Names the file
+    when it came from one."""
+
+    def __init__(self, reason: str, path: Optional[str] = None):
+        super().__init__(f"bad durable image ({path or 'text'}): {reason}")
+        self.reason = reason
+        self.path = path

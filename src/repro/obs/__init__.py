@@ -15,9 +15,7 @@ applies it to the reproduction itself):
 - :mod:`repro.obs.export` — Chrome trace-event JSON (loads in
   Perfetto), structured JSONL, and Prometheus text exporters;
 - :mod:`repro.obs.summarize` — the offline analyzer behind
-  ``python -m repro.obs summarize <artifact>``;
-- :mod:`repro.obs.hooks` — strand-level taps riding the tracer's
-  :class:`~repro.runtime.strand.TraceHooks` seam.
+  ``python -m repro.obs summarize <artifact>``.
 
 Enable it per system with ``System(observability=True)``; export with
 ``system.export_telemetry(directory)``.  When disabled (the default),
@@ -34,7 +32,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.recorder import FlightRecorder
 from repro.obs.telemetry import NULL_SPAN, Span, Telemetry, wire_system_metrics
-from repro.obs.hooks import ObsTraceHooks
 from repro.obs.export import (
     chrome_trace,
     jsonl_lines,
@@ -55,7 +52,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "HistogramData",
-    "ObsTraceHooks",
     "wire_system_metrics",
     "chrome_trace",
     "write_chrome_trace",

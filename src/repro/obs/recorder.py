@@ -6,17 +6,12 @@ everything exported from them — are byte-for-byte identical across
 runs.  The ring is bounded: when full, the oldest records fall off and
 ``dropped`` counts them, so a long run keeps the *recent* window an
 operator actually wants after an incident.
-
-Optional sampling (``sample_rate < 1``) draws its keep/skip decisions
-from a caller-supplied RNG — in a :class:`repro.core.system.System`
-that is a named :class:`repro.sim.rand.SimRandom` stream, so sampling
-is seeded-deterministic too and does not perturb any other stream.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import ReproError
 
@@ -26,34 +21,16 @@ DEFAULT_CAPACITY = 65536
 class FlightRecorder:
     """Bounded ring buffer of span/event records."""
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_CAPACITY,
-        sample_rate: float = 1.0,
-        rng: Optional[object] = None,
-    ) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity <= 0:
             raise ReproError(f"recorder capacity must be positive: {capacity}")
-        if not 0.0 < sample_rate <= 1.0:
-            raise ReproError(
-                f"sample rate must be in (0, 1]: {sample_rate}"
-            )
-        if sample_rate < 1.0 and rng is None:
-            raise ReproError("sampling requires a seeded rng")
         self.capacity = capacity
-        self.sample_rate = sample_rate
-        self._rng = rng
         self._buffer: deque = deque(maxlen=capacity)
         #: Records accepted into the ring (including since-evicted ones).
         self.recorded = 0
-        #: Records skipped by the sampler (never entered the ring).
-        self.sampled_out = 0
 
     def record(self, record: Dict) -> None:
         """Append one record (possibly evicting the oldest)."""
-        if self.sample_rate < 1.0 and self._rng.random() >= self.sample_rate:
-            self.sampled_out += 1
-            return
         self.recorded += 1
         self._buffer.append(record)
 
@@ -69,7 +46,6 @@ class FlightRecorder:
     def clear(self) -> None:
         self._buffer.clear()
         self.recorded = 0
-        self.sampled_out = 0
 
     def __len__(self) -> int:
         return len(self._buffer)

@@ -116,14 +116,10 @@ class Telemetry:
         clock: Clock,
         enabled: bool = False,
         capacity: int = DEFAULT_CAPACITY,
-        sample_rate: float = 1.0,
-        rng: Optional[object] = None,
     ) -> None:
         self.clock = clock
         self.enabled = enabled
-        self.recorder = FlightRecorder(
-            capacity=capacity, sample_rate=sample_rate, rng=rng
-        )
+        self.recorder = FlightRecorder(capacity=capacity)
         self.metrics = MetricsRegistry()
         self._stack: List[Span] = []
         self._next_span_id = 1
@@ -323,6 +319,29 @@ def wire_system_metrics(telemetry: Telemetry, system) -> None:
         help="rule-strand firings per node",
         labelnames=("node",),
     )
+
+    def _per_rule(count: str):
+        totals: Dict[tuple, int] = {}
+        for address, node in system.nodes.items():
+            for strand in node.strands:
+                n = getattr(strand, count)
+                if n:
+                    key = (str(address), strand.rule_id)
+                    totals[key] = totals.get(key, 0) + n
+        return totals
+
+    reg.register_callback(
+        "strand_inputs_total",
+        lambda: _per_rule("firings"),
+        help="trigger tuples matched by rule strands",
+        labelnames=("node", "rule"),
+    )
+    reg.register_callback(
+        "strand_outputs_total",
+        lambda: _per_rule("outputs"),
+        help="head actions (emits and deletes) produced by rule strands",
+        labelnames=("node", "rule"),
+    )
     reg.register_callback(
         "net_channel_pending",
         lambda: {
@@ -441,7 +460,6 @@ def wire_system_metrics(telemetry: Telemetry, system) -> None:
         lambda: {
             ("recorded",): telemetry.recorder.recorded,
             ("dropped",): telemetry.recorder.dropped,
-            ("sampled_out",): telemetry.recorder.sampled_out,
         },
         help="flight-recorder accounting",
         labelnames=("counter",),

@@ -31,7 +31,7 @@ import json
 import os
 from typing import Any, Dict, List, Optional
 
-from repro.errors import ReproError
+from repro.errors import DurableImageError, ReproError
 from repro.net.address import Address
 from repro.net.marshal import decode_value, encode_value
 from repro.overlog.types import INFINITY
@@ -118,11 +118,23 @@ class NodeImage:
 
     @classmethod
     def from_json(cls, text: str) -> "NodeImage":
-        payload = json.loads(text)
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as error:
+            raise DurableImageError(f"not JSON: {error}") from None
+        if not isinstance(payload, dict) or "address" not in payload:
+            raise DurableImageError("not an object with an 'address'")
         image = cls(payload["address"])
         image.checkpoint = payload.get("checkpoint")
-        image.wal = list(payload.get("wal", ()))
+        image.wal = payload.get("wal", [])
         image.crashed_at = payload.get("crashed_at")
+        if not isinstance(image.wal, list):
+            raise DurableImageError("'wal' is not a list")
+        if image.checkpoint is not None and (
+            not isinstance(image.checkpoint, dict)
+            or "time" not in image.checkpoint
+        ):
+            raise DurableImageError("'checkpoint' is not an object with a 'time'")
         if image.checkpoint is not None:
             image.checkpoints_taken = 1
             image.checkpoint_time = image.checkpoint["time"]
@@ -196,8 +208,13 @@ class DurableMedium:
         for name in sorted(os.listdir(directory)):
             if not (name.startswith("node_") and name.endswith(".json")):
                 continue
-            with open(os.path.join(directory, name)) as handle:
-                image = NodeImage.from_json(handle.read())
+            path = os.path.join(directory, name)
+            with open(path) as handle:
+                text = handle.read()
+            try:
+                image = NodeImage.from_json(text)
+            except DurableImageError as error:
+                raise DurableImageError(error.reason, path) from None
             medium._images[image.address] = image
         return medium
 

@@ -60,6 +60,8 @@ from repro.sim.simulator import Simulator
 #: Watch-ring capacity when neither the caller nor an overload config
 #: specifies one (P2's default watchpoint buffer).
 DEFAULT_WATCH_CAPACITY = 1000
+#: Seconds between a node's soft-state expiry sweeps.
+SWEEP_INTERVAL = 1.0
 
 
 class P2Node:
@@ -71,7 +73,6 @@ class P2Node:
         sim: Simulator,
         network: Network,
         id_bits: int = DEFAULT_ID_BITS,
-        sweep_interval: float = 1.0,
         overload: Optional[OverloadConfig] = None,
     ) -> None:
         self.address = address
@@ -159,9 +160,9 @@ class P2Node:
             network.set_admission(address, self._admit_frame)
         self._timers.append(
             sim.every(
-                sweep_interval,
+                SWEEP_INTERVAL,
                 self._sweep,
-                start_delay=sweep_interval,
+                start_delay=SWEEP_INTERVAL,
                 group=self.label,
             )
         )

@@ -26,12 +26,10 @@ column falls back to a full scan.  The module-level default can be
 switched off (``scan_joins()``) so tests can differentially compare
 both evaluation paths; per-planner overrides take precedence.
 
-``reorder_joins=True`` additionally lets the planner pick, at each
-step, the pending join with the most bound columns instead of keeping
-source order.  It is off by default: reordering changes how often
-interleaved assignments run (an ``X := f_rand()`` placed between two
-joins is evaluated once per outer derivation, wherever the author put
-it) and renumbers the tracer's pipeline stages.
+Joins keep source order: reordering would change how often interleaved
+assignments run (an ``X := f_rand()`` placed between two joins is
+evaluated once per outer derivation, wherever the author put it) and
+renumber the tracer's pipeline stages.
 """
 
 from __future__ import annotations
@@ -101,13 +99,11 @@ class Planner:
         store: TableStore,
         node_label: str = "node",
         use_indexes: Optional[bool] = None,
-        reorder_joins: bool = False,
     ) -> None:
         self._store = store
         self._node_label = node_label
         self._counter = 0
         self._use_indexes = use_indexes
-        self._reorder_joins = reorder_joins
 
     def _indexes_enabled(self) -> bool:
         if self._use_indexes is not None:
@@ -208,14 +204,6 @@ class Planner:
                     if isinstance(term, ast.Functor):
                         chosen = term
                         break
-                if (
-                    self._reorder_joins
-                    and isinstance(chosen, ast.Functor)
-                ):
-                    chosen = max(
-                        (t for t in pending if isinstance(t, ast.Functor)),
-                        key=lambda t: len(self._bound_positions(t, bound)),
-                    )
             if chosen is None:
                 unready = ", ".join(str(t) for t in pending)
                 raise PlannerError(

@@ -84,36 +84,6 @@ class TraceHooks:
         pass
 
 
-class CompositeTraceHooks(TraceHooks):
-    """Fan one hook stream out to several consumers.
-
-    The tracer and the telemetry plane (:mod:`repro.obs.hooks`) both
-    ride the same strand seam; when a node has more than one consumer
-    its ``hooks`` attribute is one of these.
-    """
-
-    def __init__(self, hooks: List[TraceHooks]) -> None:
-        self.hooks = list(hooks)
-
-    def input_observed(self, strand: "RuleStrand", tup: Tuple, when: float) -> None:
-        for hook in self.hooks:
-            hook.input_observed(strand, tup, when)
-
-    def precondition_observed(
-        self, strand: "RuleStrand", stage: int, tup: Tuple, when: float
-    ) -> None:
-        for hook in self.hooks:
-            hook.precondition_observed(strand, stage, tup, when)
-
-    def output_observed(self, strand: "RuleStrand", tup: Tuple, when: float) -> None:
-        for hook in self.hooks:
-            hook.output_observed(strand, tup, when)
-
-    def stage_completed(self, strand: "RuleStrand", stage: int) -> None:
-        for hook in self.hooks:
-            hook.stage_completed(strand, stage)
-
-
 class RuleStrand:
     """One compiled (rule, trigger) pair, executable against a node."""
 

@@ -4,14 +4,16 @@ The public surface:
 
 - :class:`StoreConfig` / :class:`ForensicStore` — capture, segments,
   queries, provenance;
-- :func:`backward_slice` with :class:`MemoryProvider` /
-  :class:`StoreProvider` — alarm -> minimal supporting input set;
+- :func:`backward_slice` over :class:`MemoryProvider`,
+  :class:`StoreProvider` or the two :class:`Layered` — alarm -> minimal
+  supporting input set;
 - ``python -m repro.store`` — offline query / slice / info CLI.
 """
 
 from repro.store.compress import BurstCompressor, expand, expand_all
 from repro.store.format import tuple_payload
 from repro.store.slicing import (
+    Layered,
     MemoryProvider,
     Slice,
     StoreProvider,
@@ -22,6 +24,7 @@ from repro.store.store import ForensicStore, StoreConfig
 __all__ = [
     "BurstCompressor",
     "ForensicStore",
+    "Layered",
     "MemoryProvider",
     "Slice",
     "StoreConfig",

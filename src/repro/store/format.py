@@ -36,6 +36,7 @@ content matching.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.runtime.tuples import Tuple
@@ -74,19 +75,37 @@ def payload_matches(payload: Dict[str, Any], tup: Tuple) -> bool:
     return payload == tuple_payload(tup)
 
 
-def payload_tuple(payload: Optional[Dict[str, Any]]) -> Optional[Tuple]:
-    """Rebuild a :class:`Tuple` from a payload (best effort).
+@dataclass(frozen=True)
+class Degraded:
+    """Stand-in for a field stored as ``{"!r": text}``: hashable, and
+    it prints — and re-encodes — as the stored text."""
 
-    Fields that were degraded to ``{"!r": ...}`` stay as those dicts —
-    good enough for display; content matching should go through
+    text: str
+
+    def __repr__(self) -> str:
+        return self.text
+
+
+def _thaw(value: Any) -> Any:
+    if isinstance(value, list):
+        return tuple(_thaw(v) for v in value)
+    if isinstance(value, dict):
+        return Degraded(value["!r"])
+    return value
+
+
+def payload_tuple(payload: Optional[Dict[str, Any]]) -> Optional[Tuple]:
+    """Rebuild a :class:`Tuple` from a payload.
+
+    Never raises on a payload :func:`tuple_payload` produced, and
+    ``tuple_payload(payload_tuple(p)) == p``: lists come back as tuples
+    and degraded fields as :class:`Degraded` stand-ins, at any depth.
+    The stand-ins only display; content matching should go through
     :func:`payload_matches` instead.
     """
     if payload is None:
         return None
-    values = tuple(
-        tuple(v) if isinstance(v, list) else v for v in payload["v"]
-    )
-    return Tuple(payload["rel"], values)
+    return Tuple(payload["rel"], _thaw(payload["v"]))
 
 
 #: One encoder for every record: ``json.dumps`` with non-default

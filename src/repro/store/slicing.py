@@ -1,20 +1,30 @@
-"""Backward slicing over the persisted causality graph.
+"""The one backward walker over the causality graph.
 
-A *backward slice* of an alarm tuple is the minimal supporting set of
-rule executions, cross-node hops, and leaf input tuples that explain
-it — HOLMES/CamQuery-style, generalizing
-:func:`repro.analysis.causality.trace_back` (which follows only the
-event spine) to the full dependency graph including every
-precondition edge.
+``ruleExec`` and ``tupleTable`` *are* the causality graph (§3.2, §3.4);
+this module is the only code that reads them backwards.  One traversal,
+two entry points:
 
-One algorithm, two graph providers:
+- :func:`backward_slice` chases every edge: the minimal supporting set
+  of rule executions, cross-node hops and leaf input tuples that
+  explain an alarm (HOLMES/CamQuery-style);
+- :func:`spine` chases only the event edge of each firing and lists
+  that firing's precondition edges without their ancestry — what
+  :func:`repro.analysis.causality.trace_back` projects into
+  ``CausalLink`` objects, and what the paper's ``ep`` rules accumulate
+  on-line.
 
-- :class:`MemoryProvider` reads the live in-memory introspection rings
+The graph comes from a *provider*: ``edges_to(node, tid)`` (``re``
+records whose effect is the tuple), ``source_of(node, tid)`` (the
+recorded ``(SrcAddr, SrcTID)``), ``contents_of(node, tid)`` (the
+:class:`~repro.runtime.tuples.Tuple`) and ``tid_of(node, tup)``.
+
+- :class:`MemoryProvider` reads the live introspection rings
   (``ruleExec`` tables + tuple registries) of a running system;
 - :class:`StoreProvider` reads a :class:`~repro.store.store.ForensicStore`
-  (segments on disk), which keeps answering after the rings rotate.
+  (segments on disk), which keeps answering after the rings rotate;
+- :class:`Layered` asks several in turn — memory, then the store.
 
-Both see the *same* node-local tuple ids (the store records registry
+All see the *same* node-local tuple ids (the store records registry
 ids), and :meth:`Slice.to_json` is canonical (sorted, compact), so a
 memory slice and a store slice of the same alarm are byte-identical
 while history is still in the rings — the property the differential
@@ -27,6 +37,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple as PyTuple
 
+from repro.runtime.tuples import Tuple
 from repro.store import format as fmt
 
 DEFAULT_MAX_NODES = 100000
@@ -37,6 +48,10 @@ class MemoryProvider:
 
     def __init__(self, nodes: Dict[str, Any]) -> None:
         self._nodes = nodes
+
+    def _registry(self, node: str):
+        live = self._nodes.get(node)
+        return None if live is None else live.registry
 
     def edges_to(self, node: str, tid: int) -> List[Dict[str, Any]]:
         live = self._nodes.get(node)
@@ -54,23 +69,23 @@ class MemoryProvider:
         return out
 
     def source_of(self, node: str, tid: int) -> Optional[PyTuple]:
-        live = self._nodes.get(node)
-        if live is None or live.registry is None:
-            return None
-        return live.registry.source_of(tid)
+        registry = self._registry(node)
+        return None if registry is None else registry.source_of(tid)
 
-    def contents_of(self, node: str, tid: int) -> Optional[Dict[str, Any]]:
-        live = self._nodes.get(node)
-        if live is None or live.registry is None:
-            return None
-        tup = live.registry.lookup(tid)
-        if tup is None:
-            return None
-        return fmt.tuple_payload(tup)
+    def contents_of(self, node: str, tid: int) -> Optional[Tuple]:
+        registry = self._registry(node)
+        return None if registry is None else registry.lookup(tid)
+
+    def tid_of(self, node: str, tup: Tuple) -> Optional[int]:
+        # ``peek``, not ``id_of``: minting an id for a tuple nobody
+        # knows would leave a historyless entry in the registry.
+        registry = self._registry(node)
+        return None if registry is None else registry.peek(tup)
 
 
 class StoreProvider:
-    """Graph provider over a (possibly closed) forensic store."""
+    """Graph provider over a (possibly closed) forensic store, whose
+    payloads it turns back into tuples."""
 
     def __init__(self, store) -> None:
         self._store = store
@@ -81,8 +96,39 @@ class StoreProvider:
     def source_of(self, node: str, tid: int) -> Optional[PyTuple]:
         return self._store.source_of(node, tid)
 
-    def contents_of(self, node: str, tid: int) -> Optional[Dict[str, Any]]:
-        return self._store.contents_of(node, tid)
+    def contents_of(self, node: str, tid: int) -> Optional[Tuple]:
+        return fmt.payload_tuple(self._store.contents_of(node, tid))
+
+    def tid_of(self, node: str, tup: Tuple) -> Optional[int]:
+        return self._store.tid_of(node, fmt.tuple_payload(tup))
+
+
+class Layered:
+    """Several providers as one: edges are the union of every layer's
+    (the walker keeps the newest per identity), every other question
+    goes to the first layer with an answer."""
+
+    def __init__(self, *layers) -> None:
+        self._layers = layers
+
+    def edges_to(self, node: str, tid: int) -> List[Dict[str, Any]]:
+        return [e for p in self._layers for e in p.edges_to(node, tid)]
+
+    def _first(self, ask: str, *args):
+        for layer in self._layers:
+            answer = getattr(layer, ask)(*args)
+            if answer is not None:
+                return answer
+        return None
+
+    def source_of(self, node: str, tid: int) -> Optional[PyTuple]:
+        return self._first("source_of", node, tid)
+
+    def contents_of(self, node: str, tid: int) -> Optional[Tuple]:
+        return self._first("contents_of", node, tid)
+
+    def tid_of(self, node: str, tup: Tuple) -> Optional[int]:
+        return self._first("tid_of", node, tup)
 
 
 @dataclass
@@ -150,67 +196,98 @@ def _dedup_latest(edges: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     return list(best.values())
 
 
+def _walk(provider, node: str, tid: int, follow, limit: int):
+    """The traversal: breadth-first backwards from ``(node, tid)``.
+
+    At each tuple, ``follow`` picks which of the edges into it (newest
+    per identity) are chased to their causes; a tuple none is followed
+    from is chased across the network through its recorded (SrcAddr,
+    SrcTID) instead.  Returns ``(steps, truncated)``, one step
+    ``(node, tid, edges, followed, source)`` per tuple expanded, at
+    most ``limit`` of them.  A visited set makes the walk terminate on
+    cyclic REPLACED ping-pongs.
+    """
+    steps = []
+    queue = deque([(node, tid)])
+    visited = {(node, tid)}
+    while queue:
+        if len(steps) >= limit:
+            return steps, True
+        at = queue.popleft()
+        edges = _dedup_latest(provider.edges_to(*at))
+        followed = follow(edges)
+        upstream = [(at[0], edge["c"]) for edge in followed]
+        source = None if followed else provider.source_of(*at)
+        if source == at:
+            source = None
+        if source is not None:
+            upstream.append(source)
+        steps.append((*at, edges, followed, source))
+        for tup in upstream:
+            if tup not in visited:
+                visited.add(tup)
+                queue.append(tup)
+    return steps, False
+
+
 def backward_slice(
     provider,
     node: str,
     tid: int,
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> Slice:
-    """BFS backward from ``(node, tid)`` to the minimal supporting set.
+    """Every edge followed: the minimal supporting set of ``(node, tid)``.
 
-    Every rule-execution edge whose effect is a visited tuple is
-    followed to its cause; tuples with no local producer are chased
-    across the network via their recorded (SrcAddr, SrcTID); tuples
-    with neither are the slice's leaf inputs.  A visited set makes the
-    walk terminate on cyclic REPLACED ping-pongs.
+    Tuples with no local producer are chased across the network; tuples
+    with neither a producer nor a source are the slice's leaf inputs.
     """
-    result = Slice(node=node, tid=tid)
-    queue = deque([(node, tid)])
-    visited = {(node, tid)}
-    expanded = 0
-
-    while queue:
-        if expanded >= max_nodes:
-            result.truncated = True
-            break
-        expanded += 1
-        current_node, current_tid = queue.popleft()
-        edges = _dedup_latest(provider.edges_to(current_node, current_tid))
-        hopped = False
-        if not edges:
-            source = provider.source_of(current_node, current_tid)
-            if source is not None:
-                src, src_tid = source
-                if not (src == current_node and src_tid == current_tid):
-                    result.hops.append(
-                        {
-                            "n": current_node,
-                            "i": current_tid,
-                            "s": src,
-                            "si": src_tid,
-                        }
-                    )
-                    hopped = True
-                    if (src, src_tid) not in visited:
-                        visited.add((src, src_tid))
-                        queue.append((src, src_tid))
-        if not edges and not hopped:
-            result.inputs.append(
-                {
-                    "n": current_node,
-                    "i": current_tid,
-                    "rep": provider.contents_of(current_node, current_tid),
-                }
+    steps, truncated = _walk(provider, node, tid, list, max_nodes)
+    result = Slice(node=node, tid=tid, truncated=truncated)
+    for at_node, at_tid, edges, _, source in steps:
+        result.links.extend(edges)
+        if source is not None:
+            result.hops.append(
+                {"n": at_node, "i": at_tid, "s": source[0], "si": source[1]}
             )
-            continue
-        for edge in edges:
-            result.links.append(edge)
-            upstream = (current_node, edge["c"])
-            if upstream not in visited:
-                visited.add(upstream)
-                queue.append(upstream)
-
+        elif not edges:
+            contents = provider.contents_of(at_node, at_tid)
+            rep = None if contents is None else fmt.tuple_payload(contents)
+            result.inputs.append({"n": at_node, "i": at_tid, "rep": rep})
     result.links.sort(key=_link_sort_key)
     result.hops.sort(key=lambda h: (h["n"], h["i"]))
     result.inputs.sort(key=lambda r: (r["n"], r["i"]))
     return result
+
+
+def _event_edge(edges: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """The spine rule: of the event edges into a tuple, the latest."""
+    events = [edge for edge in edges if edge["ev"]]
+    if not events:
+        return []
+    return [max(events, key=lambda e: (e["to"], _link_sort_key(e)))]
+
+
+def spine(provider, node: str, tid: int, max_depth: int):
+    """Only the event edge followed: the causal chain of ``(node, tid)``.
+
+    Newest first, one ``(event edge, precondition edges of that firing,
+    crossed_network)`` per rule execution — the tracer stamps every row
+    of one firing with the same out-time; with no event edge into a
+    tuple the walk follows its recorded network hop, and the next link
+    found is marked ``crossed_network``.
+    """
+    steps, _ = _walk(provider, node, tid, _event_edge, max_depth)
+    chain = []
+    crossed = False
+    for _, _, edges, followed, source in steps:
+        for event in followed:
+            preconditions = [
+                edge
+                for edge in edges
+                if not edge["ev"]
+                and (edge["r"], edge["to"]) == (event["r"], event["to"])
+            ]
+            preconditions.sort(key=_link_sort_key)
+            chain.append((event, preconditions, crossed))
+        crossed = source is not None
+    return chain

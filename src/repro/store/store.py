@@ -39,7 +39,6 @@ from repro.runtime.table import InsertOutcome
 from repro.store import format as fmt
 from repro.store.compress import (
     BurstCompressor,
-    DEFAULT_MIN_RUN,
     DEFAULT_NOISE_RELATIONS,
     expand,
 )
@@ -59,14 +58,10 @@ class StoreConfig:
     directory: str
     #: Records per segment (the buffer bound — memory stays O(this)).
     segment_events: int = 4096
-    #: Burst compression on/off and its run threshold.
+    #: Burst compression on/off.
     compress: bool = True
-    burst_min_run: int = DEFAULT_MIN_RUN
     #: Relations whose log entries are *counted* (lossy) when bursty.
     noise_relations: PyTuple = DEFAULT_NOISE_RELATIONS
-    #: Capture tupleLog / tableLog entries (ruleExec + tupleTable are
-    #: always captured — they are the causality graph).
-    capture_logs: bool = True
 
 
 class ForensicStore:
@@ -80,10 +75,7 @@ class ForensicStore:
         self.config = config
         self._clock = clock if clock is not None else (lambda: 0.0)
         self._compressor = (
-            BurstCompressor(
-                min_run=config.burst_min_run,
-                noise_relations=config.noise_relations,
-            )
+            BurstCompressor(noise_relations=config.noise_relations)
             if config.compress
             else None
         )
@@ -163,7 +155,7 @@ class ForensicStore:
                     self._on_register(_a, tid, src, src_tid, loc, tup)
                 )
             )
-        if logger is not None and self.config.capture_logs:
+        if logger is not None:
             node.store.get("tupleLog").on_insert.append(
                 lambda row, outcome, _a=address: self._on_tuple_log(_a, row)
             )

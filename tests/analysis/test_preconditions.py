@@ -66,3 +66,30 @@ def test_lookup_chain_exposes_routing_dependencies():
     assert finger_rows or best_rows
     for row in finger_rows:
         assert row.name == "finger"
+
+
+def test_a_link_lists_only_its_own_firings_preconditions(make_node, sim):
+    """Rule p1 has two strands (triggered by ``link`` joining ``path``,
+    and by ``path`` joining ``link``) and both derive the same tuple.
+    The spine takes the later firing, and that firing's precondition is
+    the row *it* joined — not the other strand's, which is this one's
+    trigger."""
+    node = make_node("b")
+    enable_tracing(node)
+    node.install_source(
+        """
+        materialize(link, 100, 20, keys(1,2)).
+        materialize(path, 100, 100, keys(1,2,3)).
+        p0 path@A(B, [A, B], W) :- link@A(B, W).
+        p1 far@A(C, W + Y) :- link@A(B, W), path@A(C, P, Y).
+        """
+    )
+    fars = node.collect("far")
+    node.inject("link", ("b", "c", 2))
+    sim.run_for(1.0)
+    assert len(fars) == 2 and fars[0] == fars[1]
+    chain = trace_back({"b": node}, "b", fars[0])
+    assert [link.rule for link in chain] == ["p1", "p0"]
+    assert chain[0].cause.name == "path" and chain[1].cause.name == "link"
+    assert [p.contents.name for p in chain[0].preconditions] == ["link"]
+    assert chain[1].preconditions == []

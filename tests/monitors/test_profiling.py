@@ -71,34 +71,46 @@ def test_net_time_reflects_hop_latency(traced_net):
 
 
 def test_online_profile_matches_offline_analysis(traced_net):
-    """The ep-rule walk and the independent Python walk must agree on
-    rule time and network time for the same response."""
+    """The query *is* the forensic tool: for several responses, the
+    ep-rule walk visits exactly the rule executions the Python walker's
+    ``trace_back`` lists, in order, and the two agree on rule time and
+    network time."""
     from repro.analysis import latency_breakdown, trace_back
 
     net, profiler, handle, results = traced_net
     nodes_by_addr = {a: net.node(a) for a in net.addresses}
-    # Pick a fresh remote response whose full chain is still retained.
+    forwards = net.system.collect("forward")
+    # Fresh remote responses whose full chains are still retained.
     candidates = [t for t in reversed(results) if t.values[5] != t.values[0]]
-    assert candidates
-    tup = candidates[0]
-    observer = net.node(tup.values[0])
-    chain = trace_back(nodes_by_addr, tup.values[0], tup)
-    assert len(chain) >= 2
-    # Recover the observation time the same way the profiler does.
-    tid = observer.registry.id_of(tup)
-    observed_at = min(
-        row.values[4]
-        for row in observer.store.get("ruleExec").scan()
-        if row.values[2] == tid
-    )
-    offline = latency_breakdown(chain, observed_at=observed_at)
+    assert len(candidates) >= 3
+    for tup in candidates[:4]:
+        observer = net.node(tup.values[0])
+        chain = trace_back(nodes_by_addr, tup.values[0], tup)
+        assert len(chain) >= 2
+        # Recover the observation time the same way the profiler does.
+        tid = observer.registry.id_of(tup)
+        observed_at = min(
+            row.values[4]
+            for row in observer.store.get("ruleExec").scan()
+            if row.values[2] == tid
+        )
+        offline = latency_breakdown(chain, observed_at=observed_at)
 
-    before = len(handle.alarms["report"])
-    profiler.profile_tuple(observer, tup)
-    net.run_for(5.0)
-    report = handle.alarms["report"][before:][-1]
-    assert report.values[2] == pytest.approx(offline.rule_time, abs=1e-4)
-    assert report.values[3] == pytest.approx(offline.net_time, abs=1e-6)
+        before = len(handle.alarms["report"])
+        del forwards[:]
+        profiler.profile_tuple(observer, tup)
+        net.run_for(5.0)
+        report = handle.alarms["report"][before:][-1]
+        assert report.values[2] == pytest.approx(offline.rule_time, abs=1e-4)
+        assert report.values[3] == pytest.approx(offline.net_time, abs=1e-6)
+
+        # forward@NAddr(ID, In, InT, RuleT, NetT, LocalT, Rule): one per
+        # hop of the ep walk, which ends at the stop rule.
+        visited = [(t.values[0], t.values[7]) for t in forwards]
+        walked = [(link.node, link.rule) for link in chain]
+        assert len(visited) >= 3 and visited[-1][1] == "cs2"
+        assert visited == walked[: len(visited)]
+        assert any(link.crossed_network for link in chain[: len(visited)])
 
 
 def test_profiling_requires_tracing():

@@ -5,7 +5,6 @@ from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultSchedule
 from repro.monitors.base import Monitor
 from repro.net.network import ReliableConfig
-from repro.runtime.strand import CompositeTraceHooks
 
 WORKLOAD = """
 materialize(nextHop, 60, 50, keys(1)).
@@ -59,7 +58,7 @@ def test_rule_execution_spans_and_histograms():
     # The join against nextHop examined rows, charged per firing.
     join = reg.snapshot("join_rows_examined")
     assert any(key[1] == "f1" and data.count > 0 for key, data in join.items())
-    # Strand hooks counted inputs and outputs for the same rules.
+    # The registry reads the strands' own counters for the same rules.
     assert reg.value("strand_inputs_total", ("a:1", "f1")) == 5
     assert reg.value("strand_outputs_total", ("a:1", "f1")) == 5
 
@@ -156,12 +155,14 @@ def test_monitor_sink_is_plain_append_without_observability():
 def test_tracer_composes_with_telemetry_hooks():
     system = System(seed=5, observability=True)
     node = system.add_node("a:1", tracing=True)
-    assert isinstance(node.hooks, CompositeTraceHooks)
+    # Telemetry rides no strand hook: a traced node has the tracer
+    # alone, a telemetry-only node nothing.
+    assert node.hooks is system.tracers["a:1"]
+    assert system.add_node("b:2").hooks is None
     node.install_source("r1 out@N(X) :- evt@N(X).")
     node.inject("evt", ("a:1", 1))
     system.run_for(1.0)
-    # Both taps saw the firing: the tracer's ruleExec table and the
-    # telemetry counters agree.
+    # The tracer's ruleExec table and the telemetry counters agree.
     assert len(node.query("ruleExec")) == 1
     assert system.telemetry.metrics.value(
         "strand_inputs_total", ("a:1", "r1")

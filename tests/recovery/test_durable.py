@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.system import System
-from repro.errors import ReproError
+from repro.errors import DurableImageError, ReproError
 from repro.recovery import DurableMedium, NodeImage, RecoveryManager
 
 KV_PROGRAM = """
@@ -221,3 +221,59 @@ def test_images_save_and_load_round_trip(tmp_path):
     original = manager.medium.image("a:1")
     assert image.checkpoint == original.checkpoint
     assert image.wal == original.wal
+
+
+# ----------------------------------------------------------------------
+# Hostile image files: typed, and naming the file
+
+
+def saved_image(tmp_path):
+    system, node, manager = protected_system()
+    node.install_source(KV_PROGRAM, name="kv")
+    node.inject("put", ("a:1", "k", 1))
+    system.run_for(12.0)
+    manager.crash("a:1")
+    (path,) = manager.medium.save(str(tmp_path))
+    return path
+
+
+def test_truncated_image_is_a_typed_error_naming_the_file(tmp_path):
+    path = saved_image(tmp_path)
+    with open(path) as handle:
+        text = handle.read()
+    with open(path, "w") as handle:
+        handle.write(text[: len(text) // 2])
+    with pytest.raises(DurableImageError) as caught:
+        DurableMedium.load(str(tmp_path))
+    assert caught.value.path == path and path in str(caught.value)
+    assert "not JSON" in str(caught.value)
+    with pytest.raises(DurableImageError):
+        NodeImage.from_json(text[: len(text) // 2])
+
+
+@pytest.mark.parametrize(
+    "foreign",
+    [
+        "[]",
+        '{"wal": []}',
+        '{"address": "a:1", "wal": 3}',
+        '{"address": "a:1", "checkpoint": {"tables": {}}}',
+    ],
+)
+def test_json_that_is_not_an_image_is_a_typed_error(tmp_path, foreign):
+    path = tmp_path / "node_x_1.json"
+    path.write_text(foreign)
+    with pytest.raises(DurableImageError) as caught:
+        DurableMedium.load(str(tmp_path))
+    assert caught.value.path == str(path)
+
+
+def test_a_bad_image_beside_a_good_one_is_the_one_named(tmp_path):
+    good = saved_image(tmp_path)
+    bad = tmp_path / "node_z_9.json"
+    bad.write_text('{"address": "z:9", "wal": [')
+    with pytest.raises(ReproError) as caught:
+        DurableMedium.load(str(tmp_path))
+    assert str(bad) in str(caught.value) and good not in str(caught.value)
+    bad.unlink()
+    assert DurableMedium.load(str(tmp_path)).addresses() == ["a:1"]

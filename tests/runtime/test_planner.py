@@ -293,21 +293,3 @@ def test_equivalent_joins_share_one_index(store):
     assert len(joins) == 2
     assert joins[0].index is joins[1].index
     assert len(store.get("t").indexes()) == 1
-
-
-def test_reorder_joins_prefers_most_bound_table(store):
-    planner = Planner(store, reorder_joins=True)
-    compiled = planner.plan(
-        Program.compile(
-            """
-            materialize(a, 10, 10, keys(1)).
-            materialize(b, 10, 10, keys(1)).
-            r out@N(X, Y, Z) :- e@N(X), a@N(Y, W), b@N(X, Z).
-            """
-        )
-    )
-    strand = next(s for s in compiled.strands if s.trigger_name == "e")
-    joins = [op for op in strand.ops if isinstance(op, JoinElement)]
-    # b has two bound columns (N, X) vs a's one (N): b joins first.
-    assert joins[0].table.name == "b"
-    assert joins[1].table.name == "a"

@@ -7,7 +7,16 @@ after the rings rotate past the alarm's antecedents, the store-backed
 slice *still* returns the same bytes — the verdict survives ring
 rotation — while the memory-backed walk visibly degrades.
 
-Runs the same two-node chain workload per seed with deliberately tiny
+There is one walker, so the same battery pins its other entry point:
+``trace_back`` is always the event spine read off ``backward_slice``'s
+links and hops over the same source — memory, store, and memory over
+store all agree while the rings hold the history; after rotation the
+two store-backed walks still return phase A's chain and memory alone
+degrades exactly as the memory slice does — and every ``Precondition``
+it lists is a precondition link of that slice.
+
+Runs the same two-node chain workload per seed (the second rule joins a
+``cfg`` row, so firings have preconditions) with deliberately tiny
 rings so phase B's injection storm rotates every ring past phase A's
 alarm.
 """
@@ -15,17 +24,21 @@ alarm.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
+from repro.analysis import trace_back
 from repro.core.system import System
 from repro.sim.batch import ExecutionConfig
 from repro.store import (
+    Layered,
     MemoryProvider,
     StoreConfig,
     StoreProvider,
     backward_slice,
 )
+from repro.store.slicing import spine
 
 FAST_SEEDS = [0, 1, 2, 3, 4]
 # The full sweep (nightly tier).
@@ -46,13 +59,99 @@ def build(seed, tmp_path, execution=None):
     a = system.add_node("a:1", tracing=True, logging=True)
     b = system.add_node("b:1", tracing=True, logging=True)
     a.install_source("r1 hop@Dst(X) :- start@N(Dst, X).")
-    b.install_source("r2 final@N(X) :- hop@N(X).")
+    b.install_source(
+        """
+        materialize(cfg, infinity, 4, keys(1)).
+        r2 final@N(X) :- hop@N(X), cfg@N(V).
+        """
+    )
+    b.inject("cfg", ("b:1", "v1"))
     return system, a, b
 
 
+def live_nodes(system):
+    return {str(addr): node for addr, node in system.nodes.items()}
+
+
 def providers(system):
-    nodes = {str(addr): node for addr, node in system.nodes.items()}
-    return MemoryProvider(nodes), StoreProvider(system.store)
+    return MemoryProvider(live_nodes(system)), StoreProvider(system.store)
+
+
+def spine_of(sliced):
+    """The event spine read off a slice, stated independently of the
+    walker: at each tuple the latest event link into it, else the hop
+    recorded for it; the link after a hop crossed the network."""
+    at = (sliced.node, sliced.tid)
+    seen = {at}
+    chain, crossed = [], False
+    while True:
+        events = [
+            (l["to"], l["r"], l["c"], l["ti"])
+            for l in sliced.links
+            if (l["n"], l["e"]) == at and l["ev"]
+        ]
+        hops = [h for h in sliced.hops if (h["n"], h["i"]) == at]
+        if events:
+            out_t, rule, cause, in_t = max(events)
+            chain.append((at[0], rule, cause, at[1], in_t, out_t, crossed))
+            at, crossed = (at[0], cause), False
+        elif hops:
+            at, crossed = (hops[0]["s"], hops[0]["si"]), True
+        else:
+            return chain
+        if at in seen:
+            return chain
+        seen.add(at)
+
+
+def traced(system, alarm, tid, memory, store):
+    """``trace_back`` over the chosen sources as the same key sequence,
+    having checked each precondition against the slice over them."""
+    chain = trace_back(
+        live_nodes(system) if memory else {},
+        "b:1",
+        alarm,
+        store=system.store if store else None,
+    )
+    layers = [p for p, on in zip(providers(system), (memory, store)) if on]
+    sliced = backward_slice(Layered(*layers), "b:1", tid)
+    supporting = {
+        (l["n"], l["r"], l["e"], l["c"]) for l in sliced.links if not l["ev"]
+    }
+    for link in chain:
+        for pre in link.preconditions:
+            assert (
+                link.node, link.rule, link.effect_id, pre.tuple_id
+            ) in supporting
+            assert pre.contents.name == "cfg"
+    keys = [
+        (
+            link.node,
+            link.rule,
+            link.cause_id,
+            link.effect_id,
+            link.in_time,
+            link.out_time,
+            link.crossed_network,
+        )
+        for link in chain
+    ]
+    return keys, sliced, chain
+
+
+class Counting:
+    """A provider that counts the questions put to it."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        def counted(*args):
+            self.calls[name] += 1
+            return getattr(self._inner, name)(*args)
+
+        return counted
 
 
 def run_battery(seed, tmp_path, execution=None):
@@ -79,6 +178,22 @@ def run_battery(seed, tmp_path, execution=None):
     assert mem_a.links, f"seed {seed}: empty slice — workload broken"
     assert mem_a.hops, f"seed {seed}: chain never crossed the network"
 
+    # The same graph walked along its event spine only.
+    chain_a, sliced, links = traced(system, alarm, tid, True, True)
+    assert sliced.to_json() == mem_a.to_json()
+    assert chain_a == spine_of(mem_a)
+    assert [key[:2] for key in chain_a] == [("b:1", "r2"), ("a:1", "r1")]
+    assert [key[6] for key in chain_a] == [False, True]
+    assert [len(link.preconditions) for link in links] == [1, 0]
+    assert traced(system, alarm, tid, True, False)[0] == chain_a
+    assert traced(system, alarm, tid, False, True)[0] == chain_a
+    # One edges_to per tuple the spine stands on — its links, its hops
+    # and the leaf it ends at — never one per precondition.
+    counted = [Counting(p) for p in (memory, store)]
+    walked = spine(Layered(*counted), "b:1", tid, 100)
+    steps = len(walked) + sum(crossed for _, _, crossed in walked) + 1
+    assert [p.calls["edges_to"] for p in counted] == [steps, steps]
+
     # Phase B: storm enough chains to rotate every ring past phase A.
     for i in range(5, 80):
         a.inject("start", ("a:1", "b:1", i))
@@ -99,6 +214,12 @@ def run_battery(seed, tmp_path, execution=None):
         f"seed {seed}: memory kept the full chain — rings too big for "
         f"the battery to mean anything"
     )
+    assert traced(system, alarm, tid, True, True)[0] == chain_a
+    assert traced(system, alarm, tid, False, True)[0] == chain_a
+    # Memory alone degrades exactly as the memory slice does — and to
+    # nothing once the registry has forgotten the alarm itself.
+    degraded = spine_of(mem_b) if memory.tid_of("b:1", alarm) == tid else []
+    assert traced(system, alarm, tid, True, False)[0] == degraded != chain_a
     return system
 
 

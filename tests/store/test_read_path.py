@@ -92,6 +92,18 @@ records = st.one_of(
 )
 
 
+@given(payloads)
+def test_a_payload_thaws_to_a_tuple_that_encodes_back_to_it(payload):
+    """``payload_tuple`` never raises on what ``tuple_payload`` wrote —
+    a ``{"!r": …}`` field or a nested list must come back hashable —
+    and loses nothing the payload held."""
+    stored = fmt.decode(fmt.encode(payload))
+    tup = fmt.payload_tuple(stored)
+    assert hash(tup) == hash(fmt.payload_tuple(stored)) and repr(tup)
+    assert fmt.tuple_payload(tup) == stored
+    assert fmt.payload_matches(stored, tup)
+
+
 @given(records)
 def test_canonical_line_is_a_fixed_point(record):
     line = fmt.encode(record)
