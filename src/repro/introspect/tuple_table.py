@@ -21,7 +21,8 @@ tupleTable.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple as PyTuple
+from collections import OrderedDict
+from typing import Any, Callable, Dict, List, Optional, Tuple as PyTuple
 
 from repro.overlog.ast import Materialize
 from repro.overlog.types import INFINITY
@@ -50,11 +51,15 @@ class TupleRegistry:
         self._memo: Dict[int, Tuple] = {}
         self._refs: Dict[int, int] = {}
         self._counter = 0
-        # (src, wire mid) pairs already accounted for: a retransmitted
-        # or fabric-duplicated message must not re-write tupleTable rows
+        # (src, wire mid) -> arrival time of the messages already
+        # accounted for, oldest first: a retransmitted or
+        # fabric-duplicated message must not re-write tupleTable rows
         # (each re-write replaces the row and re-fires its observers —
         # double-counting the arrival in every downstream monitor).
-        self._seen_mids: Set[PyTuple] = set()
+        # A pair is forgotten once the row it wrote has expired: a
+        # duplicate that late has nothing left to double-write.
+        self._seen_mids: "OrderedDict[PyTuple, float]" = OrderedDict()
+        self._mid_lifetime = None if lifetime is INFINITY else float(lifetime)
         self.duplicates_ignored = 0
         #: Observers of identity-row writes: ``(tid, src, src_tid,
         #: loc_spec, tup)`` per ``tupleTable`` row written, where
@@ -118,13 +123,19 @@ class TupleRegistry:
         if tup.name == TUPLE_TABLE:
             return -1
         if src is not None and mid is not None:
-            if (src, mid) in self._seen_mids:
+            seen = self._seen_mids
+            now = self._node.sim.now
+            if self._mid_lifetime is not None:
+                horizon = now - self._mid_lifetime
+                while seen and next(iter(seen.values())) <= horizon:
+                    seen.popitem(last=False)
+            if (src, mid) in seen:
                 self.duplicates_ignored += 1
                 tid = self._ids.get(tup)
                 return tid if tid is not None else self.ensure(
                     tup, loc_spec=tup.location
                 )
-            self._seen_mids.add((src, mid))
+            seen[(src, mid)] = now
         tid = self.ensure(tup, loc_spec=tup.location)
         if src is not None and src_tid is not None:
             self._write_row(tid, src, src_tid, tup.location)

@@ -47,7 +47,7 @@ from repro.runtime.elements import (
     ProjectElement,
     SelectElement,
 )
-from repro.runtime.strand import AggregateSpec, DeleteAction, EmitAction
+from repro.runtime.strand import AggregateSpec, DeleteAction
 from repro.runtime.tuples import Tuple
 
 FireFn = Callable[[Tuple, Any, Any, Any], list]
@@ -58,7 +58,6 @@ _NAMESPACE: Dict[str, Any] = dict(
     EvaluationError=EvaluationError,
     PlannerError=PlannerError,
     Tuple=Tuple,
-    EmitAction=EmitAction,
     DeleteAction=DeleteAction,
 )
 
@@ -354,7 +353,7 @@ class _Generator:
                 f"actions.append(DeleteAction({name}, pattern[0], pattern))"
             )
         else:
-            self.emit("actions.append(EmitAction(tup))")
+            self.emit("actions.append(tup)")
             self.emit("if hooks is not None:")
             self.emit("    hooks.output_observed(strand, tup, ctx.now())")
         if guarded:
@@ -411,6 +410,6 @@ class _Generator:
         self.emit("    except EvaluationError:")
         self.emit("        pass")
         self.emit("for tup in strand.fold_groups(groups):")
-        self.emit("    actions.append(EmitAction(tup))")
+        self.emit("    actions.append(tup)")
         self.emit("    if hooks is not None:")
         self.emit("        hooks.output_observed(strand, tup, ctx.now())")

@@ -23,6 +23,7 @@ memoization); the node calls them when present and works fine without.
 from __future__ import annotations
 
 from collections import defaultdict, deque
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple as PyTuple
 
 from repro.errors import RuntimeStateError
@@ -45,13 +46,7 @@ from repro.overload.controller import (
 )
 from repro.runtime.planner import CompiledProgram, Planner
 from repro.runtime.store import TableStore
-from repro.runtime.strand import (
-    Action,
-    DeleteAction,
-    EmitAction,
-    RuleStrand,
-    TraceHooks,
-)
+from repro.runtime.strand import DeleteAction, RuleStrand, TraceHooks
 from repro.runtime.table import InsertOutcome, Table
 from repro.runtime.tuples import Tuple
 from repro.runtime.work import WorkModel
@@ -99,6 +94,10 @@ class P2Node:
         self._strands_by_trigger: Dict[str, List[RuleStrand]] = defaultdict(list)
         self._observed_tables: Dict[str, Table] = {}
         self._subscribers: Dict[str, List[Callable[[Tuple], None]]] = defaultdict(list)
+        #: relation -> ``(table | None, triggered strands, subscribers)``,
+        #: resolved at the relation's first delivery (:meth:`_sink`).
+        self._sinks: Dict[str, PyTuple] = {}
+        self.store.on_create.append(self._drop_sink)
         self._timers: List[Any] = []
         self._periodic_timers: Dict[RuleStrand, Any] = {}
         self._watches: Dict[str, List[PyTuple]] = {}
@@ -267,7 +266,7 @@ class P2Node:
         start = self.rng.uniform(0, period)
         timer = self.sim.every(
             period,
-            lambda s=strand: self._fire_periodic(s),
+            partial(self._fire_periodic, strand),
             start_delay=start,
             group=self.label,
         )
@@ -283,7 +282,13 @@ class P2Node:
         ):
             return
         self.work.charge("timer")
-        nonce = self.rng.randrange(1 << 31)
+        # rng.randrange(1 << 31), spelled as the draws it makes (32 bits,
+        # again while out of range): same nonces, three frames fewer on
+        # what is one firing in every periodic rule's turn.
+        getrandbits = self.rng.getrandbits
+        nonce = getrandbits(32)
+        while nonce >= 1 << 31:
+            nonce = getrandbits(32)
         period = strand.periodic[1]
         tup = Tuple("periodic", (self.address, nonce, period))
         if self.registry is not None:
@@ -407,7 +412,10 @@ class P2Node:
             raise RuntimeStateError(f"node {self.address} is stopped")
         self.work.reset_micro()
         tup = Tuple(name, tuple(values))
-        self._route(EmitAction(tup))
+        if tup.location == self.address:
+            self._deliver_local(tup)
+        else:
+            self._send_tuple(tup)
         self._pump()
 
     # ------------------------------------------------------------------
@@ -415,61 +423,88 @@ class P2Node:
 
     def _deliver_local(self, tup: Tuple) -> None:
         self.tuples_delivered += 1
-        self.bytes_delivered += tup.estimated_size()
+        size = tup._size  # cached by estimated_size(); -1 until asked
+        self.bytes_delivered += size if size >= 0 else tup.estimated_size()
         if self.registry is not None:
             self.registry.ensure(tup, loc_spec=tup.location)
         for callback in self.on_deliver:
             callback(tup)
-        table = self.store.find(tup.name)
+        try:
+            table, strands, subscribers = self._sinks[tup.name]
+        except KeyError:
+            table, strands, subscribers = self._sink(tup.name)
         if table is not None:
             self.work.charge("insert")
             table.insert(tup)
             # Strand triggering happens via the table observer so that
             # direct table inserts (e.g. from harness code) also fire.
+            return
+        if self.overload is not None:
+            self._enqueue_admitted(strands, tup)
         else:
-            self._enqueue_strands(tup)
-            self._notify(tup)
+            for strand in strands:
+                self._queue.append((strand, tup))
+        for callback in subscribers:
+            callback(tup)
+
+    def _sink(self, name: str) -> PyTuple:
+        """Where deliveries of ``name`` go: its table, or — for an event —
+        the strands it triggers and its subscribers.
+
+        The two lists are the live ones ``install``/``uninstall`` and
+        ``subscribe``/``unsubscribe`` edit in place, so a sink only goes
+        stale when the relation gains a table (:meth:`_drop_sink`) or
+        the node stops.
+        """
+        table = self.store.find(name)
+        if table is not None:
+            sink = (table, (), ())
+        else:
+            sink = (None, self._strands_by_trigger[name], self._subscribers[name])
+        self._sinks[name] = sink
+        return sink
+
+    def _drop_sink(self, table: Table) -> None:
+        self._sinks.pop(table.name, None)
+
+    def _enqueue_admitted(self, strands: List[RuleStrand], tup: Tuple) -> None:
+        """Queue ``tup`` for the strands overload control lets through."""
+        ctrl = self.overload
+        queue = self._queue
+        for strand in strands:
+            if ctrl.admit_strand(strand.overload_class, len(queue), tup.name):
+                queue.append((strand, tup))
 
     def _on_table_insert(self, tup: Tuple) -> None:
         name = tup.name
         strands = self._strands_by_trigger.get(name)
         subscribers = self._subscribers.get(name)
-        if strands is None and subscribers is None and not self._queue:
+        if not strands and not subscribers and not self._queue:
             # Nothing observes this relation and no work is queued:
             # enqueue, notify, and pump would all be no-ops.  This is
             # the monitoring fan-in hot path — collectors absorbing
             # status streams into tables no rule triggers on.
             return
         if strands:
-            self._enqueue_strands(tup)
+            if self.overload is not None:
+                self._enqueue_admitted(strands, tup)
+            else:
+                for strand in strands:
+                    self._queue.append((strand, tup))
         if subscribers:
             for callback in subscribers:
                 callback(tup)
         # Table observers can fire outside the pump (direct inserts).
         self._pump()
 
-    def _enqueue_strands(self, tup: Tuple) -> None:
-        strands = self._strands_by_trigger.get(tup.name, ())
-        ctrl = self.overload
-        if ctrl is None:
-            for strand in strands:
-                self._queue.append((strand, tup))
-            return
-        for strand in strands:
-            if ctrl.admit_strand(
-                strand.overload_class, len(self._queue), tup.name
-            ):
-                self._queue.append((strand, tup))
-
-    def _notify(self, tup: Tuple) -> None:
-        for callback in self._subscribers.get(tup.name, ()):
-            callback(tup)
-
     def _pump(self) -> None:
         if self._pumping or self._stopped:
             return
         self._pumping = True
         ctrl = self.overload
+        ctx = self.ctx
+        charge = self.work.charge
+        address = self.address
         try:
             while self._queue:
                 strand, trigger = self._queue.popleft()
@@ -477,16 +512,16 @@ class P2Node:
                     ctrl.note_strand_depth(len(self._queue))
                 self.rule_executions += 1
                 if self.obs is None:
-                    actions = strand.fire(
-                        trigger,
-                        self.ctx,
-                        hooks=self.hooks,
-                        charge=self.work.charge,
-                    )
+                    actions = strand.fire(trigger, ctx, self.hooks, charge)
                 else:
                     actions = self._fire_observed(strand, trigger)
                 for action in actions:
-                    self._route(action)
+                    if action.__class__ is not Tuple:
+                        self._delete(action)
+                    elif action.values[0] == address:
+                        self._deliver_local(action)
+                    else:
+                        self._send_tuple(action)
         finally:
             self._pumping = False
 
@@ -510,7 +545,7 @@ class P2Node:
             trigger=trigger.name,
         ) as span:
             actions = strand.fire(
-                trigger, self.ctx, hooks=self.hooks, charge=self.work.charge
+                trigger, self.ctx, self.hooks, self.work.charge
             )
             span.set(actions=len(actions))
         obs.rule_duration.observe(
@@ -521,29 +556,19 @@ class P2Node:
             obs.join_rows.observe(rows, node=label, rule=strand.rule_id)
         return actions
 
-    def _route(self, action: Action) -> None:
-        if isinstance(action, EmitAction):
-            tup = action.tuple
-            if tup.location == self.address:
-                self._deliver_local(tup)
-            else:
-                self._send_tuple(tup)
-            return
-        if isinstance(action, DeleteAction):
-            if action.location == self.address:
-                if self.store.has(action.name):
-                    removed = self.store.get(action.name).delete_matching(
-                        list(action.pattern)
-                    )
-                    self.work.charge("delete", max(1, removed))
-            else:
-                self.work.charge("send")
-                wire = encode_delete(action.name, tuple(action.pattern))
-                self.network.send(
-                    self.address, str(action.location), wire, size=len(wire)
+    def _delete(self, action: DeleteAction) -> None:
+        if action.location == self.address:
+            if self.store.has(action.name):
+                removed = self.store.get(action.name).delete_matching(
+                    list(action.pattern)
                 )
-            return
-        raise TypeError(f"unknown action {action!r}")
+                self.work.charge("delete", max(1, removed))
+        else:
+            self.work.charge("send")
+            wire = encode_delete(action.name, tuple(action.pattern))
+            self.network.send(
+                self.address, str(action.location), wire, size=len(wire)
+            )
 
     def _send_tuple(self, tup: Tuple) -> None:
         self.work.charge("send")
@@ -699,6 +724,7 @@ class P2Node:
         self.store.on_create.clear()
         self._observed_tables.clear()
         self._subscribers.clear()
+        self._sinks.clear()
         self.on_deliver.clear()
         self.on_install.clear()
         self.hooks = None

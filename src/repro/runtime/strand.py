@@ -5,9 +5,9 @@ A strand is the chain of dataflow elements the planner produced for one
 with the Python function :mod:`repro.runtime.codegen` generated from
 that chain.  Firing a strand with a trigger tuple runs the function: it
 enumerates all derivations of the rule body by nested loops over the
-join probes, then projects head tuples (possibly after aggregation)
-into emit/delete actions that the node routes.  A derivation whose
-condition, assignment or head raises :class:`EvaluationError` is
+join probes, then projects the head: the tuples (possibly after
+aggregation) or delete actions that the node routes.  A derivation
+whose condition, assignment or head raises :class:`EvaluationError` is
 abandoned and counted in :attr:`RuleStrand.eval_errors`; the firing
 goes on.
 
@@ -39,13 +39,6 @@ from repro.runtime.tuples import Tuple
 
 
 @dataclass
-class EmitAction:
-    """Route this tuple to its location (insert/trigger there)."""
-
-    tuple: Tuple
-
-
-@dataclass
 class DeleteAction:
     """Delete tuples matching ``pattern`` (None = wildcard) at ``location``."""
 
@@ -54,7 +47,9 @@ class DeleteAction:
     pattern: PyTuple
 
 
-Action = Union[EmitAction, DeleteAction]
+#: What a firing hands the node: a head :class:`Tuple` to route to its
+#: location (insert or trigger there), or a :class:`DeleteAction`.
+Action = Union[Tuple, DeleteAction]
 
 
 @dataclass

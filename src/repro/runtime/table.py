@@ -128,6 +128,30 @@ class TableIndex:
             if not bucket:
                 del self._buckets[ikey]
 
+    def replace(self, key: PyTuple, old: _Row, new: _Row) -> None:
+        """Swap ``old`` for ``new``, both stored under primary key ``key``.
+
+        When the indexed columns did not change — a monitored value
+        refreshed under its key, the fan-in case — ``new`` takes the
+        bucket slot ``old`` holds; otherwise (columns differ, or the row
+        is too short or unhashable) it is a discard and an add.  Probes
+        cannot tell the two apart: ``new`` inherits ``old``'s scan
+        order and :meth:`candidates` sorts on it.
+        """
+        if self._memo:
+            self._memo.clear()
+        try:
+            ikey = self._project(new)
+            if ikey == self._project(old):
+                bucket = self._buckets[ikey]
+                if key in bucket:
+                    bucket[key] = new
+                    return
+        except (IndexError, TypeError, KeyError):
+            pass
+        self.discard(key, old)
+        self.add(key, new)
+
     def candidates(self, key_values: PyTuple) -> List[Tuple]:
         """Live rows whose indexed columns may equal ``key_values``.
 
@@ -290,9 +314,8 @@ class Table:
             row = _Row(tup, now, expires, self._seq, existing.order)
             self._rows[key] = row
             self._stamp(key, row)
-            if indexes:
-                self._index_discard(key, existing)
-                self._index_add(key, row)
+            for index in indexes.values():
+                index.replace(key, existing, row)
             self.total_inserts += 1
             self.total_removals += 1
             self._notify_remove(old, RemoveReason.REPLACED)

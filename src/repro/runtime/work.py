@@ -58,16 +58,19 @@ class WorkModel:
             self.costs.update(costs)
         self.busy_seconds = 0.0
         self.counters = WorkCounters()
+        self._counts = self.counters.counts
         self._micro_offset = 0.0
 
     def charge(self, op: str, amount: int = 1) -> None:
         """Charge ``amount`` operations of kind ``op``."""
-        cost = self.costs.get(op, 1e-6) * amount
+        cost = self.costs.get(op, 1e-6)
+        if amount != 1:  # x * 1 is x: skipping it changes no float
+            cost *= amount
         self.busy_seconds += cost
         self._micro_offset += cost
         # Inlined WorkCounters.add: charge() runs millions of times per
         # simulated minute and the extra call shows up in profiles.
-        counts = self.counters.counts
+        counts = self._counts
         counts[op] = counts.get(op, 0) + amount
 
     @property

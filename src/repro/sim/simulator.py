@@ -35,6 +35,7 @@ never needs to know which kernel is driving.
 from __future__ import annotations
 
 import math
+from heapq import heappop
 from typing import Callable, Optional
 
 from repro.errors import SimulationError
@@ -136,7 +137,7 @@ class Simulator:
             return self._queue.push(
                 when, callback, priority, okey=okey, oseq=oseq, group=group
             )
-        return self._queue.push(when, callback, priority, group=group)
+        return self._queue.push(when, callback, priority, GLOBAL_ORIGIN, 0, group)
 
     def schedule(
         self,
@@ -217,18 +218,26 @@ class Simulator:
                 self._running = False
             return
         self._running = True
-        queue = self._queue
+        # The loop works the queue's heap itself, so an event costs its
+        # callback's frame and no queue or clock call.  Entries are
+        # (time, priority, okey, oseq, seq, event); the heap never
+        # yields a time before the clock because nothing can be
+        # scheduled in the past.
+        heap = self._queue._heap
         clock = self.clock
         try:
-            while True:
-                next_time = queue.peek_time()
-                if next_time is None or next_time > when:
+            while heap:
+                entry = heap[0]
+                if entry[0] > when:
                     break
-                event = queue.pop()
-                assert event is not None
-                clock.advance_to(event.time)
+                heappop(heap)
+                event = entry[5]
+                if event.cancelled:
+                    continue
+                clock._now = entry[0]
                 self._events_processed += 1
-                self._origin = event.group if event.group is not None else GLOBAL_ORIGIN
+                group = event.group
+                self._origin = group if group is not None else GLOBAL_ORIGIN
                 event.callback()
             clock.advance_to(when)
         finally:
@@ -285,7 +294,13 @@ class PeriodicTimer:
         if self._cancelled:
             return
         # Re-arm first so the callback may cancel the timer.
-        self._arm(self._period)
+        if self._jitter > 0:
+            self._arm(self._period)
+        else:
+            sim = self._sim
+            self._pending = sim._push(
+                sim.clock.now + self._period, self._fire, 0, self._group
+            )
         self._callback()
 
     def cancel(self) -> None:

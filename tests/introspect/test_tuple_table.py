@@ -116,6 +116,40 @@ def test_arrival_without_mid_skips_dedup(node, registry):
     assert registry.duplicates_ignored == 0
 
 
+def test_seen_message_ids_are_forgotten_with_their_rows(sim, node, registry):
+    """The dedup set lives beside a ring bounded by ``lifetime``: it may
+    hold the arrivals of one lifetime, not of the node's whole life."""
+    rate, lifetimes = 4, 10  # arrivals per sim-second; 50 s lifetime
+    peak = 0
+    for i in range(int(50.0 * lifetimes * rate)):
+        sim.run_for(1.0 / rate)
+        registry.on_arrival(
+            Tuple("e", ("n:1", i % 7)), src="m:1", src_tid=i, mid=i
+        )
+        peak = max(peak, len(registry._seen_mids))
+    assert peak <= 50.0 * rate + 1, (
+        f"{peak} message ids held after {lifetimes} lifetimes of "
+        f"{rate} arrivals/s: the dedup set is never pruned"
+    )
+    # Inside the lifetime a retransmission is still recognised: same
+    # tid, no row re-written, and it is counted.
+    tup = Tuple("e", ("n:1", "fresh"))
+    tid = registry.on_arrival(tup, src="m:1", src_tid=9001, mid=9001)
+    rewrites = []  # a re-write of the same row is a refresh, not a change
+    registry._table.on_insert.append(lambda row, outcome: rewrites.append(row))
+    registry._table.on_refresh.append(lambda row, expires: rewrites.append(row))
+    sim.run_for(49.0)
+    assert registry.on_arrival(tup, src="m:1", src_tid=9001, mid=9001) == tid
+    assert registry.duplicates_ignored == 1
+    assert not [row for row in rewrites if row.values[1] == tid]
+    # Once its row has expired the id is forgotten; the late copy is a
+    # new arrival (there is no row left to double-write).
+    sim.run_for(2.0)
+    assert registry.lookup(tid) is None
+    registry.on_arrival(tup, src="m:1", src_tid=9001, mid=9001)
+    assert registry.duplicates_ignored == 1
+
+
 def test_wire_duplicates_do_not_double_register():
     """End to end over a duplicating UDP fabric: the registry accounts
     each sent message once, however many copies the fabric delivers."""

@@ -28,11 +28,15 @@ sorting made a small question cost the whole history), a finished scan
 may leave no data-file text behind in the readers, a strand firing
 may make only so many Python-level calls per row its joins probe (the
 strand is one generated function; walking the plan per row costs
-several calls for each row and each derivation), and a whole firing —
-timer or delivery, pump, strand, table insert, routing — may make only
-so many calls on the ``BENCH_obs`` workload (telemetry off and on) and
-on the Figure-4 periodic-rule workload (``cProfile``'s call count is
-the same on every machine and every CPython from 3.10 to 3.12).
+several calls for each row and each derivation) and per tuple it
+derives (the pump hands a head tuple straight to delivery; a wrapper
+object and a frame per routing hop cost as much as deriving it), a
+same-key replace that leaves the indexed columns alone may delete
+nothing from an index bucket, and a whole firing — timer or delivery,
+pump, strand, table insert, routing — may make only so many calls on
+the ``BENCH_obs`` workload (telemetry off and on) and on the Figure-4
+periodic-rule workload (``cProfile``'s call count is the same on every
+machine and every CPython from 3.10 to 3.12).
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from repro.overlog.types import INFINITY
 from repro.runtime.elements import JoinElement
 from repro.runtime.planner import Planner
 from repro.runtime.store import TableStore
-from repro.runtime.table import Table
+from repro.runtime.table import Table, TableIndex
 from repro.runtime.work import WorkModel
 from repro.runtime.tuples import Tuple
 from repro.store import ForensicStore, StoreConfig, StoreProvider, backward_slice
@@ -111,14 +115,16 @@ def assert_under(calls: float, ceiling: float, label: str) -> None:
     )
 
 
-#: Measured 50.2 with telemetry off and 88.2 on (a ``rule_exec`` span
-#: and two histogram observations per firing).  With the strand
-#: counters riding the ``TraceHooks`` seam — three hook calls through a
-#: fan-out, each building a label key — telemetry-on made 113.2.
-OBS_CALLS_PER_FIRING = {"disabled": 60.0, "enabled": 100.0}
-#: Measured 58.2 (a timer event, a periodic tuple and a routed head
-#: tuple per firing).
-FIG4_CALLS_PER_FIRING = 70.0
+#: Measured 36.7 with telemetry off and 74.7 on (a ``rule_exec`` span
+#: and two histogram observations per firing); ceilings leave ~15 %.
+#: With every head tuple wrapped in an action object and walked through
+#: ``_route`` / ``store.find`` / ``_enqueue_strands`` / ``_notify``,
+#: each event costing the loop a peek, a pop and a clock call, and each
+#: timer a ``schedule`` and a ``randrange``, they were 50.2 and 88.2.
+OBS_CALLS_PER_FIRING = {"disabled": 42.0, "enabled": 86.0}
+#: Measured 38.2 (a timer event, a periodic tuple and a delivered head
+#: tuple per firing); 58.2 with the hops above.
+FIG4_CALLS_PER_FIRING = 44.0
 
 
 @pytest.mark.parametrize("mode", ("disabled", "enabled"))
@@ -341,12 +347,12 @@ materialize(right, infinity, 1000, keys(1,2,3)).
 g pair@N(X, Y) :- ev@N(K), left@N(K, X), right@N(K, Y), X >= 0.
 """
 #: Python-level calls (builtins included) per probed row.  The generated
-#: function makes 7.2: two ``values_equal`` per row, and per derivation
-#: ``Tuple`` (``tuple``, ``hash``), ``EmitAction`` and ``append``.
+#: function makes 6.3: two ``values_equal`` per row, and per derivation
+#: ``Tuple`` (``tuple``, ``hash``) and ``append``.
 #: Evaluating the plan element by element (a generator resume, a
 #: pattern matcher, a bindings-dict copy and a nested solver call per
 #: row; a closure per expression node) made 19.3.
-CALLS_PER_PROBED_ROW = 9.0
+CALLS_PER_PROBED_ROW = 7.2
 
 
 def test_firing_makes_few_calls_per_probed_row():
@@ -373,3 +379,74 @@ def test_firing_makes_few_calls_per_probed_row():
         f"({calls / rows:.1f} per row; ceiling {CALLS_PER_PROBED_ROW}): "
         f"something is interpreting the plan per row again"
     )
+
+
+FAN_OUT = 32
+FAN_WORKLOAD = f"""
+materialize(dim, infinity, 256, keys(1,2)).
+j2 fan@N(K, I) :- chained@N(K, E), G := K % {256 // FAN_OUT}, dim@N(I, G).
+"""
+#: Python-level calls per derived tuple, pump to subscriber, on a join
+#: that fans one trigger out to 32 heads (``rules_single``'s ``j2``).
+#: Measured 12.4: the probed row's share of the strand (6.3 above),
+#: delivery (``_deliver_local``, ``estimated_size`` and its ``len``s)
+#: and the subscriber.  Wrapping each head in an action and walking it
+#: through ``_route`` / ``store.find`` / ``_enqueue_strands`` /
+#: ``_notify`` made 22.7.
+CALLS_PER_DERIVED_TUPLE = 14.3
+
+
+def test_pump_makes_few_calls_per_derived_tuple():
+    system = System(seed=5)
+    node = system.add_node("n:1")
+    node.install_source(FAN_WORKLOAD, name="fan")
+    for i in range(256):
+        node.inject("dim", ("n:1", i, i % (256 // FAN_OUT)))
+    derived = node.collect("fan")
+    node.inject("chained", ("n:1", 0, 0))  # first delivery resolves the sinks
+    assert len(derived) == FAN_OUT
+    profile = cProfile.Profile()
+    profile.enable()
+    for k in range(1, 51):
+        node.inject("chained", ("n:1", k, k))
+    profile.disable()
+    tuples = len(derived) - FAN_OUT
+    assert tuples == 50 * FAN_OUT
+    calls = pstats.Stats(profile).total_calls / tuples
+    assert calls <= CALLS_PER_DERIVED_TUPLE, (
+        f"{calls:.1f} Python-level calls per derived tuple, ceiling "
+        f"{CALLS_PER_DERIVED_TUPLE}: a head tuple crosses more than "
+        f"pump -> delivery -> subscriber again"
+    )
+
+
+def test_replace_with_unchanged_indexed_columns_deletes_from_no_bucket(monkeypatch):
+    """The monitoring fan-in case: a ``status`` row is replaced under its
+    key thousands of times and the column a join indexes never changes."""
+    clock = [0.0]
+    table = Table("status", 60, 1000, [1, 2], lambda: clock[0])
+    by_kind = table.index_on([2])
+    for metric in range(50):
+        table.insert(Tuple("status", ("n", metric, "load", 0)))
+    discards = []
+    real_discard = TableIndex.discard
+    monkeypatch.setattr(
+        TableIndex,
+        "discard",
+        lambda index, key, row: discards.append(key) or real_discard(index, key, row),
+    )
+    buckets = {id(bucket) for bucket in by_kind._buckets.values()}
+    for reading in range(1, 21):
+        clock[0] += 0.2
+        for metric in range(50):
+            table.insert(Tuple("status", ("n", metric, "load", reading)))
+    assert table.total_removals == 20 * 50  # every one a REPLACED
+    assert not discards, (
+        f"{len(discards):,} index discards for 1,000 replaces that changed "
+        f"no indexed column: the row should keep its bucket slot"
+    )
+    assert {id(bucket) for bucket in by_kind._buckets.values()} == buckets
+    assert [t.values[3] for t in table.probe_index(by_kind, ("load",))] == [20] * 50
+    # A replace that does move the row is a discard and an add, as before.
+    table.insert(Tuple("status", ("n", 0, "disk", 21)))
+    assert discards == [("n", 0)]

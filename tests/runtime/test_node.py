@@ -157,6 +157,22 @@ def test_periodic_nonces_differ(sim, make_node):
     assert len(set(nonces)) == len(nonces)
 
 
+def test_periodic_nonces_are_the_streams_randrange_draws(sim, make_node):
+    """The node spells ``rng.randrange(1 << 31)`` as the draws it makes;
+    the nonces (they are in every trace and store) must be the same."""
+    from repro.sim.simulator import Simulator
+
+    node = make_node("a:1")
+    node.install_source("r tick@N(E) :- periodic@N(E, 0.01).")
+    got = node.collect("tick")
+    sim.run_for(30.0)
+    reference = Simulator(seed=42).random.stream("node.a:1")
+    reference.uniform(0, 0.01)  # the timer's initial phase
+    expected = [reference.randrange(1 << 31) for _ in got]
+    assert len(got) >= 2900
+    assert [t.values[1] for t in got] == expected
+
+
 def test_rule_with_two_events_rejected(make_node):
     node = make_node("a:1")
     with pytest.raises(PlannerError):
@@ -325,3 +341,145 @@ def test_failing_rule_does_not_take_the_pump_down(make_node):
     assert len(node.query("t")) == 2
     assert [s.eval_errors for s in compiled.strands] == [1, 0, 1, 1]
     assert not node._queue
+
+
+# ----------------------------------------------------------------------
+# Delivery sinks: a relation's table / strands / subscribers are resolved
+# at its first delivery and must follow every later change.
+
+
+def test_event_relation_materialized_later_lands_in_its_table(make_node):
+    node = make_node("a:1")
+    node.install_source("r seen@N(X) :- evt@N(X).")
+    got = node.collect("seen")
+    node.inject("evt", ("a:1", 1))  # `seen` is delivered as an event
+    assert len(got) == 1 and node.query("seen") == []
+    node.install_source(
+        """
+        materialize(seen, 10, 10, keys(1,2)).
+        d echo@N(X) :- seen@N(X).
+        """
+    )
+    echoed = node.collect("echo")
+    node.inject("evt", ("a:1", 2))
+    assert [t.values[1] for t in node.query("seen")] == [2]
+    assert [t.values[1] for t in got] == [1, 2]  # subscribers still hear it
+    assert [t.values[1] for t in echoed] == [2]  # and it triggers as a delta
+
+
+def test_table_created_directly_on_the_store_is_seen_by_delivery(make_node):
+    from repro.overlog.ast import Materialize
+
+    node = make_node("a:1")
+    node.inject("m", ("a:1", 1))
+    node.store.materialize(Materialize("m", 10, 10, [1, 2]))
+    node.inject("m", ("a:1", 2))
+    assert [t.values[1] for t in node.query("m")] == [2]
+
+
+def test_subscribe_and_unsubscribe_after_first_delivery(make_node):
+    node = make_node("a:1")
+    node.install_source("r out@N(X) :- evt@N(X).")
+    node.inject("evt", ("a:1", 1))  # resolves both sinks with nobody listening
+    heard = []
+    node.subscribe("out", heard.append)
+    node.inject("evt", ("a:1", 2))
+    node.unsubscribe("out", heard.append)
+    node.inject("evt", ("a:1", 3))
+    assert [t.values[1] for t in heard] == [2]
+
+
+def test_install_after_first_delivery_triggers_and_uninstall_stops(make_node):
+    node = make_node("a:1")
+    node.inject("evt", ("a:1", 0))  # nothing installed yet
+    compiled = node.install_source("r out@N(X) :- evt@N(X).")
+    got = node.collect("out")
+    node.inject("evt", ("a:1", 1))
+    node.uninstall(compiled)
+    node.inject("evt", ("a:1", 2))
+    assert [t.values[1] for t in got] == [1]
+
+
+def test_uninstall_drops_work_still_queued(make_node):
+    node = make_node("a:1")
+    first = node.install_source("r1 mid@N(X) :- evt@N(X).")
+    second = node.install_source(
+        """
+        r2 late@N(X) :- mid@N(X).
+        r3 kept@N(X) :- mid@N(X).
+        """
+    )
+    late, kept = node.collect("late"), node.collect("kept")
+    # `mid` is delivered mid-pump: r2 and r3 are queued, then this
+    # subscriber removes the program they belong to.
+    node.subscribe("mid", lambda tup: node.uninstall(second))
+    node.inject("evt", ("a:1", 1))
+    assert late == [] and kept == []
+    assert not node._queue and first in node.programs
+
+
+def test_stop_mid_pump_ends_the_turn(make_node):
+    from repro.runtime.tuples import Tuple as T
+
+    node = make_node("a:1")
+    node.install_source(
+        """
+        materialize(row, infinity, 10, keys(1,2)).
+        r1 fan@N(X) :- evt@N(_), row@N(X).
+        r2 after@N(X) :- fan@N(X).
+        """
+    )
+    for i in range(3):
+        node.inject("row", ("a:1", i))
+    heard, after = [], node.collect("after")
+
+    def stop_at_first(tup: T) -> None:
+        heard.append(tup)
+        node.stop()
+
+    node.subscribe("fan", stop_at_first)
+    node.inject("evt", ("a:1", 0))
+    # The firing's other heads are still handed over, but to nobody:
+    # every subscription went with the stop.
+    assert len(heard) == 1 and after == []
+    assert node.stopped and not node._pumping and not node._queue
+    with pytest.raises(RuntimeStateError):
+        node.inject("evt", ("a:1", 1))
+
+
+def test_foreign_head_is_sent_not_delivered(sim, network, make_node):
+    a, b = make_node("a:1"), make_node("b:1")
+    a.install_source("r out@Dst(X) :- evt@N(Dst, X).")
+    here, there = a.collect("out"), b.collect("out")
+    a.inject("evt", ("a:1", "b:1", 9))
+    assert a.tuples_delivered == 1  # the injected evt, not the head
+    assert network.stats.messages_sent == 1
+    sim.run_for(1.0)
+    assert here == [] and [t.values for t in there] == [("b:1", 9)]
+
+
+def test_inject_of_a_foreign_tuple_routes(sim, network, make_node):
+    a, b = make_node("a:1"), make_node("b:1")
+    got = b.collect("note")
+    a.inject("note", ("b:1", "hello"))
+    assert a.tuples_delivered == 0 and network.stats.messages_sent == 1
+    sim.run_for(1.0)
+    assert [t.values for t in got] == [("b:1", "hello")]
+
+
+def test_remote_delete_head_goes_over_the_wire(sim, make_node):
+    a, b = make_node("a:1"), make_node("b:1")
+    b.install_source("materialize(t, 100, 10, keys(1,2)).")
+    a.install_source(
+        """
+        materialize(t, 100, 10, keys(1,2)).
+        d delete t@Dst(X) :- drop@N(Dst, X).
+        """
+    )
+    for node in (a, b):
+        node.inject("t", (node.address, 1))
+        node.inject("t", (node.address, 2))
+    a.inject("drop", ("a:1", "b:1", 1))
+    sim.run_for(1.0)
+    assert [t.values[1] for t in b.query("t")] == [2]
+    assert [t.values[1] for t in a.query("t")] == [1, 2]

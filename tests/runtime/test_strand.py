@@ -8,7 +8,7 @@ from repro.overlog.builtins import EvalContext
 from repro.overlog.program import Program
 from repro.runtime.planner import Planner
 from repro.runtime.store import TableStore
-from repro.runtime.strand import DeleteAction, EmitAction, TraceHooks
+from repro.runtime.strand import DeleteAction, TraceHooks
 from repro.runtime.tuples import Tuple
 
 
@@ -46,8 +46,8 @@ def test_fire_returns_emit_actions(env):
     (strand,) = compile_one(store, "r out@N(X, X + 1) :- e@N(X).")
     actions = strand.fire(Tuple("e", ("n", 1)), ctx)
     assert len(actions) == 1
-    assert isinstance(actions[0], EmitAction)
-    assert actions[0].tuple.values == ("n", 1, 2)
+    assert type(actions[0]) is Tuple
+    assert actions[0] == Tuple("out", ("n", 1, 2))
 
 
 def test_fire_nonmatching_trigger_is_noop(env):
@@ -123,7 +123,7 @@ def test_aggregate_groups_and_counts(env):
     for key, value in [("a", 1), ("a", 2), ("b", 9)]:
         store.get("t").insert(Tuple("t", ("n", key, value)))
     actions = strands[0].fire(Tuple("e", ("n",)), ctx)
-    results = sorted((a.tuple.values[1], a.tuple.values[2]) for a in actions)
+    results = sorted((a.values[1], a.values[2]) for a in actions)
     assert results == [("a", 2), ("b", 1)]
 
 
@@ -142,7 +142,7 @@ def test_count_zero_group_from_trigger_bindings(env):
     marker_strand = [s for s in strands if s.trigger_name == "marker"][0]
     actions = marker_strand.fire(Tuple("marker", ("n", "src", 1)), ctx)
     assert len(actions) == 1
-    assert actions[0].tuple.values == ("n", "src", 1, 0)
+    assert actions[0].values == ("n", "src", 1, 0)
 
 
 def test_min_aggregate_no_zero_group(env):
@@ -187,7 +187,7 @@ def test_assignment_evaluates_per_derivation(env):
     for name in ("f1", "f2", "f3"):
         store.get("f").insert(Tuple("f", ("n", name)))
     actions = strands[0].fire(Tuple("e", ("n",)), ctx)
-    request_ids = [a.tuple.values[2] for a in actions]
+    request_ids = [a.values[2] for a in actions]
     assert len(set(request_ids)) == 3
 
 

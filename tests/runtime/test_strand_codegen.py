@@ -30,7 +30,7 @@ from repro.runtime.aggregates import apply_aggregate
 from repro.runtime.elements import AssignElement, JoinElement, SelectElement
 from repro.runtime.planner import Planner
 from repro.runtime.store import TableStore
-from repro.runtime.strand import DeleteAction, EmitAction, TraceHooks
+from repro.runtime.strand import DeleteAction, TraceHooks
 from repro.runtime.tuples import Tuple
 from repro.runtime.work import WorkModel
 
@@ -58,7 +58,7 @@ def reference_fire(strand, trigger, ctx, hooks=None, charge=None):
             if strand.rule.delete:
                 location, pattern = strand.project.delete_pattern(current, ctx)
                 return DeleteAction(strand.project.head.name, location, pattern)
-            return EmitAction(strand.project.project(current, ctx))
+            return strand.project.project(current, ctx)
         except EvaluationError:
             strand.eval_errors += 1
             return None
@@ -70,8 +70,8 @@ def reference_fire(strand, trigger, ctx, hooks=None, charge=None):
                 action = project_one(current)
                 if action is not None:
                     actions.append(action)
-                    if hooks and isinstance(action, EmitAction):
-                        hooks.output_observed(strand, action.tuple, ctx.now())
+                    if hooks and isinstance(action, Tuple):
+                        hooks.output_observed(strand, action, ctx.now())
             return
         op = strand.ops[index]
         if isinstance(op, JoinElement):
@@ -113,7 +113,7 @@ def reference_fire(strand, trigger, ctx, hooks=None, charge=None):
 
     if strand.aggregate is not None:
         for tup in reference_aggregate(strand, bindings, results, ctx):
-            actions.append(EmitAction(tup))
+            actions.append(tup)
             if hooks:
                 hooks.output_observed(strand, tup, ctx.now())
 
@@ -490,7 +490,7 @@ def test_count_of_nothing_is_a_zero_row():
         lambda strand, *args: strand.fire(*args),
     )
     side.fire_all([Tuple("ev", ("n", 0, 1))])
-    assert side.actions == [[EmitAction(Tuple("cnt", ("n", 1, 0)))]]
+    assert side.actions == [[Tuple("cnt", ("n", 1, 0))]]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,11 @@ plan relies on:
   at the same moment.
 * **Size-bound eviction** — the bound holds after every operation and
   evicted rows leave all indexes.
+* **Same-key replacement** — under random insert / replace (touching an
+  indexed column or not) / refresh / delete / expiry / eviction, with
+  unhashable and too-short rows, every probe of one or two secondary
+  indexes equals scan-and-filter in scan order after every step, so a
+  memoised probe never survives a replace.
 * **Bound maintenance** — under arbitrary insert / refresh / replace /
   delete / expiry / restore sequences the table evicts exactly the rows
   a reference that scans for its victim does, in the same order.
@@ -185,6 +190,151 @@ def test_node_id_and_int_probe_keys_are_interchangeable(ids, probe, as_node_id):
         t.values for t in expected
     ]
     assert len(expected) == ids.count(probe)
+
+
+# ----------------------------------------------------------------------
+# Same-key replacement: TableIndex.replace keeps a row's bucket slot when
+# its indexed columns did not change.  Probes must not be able to tell.
+
+
+class Loose:
+    """A value that stops hashing once it is inside a tuple — the only
+    way a row reaches ``TableIndex._loose``, since ``Tuple`` hashes its
+    fields when it is built."""
+
+    armed = False
+
+    def __init__(self, v):
+        self.v = v
+
+    def __eq__(self, other):
+        return isinstance(other, Loose) and other.v == self.v
+
+    def __hash__(self):
+        if Loose.armed:
+            raise TypeError("unhashable: Loose")
+        return hash(("loose", self.v))
+
+    def __repr__(self):
+        return f"Loose({self.v})"
+
+
+WIDE = 4
+key_values = st.integers(min_value=0, max_value=2)
+payload_values = st.one_of(
+    st.integers(min_value=0, max_value=1),
+    st.builds(Loose, st.integers(min_value=0, max_value=1)),
+)
+wide_rows = st.integers(min_value=2, max_value=WIDE).flatmap(
+    lambda n: st.tuples(key_values, key_values, *[payload_values] * (n - 2))
+)
+pick = st.integers(min_value=0, max_value=7)
+replace_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), wide_rows),
+        # Re-insert live row `pick` with column `col` set to `value`:
+        # a refresh when nothing changes, else a same-key replace that
+        # does or does not touch an indexed column.
+        st.tuples(
+            st.just("rewrite"),
+            st.tuples(pick, st.integers(min_value=2, max_value=WIDE - 1), payload_values),
+        ),
+        st.tuples(st.just("delete"), pick),
+        st.tuples(st.just("advance"), st.floats(min_value=0.5, max_value=6.0)),
+    ),
+    min_size=1,
+    max_size=30,
+)
+index_sets = st.sampled_from([[[2]], [[3]], [[2], [3]], [[2], [2, 3]]])
+PROBE_VALUES = (0, 1, Loose(0))
+
+
+def hashable(values):
+    try:
+        hash(values)
+    except TypeError:
+        return False
+    return True
+
+
+def scan_and_filter(table, index, key):
+    """What ``probe_index`` must return, from a scan: the rows long
+    enough for the index whose indexed columns equal ``key`` — or cannot
+    be hashed, or ``key`` cannot (the caller unifies those itself)."""
+    out = []
+    for tup in table.scan():
+        if len(tup.values) <= index.positions[-1]:
+            continue
+        projected = tuple(tup.values[p] for p in index.positions)
+        if not hashable(key) or not hashable(projected) or projected == key:
+            out.append(tup)
+    return out
+
+
+def probe_keys(index):
+    keys = [()]
+    for _ in index.positions:
+        keys = [key + (v,) for key in keys for v in PROBE_VALUES]
+    return keys
+
+
+def assert_probes_equal_scans(table, indexes, when):
+    for index in indexes:
+        for key in probe_keys(index):
+            got = table.probe_index(index, key)
+            want = scan_and_filter(table, index, key)
+            assert [id(t) for t in got] == [id(t) for t in want], (
+                f"{when}: index {index.positions} probed with {key}: "
+                f"{got} != {want}"
+            )
+
+
+@settings(max_examples=300, deadline=None)
+@given(sequence=replace_ops, columns=index_sets)
+def test_probes_equal_scan_and_filter_through_replacements(sequence, columns):
+    clock = FakeClock()
+    table = make_table(clock, lifetime=8.0, max_size=4)
+    indexes = [table.index_on(cols) for cols in columns]
+    Loose.armed = True
+    try:
+        for step, (op, arg) in enumerate(sequence):
+            # Every probe below is memoised when the next mutation runs.
+            live = list(table.scan())
+            if op == "insert":
+                Loose.armed = False
+                tup = Tuple("t", arg)
+                Loose.armed = True
+                table.insert(tup)
+            elif op == "rewrite" and live:
+                which, col, value = arg
+                old = live[which % len(live)].values
+                Loose.armed = False
+                tup = Tuple("t", old[:col] + (value,) + old[col + 1 :])
+                Loose.armed = True
+                table.insert(tup)
+            elif op == "delete" and live:
+                table.delete(live[arg % len(live)])
+            elif op == "advance":
+                clock.t += arg
+            assert_probes_equal_scans(table, indexes, f"step {step} ({op})")
+    finally:
+        Loose.armed = False
+
+
+def test_replace_keeps_the_slot_only_when_indexed_columns_are_unchanged():
+    clock = FakeClock()
+    table = make_table(clock)
+    index = table.index_on([2])
+    for k in range(3):
+        table.insert(Tuple("t", (0, k, "g", k)))
+    bucket = index._buckets[("g",)]
+    table.insert(Tuple("t", (0, 1, "g", "new")))  # indexed column unchanged
+    assert list(bucket) == [(0, 0), (0, 1), (0, 2)]  # slot kept, not re-added
+    assert [t.values[3] for t in table.probe_index(index, ("g",))] == [0, "new", 2]
+    table.insert(Tuple("t", (0, 1, "h", "moved")))  # indexed column changed
+    assert list(bucket) == [(0, 0), (0, 2)]
+    assert [t.values[3] for t in table.probe_index(index, ("h",))] == ["moved"]
+    assert [t.values[3] for t in table.probe_index(index, ("g",))] == [0, 2]
 
 
 # ----------------------------------------------------------------------
