@@ -13,10 +13,9 @@ EXPERIMENTS.md can quote the measured tables.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.chord import ChordNetwork, ChordParams
 from repro.core.metrics import Meter, MetricsSample
@@ -83,20 +82,6 @@ def write_text(name: str, text: str) -> str:
         handle.write(text.rstrip("\n") + "\n")
     print("\n" + text)
     return text
-
-
-def write_json(name: str, payload: Dict) -> str:
-    """Persist a machine-readable result under benchmarks/results/.
-
-    The human-readable tables stay in ``*.txt``; JSON is for trend
-    tooling (CI artifact diffing), so it is indented and key-sorted.
-    """
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{name}.json")
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
 
 
 def measure_window(

@@ -1,6 +1,7 @@
-"""Command-line demo runner: ``python -m repro <command>``.
+"""The one command line: ``python -m repro <command>``.
 
-Commands:
+Demos (each deterministic under ``--seed``, which goes before the
+command):
 
 - ``quickstart``     — the Figure-1 path-vector rule plus a provenance walk;
 - ``ring``           — stabilize a Chord ring, render it, run the
@@ -9,13 +10,34 @@ Commands:
 - ``gossip``         — epidemic broadcast with delivery provenance;
 - ``snapshot``       — Chandy-Lamport snapshots plus snapshot-scoped probes.
 
-Every command is deterministic under ``--seed``.
+Tools (each package registers its own arguments and runs them):
+
+- ``store {info,query,slice} DIR`` — :mod:`repro.store.cli`;
+- ``faults``         — seeded fault campaigns, :mod:`repro.faults.campaign`;
+- ``obs summarize``  — telemetry artifacts, :mod:`repro.obs.summarize`;
+- ``aggtree``        — the aggregation differential, :mod:`repro.aggtree.cli`.
+
+:func:`main` is the only place that parses, dispatches and turns an
+outcome into an exit code:
+
+- ``0`` — done;
+- ``1`` — a :class:`~repro.errors.ReproError` or a file that cannot be
+  read or written (one ``error: ...`` line on stderr, never a
+  traceback), or a failed verdict (a campaign seed ``FAIL``, an aggtree
+  seed ``DIVERGED``, a ring that did not stabilize);
+- ``2`` — argparse rejected the command line (usage on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+
+from repro.aggtree.cli import register as register_aggtree
+from repro.errors import ReproError
+from repro.faults.campaign import register as register_faults
+from repro.obs.summarize import register as register_obs
+from repro.store.cli import register as register_store
 
 
 def cmd_quickstart(args) -> int:
@@ -178,26 +200,40 @@ def cmd_snapshot(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
-        description="Demos for the EuroSys 2006 monitoring/forensics "
-        "reproduction.",
+        description="Demos and tools for the EuroSys 2006 "
+        "monitoring/forensics reproduction.",
+        epilog="exit codes: 0 done; 1 error (one 'error:' line on stderr) "
+        "or failed verdict; 2 usage",
     )
-    parser.add_argument("--seed", type=int, default=1)
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser.add_argument(
+        "--seed", type=int, default=1, help="seed of a demo command"
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("quickstart")
-    for name in ("ring", "oscillation", "gossip", "snapshot"):
-        p = sub.add_parser(name)
+    commands.add_parser(
+        "quickstart", help="demo: path-vector rule and a provenance walk"
+    ).set_defaults(run=cmd_quickstart)
+    for name, handler, text in (
+        ("ring", cmd_ring, "demo: monitored Chord ring and dashboard"),
+        ("oscillation", cmd_oscillation, "demo: the oscillation pathology"),
+        ("gossip", cmd_gossip, "demo: epidemic broadcast with provenance"),
+        ("snapshot", cmd_snapshot, "demo: Chandy-Lamport snapshots"),
+    ):
+        p = commands.add_parser(name, help=text)
         p.add_argument("--nodes", type=int, default=8)
+        p.set_defaults(run=handler)
+
+    for register in (
+        register_store, register_faults, register_obs, register_aggtree
+    ):
+        register(commands)
 
     args = parser.parse_args(argv)
-    handler = {
-        "quickstart": cmd_quickstart,
-        "ring": cmd_ring,
-        "oscillation": cmd_oscillation,
-        "gossip": cmd_gossip,
-        "snapshot": cmd_snapshot,
-    }[args.command]
-    return handler(args)
+    try:
+        return args.run(args)
+    except (ReproError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

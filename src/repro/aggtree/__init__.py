@@ -22,7 +22,8 @@ evaluation (proven by the differential battery in ``tests/aggtree``):
 - :mod:`repro.aggtree.monitors` — the bundled global Chord monitors
   (oscillation, consistency, partition census);
 - :mod:`repro.aggtree.differential` — the seed runner the differential
-  battery, the CLI (``python -m repro.aggtree``), and CI smoke share.
+  battery, the CLI (``python -m repro aggtree``,
+  :mod:`repro.aggtree.cli`), and CI smoke share.
 """
 
 from repro.aggtree.partials import (
@@ -58,11 +59,7 @@ from repro.aggtree.monitors import (
     global_oscillation_monitor,
     global_partition_monitor,
 )
-from repro.aggtree.differential import (
-    run_differential,
-    run_one,
-    run_volume_benchmark,
-)
+from repro.aggtree.differential import run_differential, run_one
 
 __all__ = [
     "AGG_PARTIAL",
@@ -92,5 +89,4 @@ __all__ = [
     "plan_global",
     "run_differential",
     "run_one",
-    "run_volume_benchmark",
 ]

@@ -13,7 +13,7 @@ seed and aggregation traffic never perturbs application behavior (no
 RNG draws on the send path, virtual event times independent of load),
 the two runs see byte-identical Chord histories — so any fingerprint
 divergence is a bug in the decomposition, not noise.  The differential
-tests, the CLI (``python -m repro.aggtree``), and the CI smoke step all
+tests, the CLI (``python -m repro aggtree``), and the CI smoke step all
 call these two functions.
 """
 
@@ -145,48 +145,4 @@ def run_differential(
             k: v for k, v in centralized.items() if k != "monitors"
         },
         "tree": {k: v for k, v in tree.items() if k != "monitors"},
-    }
-
-
-def run_volume_benchmark(
-    seed: int = 0,
-    nodes: int = 64,
-    monitors: Sequence[str] = DEFAULT_MONITORS,
-    stabilize: float = 90.0,
-    duration: float = 100.0,
-    epoch_len: float = 20.0,
-    fanout: int = 4,
-) -> Dict[str, Any]:
-    """The 64-node collector-load comparison behind BENCH_aggtree.json."""
-    diff = run_differential(
-        seed,
-        monitors=monitors,
-        nodes=nodes,
-        stabilize=stabilize,
-        duration=duration,
-        epoch_len=epoch_len,
-        fanout=fanout,
-        kill=True,
-    )
-    return {
-        "benchmark": "aggtree_collector_volume",
-        "nodes": nodes,
-        "seed": seed,
-        "fanout": fanout,
-        "epoch_len": epoch_len,
-        "duration": duration,
-        "monitors": list(monitors),
-        "equal": diff["equal"],
-        "collector_inbound_tuples": diff["inbound"],
-        "collector_inbound_bytes": {
-            "centralized": diff["centralized"]["inbound_bytes"],
-            "tree": diff["tree"]["inbound_bytes"],
-        },
-        "reduction_tuples": diff["reduction"],
-        "reduction_bytes": (
-            diff["centralized"]["inbound_bytes"]
-            / diff["tree"]["inbound_bytes"]
-            if diff["tree"]["inbound_bytes"]
-            else float(diff["centralized"]["inbound_bytes"] or 1)
-        ),
     }

@@ -20,12 +20,8 @@ from repro.chord import ids as ring
 from repro.errors import ReproError
 from repro.chord.program import ChordParams, chord_program
 from repro.net.address import make_address
-from repro.net.network import ReliableConfig
 from repro.net.topology import ConstantLatency, LatencyModel
-from repro.overload.controller import OverloadConfig
 from repro.overlog.types import NodeID
-from repro.sim.batch import ExecutionConfig
-from repro.store.store import StoreConfig
 from repro.runtime.node import P2Node
 from repro.runtime.tuples import Tuple
 
@@ -44,20 +40,14 @@ class ChordNetwork:
         recycle_dead_bug: bool = False,
         latency: float = 0.01,
         latency_model: Optional[LatencyModel] = None,
-        loss_rate: float = 0.0,
-        transport: str = "udp",
-        reliable: Optional[ReliableConfig] = None,
-        reorder_rate: float = 0.0,
-        duplicate_rate: float = 0.0,
-        observability: bool = False,
-        overload: Optional[OverloadConfig] = None,
-        execution: Optional[ExecutionConfig] = None,
-        store: Optional[StoreConfig] = None,
-        trace_lifetime: float = 120.0,
-        trace_entries: int = 5000,
-        log_capacity: int = 2000,
-        tuple_entries: int = 100000,
+        **system,
     ) -> None:
+        """``system`` is forwarded verbatim to :class:`System` (transport,
+        fault rates, ``observability``, ``overload``, ``execution``,
+        ``store``, ring capacities, ...): options and their defaults are
+        declared there, once."""
+        if num_nodes < 1:
+            raise ReproError(f"num_nodes must be at least 1, got {num_nodes!r}")
         self.params = params if params is not None else ChordParams()
         self.system = System(
             seed=seed,
@@ -67,19 +57,7 @@ class ChordNetwork:
                 else ConstantLatency(latency)
             ),
             id_bits=self.params.id_bits,
-            loss_rate=loss_rate,
-            transport=transport,
-            reliable=reliable,
-            reorder_rate=reorder_rate,
-            duplicate_rate=duplicate_rate,
-            observability=observability,
-            overload=overload,
-            execution=execution,
-            store=store,
-            trace_lifetime=trace_lifetime,
-            trace_entries=trace_entries,
-            log_capacity=log_capacity,
-            tuple_entries=tuple_entries,
+            **system,
         )
         self.program = chord_program(self.params, recycle_dead_bug)
         self.addresses: List[str] = [

@@ -362,7 +362,7 @@ class System:
         """Flush and finalize the forensic store (if one is enabled).
 
         Returns the store so callers can chain into offline queries:
-        ``system.close_store()`` then ``python -m repro.store ...`` on
+        ``system.close_store()`` then ``python -m repro store ...`` on
         its directory.  Capture stops; the segments and manifest on
         disk are complete and byte-stable for the seeded run.
         """

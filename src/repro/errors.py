@@ -120,3 +120,14 @@ class DurableImageError(ReproError):
         super().__init__(f"bad durable image ({path or 'text'}): {reason}")
         self.reason = reason
         self.path = path
+
+
+class ArtifactError(ReproError):
+    """Raised when a telemetry artifact (``.jsonl`` or Chrome trace)
+    cannot be analysed: unreadable, not JSON, or JSON of the wrong
+    shape.  Always names the file."""
+
+    def __init__(self, path: str, reason: str):
+        super().__init__(f"cannot read artifact {path!r}: {reason}")
+        self.path = path
+        self.reason = reason

@@ -15,18 +15,20 @@ drives the schedule through its fault window, and emits a structured
 
 Same seed + same config ⇒ byte-for-byte identical verdict
 (:meth:`CampaignVerdict.fingerprint`), which is what the regression
-tests pin and what ``python -m repro.faults.campaign --seeds ...``
+tests pin and what ``python -m repro faults --seeds ... --fingerprints``
 prints for the CI smoke job.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.chord.harness import ChordNetwork
+from repro.errors import ReproError
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultSchedule
 from repro.monitors.oscillation import OscillationMonitor
@@ -108,9 +110,10 @@ class CampaignConfig:
     #: fault/alarm events).  Implied by ``artifact_dir``.
     observability: bool = False
     #: Export telemetry artifacts here after the run (trace + JSONL +
-    #: Prometheus, prefix ``campaign_seed<seed>``); the verdict embeds
+    #: Prometheus, prefix ``campaign_seed<seed>`` plus the mode suffix
+    #: of :meth:`FaultCampaign.leaf`); the verdict embeds
     #: the JSONL path so a failure can be replayed in Perfetto or
-    #: ``python -m repro.obs summarize``.
+    #: ``python -m repro obs summarize``.
     artifact_dir: Optional[str] = None
     #: Execution mode (:mod:`repro.sim.batch`): None keeps the original
     #: continuous-time per-tuple loop; an :class:`ExecutionConfig`
@@ -119,11 +122,12 @@ class CampaignConfig:
     #: batch sizes for a given tick.
     execution: Optional[ExecutionConfig] = None
     #: Run every node traced + logged with a durable forensic store
-    #: (:mod:`repro.store`) spilling under ``<store_dir>/seed<seed>``.
+    #: (:mod:`repro.store`) spilling under ``<store_dir>/seed<seed>``
+    #: plus the mode suffix of :meth:`FaultCampaign.leaf`.
     #: The verdict embeds the manifest path, segment names, and totals —
     #: in the fingerprint, the same way the telemetry JSONL pointer is —
     #: so a failing seed's history can be sliced offline with
-    #: ``python -m repro.store slice``.
+    #: ``python -m repro store slice``.
     store_dir: Optional[str] = None
     #: Ring capacities for store-enabled campaigns (small rings force
     #: rotation, proving the store carries what memory dropped).
@@ -258,6 +262,11 @@ class FaultCampaign:
     ) -> None:
         self.seed = seed
         self.config = config if config is not None else CampaignConfig()
+        if not self.config.storm and self.config.num_nodes < 2:
+            raise ReproError(
+                "num_nodes must be at least 2 (the fault menu partitions "
+                f"pairs of nodes), got {self.config.num_nodes!r}"
+            )
         # Storms outlive their at() entries by their duration argument;
         # sampling records the true quiet time here so heal_time (and
         # the soundness window) starts after the last storm ends.
@@ -378,6 +387,20 @@ class FaultCampaign:
     # ------------------------------------------------------------------
     # Running
 
+    def leaf(self, control: bool = False) -> str:
+        """``seed<N>`` plus one suffix per mode — what names this run's
+        store directory and telemetry artifacts, so campaigns of every
+        mode can share one output directory."""
+        config = self.config
+        leaf = f"seed{self.seed}"
+        if config.churn:
+            leaf += "_churn"
+        if config.storm:
+            leaf += "_storm" if config.shedding else "_storm_noshed"
+        if control:
+            leaf += "_control"
+        return leaf
+
     def run(self, control: bool = False) -> CampaignVerdict:
         """Run the campaign; with ``control=True`` no faults are
         injected (the zero-alarm baseline the soundness tests compare
@@ -385,15 +408,8 @@ class FaultCampaign:
         config = self.config
         store_config = None
         if config.store_dir:
-            import os
-
-            leaf = f"seed{self.seed}"
-            if config.storm:
-                leaf += "_storm" if config.shedding else "_storm_noshed"
-            if control:
-                leaf += "_control"
             store_config = StoreConfig(
-                directory=os.path.join(config.store_dir, leaf)
+                directory=os.path.join(config.store_dir, self.leaf(control))
             )
         net = ChordNetwork(
             num_nodes=config.num_nodes,
@@ -536,14 +552,9 @@ class FaultCampaign:
             sound = not alarms
         artifact = None
         if config.artifact_dir:
-            prefix = f"campaign_seed{self.seed}"
-            if config.storm:
-                prefix += "_storm" if config.shedding else "_storm_noshed"
-            if control:
-                prefix += "_control"
             paths = net.system.export_telemetry(
                 config.artifact_dir,
-                prefix=prefix,
+                prefix=f"campaign_{self.leaf(control)}",
                 meta={
                     "seed": self.seed,
                     "transport": config.transport,
@@ -642,16 +653,11 @@ class FaultCampaign:
         }
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point: run fixed-seed campaigns and print verdicts.
-
-    Used by the nightly ``campaign-smoke`` CI job::
-
-        python -m repro.faults.campaign --seeds 0 1 2
-    """
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
+def register(commands) -> None:
+    """Add ``faults`` to the ``python -m repro`` parser."""
+    parser = commands.add_parser(
+        "faults", help="run fixed-seed randomized fault campaigns"
+    )
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     parser.add_argument("--nodes", type=int, default=8)
     parser.add_argument(
@@ -702,11 +708,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="DIR",
         default=None,
         help="trace + log every node into a durable forensic store under "
-        "DIR/seed<seed>; the verdict fingerprint embeds the manifest "
-        "and segment pointers (slice offline with python -m repro.store)",
+        "DIR/seed<seed>[_mode]; the verdict fingerprint embeds the "
+        "manifest and segment pointers (slice offline with "
+        "python -m repro store slice)",
     )
-    args = parser.parse_args(argv)
+    parser.set_defaults(run=run_campaigns)
 
+
+def run_campaigns(args) -> int:
+    """Run one campaign per seed and print the verdicts; 1 if any seed
+    FAILs.  The nightly ``campaign-smoke`` CI job runs::
+
+        python -m repro faults --seeds 0 1 2
+    """
     failures = 0
     verdict_lines = []
     for seed in args.seeds:
@@ -767,7 +781,3 @@ def main(argv: Optional[List[str]] = None) -> int:
             for line in verdict_lines:
                 handle.write(line + "\n")
     return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -5,8 +5,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.core.system import System
+from repro.errors import ReproError
 from repro.gossip.program import GossipParams, gossip_program
 from repro.net.address import make_address
+from repro.net.topology import ConstantLatency
 from repro.runtime.node import P2Node
 from repro.runtime.tuples import Tuple
 
@@ -27,27 +29,15 @@ class GossipNetwork:
         tracing: bool = False,
         latency: float = 0.01,
         stale_share_bug: bool = False,
-        loss_rate: float = 0.0,
-        transport: str = "udp",
-        reliable=None,
-        reorder_rate: float = 0.0,
-        duplicate_rate: float = 0.0,
-        observability: bool = False,
-        execution=None,
+        **system,
     ) -> None:
-        from repro.net.topology import ConstantLatency
-
+        """``system`` is forwarded verbatim to :class:`System`, which
+        declares those options and their defaults."""
+        if num_nodes < 1:
+            raise ReproError(f"num_nodes must be at least 1, got {num_nodes!r}")
         self.params = params if params is not None else GossipParams()
         self.system = System(
-            seed=seed,
-            latency=ConstantLatency(latency),
-            loss_rate=loss_rate,
-            transport=transport,
-            reliable=reliable,
-            reorder_rate=reorder_rate,
-            duplicate_rate=duplicate_rate,
-            observability=observability,
-            execution=execution,
+            seed=seed, latency=ConstantLatency(latency), **system
         )
         self.program = gossip_program(self.params, stale_share_bug)
         self.addresses: List[str] = [

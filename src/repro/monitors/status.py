@@ -1,4 +1,4 @@
-"""Status-telemetry fan-in — the scale benchmark's monitoring load.
+"""Status-telemetry fan-in — the ring benchmarks' monitoring load.
 
 The paper's monitoring deployments all share one traffic shape: every
 node periodically reports a small local observation to a collector,
@@ -7,8 +7,8 @@ per-node rules are trivial; the system-wide cost is dominated by the
 *message fan-in* — thousands of tiny tuples per second converging on a
 handful of collectors.  That is exactly the regime the batch-execution
 kernel targets (``docs/SCALE.md``), so this monitor doubles as the
-workload of ``benchmarks/bench_scale.py``: real OverLog rules, real
-wire traffic, tunable rate.
+load on the ``ring_bare`` and ``ring_observed`` workloads of
+``benchmarks/e2e``: real OverLog rules, real wire traffic, tunable rate.
 
 ``sr1`` samples the local clock every ``tStatus`` seconds and reports
 it to the collector assigned per metric (the ``collectorOf`` table,

@@ -15,7 +15,7 @@ applies it to the reproduction itself):
 - :mod:`repro.obs.export` — Chrome trace-event JSON (loads in
   Perfetto), structured JSONL, and Prometheus text exporters;
 - :mod:`repro.obs.summarize` — the offline analyzer behind
-  ``python -m repro.obs summarize <artifact>``.
+  ``python -m repro obs summarize <artifact>``.
 
 Enable it per system with ``System(observability=True)``; export with
 ``system.export_telemetry(directory)``.  When disabled (the default),

@@ -11,7 +11,7 @@ Three artifact formats over one :class:`repro.obs.telemetry.Telemetry`:
   a ``meta`` header, every flight-recorder record, then the full
   metrics snapshot (scalar metrics and histogram lines with their raw
   log-linear buckets).  This is the self-contained artifact
-  ``python -m repro.obs summarize`` consumes.
+  ``python -m repro obs summarize`` consumes.
 - :func:`prometheus_text` / :func:`write_prometheus` — the Prometheus
   exposition text format (counters/gauges verbatim, histograms as
   cumulative ``_bucket{le=...}`` series plus ``_count``/``_sum``).

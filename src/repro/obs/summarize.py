@@ -1,4 +1,4 @@
-"""``python -m repro.obs summarize <artifact>`` — offline artifact analysis.
+"""``python -m repro obs summarize <artifact>`` — offline artifact analysis.
 
 Loads an exported telemetry artifact (the JSONL event log by default;
 the Chrome trace JSON is also accepted) and prints what an operator or
@@ -28,10 +28,10 @@ campaign seed) can be inspected after the fact.
 
 from __future__ import annotations
 
-import argparse
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
+from repro.errors import ArtifactError
 from repro.obs.metrics import HistogramData
 
 
@@ -49,21 +49,31 @@ class Artifact:
 
     @classmethod
     def load(cls, path: str) -> "Artifact":
-        with open(path) as handle:
-            text = handle.read()
-        stripped = text.lstrip()
-        if stripped.startswith("{") and '"traceEvents"' in stripped[:4096]:
-            return cls._from_chrome(json.loads(text))
-        return cls._from_jsonl(text)
+        """Parse ``path``; anything but a well-formed artifact — an
+        unreadable file, text that is not JSON, JSON of another shape —
+        is an :class:`~repro.errors.ArtifactError` naming the file."""
+        try:
+            with open(path) as handle:
+                text = handle.read()
+            stripped = text.lstrip()
+            if stripped.startswith("{") and '"traceEvents"' in stripped[:4096]:
+                return cls._from_chrome(json.loads(text))
+            return cls._from_jsonl(text)
+        except (OSError, ValueError) as exc:
+            raise ArtifactError(path, str(exc)) from exc
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ArtifactError(path, f"malformed record: {exc!r}") from exc
 
     @classmethod
     def _from_jsonl(cls, text: str) -> "Artifact":
         art = cls()
-        for line in text.splitlines():
+        for number, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line:
                 continue
             rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ValueError(f"line {number} is not a JSON object")
             kind = rec.get("type")
             if kind == "meta":
                 art.meta = {k: v for k, v in rec.items() if k != "type"}
@@ -84,8 +94,13 @@ class Artifact:
     @classmethod
     def _from_chrome(cls, payload: dict) -> "Artifact":
         art = cls()
+        events = payload.get("traceEvents")
+        if not isinstance(events, list) or not all(
+            isinstance(event, dict) for event in events
+        ):
+            raise ValueError("traceEvents is not a list of objects")
         art.meta = dict(payload.get("otherData", {}))
-        for event in payload.get("traceEvents", []):
+        for event in events:
             ph = event.get("ph")
             if ph == "X":
                 args = event.get("args", {})
@@ -404,12 +419,12 @@ def summarize(path: str, top: int = 10) -> str:
     return "\n".join(lines)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs",
-        description="Offline analysis of exported telemetry artifacts.",
+def register(commands) -> None:
+    """Add ``obs summarize`` to the ``python -m repro`` parser."""
+    parser = commands.add_parser(
+        "obs", help="offline analysis of exported telemetry artifacts"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="obs_command", required=True)
     p_sum = sub.add_parser(
         "summarize", help="summarize a .jsonl or Chrome-trace artifact"
     )
@@ -417,17 +432,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_sum.add_argument(
         "--top", type=int, default=10, help="rows per section (default 10)"
     )
-    args = parser.parse_args(argv)
-
-    if args.command == "summarize":
-        try:
-            print(summarize(args.artifact, top=args.top))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read artifact {args.artifact!r}: {exc}")
-            return 2
-        return 0
-    return 2  # pragma: no cover - argparse enforces the subcommand
+    p_sum.set_defaults(run=run_summarize)
 
 
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+def run_summarize(args) -> int:
+    print(summarize(args.artifact, top=args.top))
+    return 0

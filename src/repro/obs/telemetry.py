@@ -16,8 +16,8 @@ metrics registry and exposes the two write primitives every layer uses:
 ``event()`` returns immediately, but the callers are expected to do one
 better — every hot-path instrumentation site in the runtime/net layers
 holds ``obs = None`` when telemetry is off and never calls in at all,
-which is what the ablation benchmark
-(:mod:`benchmarks.test_ablation_obs`) pins.
+which ``tests/obs/test_no_heisenberg.py`` and the calls-per-firing
+ceilings in ``tests/perf_guard`` pin.
 
 The metrics registry is *always* live (its callback adapters cost
 nothing until read), which is what lets :class:`repro.core.metrics.Meter`

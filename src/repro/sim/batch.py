@@ -96,7 +96,7 @@ class BatchKernel:
         self._sim = sim
         #: Ticks executed (one per distinct event time processed).
         self.ticks = 0
-        #: Largest single-tick event batch seen (for BENCH_scale).
+        #: Largest single-tick event batch seen (e2e's ``sim.max_tick_events``).
         self.max_tick_events = 0
         #: Tick-barrier hooks, called with the tick time after all of a
         #: tick's events have run.  The forensic store registers here so

@@ -7,7 +7,8 @@ The public surface:
 - :func:`backward_slice` over :class:`MemoryProvider`,
   :class:`StoreProvider` or the two :class:`Layered` — alarm -> minimal
   supporting input set;
-- ``python -m repro.store`` — offline query / slice / info CLI.
+- ``python -m repro store`` — offline query / slice / info CLI
+  (:mod:`repro.store.cli`).
 """
 
 from repro.store.compress import BurstCompressor, expand, expand_all

@@ -1,7 +1,4 @@
-"""Offline forensic-store CLI: ``python -m repro.store <cmd> DIR``.
-
-Commands
---------
+"""The offline forensic-store commands: ``python -m repro store <cmd> DIR``.
 
 ``info``    store totals: segments, records, logical events, bytes,
             compression ratio, ring rotations.
@@ -13,14 +10,15 @@ Commands
 
 All output is canonical JSON (sorted keys, compact separators) on
 virtual-clock timestamps, so two runs of the same seeded workload
-produce byte-identical output — what the CI forensics-smoke job checks.
+produce byte-identical output — what the nightly campaign-smoke job
+checks.  :func:`register` declares the arguments; ``repro.__main__``
+parses, dispatches and maps outcomes to exit codes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import sys
 
 from repro.errors import ReproError
 from repro.store import format as fmt
@@ -28,7 +26,8 @@ from repro.store.slicing import StoreProvider, backward_slice
 from repro.store.store import ForensicStore
 
 
-def _cmd_info(store: ForensicStore, args) -> int:
+def _cmd_info(args) -> int:
+    store = ForensicStore.open(args.directory)
     info = {
         "directory": store.config.directory,
         "segments": store.segments_written,
@@ -47,7 +46,8 @@ def _cmd_info(store: ForensicStore, args) -> int:
     return 0
 
 
-def _cmd_query(store: ForensicStore, args) -> int:
+def _cmd_query(args) -> int:
+    store = ForensicStore.open(args.directory)
     for record in store.iter_events(
         t0=args.t0,
         t1=args.t1,
@@ -61,30 +61,19 @@ def _cmd_query(store: ForensicStore, args) -> int:
     return 0
 
 
-def _cmd_slice(store: ForensicStore, args) -> int:
-    node = args.node
-    tid = args.tid
+def _cmd_slice(args) -> int:
+    node, tid = args.node, args.tid
+    if tid is not None and node is None:
+        args.usage_error("--tid requires --node")  # argparse: exit 2
+    store = ForensicStore.open(args.directory)
     if tid is None:
-        if args.alarm is None:
-            print("slice: need --alarm PAYLOAD or --tid ID", file=sys.stderr)
-            return 2
-        try:
-            payload = json.loads(args.alarm)
-        except json.JSONDecodeError as exc:
-            print(f"slice: bad --alarm JSON: {exc}", file=sys.stderr)
-            return 2
-        candidates = [node] if node else store.nodes()
-        for candidate in candidates:
-            found = store.tid_of(candidate, payload)
+        for candidate in [node] if node else store.nodes():
+            found = store.tid_of(candidate, args.alarm)
             if found is not None:
                 node, tid = candidate, found
                 break
-        if tid is None:
-            print("slice: alarm tuple not found in store", file=sys.stderr)
-            return 1
-    elif node is None:
-        print("slice: --tid requires --node", file=sys.stderr)
-        return 2
+        else:
+            raise ReproError("slice: alarm tuple not found in store")
     result = backward_slice(
         StoreProvider(store), node, tid, max_nodes=args.max_nodes
     )
@@ -92,16 +81,23 @@ def _cmd_slice(store: ForensicStore, args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.store",
-        description="Query a durable forensic event store.",
+def _alarm_payload(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise argparse.ArgumentTypeError(f"not JSON ({exc})") from exc
+
+
+def register(commands) -> None:
+    """Add ``store {info,query,slice}`` to the ``python -m repro`` parser."""
+    parser = commands.add_parser(
+        "store", help="query a durable forensic event store"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="store_command", required=True)
 
     p_info = sub.add_parser("info", help="store totals and summaries")
     p_info.add_argument("directory")
-    p_info.set_defaults(func=_cmd_info)
+    p_info.set_defaults(run=_cmd_info)
 
     p_query = sub.add_parser("query", help="filtered event scan")
     p_query.add_argument("directory")
@@ -127,30 +123,20 @@ def main(argv=None) -> int:
         action="store_true",
         help="emit stored records without expanding rule bursts",
     )
-    p_query.set_defaults(func=_cmd_query)
+    p_query.set_defaults(run=_cmd_query)
 
     p_slice = sub.add_parser(
         "slice", help="backward slice of an alarm tuple"
     )
     p_slice.add_argument("directory")
-    p_slice.add_argument(
+    target = p_slice.add_mutually_exclusive_group(required=True)
+    target.add_argument(
         "--alarm",
+        type=_alarm_payload,
         default=None,
         help='canonical payload JSON, e.g. \'{"rel":"alarm","v":["n1",3]}\'',
     )
+    target.add_argument("--tid", type=int, default=None)
     p_slice.add_argument("--node", default=None)
-    p_slice.add_argument("--tid", type=int, default=None)
     p_slice.add_argument("--max-nodes", type=int, default=100000)
-    p_slice.set_defaults(func=_cmd_slice)
-
-    args = parser.parse_args(argv)
-    try:
-        store = ForensicStore.open(args.directory)
-        return args.func(store, args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    p_slice.set_defaults(run=_cmd_slice, usage_error=p_slice.error)

@@ -3,7 +3,7 @@
 Every record is a flat JSON-ready dict with a ``k`` (kind) tag and is
 serialized in *canonical* form — sorted keys, compact separators — so a
 store built from a seeded run is byte-for-byte reproducible, which is
-what the CI forensics-smoke job pins.
+what the nightly campaign-smoke CI job pins.
 
 Record kinds
 ------------

@@ -9,6 +9,8 @@ seeds; the slow sweep covers twenty-five (CI's nightly job).
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.aggtree.differential import DEFAULT_MONITORS, run_differential
@@ -27,16 +29,18 @@ def assert_equivalent(verdict):
     assert verdict["reduction"] > 1.0
 
 
+@functools.lru_cache(maxsize=None)
+def fast_verdict(seed):
+    return run_differential(seed, nodes=6, stabilize=60.0, duration=80.0)
+
+
 @pytest.mark.parametrize("seed", FAST_SEEDS)
 def test_differential_equivalence_fast(seed):
-    assert_equivalent(
-        run_differential(seed, nodes=6, stabilize=60.0, duration=80.0)
-    )
+    assert_equivalent(fast_verdict(seed))
 
 
 def test_battery_covers_all_bundled_monitors():
-    verdict = run_differential(0, nodes=6, stabilize=60.0, duration=80.0)
-    assert set(verdict["per_monitor"]) == set(DEFAULT_MONITORS)
+    assert set(fast_verdict(0)["per_monitor"]) == set(DEFAULT_MONITORS)
 
 
 @pytest.mark.slow
@@ -44,4 +48,23 @@ def test_battery_covers_all_bundled_monitors():
 def test_differential_equivalence_sweep(seed):
     assert_equivalent(
         run_differential(seed, nodes=8, stabilize=60.0, duration=120.0)
+    )
+
+
+@pytest.mark.slow
+def test_tree_cuts_collector_inbound_fivefold_on_64_nodes():
+    """The aggregation tree's quantitative claim (docs/AGGREGATION.md):
+    on a 64-node ring with every bundled monitor installed, the
+    collector hears at least 5x fewer tuples than when every
+    contribution is shipped to it — and the verdicts are byte-identical.
+    The counts are exact under the seed (1,502 against 60 at seed 0)."""
+    verdict = run_differential(
+        0, nodes=64, kill=True,
+        stabilize=90.0, duration=100.0, epoch_len=20.0, fanout=4,
+    )
+    assert_equivalent(verdict)
+    assert verdict["reduction"] >= 5.0, verdict["inbound"]
+    assert (
+        verdict["tree"]["inbound_bytes"]
+        < verdict["centralized"]["inbound_bytes"]
     )

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.chord import ChordNetwork, ChordParams
+from repro.errors import ReproError
+from repro.gossip import GossipNetwork
 
 
 def test_late_node_joins_established_ring():
@@ -51,3 +53,26 @@ def test_lookup_before_join_times_out():
         net._prepare(addr)  # identity, but no join event
     result = net.lookup(net.addresses[0], NodeID(123), timeout=2.0)
     assert result is None
+
+
+def test_system_options_are_forwarded_not_redeclared():
+    """The harness declares no ``System`` option of its own: what it is
+    given reaches the system, ``id_bits`` follows ``params``, and a
+    misspelt option is ``System``'s ``TypeError``."""
+    net = ChordNetwork(
+        num_nodes=2, params=ChordParams(id_bits=16),
+        transport="reliable", trace_entries=77, tuple_entries=99,
+    )
+    assert net.system.network.transport == "reliable"
+    assert (net.system.trace_entries, net.system.tuple_entries) == (77, 99)
+    assert net.system.id_bits == 16
+    with pytest.raises(TypeError, match="trasport"):
+        ChordNetwork(num_nodes=2, trasport="reliable")
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_empty_population_is_a_typed_error(count):
+    with pytest.raises(ReproError, match=f"num_nodes must be at least 1, got {count}"):
+        ChordNetwork(num_nodes=count)
+    with pytest.raises(ReproError, match="num_nodes must be at least 1"):
+        GossipNetwork(num_nodes=count)

@@ -8,10 +8,20 @@ from __future__ import annotations
 
 import pytest
 
+from repro.__main__ import main
 from repro.net.network import Network
 from repro.net.topology import ConstantLatency
 from repro.runtime.node import P2Node
 from repro.sim.simulator import Simulator
+
+
+def run_cli(*argv) -> int:
+    """``python -m repro <argv>`` in-process; the exit code, whether
+    ``main`` returned it or argparse exited with it."""
+    try:
+        return main([str(arg) for arg in argv])
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.fixture

@@ -9,6 +9,14 @@ import pytest
 
 from repro.analysis import trace_back
 from repro.gossip import GossipNetwork, GossipParams, gossip_program
+from repro.overload.controller import OverloadConfig
+from repro.store import (
+    ForensicStore,
+    StoreConfig,
+    StoreProvider,
+    backward_slice,
+    format as fmt,
+)
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +112,39 @@ def test_provenance_of_a_delivery(meshed):
     assert any(link.crossed_network for link in chain)
     origins = {link.node for link in chain}
     assert meshed.addresses[0] in origins  # the publisher
+
+
+def test_system_options_reach_the_gossip_ring(tmp_path):
+    """The harness forwards ``System`` options it does not declare: a
+    traced ring with small trace rings and overload control spills into
+    a store, and a delivery slices back to its publish from disk."""
+    net = GossipNetwork(
+        num_nodes=5,
+        seed=2,
+        tracing=True,
+        store=StoreConfig(directory=str(tmp_path / "store")),
+        overload=OverloadConfig(),
+        trace_entries=50,
+    )
+    assert net.node(net.addresses[0]).overload is not None
+    net.start()
+    net.run_for(30.0)
+    net.publish(net.addresses[0], 7, "stored")
+    net.run_for(5.0)
+    target = net.addresses[-1]
+    (seen,) = net.node(target).query("seenMsg")
+    net.system.close_store()
+
+    store = ForensicStore.open(str(tmp_path / "store"))
+    assert store.ring_rotations  # memory alone no longer holds the run
+    tid = store.tid_of(target, fmt.tuple_payload(seen))
+    result = backward_slice(StoreProvider(store), target, tid)
+    rules = {link["r"] for link in result.links}
+    assert "b0" in rules and "b6" in rules  # the publish, then a forward
+    assert net.addresses[0] in {link["n"] for link in result.links}
+
+    with pytest.raises(TypeError, match="trace_entires"):
+        GossipNetwork(num_nodes=2, trace_entires=200)
 
 
 def test_hop_counts_bounded_by_graph(meshed):

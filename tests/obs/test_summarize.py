@@ -1,9 +1,11 @@
-"""The offline analyzer and its CLI entry point."""
+"""The offline analyzer and its ``python -m repro obs`` command."""
 
 import pytest
 
 from repro.core.system import System
-from repro.obs.summarize import Artifact, main, summarize
+from repro.errors import ArtifactError
+from repro.obs.summarize import Artifact, summarize
+from tests.conftest import run_cli
 
 WORKLOAD = """
 materialize(peer, 60, 50, keys(1,2)).
@@ -57,9 +59,35 @@ def test_summarize_sections(artifacts):
 
 
 def test_cli_exit_codes(artifacts, capsys):
-    assert main(["summarize", artifacts["jsonl"]]) == 0
+    assert run_cli("obs", "summarize", artifacts["jsonl"]) == 0
     assert "slow rules" in capsys.readouterr().out
-    assert main(["summarize", artifacts["trace"], "--top", "2"]) == 0
+    assert run_cli("obs", "summarize", artifacts["trace"], "--top", "2") == 0
     capsys.readouterr()
-    assert main(["summarize", "/nonexistent/artifact.jsonl"]) == 2
-    assert "error" in capsys.readouterr().out
+    assert run_cli("obs", "summarize", "/nonexistent/artifact.jsonl") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: cannot read artifact '/nonexistent/artifact.jsonl'"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("[]", "line 1 is not a JSON object"),
+        ('{"type": "meta"}\n3\n', "line 2 is not a JSON object"),
+        ('{"traceEvents": 3}', "traceEvents is not a list of objects"),
+        ('{"traceEvents": [1]}', "traceEvents is not a list of objects"),
+        ('{"type": "metric"}', "malformed record"),
+        ("{not json", "Expecting property name"),
+    ],
+)
+def test_wrong_shape_artifact_is_a_typed_error_naming_the_file(
+    tmp_path, text, reason
+):
+    path = tmp_path / "artifact.jsonl"
+    path.write_text(text)
+    with pytest.raises(ArtifactError, match=reason) as caught:
+        Artifact.load(str(path))
+    assert caught.value.path == str(path)
+    assert str(path) in str(caught.value)

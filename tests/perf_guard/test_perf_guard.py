@@ -34,7 +34,8 @@ object and a frame per routing hop cost as much as deriving it), a
 same-key replace that leaves the indexed columns alone may delete
 nothing from an index bucket, and a whole firing — timer or delivery,
 pump, strand, table insert, routing — may make only so many calls on
-the ``BENCH_obs`` workload (telemetry off and on) and on the Figure-4
+the telemetry workload of ``tests/obs/test_no_heisenberg.py`` (telemetry
+off and on) and on the Figure-4
 periodic-rule workload (``cProfile``'s call count is the same on every
 machine and every CPython from 3.10 to 3.12).
 """
@@ -64,15 +65,9 @@ from repro.store import ForensicStore, StoreConfig, StoreProvider, backward_slic
 from repro.store import format as fmt
 from repro.store.compress import expand
 from repro.store.segment import SegmentReader
+from tests.obs.test_no_heisenberg import WORKLOAD as OBS_WORKLOAD
 
 ROUNDS = 3
-
-OBS_WORKLOAD = """
-materialize(state, 60, 200, keys(1,2)).
-w1 state@N(E) :- periodic@N(E, 0.5).
-w2 derived@N(S) :- state@N(S).
-w3 chained@N(S) :- derived@N(S).
-"""
 
 FIG4_RULES = 100
 FIG4_WINDOW = 30.0
@@ -132,12 +127,12 @@ def test_obs_workload_calls_per_firing_hold(mode):
     calls = calls_per_firing(
         OBS_WORKLOAD, 20.0, 40.0, observability=(mode == "enabled")
     )
-    assert_under(calls, OBS_CALLS_PER_FIRING[mode], f"BENCH_obs[{mode}]")
+    assert_under(calls, OBS_CALLS_PER_FIRING[mode], f"telemetry {mode}")
 
 
 def test_fig4_calls_per_firing_hold():
     calls = calls_per_firing(fig4_program(FIG4_RULES), 5.0, FIG4_WINDOW)
-    assert_under(calls, FIG4_CALLS_PER_FIRING, "BENCH_fig4")
+    assert_under(calls, FIG4_CALLS_PER_FIRING, "fig4")
 
 
 def full_table_inserts_per_second(capacity: int, inserts: int = 2000) -> float:

@@ -40,8 +40,8 @@ from repro.store import (
     backward_slice,
 )
 from repro.store import format as fmt
-from repro.store.__main__ import main as store_cli
 from repro.store.store import StoreConfig as SC
+from tests.conftest import run_cli
 
 
 # ----------------------------------------------------------------------
@@ -308,8 +308,8 @@ def read_paths(directory):
 
 
 CLI = {
-    "events": lambda d: ["query", d],
-    "slice": lambda d: ["slice", d, "--node", "n:1", "--tid", "3"],
+    "events": lambda d: ["store", "query", d],
+    "slice": lambda d: ["store", "slice", d, "--node", "n:1", "--tid", "3"],
 }
 
 
@@ -328,7 +328,7 @@ def assert_reads_fail(
             assert error.row == row, (name, error)
             assert f"row {row} at byte {error.offset}" in str(error)
         if name in CLI:
-            assert store_cli(CLI[name](str(directory))) == 1
+            assert run_cli(*CLI[name](str(directory))) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: corrupt forensic store")
@@ -424,11 +424,11 @@ def test_negative_limit_is_an_error_not_a_shorter_answer(tmp_path, capsys):
             store.events(limit=limit)
         with pytest.raises(ReproError):
             store.iter_events(limit=limit)  # at the call, not the first next()
-    assert store_cli(["query", directory, "--limit", "-1"]) == 1
+    assert run_cli("store", "query", directory, "--limit", "-1") == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: limit must be >= 0: -1\n"
-    assert store_cli(["query", directory, "--limit", "3"]) == 0
+    assert run_cli("store", "query", directory, "--limit", "3") == 0
     assert len(capsys.readouterr().out.splitlines()) == 3
 
 

@@ -11,8 +11,8 @@ from repro.core.system import System
 from repro.errors import ReproError
 from repro.sim.batch import ExecutionConfig
 from repro.store import format as fmt
-from repro.store.__main__ import main as store_cli
 from repro.store.store import ForensicStore, StoreConfig
+from tests.conftest import run_cli
 
 
 CHAIN = "r1 hop@Dst(X) :- start@N(Dst, X)."
@@ -282,7 +282,7 @@ def test_rule_exec_query_sees_through_burst_compression(tmp_path, capsys):
     assert [
         fmt.encode(r) for r in packed.events(kind=fmt.RULE_EXEC)
     ] == expected
-    assert store_cli(["query", packed.config.directory, "--kind", "re"]) == 0
+    assert run_cli("store", "query", packed.config.directory, "--kind", "re") == 0
     assert capsys.readouterr().out.splitlines() == expected
 
 
@@ -323,23 +323,15 @@ def test_cli_info_query_slice(tmp_path, capsys):
     store = system.close_store()
     directory = store.config.directory
 
-    assert store_cli(["info", directory]) == 0
+    assert run_cli("store", "info", directory) == 0
     info = json.loads(capsys.readouterr().out)
     assert info["segments"] == store.segments_written
     assert info["nodes"] == ["a:1", "b:1"]
 
     assert (
-        store_cli(
-            [
-                "query",
-                directory,
-                "--node",
-                "b:1",
-                "--relation",
-                "final",
-                "--kind",
-                "tt",
-            ]
+        run_cli(
+            "store", "query", directory,
+            "--node", "b:1", "--relation", "final", "--kind", "tt",
         )
         == 0
     )
@@ -347,24 +339,27 @@ def test_cli_info_query_slice(tmp_path, capsys):
     assert len(lines) == 10  # one identity record per delivered final
 
     alarm = json.dumps(fmt.tuple_payload(got[-1]))
-    assert store_cli(["slice", directory, "--alarm", alarm]) == 0
+    assert run_cli("store", "slice", directory, "--alarm", alarm) == 0
     first = capsys.readouterr().out
     result = json.loads(first)
     assert result["counts"]["links"] >= 2
     assert result["counts"]["inputs"] >= 1
     # Byte-stable: the same slice twice is the same bytes.
-    assert store_cli(["slice", directory, "--alarm", alarm]) == 0
+    assert run_cli("store", "slice", directory, "--alarm", alarm) == 0
     assert capsys.readouterr().out == first
 
 
 def test_cli_slice_errors(tmp_path, capsys):
     system, _ = chain_system(tmp_path)
     directory = system.close_store().config.directory
-    assert store_cli(["slice", directory]) == 2
+    assert run_cli("store", "slice", directory) == 2
+    assert "--alarm --tid is required" in capsys.readouterr().err
     assert (
-        store_cli(
-            ["slice", directory, "--alarm", '{"rel":"ghost","v":[]}']
-        )
+        run_cli("store", "slice", directory, "--alarm", '{"rel":"ghost","v":[]}')
         == 1
     )
-    assert store_cli(["slice", directory, "--tid", "3"]) == 2  # needs --node
+    assert capsys.readouterr().err == (
+        "error: slice: alarm tuple not found in store\n"
+    )
+    assert run_cli("store", "slice", directory, "--tid", "3") == 2
+    assert "--tid requires --node" in capsys.readouterr().err
