@@ -89,25 +89,25 @@ class EpochMismatchError(AggregationError):
 class StoreCorruptionError(ReproError):
     """Raised when a forensic-store file cannot be trusted.
 
-    A truncated or undecodable segment line, an unreadable sidecar or
-    manifest, or a row that disagrees with its sidecar column entry —
-    always naming the file, and the row and byte offset when the fault
-    is in one row, so a damaged store is reported rather than sliced.
+    A truncated or undecodable segment block, an unreadable manifest,
+    or a block that is not what the manifest says it is — always naming
+    the file, and the block and its byte offset when the fault is in
+    one block, so a damaged store is reported rather than sliced.
     """
 
     def __init__(
         self,
         path: str,
         reason: str,
-        row: Optional[int] = None,
+        block: Optional[str] = None,
         offset: Optional[int] = None,
     ):
         where = path
-        if row is not None:
-            where += f", row {row} at byte {offset}"
+        if block is not None:
+            where += f", block {block} at byte {offset}"
         super().__init__(f"corrupt forensic store ({where}): {reason}")
         self.path = path
-        self.row = row
+        self.block = block
         self.offset = offset
 
 

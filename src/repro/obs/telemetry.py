@@ -491,7 +491,7 @@ def wire_system_metrics(telemetry: Telemetry, system) -> None:
     )
     reg.register_callback(
         "store_buffered_events",
-        lambda: {(): len(_store()._buffer)} if _store() else {},
+        lambda: {(): _store().buffered} if _store() else {},
         help="captured events awaiting the next segment flush",
         kind="gauge",
     )

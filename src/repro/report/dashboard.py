@@ -110,7 +110,7 @@ class Dashboard:
                 f"events={store.events_appended} -> "
                 f"records={store.records_written} "
                 f"(ratio {ratio:.2f}x)  "
-                f"buffered={len(store._buffer)}  "
+                f"buffered={store.buffered}  "
                 f"flushes={store.flushes}"
             )
             rotations = getattr(system, "ring_rotations", {})

@@ -11,7 +11,6 @@ The public surface:
   (:mod:`repro.store.cli`).
 """
 
-from repro.store.compress import BurstCompressor, expand, expand_all
 from repro.store.format import tuple_payload
 from repro.store.slicing import (
     Layered,
@@ -23,7 +22,6 @@ from repro.store.slicing import (
 from repro.store.store import ForensicStore, StoreConfig
 
 __all__ = [
-    "BurstCompressor",
     "ForensicStore",
     "Layered",
     "MemoryProvider",
@@ -31,7 +29,5 @@ __all__ = [
     "StoreConfig",
     "StoreProvider",
     "backward_slice",
-    "expand",
-    "expand_all",
     "tuple_payload",
 ]

@@ -1,7 +1,8 @@
 """The offline forensic-store commands: ``python -m repro store <cmd> DIR``.
 
-``info``    store totals: segments, records, logical events, bytes,
-            compression ratio, ring rotations.
+``info``    store totals: segments, stored rows, logical events, bytes,
+            compression ratio, ring rotations, and each segment's
+            blocks with their row counts.
 ``query``   filtered event scan (``--t0/--t1/--node/--relation/--kind``),
             one canonical-JSON record per line.
 ``slice``   backward slice of an alarm tuple (``--alarm`` takes the
@@ -37,6 +38,17 @@ def _cmd_info(args) -> int:
         "bursts": store.bursts_written,
         "compression_ratio": round(store.compression_ratio, 4),
         "nodes": store.nodes(),
+        "layout": [
+            {
+                "file": segment.summary["file"],
+                "bytes": segment.summary["bytes"],
+                "blocks": {
+                    block["k"]: block["rows"]
+                    for block in segment.summary["blocks"]
+                },
+            }
+            for segment in store._segments
+        ],
         "ring_rotations": [
             {"node": node, "ring": ring, "count": count}
             for (node, ring), count in sorted(store.ring_rotations.items())
@@ -54,7 +66,6 @@ def _cmd_query(args) -> int:
         node=args.node,
         relation=args.relation,
         kind=args.kind,
-        expand_bursts=not args.raw,
         limit=args.limit,
     ):
         print(fmt.encode(record))
@@ -113,16 +124,10 @@ def register(commands) -> None:
             fmt.TUPLE_IDENT,
             fmt.TUPLE_LOG,
             fmt.TABLE_LOG,
-            fmt.RULE_BURST,
             fmt.LOG_BURST,
         ],
     )
     p_query.add_argument("--limit", type=int, default=None)
-    p_query.add_argument(
-        "--raw",
-        action="store_true",
-        help="emit stored records without expanding rule bursts",
-    )
     p_query.set_defaults(run=_cmd_query)
 
     p_slice = sub.add_parser(

@@ -1,34 +1,25 @@
-"""BEEP-style burst compression for the forensic event store.
+"""BEEP-style noise folding for the forensic event store.
 
 Periodic-rule firing storms dominate a long trace: a monitor checked
-every few seconds emits the same ``ruleExec`` shape and the same log
-noise thousands of times, drowning the handful of records a post-mortem
-actually needs.  Following BEEP (and the provenance-graph literature in
-PAPERS.md), the store collapses such storms at segment-write time:
+every few seconds logs the same ``periodic`` delivery thousands of
+times, drowning the handful of records a post-mortem actually needs.
+Following BEEP (and the provenance-graph literature in PAPERS.md), the
+store folds such storms at segment-write time: the ``tl`` / ``xl`` rows
+of one segment that share ``(node, relation[, op])``, when the relation
+is in ``noise_relations`` and there are at least ``min_run`` of them,
+become one counted ``log.b`` row carrying only the count and the exact
+first/last timestamps and sequence numbers.
 
-- **Lossless rule bursts** (``re.b``): a run of >= ``min_run``
-  consecutive ``re`` records sharing ``(node, rule, ev)`` becomes one
-  columnar record carrying parallel arrays of causes, effects and
-  timestamps plus the run's exact first/last times.  :func:`expand`
-  recovers the original records byte-for-byte, so backward slicing sees
-  every edge — compression here is representational (shared keys, one
-  JSON object instead of N), not informational.
-- **Counted log bursts** (``log.b``): a run of >= ``min_run``
-  consecutive ``tl``/``xl`` records sharing ``(node, relation[, op])``
-  whose relation is in ``noise_relations`` becomes a counted record
-  with only the exact first/last timestamps and sequence numbers.
-  This tier is deliberately lossy — BEEP's noise elimination — and is
-  restricted to relations (``periodic`` by default) that never appear
-  in a causality walk.
-
-Runs are only ever formed from *consecutive* records, so compression
-commutes with time-range queries: a burst's ``[tf, tl]`` window is
-exactly the span of the records it replaced.
+This tier is deliberately lossy — BEEP's noise elimination — and is
+restricted to relations (``periodic`` by default) that never appear in
+a causality walk.  ``ruleExec`` edges need no such treatment: every
+``re`` row is stored as columns, which is what a lossless burst was.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Sequence
+from itertools import repeat
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.store import format as fmt
 
@@ -36,156 +27,43 @@ DEFAULT_MIN_RUN = 4
 DEFAULT_NOISE_RELATIONS = ("periodic",)
 
 
-class BurstCompressor:
-    """Collapses event-record runs; see module docstring."""
-
-    def __init__(
-        self,
-        min_run: int = DEFAULT_MIN_RUN,
-        noise_relations: Sequence[str] = DEFAULT_NOISE_RELATIONS,
-    ) -> None:
-        if min_run < 2:
-            raise ValueError(f"min_run must be >= 2: {min_run}")
-        self.min_run = min_run
-        self.noise_relations = frozenset(noise_relations)
-
-    # ------------------------------------------------------------------
-
-    def _rule_key(self, record: Dict[str, Any]):
-        if record["k"] != fmt.RULE_EXEC:
-            return None
-        return ("re", record["n"], record["r"], record["ev"])
-
-    def _log_key(self, record: Dict[str, Any]):
-        kind = record["k"]
-        if kind not in (fmt.TUPLE_LOG, fmt.TABLE_LOG):
-            return None
-        if record["rel"] not in self.noise_relations:
-            return None
-        return ("log", kind, record["n"], record["rel"], record.get("op"))
-
-    def layout(self, records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """Reorder one segment's records to maximize run formation.
-
-        A live capture interleaves kinds per rule firing (``tt``,
-        ``re``, ``tt``, ...), so a storm's identical ``re`` records are
-        never consecutive in arrival order and would never compress.
-        Segments don't promise arrival order — every record carries its
-        own timestamp, queries filter (and sort) on it, and provenance
-        lookups are index-based — so the segment writer may cluster:
-        burst-eligible records (rule edges; noise log entries) are
-        stably grouped by their run key after the rest, each group in
-        arrival order.  The reorder is a pure function of the input
-        sequence, preserving byte-stability.
-        """
-        fixed: List[tuple] = []
-        grouped: List[tuple] = []
-        for idx, record in enumerate(records):
-            key = self._rule_key(record) or self._log_key(record)
-            if key is None:
-                fixed.append(record)
-            else:
-                grouped.append((tuple(str(part) for part in key), idx, record))
-        grouped.sort(key=lambda entry: (entry[0], entry[1]))
-        return fixed + [record for _, _, record in grouped]
-
-    def compress(self, records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """One pass over ``records``; returns the compressed sequence."""
-        out: List[Dict[str, Any]] = []
-        run: List[Dict[str, Any]] = []
-        run_key = None
-
-        def flush_run() -> None:
-            nonlocal run, run_key
-            if not run:
-                return
-            if len(run) < self.min_run:
-                out.extend(run)
-            elif run_key[0] == "re":
-                out.append(self._rule_burst(run))
-            else:
-                out.append(self._log_burst(run))
-            run, run_key = [], None
-
-        for record in records:
-            key = self._rule_key(record) or self._log_key(record)
-            if key is None:
-                flush_run()
-                out.append(record)
-                continue
-            if key != run_key:
-                flush_run()
-                run_key = key
-            run.append(record)
-        flush_run()
-        return out
-
-    # ------------------------------------------------------------------
-
-    def _rule_burst(self, run: List[Dict[str, Any]]) -> Dict[str, Any]:
-        first, last = run[0], run[-1]
-        return {
-            "k": fmt.RULE_BURST,
-            "n": first["n"],
-            "r": first["r"],
-            "ev": first["ev"],
-            "cnt": len(run),
-            "tf": first["ti"],
-            "tl": last["to"],
-            "c": [r["c"] for r in run],
-            "e": [r["e"] for r in run],
-            "ti": [r["ti"] for r in run],
-            "to": [r["to"] for r in run],
-            "t": last["t"],
-        }
-
-    def _log_burst(self, run: List[Dict[str, Any]]) -> Dict[str, Any]:
-        first, last = run[0], run[-1]
-        record = {
-            "k": fmt.LOG_BURST,
-            "lk": first["k"],
-            "n": first["n"],
-            "rel": first["rel"],
-            "cnt": len(run),
-            "tf": first["t"],
-            "tl": last["t"],
-            "sf": first["seq"],
-            "sl": last["seq"],
-            "t": last["t"],
-        }
-        if "op" in first:
-            record["op"] = first["op"]
-        return record
-
-
-def expand(record: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """Expand one record into the logical events it stands for.
-
-    Lossless ``re.b`` bursts reconstruct their original ``re`` records
-    exactly.  Counted ``log.b`` bursts cannot be reconstructed — they
-    expand to themselves (the count and window are the information).
-    Plain records expand to themselves.
-    """
-    if record["k"] != fmt.RULE_BURST:
-        return [record]
-    return [
-        fmt.rule_exec_record(
-            record["n"],
-            record["r"],
-            cause,
-            effect,
-            in_t,
-            out_t,
-            record["ev"],
-        )
-        for cause, effect, in_t, out_t in zip(
-            record["c"], record["e"], record["ti"], record["to"]
-        )
-    ]
-
-
-def expand_all(records: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    out: List[Dict[str, Any]] = []
-    for record in records:
-        out.extend(expand(record))
-    return out
+def fold_noise(
+    kind: str,
+    columns: Dict[str, list],
+    noise_relations: Sequence[str] = DEFAULT_NOISE_RELATIONS,
+    min_run: int = DEFAULT_MIN_RUN,
+) -> Tuple[Dict[str, list], List[tuple]]:
+    """Split one segment's ``tl`` or ``xl`` columns into the columns of
+    the rows that stay and the ``log.b`` rows (in ``COLUMNS`` order)
+    that count the rest.  A burst sits where its last member did: it
+    takes that row's ``q`` and ``t``."""
+    if min_run < 2:
+        raise ValueError(f"min_run must be >= 2: {min_run}")
+    noise = frozenset(noise_relations)
+    if noise.isdisjoint(columns["rel"]):
+        return columns, []
+    groups: Dict[Any, List[int]] = {}
+    keys = zip(columns["n"], columns["rel"], columns.get("op") or repeat(None))
+    for row, key in enumerate(keys):
+        if key[1] in noise:
+            groups.setdefault(key, []).append(row)
+    q, seq, when = columns["q"], columns["seq"], columns["t"]
+    bursts: List[tuple] = []
+    folded: set = set()
+    for (node, rel, op), rows in groups.items():
+        if len(rows) >= min_run:
+            first, last = rows[0], rows[-1]
+            folded.update(rows)
+            bursts.append(
+                (
+                    q[last], node, kind, rel, op, len(rows),
+                    when[first], seq[first], seq[last], when[last],
+                )
+            )
+    if not folded:
+        return columns, []
+    kept = [row for row in range(len(q)) if row not in folded]
+    return (
+        {name: [column[row] for row in kept] for name, column in columns.items()},
+        bursts,
+    )

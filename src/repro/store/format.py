@@ -1,9 +1,11 @@
-"""Record formats of the durable forensic event store.
+"""Record model and column schema of the durable forensic event store.
 
-Every record is a flat JSON-ready dict with a ``k`` (kind) tag and is
-serialized in *canonical* form — sorted keys, compact separators — so a
-store built from a seeded run is byte-for-byte reproducible, which is
-what the nightly campaign-smoke CI job pins.
+The *logical* model is one flat JSON-ready dict per event with a ``k``
+(kind) tag; every read API returns these dicts, and :func:`encode`
+serializes anything the store writes in *canonical* form — sorted keys,
+compact separators — so a store built from a seeded run is
+byte-for-byte reproducible, which is what the nightly campaign-smoke CI
+job pins.
 
 Record kinds
 ------------
@@ -20,12 +22,13 @@ Record kinds
 ``tl``      one ``tupleLog`` entry (a locally delivered tuple).
 ``xl``      one ``tableLog`` entry (a table change: insert / replace /
             delete / expire / evict).
-``re.b``    a lossless *burst* of consecutive ``re`` records collapsed
-            columnar-style (see :mod:`repro.store.compress`); expanding
-            it recovers the original records exactly.
 ``log.b``   a counted, BEEP-style lossy burst of ``tl``/``xl`` noise
             (periodic-rule firing storms): only the count and the exact
             first/last timestamps survive.
+
+On disk and in the capture buffer an event is not a dict but one entry
+in each column of its kind (:data:`COLUMNS`); ``q`` is the store-wide
+capture sequence number, which orders events that share a timestamp.
 
 Timestamps are virtual-clock seconds.  Tuple payloads are
 ``{"rel": name, "v": [values...]}`` with non-JSON values degraded to
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.runtime.tuples import Tuple
 
@@ -46,28 +49,52 @@ RULE_EXEC = "re"
 TUPLE_IDENT = "tt"
 TUPLE_LOG = "tl"
 TABLE_LOG = "xl"
-RULE_BURST = "re.b"
 LOG_BURST = "log.b"
+#: Block tag of the payloads of a segment's ``tt`` rows (never a record
+#: kind): ``at`` holds ``tt`` row indices, ``v`` their value lists.
+PAYLOADS = "p"
 
-_JSON_SCALARS = (str, int, float, bool, type(None))
+#: The columns of each kind, in the order the capture buffer interleaves
+#: them.  ``re`` rows have no ``t`` of their own (it is ``to``); a
+#: ``tt`` row's payload values ``v`` are ``None`` unless it is the first
+#: row of its id; ``op`` is ``None`` in a ``log.b`` row counting ``tl``
+#: entries, and ``tl`` (the window's end) is the row's ``t``.
+COLUMNS = {
+    RULE_EXEC: ("q", "n", "r", "c", "e", "ti", "to", "ev"),
+    TUPLE_IDENT: ("q", "n", "i", "s", "si", "l", "t", "rel", "v"),
+    TUPLE_LOG: ("q", "n", "seq", "t", "rel", "rep"),
+    TABLE_LOG: ("q", "n", "seq", "t", "rel", "op", "rep"),
+    LOG_BURST: ("q", "n", "lk", "rel", "op", "cnt", "tf", "sf", "sl", "t"),
+}
+#: Low-cardinality columns, stored as codes into the block's dictionary.
+CODED = frozenset(("n", "r", "rel", "op", "s", "l", "lk"))
+#: The column holding each kind's event time.
+TIME = {kind: "t" for kind in COLUMNS}
+TIME[RULE_EXEC] = "to"
+
+#: Classes whose instances are their own JSON-safe projection.
+PLAIN = frozenset((str, int, float, bool, type(None)))
 
 
-def _json_value(value: Any) -> Any:
+def json_value(value: Any) -> Any:
     """A deterministic JSON-safe projection of one tuple field."""
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (str, int)):
-        return value
-    if isinstance(value, float):
+    if value.__class__ in PLAIN or isinstance(value, (str, int, float)):
         return value
     if isinstance(value, (list, tuple)):
-        return [_json_value(v) for v in value]
+        return [json_value(v) for v in value]
     return {"!r": repr(value)}
+
+
+def payload_values(tup: Tuple) -> list:
+    """The ``v`` of a tuple's payload (scalars pass without a call)."""
+    return [
+        v if v.__class__ in PLAIN else json_value(v) for v in tup.values
+    ]
 
 
 def tuple_payload(tup: Tuple) -> Dict[str, Any]:
     """Canonical payload of one tuple: relation name + field list."""
-    return {"rel": tup.name, "v": [_json_value(v) for v in tup.values]}
+    return {"rel": tup.name, "v": payload_values(tup)}
 
 
 def payload_matches(payload: Dict[str, Any], tup: Tuple) -> bool:
@@ -108,35 +135,28 @@ def payload_tuple(payload: Optional[Dict[str, Any]]) -> Optional[Tuple]:
     return Tuple(payload["rel"], _thaw(payload["v"]))
 
 
-#: One encoder for every record: ``json.dumps`` with non-default
+#: One encoder for everything written: ``json.dumps`` with non-default
 #: arguments builds a new one per call.
 _canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def encode(record: Dict[str, Any]) -> str:
-    """Canonical single-line JSON of one record.
+def encode(value: Dict[str, Any]) -> str:
+    """Canonical single-line JSON of one record, block or manifest.
 
     Pure ASCII (non-ASCII text is ``\\u``-escaped) with no raw newline,
-    so byte offsets are character offsets and a JSONL file is a JSON
+    so byte offsets are character offsets and a segment file is a JSON
     array minus punctuation.  Canonical form is a fixed point:
-    ``encode(decode(line)) == line`` for every line this wrote, which
-    is what lets a reader sort on the stored line instead of
-    re-encoding the record it decoded from it.
+    ``encode(decode(line)) == line`` for every line this wrote.
     """
-    return _canonical(record)
+    return _canonical(value)
 
 
 def decode(line: str) -> Dict[str, Any]:
     return json.loads(line)
 
 
-def decode_many(lines: List[str]) -> List[Dict[str, Any]]:
-    """``[decode(line) for line in lines]`` in one parser call."""
-    return json.loads("[" + ",".join(lines) + "]")
-
-
 # ----------------------------------------------------------------------
-# Record constructors (kept together so every writer agrees on fields)
+# Record constructors (kept together so every reader agrees on fields)
 
 
 def rule_exec_record(
@@ -174,9 +194,9 @@ def tuple_ident_record(
         "k": TUPLE_IDENT,
         "n": node,
         "i": tid,
-        "s": _json_value(src),
-        "si": _json_value(src_tid),
-        "l": _json_value(loc),
+        "s": json_value(src),
+        "si": json_value(src_tid),
+        "l": json_value(loc),
         "t": when,
     }
     if payload is not None:
@@ -213,19 +233,5 @@ def table_log_record(
 
 
 def logical_events(record: Dict[str, Any]) -> int:
-    """How many original events one stored record stands for."""
-    if record["k"] in (RULE_BURST, LOG_BURST):
-        return int(record["cnt"])
-    return 1
-
-
-def record_tids(record: Dict[str, Any]) -> List[int]:
-    """Tuple ids a record references (for per-segment id ranges)."""
-    kind = record["k"]
-    if kind == RULE_EXEC:
-        return [record["c"], record["e"]]
-    if kind == TUPLE_IDENT:
-        return [record["i"]]
-    if kind == RULE_BURST:
-        return list(record["c"]) + list(record["e"])
-    return []
+    """How many original events one record stands for."""
+    return int(record["cnt"]) if record["k"] == LOG_BURST else 1

@@ -1,463 +1,474 @@
-"""Append-only segment files with columnar index sidecars.
+"""Columnar segment files.
 
-A segment is one immutable JSONL file (``seg-NNNNNN.jsonl``, one
-canonical-JSON record per line) plus a sidecar (``seg-NNNNNN.idx.json``)
-holding:
+A segment is one immutable file (``seg-NNNNNN.jsonl``) holding one
+canonical-JSON line per **block**: the rows of one record kind as
+parallel columns (:data:`repro.store.format.COLUMNS`), with the
+low-cardinality string columns stored as codes into the block's own
+dictionary ``d``.  The payloads of ``tt`` rows live in a block of their
+own, so identity lookups never parse them.  Rows keep capture order.
 
-- a **summary** — virtual-clock time range, node set, relation set,
-  per-node tuple-id ranges, record/event counts, byte size — used to
-  prune whole segments from a query or a backward-slice lookup without
-  touching the data file;
-- **columns** — parallel arrays (``t``, ``k``, ``n``, ``rel``, ``tid``,
-  ``off``) over the segment's records, used to select the few matching
-  lines and read them by byte offset instead of parsing the whole file.
+The manifest holds each segment's **summary** — time range, node and
+relation sets, per-node spans of the tuple ids a provenance lookup can
+ask for (effects ``e`` and identities ``i``, never causes), and each
+block's byte offset and row count — so a query prunes whole segments
+without touching a file, and a lookup reads and parses only the blocks
+it needs.
 
-Both files are byte-stable for a given record sequence, so a seeded run
-produces an identical store every time.
+Everything is byte-stable for a given capture, so a seeded run produces
+an identical store every time.  A block that cannot be read back as
+what the summary says it is — truncated, undecodable, another
+segment's, a column of the wrong length, a code outside the dictionary
+— raises :class:`~repro.errors.StoreCorruptionError` naming the file,
+the block and its byte offset.
 
-Reads answer from the sidecar and touch the data file only for the rows
-they return: selection and the provenance indexes come from the columns
-(only ``re.b`` rows are decoded to index their effect arrays), and rows
-are cut out of the file's text by offset and decoded a batch at a time.
-Because the sidecar is load-bearing, every fetched row is checked
-against its column entries and any disagreement, truncation or
-undecodable line raises :class:`~repro.errors.StoreCorruptionError`.
+The unflushed tail of a live store is read through the same classes: a
+:class:`Segment` whose blocks are already held in memory.
 """
 
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
-from operator import itemgetter
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from itertools import repeat
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 from typing import Tuple as PyTuple
 
 from repro.errors import StoreCorruptionError
 from repro.store import format as fmt
 
-SEGMENT_PATTERN = "seg-%06d"
+SEGMENT_PATTERN = "seg-%06d.jsonl"
 
-#: A provenance index: node -> tuple id -> row indices, in row order.
-_TidIndex = Dict[Any, Dict[int, List[int]]]
+#: ``kind -> {column -> values}``: what a cut hands to :func:`code_blocks`.
+Columns = Dict[str, Dict[str, list]]
 
-#: The sidecar's parallel arrays, one entry per record.
-COLUMNS = ("t", "k", "n", "rel", "tid", "off")
+_PLAIN_KEYS = frozenset((str, type(None)))
+_NUMBERS = frozenset((int, float))
 
 
-def _summary_of(records: List[Dict[str, Any]], size: int) -> Dict[str, Any]:
-    # A burst's ``t`` is its last member's time; its window opens at ``tf``.
-    t_min = min(r.get("tf", r["t"]) for r in records)
-    t_max = max(r["t"] for r in records)
-    nodes = sorted({r["n"] for r in records})
-    rels = sorted({r["rel"] for r in records if "rel" in r})
-    kinds = sorted({r["k"] for r in records})
-    tids: Dict[str, List[int]] = {}
-    for record in records:
-        ids = fmt.record_tids(record)
-        if not ids:
+def _coded(column: list, index: Dict[Any, int], values: list) -> List[int]:
+    """The codes of ``column`` in a block dictionary, which grows as
+    needed: ``values`` lists what each code stands for and ``index``
+    maps a value's key back to its code.  A string or ``None`` is its
+    own key; anything else is keyed by its canonical encoding, so
+    ``1``, ``1.0`` and ``True`` stay apart and a list can be coded."""
+    keys = column
+    try:
+        distinct = dict.fromkeys(column)
+        plain = all(key.__class__ in _PLAIN_KEYS for key in distinct)
+    except TypeError:  # an unhashable value
+        plain = False
+    if plain:
+        originals = distinct
+    else:
+        keys = [
+            v if v.__class__ in _PLAIN_KEYS else (fmt.encode(v),)
+            for v in column
+        ]
+        originals = dict(zip(keys, column))
+    for key in originals:
+        if key not in index:
+            index[key] = len(values)
+            values.append(key if plain else originals[key])
+    return list(map(index.__getitem__, keys))
+
+
+def code_blocks(seg_id: int, columns: Columns) -> List[Dict[str, Any]]:
+    """The JSON-ready blocks of one segment, in file order."""
+    blocks: List[Dict[str, Any]] = []
+    for kind, names in fmt.COLUMNS.items():
+        held = columns.get(kind)
+        if not held or not held["q"]:
             continue
-        node = record["n"]
-        lo, hi = min(ids), max(ids)
-        span = tids.get(node)
-        if span is None:
-            tids[node] = [lo, hi]
-        else:
-            span[0] = min(span[0], lo)
-            span[1] = max(span[1], hi)
+        index: Dict[Any, int] = {}
+        block: Dict[str, Any] = {"k": kind, "seg": seg_id, "d": []}
+        for name in names:
+            column = held[name]
+            if name in fmt.CODED:
+                column = _coded(column, index, block["d"])
+            elif name == "ev":
+                column = list(map(int, column))
+            block[name] = column
+        blocks.append(block)
+        if kind == fmt.TUPLE_IDENT:
+            payloads = block.pop("v")
+            at = [i for i, v in enumerate(payloads) if v is not None]
+            if at:
+                blocks.append(
+                    {
+                        "k": fmt.PAYLOADS,
+                        "seg": seg_id,
+                        "at": at,
+                        "v": [payloads[i] for i in at],
+                    }
+                )
+    return blocks
+
+
+def _rows(block: Dict[str, Any]) -> int:
+    return len(block["at" if block["k"] == fmt.PAYLOADS else "q"])
+
+
+def summarise(blocks: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """What pruning needs to know about a segment made of ``blocks``."""
+    times: List[float] = []
+    nodes: set = set()
+    rels: set = set()
+    spans: Dict[Any, List[int]] = {}
+    records = events = 0
+    for block in blocks:
+        kind = block["k"]
+        if kind == fmt.PAYLOADS:
+            continue
+        when, names = block[fmt.TIME[kind]], block["d"]
+        times += (min(when), max(when))
+        nodes.update(map(names.__getitem__, set(block["n"])))
+        if "rel" in block:
+            rels.update(map(names.__getitem__, set(block["rel"])))
+        records += len(when)
+        events += sum(block["cnt"]) if kind == fmt.LOG_BURST else len(when)
+        key = {fmt.RULE_EXEC: "e", fmt.TUPLE_IDENT: "i"}.get(kind)
+        if key is not None:
+            for code, tid in zip(block["n"], block[key]):
+                span = spans.get(names[code])
+                if span is None:
+                    spans[names[code]] = [tid, tid]
+                elif tid < span[0]:
+                    span[0] = tid
+                elif tid > span[1]:
+                    span[1] = tid
+    rels.discard(None)
     return {
-        "t0": t_min,
-        "t1": t_max,
-        "nodes": nodes,
-        "rels": rels,
-        "kinds": kinds,
-        "tids": {n: tids[n] for n in sorted(tids)},
-        "records": len(records),
-        "events": sum(fmt.logical_events(r) for r in records),
-        "bytes": size,
+        "t0": min(times),
+        "t1": max(times),
+        "nodes": sorted(nodes),
+        "rels": sorted(rels),
+        "tids": {node: spans[node] for node in sorted(spans)},
+        "records": records,
+        "events": events,
+        "blocks": [{"k": block["k"], "rows": _rows(block)} for block in blocks],
     }
 
 
 def write_segment(
-    directory: str, seg_id: int, records: List[Dict[str, Any]]
+    directory: str, seg_id: int, blocks: List[Dict[str, Any]]
 ) -> Dict[str, Any]:
-    """Write one segment + sidecar; returns the sidecar's summary dict
-    (augmented with ``file``/``index`` names) for the manifest."""
-    if not records:
+    """Write one segment file, one :func:`~repro.store.format.encode`
+    per block; returns its summary (with ``file``, ``id``, ``bytes``
+    and each block's byte offset) for the manifest."""
+    if not blocks:
         raise ValueError("cannot write an empty segment")
-    base = SEGMENT_PATTERN % seg_id
-    data_path = os.path.join(directory, base + ".jsonl")
-    index_path = os.path.join(directory, base + ".idx.json")
-    offsets: List[int] = []
-    position = 0
-    with open(data_path, "wb") as handle:
-        for record in records:
-            offsets.append(position)
-            line = (fmt.encode(record) + "\n").encode("ascii")
-            handle.write(line)
-            position += len(line)
-    summary = _summary_of(records, position)
-    summary["file"] = base + ".jsonl"
-    summary["index"] = base + ".idx.json"
+    summary = summarise(blocks)
+    summary["file"] = SEGMENT_PATTERN % seg_id
     summary["id"] = seg_id
-    columns = {
-        "t": [r["t"] for r in records],
-        "k": [r["k"] for r in records],
-        "n": [r["n"] for r in records],
-        "rel": [r.get("rel") for r in records],
-        "tid": [_tid_column(r) for r in records],
-        "off": offsets,
-    }
-    with open(index_path, "w") as handle:
-        handle.write(fmt.encode({"summary": summary, "columns": columns}))
+    lines = [fmt.encode(block) + "\n" for block in blocks]
+    position = 0
+    for entry, line in zip(summary["blocks"], lines):
+        entry["off"] = position
+        position += len(line)
+    summary["bytes"] = position
+    with open(os.path.join(directory, summary["file"]), "wb") as handle:
+        handle.write("".join(lines).encode("ascii"))
     return summary
 
 
-def _tid_column(record: Dict[str, Any]) -> Optional[int]:
-    """The ``tid`` column entry of one record: a plain ``re`` row is
-    indexed by its effect, a ``tt`` row by its id, nothing else is."""
-    if record["k"] == fmt.RULE_EXEC:
-        return record["e"]
-    return record.get("i")
+class Block:
+    """The rows of one kind in one segment, as coded columns."""
+
+    __slots__ = ("kind", "rows", "cols", "names", "_by_tid")
+
+    def __init__(self, data: Any, kind: str, rows: int) -> None:
+        """Take a decoded block of ``rows`` rows; raises ``ValueError``
+        / ``TypeError`` / ``KeyError`` with the reason when its columns
+        are not that."""
+        names = data["d"]
+        codes = set(range(len(names)))
+        for name in fmt.COLUMNS[kind]:
+            if name == "v":
+                continue
+            column = data[name]
+            if not isinstance(column, list) or len(column) != rows:
+                raise ValueError(
+                    f"column {name} is not one entry for each of {rows} rows"
+                )
+            if name in fmt.CODED and not codes.issuperset(column):
+                raise ValueError(
+                    f"column {name} holds a code outside its dictionary "
+                    f"of {len(names)}"
+                )
+            if name in ("q", fmt.TIME[kind]) and not _NUMBERS.issuperset(
+                map(type, column)
+            ):
+                raise ValueError(f"column {name} holds a non-number")
+        self.kind = kind
+        self.rows = rows
+        self.cols: Dict[str, list] = data
+        # Through a dict, so a code read back as ``1.0`` still decodes.
+        self.names: Dict[int, Any] = dict(enumerate(names))
+        self._by_tid: Optional[Dict[PyTuple[int, Any], List[int]]] = None
+
+    def code_of(self, value: Any) -> Optional[int]:
+        for code, name in self.names.items():
+            if name == value:
+                return code
+        return None
+
+    def select(
+        self,
+        t0: Optional[float],
+        t1: Optional[float],
+        node: Optional[str],
+        relation: Optional[str],
+    ) -> Sequence[int]:
+        """Row indices passing the filters, from the coded columns."""
+        rows: Sequence[int] = range(self.rows)
+        for name, wanted in (("n", node), ("rel", relation)):
+            if wanted is None:
+                continue
+            column, code = self.cols.get(name), self.code_of(wanted)
+            if column is None or code is None:
+                return ()
+            rows = [i for i in rows if column[i] == code]
+        when = self.cols[fmt.TIME[self.kind]]
+        if t0 is not None:
+            rows = [i for i in rows if when[i] >= t0]
+        if t1 is not None:
+            rows = [i for i in rows if when[i] <= t1]
+        return rows
+
+    def records(
+        self,
+        rows: Sequence[int],
+        payloads: Optional[Dict[int, list]] = None,
+    ) -> List[Dict[str, Any]]:
+        """The logical records of ``rows``, built a column at a time."""
+        kind, cols, decode = self.kind, self.cols, self.names.__getitem__
+        whole = len(rows) == self.rows
+        fields = ["k"]
+        gathered: List[Iterable] = [repeat(kind)]
+        for name in fmt.COLUMNS[kind]:
+            if name in ("q", "v"):
+                continue
+            column = cols[name]
+            if not whole:
+                column = [column[i] for i in rows]
+            if name in fmt.CODED:
+                column = map(decode, column)
+            elif name == "ev":
+                column = map(bool, column)
+            fields.append(name)
+            gathered.append(column)
+        if kind == fmt.RULE_EXEC:
+            fields.append("t")
+            gathered.append(gathered[fields.index("to")])
+        out = [dict(zip(fields, values)) for values in zip(*gathered)]
+        if kind == fmt.TUPLE_IDENT:
+            held = (payloads or {}).get
+            for record, i in zip(out, rows):
+                values = held(i)
+                if values is None:
+                    del record["rel"]
+                else:
+                    record["rep"] = {"rel": record["rel"], "v": values}
+        elif kind == fmt.LOG_BURST:
+            for record in out:
+                record["tl"] = record["t"]
+                if record["op"] is None:
+                    del record["op"]
+        return out
+
+    def keys(self, rows: Sequence[int]) -> PyTuple[list, list]:
+        """The ``t`` and the ``q`` of ``rows``: what a scan orders by."""
+        when, seq = self.cols[fmt.TIME[self.kind]], self.cols["q"]
+        if len(rows) != self.rows:
+            when, seq = [when[i] for i in rows], [seq[i] for i in rows]
+        return when, seq
+
+    def rows_of(self, node: str, tid: int) -> List[int]:
+        """Rows whose lookup key — the effect of an ``re`` row, the id
+        of a ``tt`` row — is ``tid`` on ``node``, in capture order."""
+        if self._by_tid is None:
+            key = "e" if self.kind == fmt.RULE_EXEC else "i"
+            index: Dict[PyTuple[int, Any], List[int]] = {}
+            for row, at in enumerate(zip(self.cols["n"], self.cols[key])):
+                held = index.get(at)
+                if held is None:
+                    index[at] = [row]
+                else:
+                    held.append(row)
+            self._by_tid = index
+        return self._by_tid.get((self.code_of(node), tid), [])
 
 
-#: Columns every fetched row is held against, with the record field
-#: each was written from.
-_CHECKED_COLUMNS = (
-    ("k", itemgetter("k")),
-    ("n", itemgetter("n")),
-    ("tid", _tid_column),
-)
+def _loaded(data: Any, kind: str, seg_id: int, rows: int) -> Any:
+    """A decoded block in the form reads use — a :class:`Block`, or for
+    payloads ``tt`` row -> values — checked against what the summary
+    says it is; raises ``ValueError`` / ``TypeError`` / ``KeyError``
+    with the reason when it is something else."""
+    if data["k"] != kind or data["seg"] != seg_id:
+        raise ValueError(f"not the {kind} block of segment {seg_id}")
+    if kind != fmt.PAYLOADS:
+        return Block(data, kind, rows)
+    if not len(data["at"]) == len(data["v"]) == rows:
+        raise ValueError(f"not one payload for each of {rows} rows")
+    return dict(zip(data["at"], data["v"]))
 
 
-class SegmentReader:
-    """Lazy reader over one written segment.
+class Segment:
+    """One segment: its summary, and its blocks read on demand.
 
-    Every query parses the sidecar plus the rows it returns: the
-    sidecar's columns pick row indices, and :meth:`rows_at` — the one
-    way rows leave the data file — cuts those rows out of the segment's
-    text by offset and decodes them in one parser call.
+    A scan parses the blocks it needs and keeps none of them; provenance
+    lookups keep theirs (and the index over them), so a warm lookup
+    touches no file.  ``held`` makes a segment of blocks that are
+    already in memory — the unflushed tail of a live store.
     """
 
     def __init__(
-        self, directory: str, summary: Dict[str, Any]
+        self,
+        directory: str,
+        summary: Dict[str, Any],
+        held: Optional[Dict[str, Any]] = None,
     ) -> None:
-        self.directory = directory
         self.summary = summary
-        self.seg_id = summary["id"]
-        self._columns: Optional[Dict[str, List[Any]]] = None
-        self._columns_shared = False
-        # The data file's text (canonical JSON is ASCII: byte offsets
-        # are character offsets) and each row's end, read once.
-        self._text: Optional[str] = None
-        self._ends: List[int] = []
-        # (effect, identity) indexes, built from the sidecar on the
-        # first provenance lookup into this segment; the rows those
-        # lookups have fetched are memoised beside them.
-        self._indexes: Optional[PyTuple[_TidIndex, _TidIndex]] = None
-        self._provenance_rows: Dict[int, Dict[str, Any]] = {}
+        self.seg_id: int = summary["id"]
+        self.path = os.path.join(directory, summary["file"])
+        self.t0, self.t1 = summary["t0"], summary["t1"]
+        self._nodes = frozenset(summary["nodes"])
+        self._rels = frozenset(summary["rels"])
+        self._tids: Dict[str, List[int]] = summary["tids"]
+        #: kind -> (byte offset, byte length, rows) of its block.
+        self._spans: Dict[str, PyTuple[int, int, int]] = {}
+        entries = summary["blocks"]
+        ends = [entry["off"] for entry in entries[1:]] + [summary["bytes"]]
+        for entry, end in zip(entries, ends):
+            off = entry["off"]
+            self._spans[entry["k"]] = (off, end - off, entry["rows"])
+        #: kind -> Block (payloads: ``tt`` row -> values), once kept.
+        self._held: Dict[str, Any] = {} if held is None else held
+
+    @classmethod
+    def of_blocks(
+        cls, directory: str, seg_id: int, blocks: List[Dict[str, Any]]
+    ) -> "Segment":
+        """A segment of blocks that were never written: all held, none
+        with anywhere in a file to be read from."""
+        summary = summarise(blocks)
+        summary.update(file=SEGMENT_PATTERN % seg_id, id=seg_id, bytes=0)
+        held: Dict[str, Any] = {}
+        for block, entry in zip(blocks, summary["blocks"]):
+            entry["off"] = 0
+            held[block["k"]] = _loaded(block, block["k"], seg_id, entry["rows"])
+        return cls(directory, summary, held)
 
     # ------------------------------------------------------------------
     # Pruning
 
     def overlaps_time(self, t0: Optional[float], t1: Optional[float]) -> bool:
-        if t0 is not None and self.summary["t1"] < t0:
+        if t0 is not None and self.t1 < t0:
             return False
-        if t1 is not None and self.summary["t0"] > t1:
+        if t1 is not None and self.t0 > t1:
             return False
         return True
 
     def has_node(self, node: Optional[str]) -> bool:
-        return node is None or node in self.summary["nodes"]
+        return node is None or node in self._nodes
 
     def has_relation(self, relation: Optional[str]) -> bool:
-        return relation is None or relation in self.summary["rels"]
+        return relation is None or relation in self._rels
 
     def may_hold_tid(self, node: str, tid: int) -> bool:
-        span = self.summary["tids"].get(node)
+        span = self._tids.get(node)
         return span is not None and span[0] <= tid <= span[1]
 
     # ------------------------------------------------------------------
-    # Data access
+    # Blocks
 
-    @property
-    def data_path(self) -> str:
-        return os.path.join(self.directory, self.summary["file"])
-
-    @property
-    def index_path(self) -> str:
-        return os.path.join(self.directory, self.summary["index"])
-
-    def columns(self) -> Dict[str, List[Any]]:
-        if self._columns is None:
+    def fetch(self, kinds: Sequence[str], keep: bool = False) -> Dict[str, Any]:
+        """The blocks of ``kinds`` this segment has, by kind: held ones
+        as they are, the rest read from the file (opened once) and,
+        with ``keep``, held from now on."""
+        found = {kind: self._held[kind] for kind in kinds if kind in self._held}
+        missing = [k for k in self._spans if k in kinds and k not in found]
+        if missing:
             try:
-                with open(self.index_path) as handle:
-                    sidecar = fmt.decode(handle.read())
-                summary, columns = sidecar["summary"], sidecar["columns"]
-                if {len(columns[name]) for name in COLUMNS} != {
-                    summary["records"]
-                }:
-                    raise ValueError("a column is not one entry per record")
-            except (OSError, ValueError, KeyError, TypeError) as exc:
+                with open(self.path, "rb") as handle:
+                    for kind in missing:
+                        off, length, _ = self._spans[kind]
+                        handle.seek(off)
+                        found[kind] = self._parse(kind, handle.read(length))
+            except OSError as exc:
                 raise StoreCorruptionError(
-                    self.index_path, f"unreadable sidecar: {exc!r}"
+                    self.path, f"unreadable segment: {exc!r}"
                 ) from exc
-            if summary != self.summary:
-                raise StoreCorruptionError(
-                    self.index_path,
-                    "sidecar does not carry the manifest's summary of "
-                    f"segment {self.seg_id}",
+            if keep:
+                self._held.update(found)
+        return found
+
+    def _parse(self, kind: str, data: bytes) -> Any:
+        off, length, rows = self._spans[kind]
+        try:
+            if len(data) != length:
+                raise ValueError(
+                    f"file ends {len(data)} bytes into a block of {length}"
                 )
-            self._columns = columns
-        return self._columns
-
-    def _load_text(self) -> str:
-        """Read the data file once: it must be ASCII text of the size
-        the manifest recorded, which is what the offsets index into."""
-        size = self.summary["bytes"]
-        try:
-            with open(self.data_path, "rb") as handle:
-                data = handle.read()
-        except OSError as exc:
-            raise StoreCorruptionError(
-                self.data_path, f"unreadable segment: {exc!r}"
-            ) from exc
-        if len(data) != size:
-            raise self._fault_at(
-                min(len(data), size),
-                f"file is {len(data)} bytes, manifest says {size}",
+            return _loaded(
+                fmt.decode(data.decode("ascii")), kind, self.seg_id, rows
             )
-        try:
-            self._text = data.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise self._fault_at(
-                exc.start, f"non-ASCII byte at {exc.start}"
+        except (ValueError, TypeError, KeyError) as exc:
+            raise StoreCorruptionError(
+                self.path, f"undecodable or stale block: {exc}",
+                block=kind, offset=off,
             ) from None
-        self._ends = self.columns()["off"][1:] + [size]
-        return self._text
-
-    def _fault_at(self, position: int, reason: str) -> StoreCorruptionError:
-        """A fault at one byte of the data file, blamed on its row."""
-        offsets = self.columns()["off"]
-        row = max(bisect_right(offsets, position) - 1, 0)
-        return StoreCorruptionError(
-            self.data_path, reason, row=row, offset=offsets[row]
-        )
-
-    def records_at(self, indices: Sequence[int]) -> List[Dict[str, Any]]:
-        """The records at the given row indices."""
-        return self.rows_at(indices)[1]
-
-    def rows_at(
-        self, indices: Sequence[int]
-    ) -> PyTuple[List[str], List[Dict[str, Any]]]:
-        """Stored lines and their decoded records at the given rows.
-
-        Lines are cut out of the segment's text by the ``off`` column
-        and decoded together; each record is then held against its
-        ``k`` / ``n`` / ``tid`` column entries, so a sidecar that does
-        not describe this data file is an error, never a wrong answer.
-        """
-        text = self._text if self._text is not None else self._load_text()
-        starts, ends = self.columns()["off"], self._ends
-        lines = [text[starts[i] : ends[i] - 1] for i in indices]
-        try:
-            return lines, self._decode(indices, lines)
-        except (ValueError, TypeError, KeyError):
-            pass
-        # The batch is bad: repeat the check a row at a time, only to
-        # name the row.
-        for i, line in zip(indices, lines):
-            try:
-                self._decode([i], [line])
-            except (ValueError, TypeError, KeyError) as exc:
-                raise StoreCorruptionError(
-                    self.data_path,
-                    f"undecodable or stale row: {exc}",
-                    row=i,
-                    offset=starts[i],
-                ) from None
-        raise StoreCorruptionError(
-            self.data_path, "rows do not decode as one record per line"
-        )
-
-    def _decode(
-        self, indices: Sequence[int], lines: List[str]
-    ) -> List[Dict[str, Any]]:
-        """Decode ``lines`` in one parser call and hold the records
-        against the sidecar's entries for rows ``indices``."""
-        records = fmt.decode_many(lines)
-        if len(records) != len(lines):
-            raise ValueError("not one record per line")
-        columns = self.columns()
-        for name, field in _CHECKED_COLUMNS:
-            got = [field(r) for r in records]
-            want = [columns[name][i] for i in indices]
-            if got != want:
-                raise ValueError(f"{name} is {got}, sidecar says {want}")
-        return records
-
-    def records(self) -> List[Dict[str, Any]]:
-        """All records of the segment."""
-        return self.records_at(range(len(self.columns()["off"])))
-
-    def select(
-        self,
-        t0: Optional[float] = None,
-        t1: Optional[float] = None,
-        node: Optional[str] = None,
-        relation: Optional[str] = None,
-        kind: Optional[str] = None,
-    ) -> List[Dict[str, Any]]:
-        """Records matching the filters (see :meth:`select_rows`)."""
-        return self.records_at(self.select_rows(t0, t1, node, relation, kind))
-
-    def scan_rows(
-        self, *filters: Any
-    ) -> PyTuple[List[str], List[Dict[str, Any]]]:
-        """:meth:`rows_at` of :meth:`select_rows`, for a scan.
-
-        A scan passes over the segment once, and over many segments:
-        the file text is not kept, and the columns, which are, are left
-        holding one string per distinct ``k`` / ``n`` / ``rel`` value
-        instead of the one per row the parser handed back.  (Not done
-        in :meth:`columns`: a cold slice reads a dozen sidecars to
-        return a dozen rows, and that pass was a tenth of its time.)
-        """
-        rows = self.rows_at(self.select_rows(*filters))
-        self._text, self._ends = None, []
-        if not self._columns_shared:
-            columns, share = self.columns(), {}.setdefault
-            for name in ("k", "n", "rel"):
-                columns[name] = list(map(share, columns[name], columns[name]))
-            self._columns_shared = True
-        return rows
-
-    def select_rows(
-        self,
-        t0: Optional[float] = None,
-        t1: Optional[float] = None,
-        node: Optional[str] = None,
-        relation: Optional[str] = None,
-        kind: Optional[str] = None,
-    ) -> List[int]:
-        """Row indices matching the filters, from the sidecar alone.
-
-        Relation filtering matches plain records by their ``rel``
-        column; burst records (whose column entry can be ``None`` for
-        ``re.b``) are matched by expansion at the caller's level, so
-        this returns them when the other filters pass.  For the same
-        reason ``kind="re"`` admits ``re.b`` rows: each stands for a
-        run of ``re`` records the caller expands and filters, and its
-        ``t`` column is the *last* member's time, so ``t1`` cannot rule
-        the row out — earlier members may still fall inside the window.
-        """
-        kinds = (kind, fmt.RULE_BURST) if kind == fmt.RULE_EXEC else (kind,)
-        columns = self.columns()
-        t_col, k_col, n_col, rel_col = (
-            columns["t"],
-            columns["k"],
-            columns["n"],
-            columns["rel"],
-        )
-        indices: List[int] = []
-        for i in range(len(t_col)):
-            if t0 is not None and t_col[i] < t0:
-                continue
-            if (
-                t1 is not None
-                and t_col[i] > t1
-                and k_col[i] != fmt.RULE_BURST
-            ):
-                continue
-            if node is not None and n_col[i] != node:
-                continue
-            if kind is not None and k_col[i] not in kinds:
-                continue
-            if relation is not None:
-                rel = rel_col[i]
-                if rel is not None and rel != relation:
-                    continue
-                if rel is None and k_col[i] not in (
-                    fmt.RULE_BURST,
-                    fmt.TUPLE_IDENT,
-                ):
-                    continue
-            indices.append(i)
-        return indices
 
     # ------------------------------------------------------------------
-    # Provenance indexes (backward slicing)
+    # Reads
 
-    def _provenance(self) -> PyTuple[_TidIndex, _TidIndex]:
-        """The (effect, identity) indexes: node -> tid -> row indices.
-
-        Built from the sidecar's ``k`` / ``n`` / ``tid`` columns; only
-        ``re.b`` rows are decoded, because their effects are an array
-        inside the record.
-        """
-        if self._indexes is None:
-            columns = self.columns()
-            k_col, n_col, tid_col = columns["k"], columns["n"], columns["tid"]
-            self._held_rows(
-                [i for i, kind in enumerate(k_col) if kind == fmt.RULE_BURST]
-            )
-            effect: _TidIndex = {}
-            ident: _TidIndex = {}
-            for i, kind in enumerate(k_col):
-                if kind == fmt.RULE_EXEC:
-                    effect.setdefault(n_col[i], {}).setdefault(
-                        tid_col[i], []
-                    ).append(i)
-                elif kind == fmt.RULE_BURST:
-                    per_node = effect.setdefault(n_col[i], {})
-                    for e in self._provenance_rows[i]["e"]:
-                        per_node.setdefault(e, []).append(i)
-                elif kind == fmt.TUPLE_IDENT:
-                    ident.setdefault(n_col[i], {}).setdefault(
-                        tid_col[i], []
-                    ).append(i)
-            self._indexes = effect, ident
-        return self._indexes
-
-    def _held_rows(self, indices: List[int]) -> List[Dict[str, Any]]:
-        """Rows for a provenance lookup, fetched once per reader: a
-        warm lookup touches no file and returns the very records the
-        cold one did."""
-        held = self._provenance_rows
-        missing = [i for i in indices if i not in held]
-        if missing:
-            held.update(zip(missing, self.records_at(missing)))
-        return [held[i] for i in indices]
-
-    def edges_to(self, node: str, tid: int) -> List[Dict[str, Any]]:
-        """``re`` records (bursts expanded) whose effect is ``tid``."""
-        indices = self._provenance()[0].get(node, {}).get(tid, [])
-        out: List[Dict[str, Any]] = []
-        for record in self._held_rows(indices):
-            out.extend(_expand_for_effect(record, tid))
+    def scan(
+        self,
+        t0: Optional[float],
+        t1: Optional[float],
+        node: Optional[str],
+        relation: Optional[str],
+        kind: Optional[str],
+    ) -> List[PyTuple[float, int, Dict[str, Any]]]:
+        """``(t, q, record)`` of every event passing the filters."""
+        kinds = [
+            k
+            for k, names in fmt.COLUMNS.items()
+            if kind in (None, k) and (relation is None or "rel" in names)
+        ]
+        if fmt.TUPLE_IDENT in kinds:
+            kinds.append(fmt.PAYLOADS)
+        blocks = self.fetch(kinds)
+        payloads = blocks.pop(fmt.PAYLOADS, None)
+        out: List[PyTuple[float, int, Dict[str, Any]]] = []
+        for block in blocks.values():
+            rows = block.select(t0, t1, node, relation)
+            if len(rows):
+                out.extend(zip(*block.keys(rows), block.records(rows, payloads)))
         return out
 
-    def ident_rows(self, node: str, tid: int) -> List[Dict[str, Any]]:
-        """``tt`` records for one tuple id, in write order."""
-        indices = self._provenance()[1].get(node, {}).get(tid, [])
-        return self._held_rows(indices)
+    def edges_to(self, node: str, tid: int) -> List[Dict[str, Any]]:
+        """``re`` records whose effect is ``tid``, in capture order."""
+        block = self.fetch((fmt.RULE_EXEC,), keep=True).get(fmt.RULE_EXEC)
+        if block is None:
+            return []
+        return block.records(block.rows_of(node, tid))
 
+    def source_of(self, node: str, tid: int) -> Optional[PyTuple]:
+        """The ``(s, si)`` of the last ``tt`` row written for ``tid``."""
+        block = self.fetch((fmt.TUPLE_IDENT,), keep=True).get(fmt.TUPLE_IDENT)
+        rows = block.rows_of(node, tid) if block is not None else []
+        if not rows:
+            return None
+        return block.names[block.cols["s"][rows[-1]]], block.cols["si"][rows[-1]]
 
-def _expand_for_effect(
-    record: Dict[str, Any], tid: int
-) -> Iterator[Dict[str, Any]]:
-    if record["k"] == fmt.RULE_EXEC:
-        if record["e"] == tid:
-            yield record
-        return
-    for i, effect in enumerate(record["e"]):
-        if effect == tid:
-            yield fmt.rule_exec_record(
-                record["n"],
-                record["r"],
-                record["c"][i],
-                effect,
-                record["ti"][i],
-                record["to"][i],
-                record["ev"],
-            )
+    def contents_of(self, node: str, tid: int) -> Optional[Dict[str, Any]]:
+        """The payload of the first ``tt`` row of ``tid`` carrying one."""
+        blocks = self.fetch((fmt.TUPLE_IDENT, fmt.PAYLOADS), keep=True)
+        block, payloads = blocks.get(fmt.TUPLE_IDENT), blocks.get(fmt.PAYLOADS)
+        if block is None or payloads is None:
+            return None
+        for row in block.rows_of(node, tid):
+            if row in payloads:
+                rel = block.names[block.cols["rel"][row]]
+                return {"rel": rel, "v": payloads[row]}
+        return None

@@ -3,51 +3,57 @@
 :class:`ForensicStore` taps the introspection plane of a running
 :class:`~repro.core.system.System` — the tracer's ``ruleExec`` table,
 the tuple registry's identity writes, the event logger's ``tupleLog`` /
-``tableLog`` — and spills everything to append-only segment files with
-columnar index sidecars (:mod:`repro.store.segment`), applying burst
-compression on the way down (:mod:`repro.store.compress`).  The
-in-memory introspection rings stay exactly as they were: bounded,
-fast, queryable from OverLog.  The store is the history that survives
-when they rotate.
+``tableLog`` — and spills everything to append-only columnar segment
+files (:mod:`repro.store.segment`), folding log noise on the way down
+(:mod:`repro.store.compress`).  The in-memory introspection rings stay
+exactly as they were: bounded, fast, queryable from OverLog.  The store
+is the history that survives when they rotate.
 
-Write path: records accumulate in a bounded buffer; when the buffer
-reaches ``segment_events`` the store cuts a segment.  Under the batch
-kernel the cut is deferred to the next tick barrier (segments align to
-tick boundaries); under the legacy loop it happens inline.  ``close()``
-flushes the remainder and (re)writes ``manifest.json``.
+Write path: each capture callback appends the event's scalars, behind
+the store-wide capture sequence number ``q``, to the buffer of its kind
+— no per-event object.  When ``segment_events`` are buffered the store
+cuts a segment from everything it holds: one encode per block, one file
+write, then the manifest.  Under the batch kernel the cut is deferred
+to the next tick barrier (segments align to tick boundaries); under the
+legacy loop it happens inline.  ``close()`` flushes the remainder and
+(re)writes ``manifest.json``.
 
 Read path: :meth:`iter_events` / :meth:`events` for filtered scans
-(time / relation / node / kind), streamed in time order, and the
-provenance lookups (:meth:`edges_to`, :meth:`source_of`,
-:meth:`contents_of`, :meth:`tid_of`) that back
-:mod:`repro.store.slicing`.  Reads see buffered-but-unflushed records
-too, so a live query never misses the tail.
+(time / relation / node / kind), streamed in ``(t, q)`` order — time,
+then capture order within an instant — and the provenance lookups
+(:meth:`edges_to`, :meth:`source_of`, :meth:`contents_of`,
+:meth:`tid_of`) that back :mod:`repro.store.slicing`.  Reads see
+buffered-but-unflushed events too, so a live query never misses the
+tail.
 """
 
 from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from itertools import groupby, islice
+from itertools import islice
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple as PyTuple
 
 from repro.errors import ReproError, StoreCorruptionError
 from repro.runtime.table import InsertOutcome
 from repro.store import format as fmt
-from repro.store.compress import (
-    BurstCompressor,
-    DEFAULT_NOISE_RELATIONS,
-    expand,
-)
-from repro.store.segment import SegmentReader, write_segment
+from repro.store.compress import DEFAULT_NOISE_RELATIONS, fold_noise
+from repro.store.segment import Columns, Segment, code_blocks, write_segment
 
 MANIFEST = "manifest.json"
+#: The store format this build writes, and the only one it reads.
+VERSION = 2
 
 #: The introspection rings the store taps (and watches for rotation).
 RINGS = ("ruleExec", "tupleLog", "tableLog", "tupleTable")
+
+#: The kinds a capture callback appends (``log.b`` rows are made at a cut).
+_CAPTURED = (fmt.RULE_EXEC, fmt.TUPLE_IDENT, fmt.TUPLE_LOG, fmt.TABLE_LOG)
+
+_time_then_capture = itemgetter(0, 1)
 
 
 @dataclass
@@ -56,9 +62,9 @@ class StoreConfig:
 
     #: Directory segments are written into (created on first flush).
     directory: str
-    #: Records per segment (the buffer bound — memory stays O(this)).
+    #: Events per segment (the buffer bound — memory stays O(this)).
     segment_events: int = 4096
-    #: Burst compression on/off.
+    #: Noise folding on/off.
     compress: bool = True
     #: Relations whose log entries are *counted* (lossy) when bursty.
     noise_relations: PyTuple = DEFAULT_NOISE_RELATIONS
@@ -74,21 +80,28 @@ class ForensicStore:
     ) -> None:
         self.config = config
         self._clock = clock if clock is not None else (lambda: 0.0)
-        self._compressor = (
-            BurstCompressor(noise_relations=config.noise_relations)
-            if config.compress
-            else None
-        )
-        self._buffer: List[Dict[str, Any]] = []
-        self._segments: List[SegmentReader] = []
+        #: The capture buffer: per kind, one flat list interleaving the
+        #: kind's columns (row ``i`` of column ``j`` of ``w`` sits at
+        #: ``i * w + j``), so an event costs one ``extend`` and a
+        #: column is one strided slice.
+        self._flat: Dict[str, list] = {kind: [] for kind in _CAPTURED}
+        self._segments: List[Segment] = []
         self._next_seg = 1
         self._dir_ready = False
+        #: ``events_appended`` at the last cut, and the ``q`` whose
+        #: append fills the buffer.
+        self._cut_q = 0
+        self._full_at = config.segment_events - 1
+        #: The buffer as a segment, with the ``events_appended`` it was
+        #: built at (see :meth:`_tail`).
+        self._tail_built: Optional[PyTuple[int, Segment]] = None
         #: Deferred-cut mode: True once registered on a batch kernel's
         #: tick-barrier hook (segments then align to tick boundaries).
         self.tick_mode = False
         # Per-node set of tuple ids whose payload was already persisted.
         self._payloaded: Dict[str, set] = {}
-        # Counters (exported as store_* metrics).
+        # Counters (exported as store_* metrics).  ``events_appended``
+        # is also the next capture sequence number.
         self.events_appended = 0
         self.records_written = 0
         self.segments_written = 0
@@ -113,22 +126,32 @@ class ForensicStore:
         try:
             with open(path) as handle:
                 manifest = fmt.decode(handle.read())
-            for summary in manifest["segments"]:
-                store._segments.append(SegmentReader(directory, summary))
-            store._next_seg = manifest["next_segment"]
-            store.events_appended = manifest["totals"]["events"]
-            store.records_written = manifest["totals"]["records"]
-            store.segments_written = len(store._segments)
-            store.bytes_written = manifest["totals"]["bytes"]
-            store.bursts_written = manifest["totals"]["bursts"]
-            store.ring_rotations = {
-                (entry["node"], entry["ring"]): entry["count"]
-                for entry in manifest.get("ring_rotations", [])
-            }
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+            version = manifest["version"]
+            if version == VERSION:
+                store._segments = [
+                    Segment(directory, summary)
+                    for summary in manifest["segments"]
+                ]
+                store._next_seg = manifest["next_segment"]
+                totals = manifest["totals"]
+                store.events_appended = store._cut_q = totals["events"]
+                store.records_written = totals["records"]
+                store.segments_written = len(store._segments)
+                store.bytes_written = totals["bytes"]
+                store.bursts_written = totals["bursts"]
+                store.ring_rotations = {
+                    (entry["node"], entry["ring"]): entry["count"]
+                    for entry in manifest["ring_rotations"]
+                }
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
             raise StoreCorruptionError(
                 path, f"unreadable manifest: {exc!r}"
             ) from exc
+        if version != VERSION:
+            raise ReproError(
+                f"store format version {version} is not supported (this "
+                f"build reads and writes version {VERSION}): {path}"
+            )
         store.closed = True
         return store
 
@@ -144,23 +167,18 @@ class ForensicStore:
         """
         address = str(node.address)
         if tracer is not None:
-            table = node.store.get("ruleExec")
-            table.on_insert.append(
-                lambda row, outcome, _a=address: self._on_rule_exec(
-                    _a, row, outcome
-                )
+            node.store.get("ruleExec").on_insert.append(
+                partial(self._on_rule_exec, address)
             )
             tracer.registry.on_register.append(
-                lambda tid, src, src_tid, loc, tup, _a=address: (
-                    self._on_register(_a, tid, src, src_tid, loc, tup)
-                )
+                partial(self._on_register, address)
             )
         if logger is not None:
             node.store.get("tupleLog").on_insert.append(
-                lambda row, outcome, _a=address: self._on_tuple_log(_a, row)
+                partial(self._on_tuple_log, address)
             )
             node.store.get("tableLog").on_insert.append(
-                lambda row, outcome, _a=address: self._on_table_log(_a, row)
+                partial(self._on_table_log, address)
             )
 
     def ring_rotated(self, node: str, ring: str) -> None:
@@ -169,102 +187,152 @@ class ForensicStore:
         self.ring_rotations[key] = self.ring_rotations.get(key, 0) + 1
 
     # ------------------------------------------------------------------
-    # Capture callbacks
+    # Capture: one buffer ``extend`` per event, in ``COLUMNS`` order.
+    # The four callbacks repeat the sequence-number and cut lines rather
+    # than share them: a helper would be one more call for every event.
 
     def _on_rule_exec(self, node: str, row, outcome) -> None:
-        if outcome is InsertOutcome.REFRESHED:
+        if outcome is InsertOutcome.REFRESHED or self.closed:
             return
         _, rule, cause, effect, in_t, out_t, is_event = row.values
-        self._append(
-            fmt.rule_exec_record(
-                node, rule, cause, effect, in_t, out_t, is_event
-            )
+        q = self.events_appended
+        self.events_appended = q + 1
+        self._flat[fmt.RULE_EXEC].extend(
+            (q, node, rule, cause, effect, in_t, out_t, bool(is_event))
         )
+        if q >= self._full_at and not self.tick_mode:
+            self.flush_segment()
 
-    def _on_register(self, node, tid, src, src_tid, loc, tup) -> None:
-        payload = None
+    def _on_register(self, node: str, tid, src, src_tid, loc, tup) -> None:
+        if self.closed:
+            return
+        rel = values = None
         if tup is not None:
-            seen = self._payloaded.setdefault(node, set())
+            seen = self._payloaded.get(node)
+            if seen is None:
+                seen = self._payloaded[node] = set()
             if tid not in seen:
                 seen.add(tid)
-                payload = fmt.tuple_payload(tup)
-        self._append(
-            fmt.tuple_ident_record(
-                node, tid, src, src_tid, loc, self._clock(), payload
-            )
+                rel, values = tup.name, fmt.payload_values(tup)
+        plain = fmt.PLAIN
+        if src.__class__ not in plain:
+            src = fmt.json_value(src)
+        if src_tid.__class__ not in plain:
+            src_tid = fmt.json_value(src_tid)
+        if loc.__class__ not in plain:
+            loc = fmt.json_value(loc)
+        q = self.events_appended
+        self.events_appended = q + 1
+        self._flat[fmt.TUPLE_IDENT].extend(
+            (q, node, tid, src, src_tid, loc, self._clock(), rel, values)
         )
+        if q >= self._full_at and not self.tick_mode:
+            self.flush_segment()
 
-    def _on_tuple_log(self, node: str, row) -> None:
+    def _on_tuple_log(self, node: str, row, outcome=None) -> None:
+        if self.closed:
+            return
         _, seq, when, rel, text = row.values
-        self._append(fmt.tuple_log_record(node, seq, when, rel, text))
+        q = self.events_appended
+        self.events_appended = q + 1
+        self._flat[fmt.TUPLE_LOG].extend((q, node, seq, when, rel, text))
+        if q >= self._full_at and not self.tick_mode:
+            self.flush_segment()
 
-    def _on_table_log(self, node: str, row) -> None:
+    def _on_table_log(self, node: str, row, outcome=None) -> None:
+        if self.closed:
+            return
         _, seq, when, rel, op, text = row.values
-        self._append(fmt.table_log_record(node, seq, when, rel, op, text))
+        q = self.events_appended
+        self.events_appended = q + 1
+        self._flat[fmt.TABLE_LOG].extend((q, node, seq, when, rel, op, text))
+        if q >= self._full_at and not self.tick_mode:
+            self.flush_segment()
 
     # ------------------------------------------------------------------
     # Write path
 
-    def _append(self, record: Dict[str, Any]) -> None:
-        if self.closed:
-            return
-        self._buffer.append(record)
-        self.events_appended += 1
-        if (
-            not self.tick_mode
-            and len(self._buffer) >= self.config.segment_events
-        ):
-            self.flush_segment()
+    @property
+    def buffered(self) -> int:
+        """Events captured but not yet in a segment."""
+        return self.events_appended - self._cut_q
+
+    def _columns(self) -> Columns:
+        """The buffer as columns: a strided slice of each kind's list."""
+        columns: Columns = {}
+        for kind, flat in self._flat.items():
+            if flat:
+                names = fmt.COLUMNS[kind]
+                columns[kind] = {
+                    name: flat[at :: len(names)] for at, name in enumerate(names)
+                }
+        return columns
 
     def on_tick_barrier(self, when: float) -> None:
-        """Tick-barrier hook (batch kernel): cut full segments now."""
-        while len(self._buffer) >= self.config.segment_events:
+        """Tick-barrier hook (batch kernel): cut a full buffer now."""
+        if self.buffered >= self.config.segment_events:
             self.flush_segment()
 
     def flush_segment(self) -> None:
-        """Cut one segment from the buffer head (no-op when empty)."""
-        if not self._buffer:
+        """Cut one segment from everything buffered (no-op when empty)."""
+        columns = self._columns()
+        if not columns:
             return
-        count = min(len(self._buffer), self.config.segment_events)
-        chunk = self._buffer[:count]
-        del self._buffer[:count]
-        if self._compressor is not None:
-            chunk = self._compressor.compress(self._compressor.layout(chunk))
+        for flat in self._flat.values():
+            del flat[:]
+        self._tail_built = None
+        self._cut_q = self.events_appended
+        self._full_at = self._cut_q + self.config.segment_events - 1
+        if self.config.compress:
+            bursts: List[tuple] = []
+            for kind in (fmt.TUPLE_LOG, fmt.TABLE_LOG):
+                if kind in columns:
+                    columns[kind], folded = fold_noise(
+                        kind, columns[kind], self.config.noise_relations
+                    )
+                    bursts += folded
+            if bursts:
+                bursts.sort()
+                columns[fmt.LOG_BURST] = dict(
+                    zip(fmt.COLUMNS[fmt.LOG_BURST], map(list, zip(*bursts)))
+                )
+                self.bursts_written += len(bursts)
         if not self._dir_ready:
             os.makedirs(self.config.directory, exist_ok=True)
             self._dir_ready = True
-        summary = write_segment(self.config.directory, self._next_seg, chunk)
-        self._segments.append(
-            SegmentReader(self.config.directory, summary)
+        summary = write_segment(
+            self.config.directory,
+            self._next_seg,
+            code_blocks(self._next_seg, columns),
         )
+        self._segments.append(Segment(self.config.directory, summary))
         self._next_seg += 1
         self.segments_written += 1
         self.records_written += summary["records"]
         self.bytes_written += summary["bytes"]
-        self.bursts_written += sum(
-            1 for r in chunk if r["k"] in (fmt.RULE_BURST, fmt.LOG_BURST)
-        )
         self.flushes += 1
         self._write_manifest()
 
     def close(self) -> None:
         """Flush everything and finalize the manifest."""
-        if not self._buffer:
-            self._write_manifest()  # otherwise the last cut writes it
-        while self._buffer:
-            self.flush_segment()
+        if self.buffered:
+            self.flush_segment()  # the cut writes the manifest
+        else:
+            self._write_manifest()
         self.closed = True
 
     def _write_manifest(self) -> None:
+        """Replace the manifest in one step: a writer that dies half
+        way leaves the previous one readable."""
         if not self._dir_ready:
             os.makedirs(self.config.directory, exist_ok=True)
             self._dir_ready = True
         manifest = {
-            "version": 1,
+            "version": VERSION,
             "segments": [s.summary for s in self._segments],
             "next_segment": self._next_seg,
             "totals": {
-                "events": self.events_appended - len(self._buffer),
+                "events": self._cut_q,
                 "records": self.records_written,
                 "bytes": self.bytes_written,
                 "bursts": self.bursts_written,
@@ -274,20 +342,20 @@ class ForensicStore:
                 for (node, ring), count in sorted(self.ring_rotations.items())
             ],
         }
-        path = os.path.join(self.config.directory, MANIFEST)
-        with open(path, "w") as handle:
+        path = self.manifest_path()
+        with open(path + ".tmp", "w") as handle:
             handle.write(fmt.encode(manifest))
+        os.replace(path + ".tmp", path)
 
     # ------------------------------------------------------------------
     # Introspection
 
     @property
     def compression_ratio(self) -> float:
-        """Logical events per physical record in written segments."""
+        """Logical events per stored row in written segments."""
         if self.records_written == 0:
             return 1.0
-        flushed = sum(s.summary["events"] for s in self._segments)
-        return flushed / self.records_written
+        return self._cut_q / self.records_written
 
     def segment_files(self) -> List[str]:
         """Written segment file names, in order."""
@@ -295,16 +363,29 @@ class ForensicStore:
 
     def segment_paths(self) -> List[str]:
         """Full paths of the written segment files, in order."""
-        return [
-            os.path.join(self.config.directory, name)
-            for name in self.segment_files()
-        ]
+        return [s.path for s in self._segments]
 
     def manifest_path(self) -> str:
         return os.path.join(self.config.directory, MANIFEST)
 
     # ------------------------------------------------------------------
     # Query path
+
+    def _tail(self) -> List[Segment]:
+        """The unflushed buffer as (at most) one in-memory segment —
+        the blocks a cut would write, without the noise folding —
+        rebuilt only after something was appended."""
+        if not self.buffered:
+            return []
+        built = self._tail_built
+        if built is None or built[0] != self.events_appended:
+            segment = Segment.of_blocks(
+                self.config.directory,
+                self._next_seg,
+                code_blocks(self._next_seg, self._columns()),
+            )
+            built = self._tail_built = (self.events_appended, segment)
+        return [built[1]]
 
     def events(
         self,
@@ -313,14 +394,11 @@ class ForensicStore:
         node: Optional[str] = None,
         relation: Optional[str] = None,
         kind: Optional[str] = None,
-        expand_bursts: bool = True,
         limit: Optional[int] = None,
     ) -> List[Dict[str, Any]]:
         """:meth:`iter_events` as a list: the first ``limit`` matching
         events in time order (all of them when ``limit`` is ``None``)."""
-        return list(
-            self.iter_events(t0, t1, node, relation, kind, expand_bursts, limit)
-        )
+        return list(self.iter_events(t0, t1, node, relation, kind, limit))
 
     def iter_events(
         self,
@@ -329,185 +407,112 @@ class ForensicStore:
         node: Optional[str] = None,
         relation: Optional[str] = None,
         kind: Optional[str] = None,
-        expand_bursts: bool = True,
         limit: Optional[int] = None,
     ) -> Iterator[Dict[str, Any]]:
         """Filtered scan over segments + the unflushed buffer, streamed
         in time order.
 
-        Segments are pruned through their sidecar summaries; matching
-        lines are read by offset.  With ``expand_bursts`` (default),
-        lossless rule bursts are expanded back into their ``re``
-        records before filtering so callers never see representation
-        details; counted ``log.b`` bursts pass through as themselves.
+        Segments are pruned through their summaries; in the ones left,
+        only the blocks of the kinds asked for are parsed, the filters
+        run on the coded columns and only the rows that pass become
+        records.  Counted ``log.b`` bursts are events like any other,
+        at their last member's time.
 
-        Events come sorted by timestamp with the canonical encoding as
-        tie-break — a total, byte-stable order independent of segment
-        layout (the writer clusters records for compression).  The scan
-        is over the segments and buffered records the store held when
-        this was called, whatever is appended or flushed while the
-        iterator is consumed.
+        Events come sorted by ``(t, q)``: timestamp, then capture order
+        — a total order that needs no encoding and does not depend on
+        where segments were cut.  The scan is over the segments and
+        buffered events the store held when this was called, whatever
+        is appended or flushed while the iterator is consumed.
 
         Sources — each segment, and the buffer — are opened in order of
         the earliest time each can hold (a summary's ``t0``), and an
         event is yielded once it is strictly older than every source
         not yet opened: only segments whose time ranges overlap are
-        decoded at once, and a consumer that stops early leaves the
+        parsed at once, and a consumer that stops early leaves the
         rest unread.
         """
         if limit is not None and limit < 0:
             raise ReproError(f"limit must be >= 0: {limit}")
-        filters = (t0, t1, node, relation, kind)
         sources = [
-            (segment.summary["t0"], partial(segment.scan_rows, *filters))
-            for segment in self._segments
+            segment
+            for segment in self._segments + self._tail()
             if segment.overlaps_time(t0, t1)
             and segment.has_node(node)
             and segment.has_relation(relation)
         ]
-        if self._buffer:
-            buffered = list(self._buffer)
-            sources.append(
-                (
-                    min(r.get("tf", r["t"]) for r in buffered),
-                    lambda: ([None] * len(buffered), buffered),
-                )
-            )
-        sources.sort(key=itemgetter(0))
-        return islice(self._merge(sources, filters, expand_bursts), limit)
+        sources.sort(key=lambda segment: segment.t0)
+        filters = (t0, t1, node, relation, kind)
+        return islice(self._merge(sources, filters), limit)
 
-    def _merge(self, sources, filters, expand_bursts) -> Iterator[Dict[str, Any]]:
-        """The events of ``sources`` in ``(t, canonical line)`` order.
-
-        ``sources`` are ``(bound, rows)`` pairs sorted by ``bound``, no
-        event of a source being older than its bound; ``rows()`` opens
-        one and returns its stored lines (``None`` for a record that
-        has none) and its records.  Only events not yet older than the
-        next bound are held.
-        """
-        pending: List[PyTuple[float, Optional[str], Dict[str, Any]]] = []
-        for watermark, rows in sources:
+    @staticmethod
+    def _merge(sources: List[Segment], filters) -> Iterator[Dict[str, Any]]:
+        """The events of ``sources`` — sorted by ``t0``, the time no
+        event of a segment is older than — in ``(t, q)`` order.  Only
+        events not yet older than the next ``t0`` are held."""
+        pending: List[PyTuple[float, int, Dict[str, Any]]] = []
+        for segment in sources:
             # Strictly older: an event *at* the watermark may tie with
             # one the next source holds.
-            cut = bisect_left([when for when, _, _ in pending], watermark)
-            yield from _tie_broken(pending[:cut])
+            cut = bisect_left(pending, segment.t0, key=itemgetter(0))
+            yield from map(itemgetter(2), pending[:cut])
             del pending[:cut]
-            pending.extend(
-                self._post_filter(zip(*rows()), filters, expand_bursts)
-            )
-            pending.sort(key=itemgetter(0))
-        yield from _tie_broken(pending)
-
-    def _post_filter(
-        self, rows, filters, expand_bursts
-    ) -> Iterator[PyTuple[float, Optional[str], Dict[str, Any]]]:
-        """``(t, stored line or None, record)`` for each logical event
-        of ``rows`` — ``(stored line or None, record)`` pairs — that
-        passes the filters exactly."""
-        t0, t1, node, relation, kind = filters
-        for stored, record in rows:
-            if expand_bursts and record["k"] == fmt.RULE_BURST:
-                entries = [(None, member) for member in expand(record)]
-            else:
-                entries = ((stored, record),)
-            for line, entry in entries:
-                when = entry["t"]
-                if t0 is not None and when < t0:
-                    continue
-                if t1 is not None and when > t1:
-                    continue
-                if node is not None and entry["n"] != node:
-                    continue
-                if kind is not None and entry["k"] != kind:
-                    continue
-                if relation is not None and entry.get("rel") != relation:
-                    continue
-                yield when, line, entry
+            pending.extend(segment.scan(*filters))
+            pending.sort(key=_time_then_capture)
+        yield from map(itemgetter(2), pending)
 
     # ------------------------------------------------------------------
     # Provenance lookups (backward slicing)
 
-    def _segments_for_tid(self, node: str, tid: int) -> List[SegmentReader]:
-        return [s for s in self._segments if s.may_hold_tid(node, tid)]
+    def _holders(self, node: str, tid: int) -> List[Segment]:
+        """The segments (and tail) that may hold ``tid``, oldest first."""
+        return [
+            segment
+            for segment in self._segments + self._tail()
+            if segment.may_hold_tid(node, tid)
+        ]
 
     def edges_to(self, node: str, tid: int) -> List[Dict[str, Any]]:
         """All ``re`` edges (event + precondition) with effect ``tid``."""
         out: List[Dict[str, Any]] = []
-        for segment in self._segments_for_tid(node, tid):
+        for segment in self._holders(node, tid):
             out.extend(segment.edges_to(node, tid))
-        for record in self._buffer:
-            if (
-                record["k"] == fmt.RULE_EXEC
-                and record["n"] == node
-                and record["e"] == tid
-            ):
-                out.append(record)
-        return out
-
-    def _ident_rows(self, node: str, tid: int) -> List[Dict[str, Any]]:
-        out: List[Dict[str, Any]] = []
-        for segment in self._segments_for_tid(node, tid):
-            out.extend(segment.ident_rows(node, tid))
-        for record in self._buffer:
-            if (
-                record["k"] == fmt.TUPLE_IDENT
-                and record["n"] == node
-                and record["i"] == tid
-            ):
-                out.append(record)
         return out
 
     def source_of(self, node: str, tid: int) -> Optional[PyTuple]:
         """Latest recorded ``(src, src_tid)`` for one tuple id."""
-        rows = self._ident_rows(node, tid)
-        if not rows:
-            return None
-        last = rows[-1]
-        return last["s"], last["si"]
+        for segment in reversed(self._holders(node, tid)):
+            found = segment.source_of(node, tid)
+            if found is not None:
+                return found
+        return None
 
     def contents_of(self, node: str, tid: int) -> Optional[Dict[str, Any]]:
         """The persisted payload of one tuple id (first ``tt`` row)."""
-        for row in self._ident_rows(node, tid):
-            if "rep" in row:
-                return row["rep"]
+        for segment in self._holders(node, tid):
+            found = segment.contents_of(node, tid)
+            if found is not None:
+                return found
         return None
 
     def tid_of(self, node: str, payload: Dict[str, Any]) -> Optional[int]:
         """Newest tuple id whose persisted payload equals ``payload``."""
-        best: Optional[int] = None
-        for record in self.iter_events(
-            node=node, kind=fmt.TUPLE_IDENT, expand_bursts=False
-        ):
-            if record.get("rep") == payload:
-                tid = record["i"]
-                if best is None or tid > best:
-                    best = tid
-        return best
+        relation = payload.get("rel") if isinstance(payload, dict) else None
+        if not isinstance(relation, str):
+            return None  # no tuple has such a name
+        return max(
+            (
+                record["i"]
+                for record in self.iter_events(
+                    node=node, relation=relation, kind=fmt.TUPLE_IDENT
+                )
+                if record.get("rep") == payload
+            ),
+            default=None,
+        )
 
     def nodes(self) -> List[str]:
         """All node addresses with any persisted history."""
-        seen = set()
-        for segment in self._segments:
+        seen: set = set()
+        for segment in self._segments + self._tail():
             seen.update(segment.summary["nodes"])
-        seen.update(r["n"] for r in self._buffer)
         return sorted(seen)
-
-
-def _canonical_line(entry) -> str:
-    """What breaks a tie on ``t``.  A stored line *is* the canonical
-    encoding of the record it decodes to, so only burst members and
-    buffered records are encoded."""
-    _, line, record = entry
-    return fmt.encode(record) if line is None else line
-
-
-def _tie_broken(batch) -> Iterator[Dict[str, Any]]:
-    """The records of ``batch`` — ``(t, stored line or None, record)``
-    entries sorted on ``t`` — each run of equal ``t`` ordered by
-    canonical line."""
-    for _, run in groupby(batch, key=itemgetter(0)):
-        run = list(run)
-        if len(run) > 1:
-            run.sort(key=_canonical_line)
-        for _, _, record in run:
-            yield record

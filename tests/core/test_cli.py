@@ -113,7 +113,13 @@ def inputs(tmp_path_factory):
     (root / "list.json").write_text("[]")
     (root / "trace.json").write_text('{"traceEvents": 3}')
     (root / "lines.jsonl").write_text('{"type": "meta"}\n"text"\n')
+    (root / "v1").mkdir()
+    (root / "v1" / "manifest.json").write_text(
+        '{"next_segment":2,"segments":[{"file":"seg-000001.jsonl",'
+        '"index":"seg-000001.idx.json"}],"version":1}'
+    )
     return {
+        "V1STORE": str(root / "v1"),
         "STORE": str(root / "store"),
         "MISSING": str(root / "no-such-store"),
         "LIST": str(root / "list.json"),
@@ -139,6 +145,7 @@ BAD_INPUT = [
     (["obs", "summarize", "MISSING"], 1, "cannot read artifact"),
     (["obs", "summarize", "LIST", "--top", "many"], 2, "argument --top"),
     (["store", "info", "MISSING"], 1, "no forensic store manifest"),
+    (["store", "info", "V1STORE"], 1, "store format version 1 is not supported"),
     (["store", "query", "MISSING"], 1, "no forensic store manifest"),
     (["store", "slice", "MISSING", "--node", "a:1", "--tid", "1"], 1,
      "no forensic store manifest"),
@@ -178,7 +185,13 @@ def test_bad_input_is_one_message_and_the_documented_code(
 
 def test_store_commands_on_a_kept_store(inputs, capsys):
     assert run_cli("store", "info", inputs["STORE"]) == 0
-    assert json.loads(capsys.readouterr().out)["nodes"] == ["a:1", "b:1"]
+    info = json.loads(capsys.readouterr().out)
+    assert info["nodes"] == ["a:1", "b:1"]
+    assert [sorted(entry["blocks"]) for entry in info["layout"]] == [
+        ["p", "re", "tt"]
+    ]
+    assert sum(info["layout"][0]["blocks"].values()) - info["layout"][0][
+        "blocks"]["p"] == info["records"]
     assert run_cli("store", "query", inputs["STORE"], "--relation", "final",
                    "--kind", "tt") == 0
     (record,) = map(json.loads, capsys.readouterr().out.splitlines())

@@ -16,16 +16,19 @@ noise only ever makes a run *slower*, so the fastest run is the
 least-contaminated estimate.
 
 The rest are *counts* with no clock at all: a cold backward slice
-may decode only a sliver of the stored lines (the sidecar's columns
-index provenance; decoding every record of every touched segment is
+may open only a few of the store's segments and parse only a sliver of
+its bytes (summaries prune on the ids a lookup asks for, and a lookup
+parses only the blocks it needs; reading every touched segment whole is
 what made a slice cost more than the run that wrote the history), a
-scan may not re-encode the records it just read (their stored lines
-are already the canonical sort key) nor encode a burst member no other
-event shares a timestamp with, ``events(limit=100)`` may open only the
+segment cut may encode once per block and once for the manifest (one
+encode per record was the largest cost of capture), capturing an event
+may make only so many Python-level calls inside ``repro/store``, a
+scan may encode nothing at all (events are ordered by time and capture
+sequence, both stored), ``events(limit=100)`` may open only the
 head of the store and allocate a fraction of what an unlimited scan
 does (scans stream in time order; collecting every candidate and
 sorting made a small question cost the whole history), a finished scan
-may leave no data-file text behind in the readers, a strand firing
+may leave no parsed block behind in the segments, a strand firing
 may make only so many Python-level calls per row its joins probe (the
 strand is one generated function; walking the plan per row costs
 several calls for each row and each derivation) and per tuple it
@@ -63,8 +66,8 @@ from repro.runtime.work import WorkModel
 from repro.runtime.tuples import Tuple
 from repro.store import ForensicStore, StoreConfig, StoreProvider, backward_slice
 from repro.store import format as fmt
-from repro.store.compress import expand
-from repro.store.segment import SegmentReader
+from repro.store.segment import Segment
+from tests.store.feeding import feed_all
 from tests.obs.test_no_heisenberg import WORKLOAD as OBS_WORKLOAD
 
 ROUNDS = 3
@@ -169,7 +172,7 @@ def test_full_ring_insert_cost_does_not_grow_with_capacity():
 
 
 # ----------------------------------------------------------------------
-# Store reads: work counted at the codec, not timed
+# The store: work counted at the codec and by the profiler, not timed
 
 STORE_SEGMENTS = 16
 STORE_SEGMENT_EVENTS = 4096
@@ -177,65 +180,146 @@ STORE_SEGMENT_EVENTS = 4096
 CHAIN_RECORDS = 8
 
 
+def chain_records(chains):
+    """Two-node chains: ``start`` on ``a:1`` fires ``r1`` into ``hop``,
+    shipped to ``b:1`` where ``r2`` turns it into ``alarm`` — and every
+    firing also joins the one long-lived ``cfg`` tuple (tid 0 on
+    ``b:1``), the precondition that must not stretch any segment's id
+    span back to the start of the run."""
+    for c in range(chains):
+        t, a1, a2, b1, b2 = c * 0.01, 2 * c + 1, 2 * c + 2, 2 * c + 1, 2 * c + 2
+        yield fmt.tuple_ident_record(
+            "a:1", a1, "a:1", a1, "a:1", t, {"rel": "start", "v": ["a:1", c]}
+        )
+        yield fmt.tuple_ident_record(
+            "a:1", a2, "a:1", a2, "b:1", t, {"rel": "hop", "v": ["b:1", c]}
+        )
+        yield fmt.rule_exec_record("a:1", "r1", a1, a2, t, t, True)
+        yield fmt.tuple_ident_record(
+            "b:1", b1, "a:1", a2, "b:1", t, {"rel": "hop", "v": ["b:1", c]}
+        )
+        yield fmt.tuple_log_record("b:1", 2 * c, t, "hop", f"hop(b:1, {c})")
+        yield fmt.tuple_ident_record(
+            "b:1", b2, "b:1", b2, "b:1", t, {"rel": "alarm", "v": ["b:1", c]}
+        )
+        yield fmt.rule_exec_record("b:1", "r2", b1, b2, t, t, True)
+        yield fmt.rule_exec_record("b:1", "r2", 0, b2, t, t, False)
+
+
 @pytest.fixture(scope="module")
 def chain_store(tmp_path_factory):
-    """A closed 16-segment x 4,096-record store of two-node chains:
-    ``start`` on ``a:1`` fires ``r1`` into ``hop``, shipped to ``b:1``
-    where ``r2`` turns it into ``alarm``.  Returns the directory and
-    the ``(node, tid)`` of one alarm in the middle of the history."""
+    """A closed 16-segment x 4,096-event store of ``chain_records``.
+    Returns the directory, the bytes in its segments and the ``(node,
+    tid)`` of one alarm in the middle of the history."""
     directory = str(tmp_path_factory.mktemp("guard") / "store")
     store = ForensicStore(
         StoreConfig(directory=directory, segment_events=STORE_SEGMENT_EVENTS)
     )
     chains = STORE_SEGMENTS * STORE_SEGMENT_EVENTS // CHAIN_RECORDS
-    for c in range(chains):
-        t, a1, a2, b1, b2 = c * 0.01, 2 * c, 2 * c + 1, 2 * c, 2 * c + 1
-        for record in (
-            fmt.tuple_ident_record(
-                "a:1", a1, "a:1", a1, "a:1", t, {"rel": "start", "v": ["a:1", c]}
-            ),
-            fmt.tuple_ident_record(
-                "a:1", a2, "a:1", a2, "b:1", t, {"rel": "hop", "v": ["b:1", c]}
-            ),
-            fmt.rule_exec_record("a:1", "r1", a1, a2, t, t, True),
-            fmt.tuple_ident_record(
-                "b:1", b1, "a:1", a2, "b:1", t, {"rel": "hop", "v": ["b:1", c]}
-            ),
-            fmt.tuple_log_record("b:1", 2 * c, t, "hop", f"hop(b:1, {c})"),
-            fmt.tuple_ident_record(
-                "b:1", b2, "b:1", b2, "b:1", t, {"rel": "alarm", "v": ["b:1", c]}
-            ),
-            fmt.rule_exec_record("b:1", "r2", b1, b2, t, t, True),
-            fmt.tuple_log_record("b:1", 2 * c + 1, t, "alarm", f"alarm(b:1, {c})"),
-        ):
-            store._append(record)
+    feed_all(store, chain_records(chains))
     store.close()
-    assert store.segments_written == STORE_SEGMENTS
-    assert store.bursts_written > 0, "no re.b rows: the index build is untested"
-    return directory, store.records_written, ("b:1", 2 * (chains // 2) + 1)
+    assert store.segments_written == STORE_SEGMENTS >= 8
+    return directory, store.bytes_written, ("b:1", 2 * (chains // 2) + 2)
 
 
-def test_cold_slice_decodes_a_sliver_of_the_store(chain_store, monkeypatch):
-    directory, stored_lines, (node, tid) = chain_store
-    decoded = []
-    real_decode, real_decode_many = fmt.decode, fmt.decode_many
+@pytest.fixture
+def parsed(monkeypatch):
+    """``(segment id, block kind, bytes)`` of every block parsed."""
+    seen = []
+    real = Segment._parse
     monkeypatch.setattr(
-        fmt, "decode", lambda line: decoded.append(1) or real_decode(line)
+        Segment,
+        "_parse",
+        lambda self, kind, data: seen.append((self.seg_id, kind, len(data)))
+        or real(self, kind, data),
     )
-    monkeypatch.setattr(
-        fmt,
-        "decode_many",
-        lambda lines: decoded.append(len(lines)) or real_decode_many(lines),
-    )
+    return seen
+
+
+def test_cold_slice_decodes_a_sliver_of_the_store(chain_store, parsed):
+    directory, stored_bytes, (node, tid) = chain_store
     result = backward_slice(StoreProvider(ForensicStore.open(directory)), node, tid)
-    monkeypatch.undo()
-    assert [link["r"] for link in result.links] == ["r1", "r2"]
-    assert len(result.hops) == 1 and len(result.inputs) == 1
-    share = sum(decoded) / stored_lines
-    assert share < 0.05, (
-        f"a cold slice of one chain decoded {sum(decoded):,} of "
-        f"{stored_lines:,} stored lines ({share:.1%}); decoding every "
-        f"record of a touched segment to index it reads 100% of each"
+    assert [(link["r"], link["ev"]) for link in result.links] == [
+        ("r1", True), ("r2", True), ("r2", False)
+    ]
+    assert len(result.hops) == 1 and len(result.inputs) == 2
+    opened = {seg_id for seg_id, _, _ in parsed}
+    assert len(opened) <= 3, (
+        f"a cold slice of one chain opened {len(opened)} of "
+        f"{STORE_SEGMENTS} segments: a span that covers causes reaches "
+        f"back to the first segment that used the long-lived tuple"
+    )
+    share = sum(size for _, _, size in parsed) / stored_bytes
+    assert share < 0.15, (
+        f"a cold slice of one chain parsed {share:.1%} of the store's "
+        f"{stored_bytes:,} bytes; a lookup needs the ``re`` and ``tt`` "
+        f"blocks of the segments it touches, and a payload block per leaf"
+    )
+    assert len(parsed) == len(set(parsed)), "a block was parsed twice"
+
+
+def test_segment_cut_encodes_once_per_block(tmp_path, monkeypatch):
+    encodes = []
+    real_encode = fmt.encode
+    monkeypatch.setattr(
+        fmt, "encode", lambda value: encodes.append(1) or real_encode(value)
+    )
+    store = ForensicStore(
+        StoreConfig(directory=str(tmp_path / "s"), segment_events=4096)
+    )
+    feed_all(store, chain_records(3 * 4096 // CHAIN_RECORDS))
+    assert store.segments_written == 3
+    blocks = sum(len(s.summary["blocks"]) for s in store._segments)
+    assert blocks == 3 * 4  # re, tt, payloads, tl
+    assert len(encodes) <= blocks + 3, (
+        f"{len(encodes)} encodes for 3 cuts of {blocks} blocks and 3 "
+        f"manifests: something is encoded per record again"
+    )
+
+
+CHAIN_SOURCE = """
+materialize(peer, infinity, 1, keys(1)).
+materialize(seen, 10, 1000, keys(1,2,3)).
+c1 tick@N(E) :- periodic@N(E, 0.05).
+c2 hop@P(N, E) :- tick@N(E), peer@N(P).
+c3 seen@N(Src, E) :- hop@N(Src, E).
+c4 back@Src(N, E) :- seen@N(Src, E).
+c5 alarm@N(P, E) :- back@N(P, E).
+"""
+#: Measured 1.9 (one callback per event, ``payload_values`` and its
+#: comprehension for a first sighting, a cut's few dozen calls spread
+#: over 512 events); ~17 when every event was built as a dict,
+#: re-keyed, walked for the summary and the sidecar and encoded alone.
+STORE_CALLS_PER_EVENT = 4.0
+
+
+def test_capture_makes_few_store_calls_per_event(tmp_path):
+    """The ``forensic_chains`` workload of ``benchmarks/e2e`` in small."""
+    system = System(
+        seed=0, store=StoreConfig(str(tmp_path / "s"), segment_events=512)
+    )
+    addresses = [f"n{i}:7000" for i in range(4)]
+    for i, address in enumerate(addresses):
+        node = system.add_node(address, tracing=True, logging=True)
+        node.install_source(CHAIN_SOURCE, name="chains")
+        node.inject("peer", (address, addresses[(i + 1) % 4]))
+    system.run_for(1.0)
+    before = system.store.events_appended
+    profile = cProfile.Profile()
+    profile.enable()
+    system.run_for(4.0)
+    profile.disable()
+    events = system.store.events_appended - before
+    assert events >= 4000 and system.store.segments_written >= 8
+    calls = sum(
+        total
+        for (filename, _, _), (_, total, _, _, _) in pstats.Stats(profile).stats.items()
+        if "repro/store/" in filename.replace("\\", "/")
+    )
+    assert calls / events <= STORE_CALLS_PER_EVENT, (
+        f"{calls / events:.1f} Python-level calls inside repro/store per "
+        f"captured event, ceiling {STORE_CALLS_PER_EVENT:.0f}: something "
+        f"new runs for every event"
     )
 
 
@@ -248,51 +332,33 @@ def test_relation_scan_encodes_nothing_it_read(chain_store, monkeypatch):
         fmt, "encode", lambda record: encoded.append(record["k"]) or real_encode(record)
     )
     alarms = store.events(relation="alarm")
-    assert not encoded, (
-        f"a relation scan encoded {len(encoded):,} records to sort "
-        f"{len(alarms):,} it had the stored lines of"
-    )
     one_node = store.events(node="a:1", kind=fmt.RULE_EXEC)
-    assert not encoded, (
-        f"a scan encoded {len(encoded):,} of {len(one_node):,} edges of "
-        f"which no two share a timestamp: nothing needed a tie-break"
-    )
+    # Every chain's events share one timestamp: ties everywhere, and
+    # still nothing to encode — capture order breaks them.
     edges = store.events(kind=fmt.RULE_EXEC)
+    head = store.events(limit=1000)
+    assert not encoded, (
+        f"scans encoded {len(encoded):,} records to order events whose "
+        f"time and capture sequence are both stored"
+    )
     monkeypatch.undo()
     chains = STORE_SEGMENTS * STORE_SEGMENT_EVENTS // CHAIN_RECORDS
-    assert len(alarms) == 2 * chains  # one identity, one log entry each
-    assert len(edges) == 2 * chains and len(one_node) == chains
-    # Only members expanded out of a burst have no stored line, and a
-    # line is only needed to order events that share a timestamp.
-    members = [
-        member
-        for record in store.events(expand_bursts=False)
-        if record["k"] == fmt.RULE_BURST
-        for member in expand(record)
-    ]
-    shared = Counter(edge["t"] for edge in edges)
-    tied = sum(shared[member["t"]] > 1 for member in members)
-    assert 0 < tied <= len(members) <= len(edges)
-    assert len(encoded) == tied and set(encoded) == {fmt.RULE_EXEC}
+    assert len(alarms) == chains  # one identity each
+    assert len(edges) == 3 * chains and len(one_node) == chains
+    assert len(head) == 1000
+    assert Counter(edge["t"] for edge in edges).most_common(1)[0][1] == 3
 
 
-def test_limited_scan_reads_the_head_of_the_store(chain_store, monkeypatch):
+def test_limited_scan_reads_the_head_of_the_store(chain_store, parsed):
     directory, _, _ = chain_store
-    batches = []
-    real_decode_many = fmt.decode_many
-    monkeypatch.setattr(
-        fmt,
-        "decode_many",
-        lambda lines: batches.append(len(lines)) or real_decode_many(lines),
-    )
     head = ForensicStore.open(directory).events(limit=100)
-    monkeypatch.undo()
     assert len(head) == 100
-    # One batch per segment opened: the first, and the one whose start
-    # says the first hundred events are complete.
-    assert len(batches) <= 2 and sum(batches) <= 2 * STORE_SEGMENT_EVENTS, (
-        f"events(limit=100) decoded {sum(batches):,} lines in "
-        f"{len(batches)} batches from a {STORE_SEGMENTS}-segment store"
+    # The first segment, and the one whose start says the first hundred
+    # events are complete.
+    opened = {seg_id for seg_id, _, _ in parsed}
+    assert len(opened) <= 2, (
+        f"events(limit=100) parsed blocks of {len(opened)} segments of a "
+        f"{STORE_SEGMENTS}-segment store"
     )
 
 
@@ -306,30 +372,19 @@ def traced_peak(work) -> int:
         tracemalloc.stop()
 
 
-def test_scan_holds_what_it_returns_and_little_else(chain_store, monkeypatch):
+def test_scan_holds_what_it_returns_and_little_else(chain_store, parsed):
     directory, _, _ = chain_store
     limited = traced_peak(lambda: ForensicStore.open(directory).events(limit=100))
+    del parsed[:]
     store = ForensicStore.open(directory)
-    loads = []
-    real_load = SegmentReader._load_text
-    monkeypatch.setattr(
-        SegmentReader,
-        "_load_text",
-        lambda reader: loads.append(reader.seg_id) or real_load(reader),
-    )
     full = traced_peak(store.events)
     assert limited < 0.15 * full, (
         f"events(limit=100) peaked at {limited:,} traced bytes, "
         f"{limited / full:.0%} of an unlimited scan's {full:,}"
     )
-    # A scan passes over each data file once and keeps none of them;
-    # the columns it leaves hold one string per distinct value.
-    assert sorted(loads) == list(range(1, STORE_SEGMENTS + 1))
-    for reader in store._segments:
-        assert reader._text is None and not reader._ends
-        for name in ("k", "n", "rel"):
-            column = reader.columns()[name]
-            assert len({id(v) for v in column}) == len(set(column))
+    # A scan passes over each block once and keeps none of them.
+    assert len(parsed) == len(set(parsed)) == 4 * STORE_SEGMENTS
+    assert not any(segment._held for segment in store._segments)
 
 
 # ----------------------------------------------------------------------

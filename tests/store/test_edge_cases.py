@@ -14,16 +14,20 @@ Three ways real deployments break naive provenance walks:
   firing, and a post-mortem replica backfills rows the rings rotated
   away.
 
-And one way disks do: a segment truncated mid-line, a flipped byte, a
-sidecar that belongs to another segment.  Every read path must answer
-with a :class:`~repro.errors.StoreCorruptionError` naming the file, row
-and byte offset — never a bare ``JSONDecodeError``, never a slice built
-from the wrong rows.
+And the ways disks and writers do: a segment truncated mid-block, a
+flipped byte, segment files exchanged, another store's manifest, a
+column shorter than its block, a code outside the block's dictionary, a
+writer killed while replacing the manifest.  Every read path must
+answer with a :class:`~repro.errors.StoreCorruptionError` naming the
+file, block and byte offset — never a bare ``JSONDecodeError``, never a
+slice built from the wrong rows — while what the damage does not reach
+still answers.
 """
 
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -42,6 +46,7 @@ from repro.store import (
 from repro.store import format as fmt
 from repro.store.store import StoreConfig as SC
 from tests.conftest import run_cli
+from tests.store.feeding import feed, feed_all
 
 
 # ----------------------------------------------------------------------
@@ -50,15 +55,11 @@ from tests.conftest import run_cli
 
 def test_synthetic_causal_cycle_terminates(tmp_path):
     store = ForensicStore(SC(directory=str(tmp_path / "s")))
-    store._append(
-        fmt.tuple_ident_record("n:1", 1, "n:1", 1, "n:1", 0.1, None)
-    )
-    store._append(
-        fmt.tuple_ident_record("n:1", 2, "n:1", 2, "n:1", 0.2, None)
-    )
+    feed(store, fmt.tuple_ident_record("n:1", 1, "n:1", 1, "n:1", 0.1, None))
+    feed(store, fmt.tuple_ident_record("n:1", 2, "n:1", 2, "n:1", 0.2, None))
     # ping(1) -> pong(2) -> ping(1): a ruleExec cycle.
-    store._append(fmt.rule_exec_record("n:1", "p1", 1, 2, 0.1, 0.2, True))
-    store._append(fmt.rule_exec_record("n:1", "p2", 2, 1, 0.2, 0.3, True))
+    feed(store, fmt.rule_exec_record("n:1", "p1", 1, 2, 0.1, 0.2, True))
+    feed(store, fmt.rule_exec_record("n:1", "p2", 2, 1, 0.2, 0.3, True))
     store.close()
 
     result = backward_slice(StoreProvider(store), "n:1", 2)
@@ -72,8 +73,8 @@ def test_replaced_edge_keeps_only_the_newest_firing(tmp_path):
     store = ForensicStore(SC(directory=str(tmp_path / "s")))
     # The same (rule, cause, effect, ev) identity fired twice: ring
     # replace semantics keep only the newest, so must the slice.
-    store._append(fmt.rule_exec_record("n:1", "r", 1, 2, 0.1, 0.2, True))
-    store._append(fmt.rule_exec_record("n:1", "r", 1, 2, 5.0, 5.1, True))
+    feed(store, fmt.rule_exec_record("n:1", "r", 1, 2, 0.1, 0.2, True))
+    feed(store, fmt.rule_exec_record("n:1", "r", 1, 2, 5.0, 5.1, True))
     store.close()
 
     result = backward_slice(StoreProvider(store), "n:1", 2)
@@ -260,42 +261,47 @@ def test_postmortem_backfills_rotated_rows_from_store(tmp_path):
 # Damaged files: typed, located errors from every read path
 
 
-def two_segment_store(tmp_path):
-    """A closed two-segment store of plain records (chains 1 -> 2 -> 3
-    on ``n:1`` in the first segment, 11 -> 12 -> 13 in the second) and
-    the directory it lives in."""
-    directory = tmp_path / "s"
+def two_segment_store(tmp_path, name="s", rule="r"):
+    """A closed two-segment store (chains 1 -> 2 -> 3 on ``n:1`` in the
+    first segment, 11 -> 12 -> 13 in the second; each segment an
+    ``re``, a ``tt``, a payload and a ``tl`` block) and the directory
+    it lives in."""
+    directory = tmp_path / name
     store = ForensicStore(
         SC(directory=str(directory), segment_events=6, compress=False)
     )
     for base, t in ((1, 0.0), (11, 1.0)):
         for i in range(3):
-            store._append(
+            feed(
+                store,
                 fmt.tuple_ident_record(
                     "n:1", base + i, "n:1", base + i, "n:1", t + i / 10,
                     {"rel": "step", "v": ["n:1", base + i]},
-                )
+                ),
             )
         for i in range(2):
-            store._append(
+            feed(
+                store,
                 fmt.rule_exec_record(
-                    "n:1", "r", base + i, base + i + 1,
+                    "n:1", rule, base + i, base + i + 1,
                     t + i / 10, t + (i + 1) / 10, True,
-                )
+                ),
             )
-        store._append(
-            fmt.tuple_log_record("n:1", base, t + 0.3, "step", "step(...)")
-        )
+        feed(store, fmt.tuple_log_record("n:1", base, t + 0.3, "step", "step(...)"))
     store.close()
     assert store.segments_written == 2
+    assert [b["k"] for b in store._segments[0].summary["blocks"]] == [
+        "re", "tt", "p", "tl"
+    ]
     return directory
 
 
 def read_paths(directory):
     """Each public way of reading segment 1 of ``two_segment_store``,
     by name, each from a fresh open so nothing is served from memory.
-    The slice of tid 3 walks edges 2 -> 3 and 1 -> 2 and the identity
-    of tid 1; ``source_of`` reads only the identity row it is asked for."""
+    The slice of tid 3 walks edges 2 -> 3 and 1 -> 2 (the ``re`` block)
+    and the identity and payload of tid 1; ``edges_to`` reads only the
+    ``re`` block and ``source_of`` only the ``tt`` block."""
     directory = str(directory)
     return {
         "events": lambda: ForensicStore.open(directory).events(),
@@ -314,8 +320,8 @@ CLI = {
 
 
 def assert_reads_fail(
-    directory, capsys, file, row=None,
-    reads=("events", "edges_to", "source_of", "slice"),
+    directory, capsys, file, block=None,
+    reads=("events", "edges_to", "source_of", "slice"), intact=True,
 ):
     paths = read_paths(directory)
     for name in reads:
@@ -324,9 +330,10 @@ def assert_reads_fail(
         error = caught.value
         assert error.path.endswith(file), (name, error)
         assert file in str(error)
-        if row is not None:
-            assert error.row == row, (name, error)
-            assert f"row {row} at byte {error.offset}" in str(error)
+        if block is not None:
+            assert error.block == block, (name, error)
+            assert error.offset == block_offset(directory, block)
+            assert f"block {block} at byte {error.offset}" in str(error)
         if name in CLI:
             assert run_cli(*CLI[name](str(directory))) == 1
             captured = capsys.readouterr()
@@ -336,25 +343,40 @@ def assert_reads_fail(
     # What the damage does not reach still answers.
     for name in set(paths) - set(reads):
         paths[name]()
+    if intact:
+        assert ForensicStore.open(str(directory)).edges_to("n:1", 13)
 
 
-def sidecar_offsets(directory):
-    sidecar = json.loads((directory / "seg-000001.idx.json").read_text())
-    return sidecar["columns"]["off"]
+def block_offset(directory, kind, segment=0):
+    manifest = json.loads((directory / "manifest.json").read_text())
+    (entry,) = [
+        b for b in manifest["segments"][segment]["blocks"] if b["k"] == kind
+    ]
+    return entry["off"]
+
+
+def rewrite_block(directory, kind, old, new):
+    """Replace ``old`` by ``new`` (same length: the offsets stay true)
+    inside one block of segment 1."""
+    assert len(old) == len(new)
+    path = directory / "seg-000001.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    (at,) = [i for i, line in enumerate(lines) if json.loads(line)["k"] == kind]
+    assert lines[at].count(old) == 1
+    lines[at] = lines[at].replace(old, new)
+    path.write_bytes(b"".join(lines))
 
 
 def test_segment_truncated_mid_line_is_a_located_error(tmp_path, capsys):
     directory = two_segment_store(tmp_path)
     path = directory / "seg-000001.jsonl"
-    offsets = sidecar_offsets(directory)
-    path.write_bytes(path.read_bytes()[: offsets[4] + 9])
-    assert_reads_fail(directory, capsys, "seg-000001.jsonl", row=4)
-    error = pytest.raises(
-        StoreCorruptionError, ForensicStore.open(str(directory)).events
-    ).value
-    assert error.offset == offsets[4]
-    # The undamaged segment still answers.
-    assert ForensicStore.open(str(directory)).edges_to("n:1", 13)
+    path.write_bytes(path.read_bytes()[: block_offset(directory, "tt") + 9])
+    # The ``re`` block ends before the cut: a lookup that needs no more
+    # than it still answers.
+    assert_reads_fail(
+        directory, capsys, "seg-000001.jsonl", block="tt",
+        reads=("events", "source_of", "slice"),
+    )
 
 
 @pytest.mark.parametrize(
@@ -363,51 +385,138 @@ def test_segment_truncated_mid_line_is_a_located_error(tmp_path, capsys):
 def test_flipped_byte_is_a_located_error(tmp_path, capsys, flipped):
     directory = two_segment_store(tmp_path)
     path = directory / "seg-000001.jsonl"
-    offsets = sidecar_offsets(directory)
     data = bytearray(path.read_bytes())
-    data[offsets[4] + 5 : offsets[4] + 6] = flipped  # in the 2 -> 3 edge
+    data[5:6] = flipped  # in the ``re`` block, which comes first
     path.write_bytes(bytes(data))
-    # A byte no ASCII text can hold fails the file; a byte that only
-    # breaks one line's JSON fails the reads that return that line.
-    reads = ("events", "edges_to", "slice") + (
-        ("source_of",) if flipped == b"\xc3" else ()
-    )
-    assert_reads_fail(directory, capsys, "seg-000001.jsonl", row=4, reads=reads)
-
-
-def test_swapped_sidecars_are_refused_not_sliced(tmp_path, capsys):
-    directory = two_segment_store(tmp_path)
-    one = directory / "seg-000001.idx.json"
-    two = directory / "seg-000002.idx.json"
-    first, second = one.read_bytes(), two.read_bytes()
-    one.write_bytes(second)
-    two.write_bytes(first)
-    assert_reads_fail(directory, capsys, "seg-000001.idx.json")
-
-
-def test_stale_column_entry_is_caught_on_the_row_it_describes(tmp_path, capsys):
-    """A sidecar with the right summary but two ``tid`` entries
-    exchanged: the index would answer a slice of tid 3 with the 1 -> 2
-    edge."""
-    directory = two_segment_store(tmp_path)
-    path = directory / "seg-000001.idx.json"
-    sidecar = json.loads(path.read_text())
-    tids = sidecar["columns"]["tid"]
-    assert (tids[3], tids[4]) == (2, 3)
-    tids[3], tids[4] = 3, 2
-    path.write_text(fmt.encode(sidecar))
     assert_reads_fail(
-        directory, capsys, "seg-000001.jsonl", row=3,
+        directory, capsys, "seg-000001.jsonl", block="re",
         reads=("events", "edges_to", "slice"),
     )
 
 
-@pytest.mark.parametrize("name", ["seg-000001.idx.json", "manifest.json"])
-def test_unreadable_sidecar_or_manifest_is_a_typed_error(tmp_path, capsys, name):
+def test_swapped_segment_files_are_refused_not_sliced(tmp_path, capsys):
+    directory = two_segment_store(tmp_path)
+    one = directory / "seg-000001.jsonl"
+    two = directory / "seg-000002.jsonl"
+    first, second = one.read_bytes(), two.read_bytes()
+    one.write_bytes(second)
+    two.write_bytes(first)
+    with pytest.raises(StoreCorruptionError):
+        ForensicStore.open(str(directory)).edges_to("n:1", 13)
+    two.write_bytes(second)  # the second segment is itself again
+    assert_reads_fail(directory, capsys, "seg-000001.jsonl")
+    # Even a file of the right shape is refused: every block names the
+    # segment it was written for.
+    one.write_bytes(first.replace(b'"seg":1', b'"seg":2'))
+    assert_reads_fail(directory, capsys, "seg-000001.jsonl")
+    error = pytest.raises(
+        StoreCorruptionError, ForensicStore.open(str(directory)).events
+    ).value
+    assert "not the re block of segment 1" in str(error)
+
+
+def test_manifest_of_another_store_is_refused_not_sliced(tmp_path, capsys):
+    directory = two_segment_store(tmp_path)
+    other = two_segment_store(tmp_path, name="other", rule="a-longer-rule-name")
+    (directory / "manifest.json").write_bytes(
+        (other / "manifest.json").read_bytes()
+    )
+    # No block is where this manifest says it is: nothing is answered.
+    assert_reads_fail(directory, capsys, "seg-000001.jsonl", intact=False)
+
+
+def test_stale_column_entry_is_caught_on_the_row_it_describes(tmp_path, capsys):
+    """A dictionary code that points outside the block's dictionary: the
+    ``re`` block is refused, by name, before any row of it is used."""
+    directory = two_segment_store(tmp_path)
+    rewrite_block(directory, "re", b'"n":[0,0]', b'"n":[0,7]')
+    assert_reads_fail(
+        directory, capsys, "seg-000001.jsonl", block="re",
+        reads=("events", "edges_to", "slice"),
+    )
+    error = pytest.raises(
+        StoreCorruptionError, ForensicStore.open(str(directory)).events
+    ).value
+    assert "column n holds a code outside its dictionary of 2" in str(error)
+
+
+def test_column_shorter_than_its_block_is_refused(tmp_path, capsys):
+    directory = two_segment_store(tmp_path)
+    rewrite_block(directory, "tt", b'"i":[1,2,3]', b'"i":[1,2]  ')
+    assert_reads_fail(
+        directory, capsys, "seg-000001.jsonl", block="tt",
+        reads=("events", "source_of", "slice"),
+    )
+    error = pytest.raises(
+        StoreCorruptionError, ForensicStore.open(str(directory)).events
+    ).value
+    assert "column i is not one entry for each of 3 rows" in str(error)
+
+
+@pytest.mark.parametrize("name", ["seg-000001.jsonl", "manifest.json"])
+def test_unreadable_segment_or_manifest_is_a_typed_error(tmp_path, capsys, name):
     directory = two_segment_store(tmp_path)
     path = directory / name
-    path.write_bytes(path.read_bytes()[:40])
-    assert_reads_fail(directory, capsys, name)
+    if name == "manifest.json":
+        path.write_bytes(path.read_bytes()[:40])
+        with pytest.raises(StoreCorruptionError) as caught:
+            ForensicStore.open(str(directory))
+        assert caught.value.path.endswith(name)
+        assert run_cli("store", "query", str(directory)) == 1
+        assert name in capsys.readouterr().err
+    else:
+        os.remove(path)
+        assert_reads_fail(directory, capsys, name)
+
+
+# ----------------------------------------------------------------------
+# Writers that die, and stores this build did not write
+
+
+def test_killed_manifest_write_leaves_the_previous_manifest(tmp_path, monkeypatch):
+    """The manifest is replaced in one step: a writer that dies between
+    writing the new one and moving it in leaves every earlier segment
+    answering."""
+    directory = tmp_path / "s"
+    store = ForensicStore(SC(directory=str(directory), segment_events=4))
+    edges = [
+        fmt.rule_exec_record("n:1", "r", i, i + 1, i / 10, i / 10, True)
+        for i in range(8)
+    ]
+    feed_all(store, edges[:4])
+    assert store.segments_written == 1
+
+    def die(src, dst):
+        raise OSError("killed before the move")
+
+    monkeypatch.setattr(os, "replace", die)
+    with pytest.raises(OSError, match="killed"):
+        feed_all(store, edges[4:])
+    monkeypatch.undo()
+    survivor = ForensicStore.open(str(directory))
+    assert survivor.segments_written == 1
+    assert survivor.events() == edges[:4]
+    assert survivor.edges_to("n:1", 2) == [edges[1]]
+
+
+def test_another_format_version_is_named_not_misread(tmp_path, capsys):
+    directory = two_segment_store(tmp_path)
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    v1 = {"version": 1, "segments": [{"file": "seg-000001.jsonl", "index": "x"}]}
+    for version, text in ((1, fmt.encode(v1)), (3, fmt.encode({**manifest, "version": 3}))):
+        path.write_text(text)
+        with pytest.raises(ReproError) as caught:
+            ForensicStore.open(str(directory))
+        assert not isinstance(caught.value, StoreCorruptionError)
+        assert f"store format version {version} is not supported" in str(caught.value)
+        assert run_cli("store", "info", str(directory)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: store format version {version} is not supported"
+        )
+        assert captured.err.count("\n") == 1
 
 
 # ----------------------------------------------------------------------
@@ -435,7 +544,4 @@ def test_negative_limit_is_an_error_not_a_shorter_answer(tmp_path, capsys):
 def test_zero_limit_opens_nothing(tmp_path):
     store = ForensicStore.open(str(two_segment_store(tmp_path)))
     assert store.events(limit=0) == []
-    assert all(
-        reader._columns is None and reader._text is None
-        for reader in store._segments
-    )
+    assert not any(segment._held for segment in store._segments)

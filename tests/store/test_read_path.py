@@ -1,27 +1,29 @@
-"""The read path against references that parse everything.
+"""The read path against references that take no shortcut.
 
-A query parses the sidecar plus the rows it returns, sorts on stored
-lines instead of re-encoding, and indexes provenance from sidecar
-columns.  Each shortcut rests on an invariant; each is held here
-against a reference that takes no shortcut:
+A query parses only the blocks it needs, filters on coded columns,
+builds records a column at a time and orders them by ``(t, q)`` without
+encoding anything.  Each shortcut rests on an invariant; each is held
+here against a reference that decodes every stored row the slow,
+obvious way — one line, one row, one field at a time:
 
 - **canonical lines are a fixed point** — ``encode(decode(line)) ==
-  line`` for every record constructor and both burst shapes, and the
-  bulk decoder equals the per-line one;
-- **scans** — ``events(**filters)`` equals reading every data file
-  line by line, expanding bursts, filtering, and sorting by
-  ``(t, encode(record))``;
-- **provenance** — the index built from ``k`` / ``n`` / ``tid`` columns
-  equals one built from fully decoded records, on a compressed store
-  where one tuple id is an effect both inside a burst and in a plain
-  ``re`` row, and a warm slice is the cold one, byte for byte, without
-  touching the decoder again.
+  line`` for every record constructor, the burst shape and every block
+  a cut writes;
+- **capture** — what ``events()`` returns is exactly what was appended,
+  in ``(t, q)`` order: time, then capture order, wherever segments were
+  cut and whichever loop cut them;
+- **scans** — ``events(**filters)`` equals reading every segment file
+  line by line, rebuilding each row, filtering, and sorting by
+  ``(t, q)``, at every ``limit``;
+- **provenance** — the index built over a block's coded columns equals
+  one built from the rebuilt records, and a warm slice is the cold one,
+  byte for byte, without touching the decoder again.
 
-Mutations tried against this file (each caught): skipping the burst
-decode in the index build (``test_index_from_columns...``), indexing
-``re.b`` rows by their ``tid`` column entry (same test), dropping the
-row memo (``test_warm_slice...``), and ending the last row one byte
-late or early (``test_rows_are_the_stored_lines_exactly``).
+Mutations tried against this file (each caught): handing back ``ev``
+as the stored 0/1 (every test that compares records), indexing ``re``
+rows by cause (``test_index_from_columns...``), not keeping the blocks
+a lookup read (``test_warm_slice...``), and the five of the streamed
+scans section below.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from repro.runtime.tuples import Tuple
 from repro.sim.batch import ExecutionConfig
 from repro.store import ForensicStore, StoreConfig, StoreProvider, backward_slice
 from repro.store import format as fmt
-from repro.store.compress import BurstCompressor, expand
+from repro.store.segment import Segment, code_blocks
+from tests.store.feeding import columns_of, feed, feed_all
 
 # ----------------------------------------------------------------------
 # Canonical lines
@@ -81,15 +84,7 @@ tuple_logs = st.builds(fmt.tuple_log_record, addresses, tids, times, texts, text
 table_logs = st.builds(
     fmt.table_log_record, addresses, tids, times, texts, texts, texts
 )
-rule_bursts = st.lists(rule_execs, min_size=1, max_size=5).map(
-    BurstCompressor()._rule_burst
-)
-log_bursts = st.lists(tuple_logs | table_logs, min_size=1, max_size=5).map(
-    BurstCompressor()._log_burst
-)
-records = st.one_of(
-    rule_execs, tuple_idents, tuple_logs, table_logs, rule_bursts, log_bursts
-)
+captured = st.one_of(rule_execs, tuple_idents, tuple_logs, table_logs)
 
 
 @given(payloads)
@@ -104,23 +99,71 @@ def test_a_payload_thaws_to_a_tuple_that_encodes_back_to_it(payload):
     assert fmt.payload_matches(stored, tup)
 
 
-@given(records)
-def test_canonical_line_is_a_fixed_point(record):
-    line = fmt.encode(record)
-    assert line.isascii() and "\n" not in line
-    assert fmt.encode(fmt.decode(line)) == line
+@given(st.lists(captured, max_size=6))
+def test_canonical_line_is_a_fixed_point(batch):
+    """For every record, and for every block a cut would write of them."""
+    for value in batch + code_blocks(1, columns_of(batch)):
+        line = fmt.encode(value)
+        assert line.isascii() and "\n" not in line
+        assert fmt.encode(fmt.decode(line)) == line
 
 
-@given(st.lists(records, max_size=6))
+@given(st.lists(captured, max_size=6))
 def test_bulk_decode_is_the_per_line_decode(batch):
-    lines = [fmt.encode(record) for record in batch]
-    decoded = fmt.decode_many(lines)
-    assert decoded == [fmt.decode(line) for line in lines]
-    assert [fmt.encode(r) for r in decoded] == lines
+    """Records built a column at a time from a block are the records
+    rebuilt from it one row and one field at a time — and the records
+    that went in, whatever the dictionary had to code (``1`` beside
+    ``1.0`` beside ``True``, a list, ``-0.0``)."""
+    blocks = code_blocks(1, columns_of(batch))
+    if not blocks:
+        return
+    stored = [fmt.decode(fmt.encode(block)) for block in blocks]
+    segment = Segment.of_blocks("nowhere", 1, stored)
+    bulk = sorted(
+        (q, record) for _, q, record in segment.scan(None, None, None, None, None)
+    )
+    assert bulk == sorted(rebuilt_rows(stored))
+    assert [fmt.encode(record) for _, record in bulk] == [
+        fmt.encode(record) for record in batch
+    ]
+
+
+def rebuilt_rows(blocks):
+    """``(q, record)`` of every row of decoded ``blocks``, one row and
+    one field at a time — the reference for everything columnar."""
+    carried = {}
+    for block in blocks:
+        if block["k"] == fmt.PAYLOADS:
+            carried = dict(zip(block["at"], block["v"]))
+    out = []
+    for block in blocks:
+        kind = block["k"]
+        if kind == fmt.PAYLOADS:
+            continue
+        for row, q in enumerate(block["q"]):
+            record = {"k": kind}
+            for name in fmt.COLUMNS[kind]:
+                if name not in ("q", "v"):
+                    value = block[name][row]
+                    record[name] = block["d"][value] if name in fmt.CODED else value
+            if kind == fmt.RULE_EXEC:
+                record["ev"] = {0: False, 1: True}[record["ev"]]
+                record["t"] = record["to"]
+            elif kind == fmt.TUPLE_IDENT:
+                if row in carried:
+                    record["rep"] = {"rel": record["rel"], "v": carried[row]}
+                else:
+                    assert record.pop("rel") is None
+            elif kind == fmt.LOG_BURST:
+                record["tl"] = record["t"]
+                if record["lk"] == fmt.TUPLE_LOG:
+                    assert record.pop("op") is None
+            out.append((q, record))
+    return out
 
 
 # ----------------------------------------------------------------------
-# A compressed store with history in segments and in the buffer
+# A store with history in segments and in the buffer
 
 NODES = ["a:1", "b:1", "c:1"]
 RELATIONS = ["alarm", "hop", "periodic"]
@@ -170,163 +213,204 @@ def synthetic_history(rng, count=900):
     return history
 
 
-@pytest.fixture(scope="module")
-def live_store(tmp_path_factory):
-    """Compression on, 7 segments on disk and a tail still buffered."""
+def filled(directory, history, segment_events, compress=True):
+    """A store fed ``history``; ``store.fed`` keeps what it was fed, in
+    capture order (so ``q`` is an index into it)."""
     store = ForensicStore(
         StoreConfig(
-            directory=str(tmp_path_factory.mktemp("read") / "s"),
-            segment_events=128,
+            directory=str(directory),
+            segment_events=segment_events,
+            compress=compress,
         )
     )
-    # One rule storm whose burst holds SHARED_TID, and one short run
-    # (below the burst threshold) that keeps it in a plain ``re`` row,
-    # on the same node in the same segment.
-    for i in range(8):
-        store._append(
-            fmt.rule_exec_record(
-                "a:1", "storm", 100 + i, SHARED_TID, -0.2, i / 80 - 0.1, True
-            )
+    store.fed = []
+    feed_more(store, history)
+    return store
+
+
+def feed_more(store, history):
+    feed_all(store, history)
+    store.fed += history
+
+
+@pytest.fixture(scope="module")
+def live_store(tmp_path_factory):
+    """Noise folding on, 7 segments on disk and a tail still buffered."""
+    # One rule storm into SHARED_TID and one lone precondition edge into
+    # it, on the same node in the same segment, ahead of the history.
+    storm = [
+        fmt.rule_exec_record(
+            "a:1", "storm", 100 + i, SHARED_TID, -0.2, i / 80 - 0.1, True
         )
-    store._append(
-        fmt.rule_exec_record("a:1", "lone", 200, SHARED_TID, -0.1, 0.0, False)
+        for i in range(8)
+    ]
+    lone = fmt.rule_exec_record("a:1", "lone", 200, SHARED_TID, -0.1, 0.0, False)
+    store = filled(
+        tmp_path_factory.mktemp("read") / "s",
+        storm + [lone] + synthetic_history(random.Random(14)),
+        segment_events=128,
     )
-    for record in synthetic_history(random.Random(14)):
-        store._append(record)
-    assert store.segments_written >= 7 and store._buffer
+    assert store.segments_written >= 7 and store.buffered
     assert store.bursts_written > 0
     return store
 
 
-def stored_records(store):
-    """Every record of the store, decoded one line at a time from the
-    data files, then the buffer — the read path's reference."""
+def stored_rows(store):
+    """``(q, record)`` of every event the store holds: each segment
+    file read line by line and rebuilt row by row, then the buffered
+    tail as it was fed — the read path's reference."""
     out = []
     for path in store.segment_paths():
         with open(path) as handle:
-            out.extend(json.loads(line) for line in handle)
-    return out + list(store._buffer)
+            out += rebuilt_rows([json.loads(line) for line in handle])
+    first = len(store.fed) - store.buffered
+    return out + list(enumerate(store.fed[first:], first))
 
 
-def reference_events(store, t0, t1, node, relation, kind, limit, expand_bursts):
+def reference_events(store, t0, t1, node, relation, kind, limit):
     out = []
-    for record in stored_records(store):
-        for entry in expand(record) if expand_bursts else [record]:
-            if t0 is not None and entry["t"] < t0:
-                continue
-            if t1 is not None and entry["t"] > t1:
-                continue
-            if node is not None and entry["n"] != node:
-                continue
-            if kind is not None and entry["k"] != kind:
-                continue
-            if relation is not None and entry.get("rel") != relation:
-                continue
-            out.append(entry)
-    out.sort(key=lambda r: (r["t"], fmt.encode(r)))
-    return out[:limit]
+    for q, entry in stored_rows(store):
+        if t0 is not None and entry["t"] < t0:
+            continue
+        if t1 is not None and entry["t"] > t1:
+            continue
+        if node is not None and entry["n"] != node:
+            continue
+        if kind is not None and entry["k"] != kind:
+            continue
+        if relation is not None and entry.get("rel") != relation:
+            continue
+        out.append((entry["t"], q, entry))
+    out.sort(key=lambda e: e[:2])
+    return [entry for _, _, entry in out][:limit]
 
 
 instants = st.none() | st.floats(min_value=-1.0, max_value=21.0).map(
     lambda t: round(t, 1)
 )
+KINDS = [
+    fmt.RULE_EXEC, fmt.TUPLE_IDENT, fmt.TUPLE_LOG, fmt.TABLE_LOG, fmt.LOG_BURST,
+]
 filters = st.fixed_dictionaries(
     {
         "t0": instants,
         "t1": instants,
         "node": st.none() | st.sampled_from(NODES + ["ghost:9"]),
         "relation": st.none() | st.sampled_from(RELATIONS + ["ghost"]),
-        "kind": st.none()
-        | st.sampled_from(
-            [
-                fmt.RULE_EXEC, fmt.TUPLE_IDENT, fmt.TUPLE_LOG,
-                fmt.TABLE_LOG, fmt.RULE_BURST, fmt.LOG_BURST,
-            ]
-        ),
+        "kind": st.none() | st.sampled_from(KINDS),
         "limit": st.none() | st.integers(min_value=0, max_value=50),
-        "expand_bursts": st.booleans(),
     }
 )
+
+
+def encoded(records):
+    return [fmt.encode(r) for r in records]
 
 
 @settings(max_examples=150, deadline=None)
 @given(filters)
 def test_events_equal_the_full_decode_reference(live_store, query):
     got = live_store.events(**query)
-    expected = reference_events(live_store, **query)
-    assert [fmt.encode(r) for r in got] == [fmt.encode(r) for r in expected]
+    assert encoded(got) == encoded(reference_events(live_store, **query))
 
 
 def test_reference_is_not_vacuous(live_store):
-    everything = reference_events(
-        live_store, None, None, None, None, None, None, True
-    )
-    assert len(everything) == live_store.events_appended - sum(
-        r["cnt"] - 1 for r in stored_records(live_store) if r["k"] == fmt.LOG_BURST
+    rows = stored_rows(live_store)
+    everything = reference_events(live_store, None, None, None, None, None, None)
+    folded = sum(r["cnt"] - 1 for _, r in rows if r["k"] == fmt.LOG_BURST)
+    assert folded and len(everything) == live_store.events_appended - folded
+    # Nothing but the folded noise differs from what was fed, and each
+    # stored row sits at the capture position it was fed at.
+    assert all(
+        record == live_store.fed[q]
+        for q, record in rows
+        if record["k"] != fmt.LOG_BURST
     )
     times = [r["t"] for r in everything]
     assert len(set(times)) < len(times) / 2, "no timestamp ties to break"
-    lines = [fmt.encode(r) for r in everything]
+    lines = encoded(everything)
     assert len(set(lines)) < len(lines), "no duplicate records"
     assert live_store.events() == everything
 
 
 def test_rows_are_the_stored_lines_exactly(live_store):
-    for reader, path in zip(live_store._segments, live_store.segment_paths()):
-        with open(path) as handle:
-            stored = handle.read().splitlines()
-        rows = range(len(stored))
-        lines, decoded = reader.rows_at(rows)
-        assert lines == stored
-        assert decoded == [json.loads(line) for line in stored]
-        last = [len(stored) - 1]
-        assert reader.rows_at(last) == ([stored[-1]], [decoded[-1]])
-        assert reader.records() == decoded
+    for segment, path in zip(live_store._segments, live_store.segment_paths()):
+        with open(path, "rb") as handle:
+            stored = handle.read().splitlines(keepends=True)
+        entries = segment.summary["blocks"]
+        assert [e["off"] for e in entries] == [
+            sum(map(len, stored[:i])) for i in range(len(stored))
+        ]
+        assert segment.summary["bytes"] == sum(map(len, stored))
+        blocks = [json.loads(line) for line in stored]
+        assert [(e["k"], e["rows"]) for e in entries] == [
+            (b["k"], len(b["at" if b["k"] == fmt.PAYLOADS else "q"]))
+            for b in blocks
+        ]
+        scanned = sorted(
+            (q, record)
+            for _, q, record in segment.scan(None, None, None, None, None)
+        )
+        assert scanned == sorted(rebuilt_rows(blocks))
+        assert len(scanned) == segment.summary["records"]
 
 
 # ----------------------------------------------------------------------
-# Provenance: sidecar-built index == index over decoded records
+# Provenance: the index over coded columns == one over rebuilt records
 
 
-def reference_indexes(records):
-    """The (effect, identity) indexes as the parent built them: decode
-    every record of the segment, read its fields."""
-    effect, ident = {}, {}
-    for i, record in enumerate(records):
-        if record["k"] == fmt.RULE_EXEC:
-            effect.setdefault(record["n"], {}).setdefault(record["e"], []).append(i)
-        elif record["k"] == fmt.RULE_BURST:
-            for e in record["e"]:
-                effect.setdefault(record["n"], {}).setdefault(e, []).append(i)
-        elif record["k"] == fmt.TUPLE_IDENT:
-            ident.setdefault(record["n"], {}).setdefault(record["i"], []).append(i)
-    return effect, ident
+def reference_index(rows, kind, key):
+    """node -> tid -> row positions within the block of ``kind``."""
+    index, row = {}, 0
+    for _, record in rows:
+        if record["k"] == kind:
+            index.setdefault(record["n"], {}).setdefault(record[key], []).append(row)
+            row += 1
+    return index
 
 
 def test_index_from_columns_equals_index_from_decoded_records(live_store):
     directory = live_store.config.directory
     live_store._write_manifest()
     reopened = ForensicStore.open(directory)
-    shared_in_both = False
-    for reader, path in zip(reopened._segments, reopened.segment_paths()):
+    shared_twice = False
+    for segment, path in zip(reopened._segments, reopened.segment_paths()):
         with open(path) as handle:
-            decoded = [json.loads(line) for line in handle]
-        effect, ident = reference_indexes(decoded)
-        assert reader._provenance() == (effect, ident)
-        kinds = {decoded[i]["k"] for i in effect.get("a:1", {}).get(SHARED_TID, [])}
-        shared_in_both |= kinds == {fmt.RULE_EXEC, fmt.RULE_BURST}
+            rows = rebuilt_rows([json.loads(line) for line in handle])
+        by_kind = {
+            kind: [record for _, record in rows if record["k"] == kind]
+            for kind in (fmt.RULE_EXEC, fmt.TUPLE_IDENT)
+        }
+        effect = reference_index(rows, fmt.RULE_EXEC, "e")
+        ident = reference_index(rows, fmt.TUPLE_IDENT, "i")
+        blocks = segment.fetch([fmt.RULE_EXEC, fmt.TUPLE_IDENT])
+        for kind, index in ((fmt.RULE_EXEC, effect), (fmt.TUPLE_IDENT, ident)):
+            assert sum(len(v) for by in index.values() for v in by.values()) == (
+                blocks[kind].rows
+            )
+            for node, by_tid in index.items():
+                for tid, at in by_tid.items():
+                    assert blocks[kind].rows_of(node, tid) == at
         for node, by_tid in effect.items():
-            for tid, rows in by_tid.items():
-                assert reader.edges_to(node, tid) == [
-                    edge
-                    for i in rows
-                    for edge in expand(decoded[i])
-                    if edge["e"] == tid
+            for tid, at in by_tid.items():
+                assert segment.edges_to(node, tid) == [
+                    by_kind[fmt.RULE_EXEC][i] for i in at
                 ]
         for node, by_tid in ident.items():
-            for tid, rows in by_tid.items():
-                assert reader.ident_rows(node, tid) == [decoded[i] for i in rows]
-    assert shared_in_both, "no tid is an effect in a burst and in a plain row"
+            for tid, at in by_tid.items():
+                held = [by_kind[fmt.TUPLE_IDENT][i] for i in at]
+                assert segment.source_of(node, tid) == (
+                    held[-1]["s"], held[-1]["si"],
+                )
+                assert segment.contents_of(node, tid) == next(
+                    (r["rep"] for r in held if "rep" in r), None
+                )
+        rules = {
+            by_kind[fmt.RULE_EXEC][i]["r"]
+            for i in effect.get("a:1", {}).get(SHARED_TID, [])
+        }
+        shared_twice |= {"storm", "lone"} <= rules
+    assert shared_twice, "no tid is the effect of a storm and of a lone edge"
 
 
 def test_warm_slice_is_the_cold_slice_and_decodes_nothing(
@@ -342,7 +426,6 @@ def test_warm_slice_is_the_cold_slice_and_decodes_nothing(
         raise AssertionError("a warm slice went back to the decoder")
 
     monkeypatch.setattr(fmt, "decode", refuse)
-    monkeypatch.setattr(fmt, "decode_many", refuse)
     warm = backward_slice(provider, "a:1", SHARED_TID)
     assert warm.to_json() == cold.to_json()
     monkeypatch.undo()
@@ -355,82 +438,54 @@ def test_warm_slice_is_the_cold_slice_and_decodes_nothing(
 
 
 # ----------------------------------------------------------------------
-# Streamed scans: sources by t0, a watermark, ties re-sorted
+# Streamed scans: sources by t0, a watermark, ties by capture order
 #
 # ``iter_events`` opens segments in order of their summaries' ``t0`` and
 # yields an event once it is strictly older than every source not yet
 # opened.  Each store below breaks one way of getting that wrong; all
-# are held against the line-by-line reference above, for every limit.
+# are held against the row-by-row reference above, for every limit.
 #
 # Mutations tried against this section (each caught): watermark ``<=``
-# instead of ``<`` (boundary-ties), segments in file order instead of
-# ``t0`` order (out-of-order-blocks), the buffer opened last whatever
-# its oldest record (stale-tail), tie runs left in arrival order (all
-# five), and the scan taken when the iterator is first advanced rather
-# than when it is made (``test_scan_is_a_snapshot...``).
-
-
-def fill(directory, history, segment_events, compress=True):
-    store = ForensicStore(
-        StoreConfig(
-            directory=str(directory),
-            segment_events=segment_events,
-            compress=compress,
-        )
-    )
-    for record in history:
-        store._append(record)
-    return store
+# instead of ``<`` (boundary-ties: a later-opened source can hold the
+# *earlier* captured half of a tie), segments in file order instead of
+# ``t0`` order (out-of-order-blocks, shuffled, stale-tail), the buffer
+# opened last whatever its oldest event (shuffled, stale-tail), events
+# sorted on ``t`` alone (all but shuffled), and the scan taken when the
+# iterator is first advanced rather than when it is made
+# (``test_scan_is_a_snapshot...``).
 
 
 def spans(store):
-    return [(s.summary["t0"], s.summary["t1"]) for s in store._segments]
+    return [(s.t0, s.t1) for s in store._segments]
 
 
 def boundary_ties(directory):
-    """Each segment's last events sit exactly on the next one's ``t0``,
-    and the later segment's lines sort first: ``a:1`` before ``c:1``,
-    then burst members (``{"c":...``) before log entries (``{"k":...``)."""
+    """A segment's last events sit exactly on the ``t0`` of the one
+    opened after it — which was *captured* first, so its half of the
+    tie comes first — and the tied events sit in different blocks."""
     log = fmt.tuple_log_record
     history = [
-        log("c:1", 0, 0.0, "hop", "x"), log("c:1", 1, 0.5, "hop", "x"),
         log("c:1", 2, 1.0, "hop", "x"), log("b:1", 3, 1.0, "hop", "x"),
-        log("a:1", 4, 1.0, "hop", "x"), log("a:1", 5, 1.0, "alarm", "x"),
-        log("b:1", 6, 1.5, "hop", "x"), log("b:1", 7, 2.0, "hop", "x"),
+        fmt.rule_exec_record("a:1", "r0", 1, 2, 1.0, 1.0, True),
+        log("a:1", 4, 2.0, "hop", "x"),
+        log("c:1", 0, 0.0, "hop", "x"), log("c:1", 1, 0.5, "hop", "x"),
+        log("a:1", 5, 1.0, "alarm", "x"), log("b:1", 6, 1.0, "hop", "x"),
     ] + [
         fmt.rule_exec_record("a:1", "r1", i, 10 + i, 2.0, when, True)
         for i, when in enumerate([2.0, 2.0, 2.5, 3.0])
     ]
-    store = fill(directory, history, segment_events=4)
+    store = filled(directory, history, segment_events=4)
     store.close()
-    assert spans(store) == [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
-    assert store.bursts_written == 1
+    assert spans(store) == [(1.0, 2.0), (0.0, 1.0), (2.0, 3.0)]
     return store
 
 
 def tick_capture(directory):
     """A live batch-kernel capture: segments are cut at tick barriers,
-    and a burst opens at its first member's *input* time, so a segment
-    starts before the one written ahead of it ends."""
-    system = System(
-        seed=3,
-        store=StoreConfig(directory=str(directory), segment_events=48),
-        execution=ExecutionConfig(tick=0.05),
-    )
-    a = system.add_node("a:1", tracing=True, logging=True)
-    b = system.add_node("b:1", tracing=True, logging=True)
-    a.install_source(
-        'r0 start@N("b:1", E) :- periodic@N(E, 0.02).\n'
-        "r1 hop@Dst(X) :- start@N(Dst, X)."
-    )
-    b.install_source("r2 alarm@N(X) :- hop@N(X).")
-    system.run_for(1.0)
-    store = system.store
-    assert store.tick_mode and store._buffer and store.bursts_written
-    ranges = spans(store)
-    assert any(
-        later[0] < earlier[1] for earlier, later in zip(ranges, ranges[1:])
-    ), "no two segment ranges overlap"
+    each from whatever the tick left buffered."""
+    store, fed = captured_run(directory, 48, ExecutionConfig(tick=0.05))
+    assert store.tick_mode and store.buffered and store.segments_written > 3
+    store.fed = fed
     return store
 
 
@@ -442,9 +497,9 @@ def out_of_order_blocks(directory):
     history = synthetic_history(rng, 230)[:224]
     blocks = [history[i : i + 32] for i in range(0, 224, 32)]
     rng.shuffle(blocks)
-    store = fill(directory, [r for block in blocks for r in block], 32)
+    store = filled(directory, [r for block in blocks for r in block], 32)
     starts = [t0 for t0, _ in spans(store)]
-    assert len(starts) == 7 and store.bursts_written
+    assert len(starts) == 7
     assert starts[0] > min(starts) and starts != sorted(starts)
     # Going by file order would pass a segment's start before opening it.
     assert any(max(starts[:i]) > starts[i] for i in range(2, 7))
@@ -452,27 +507,29 @@ def out_of_order_blocks(directory):
 
 
 def shuffled(directory):
-    """One history appended in random order (uncompressed: a burst of
-    records out of clock order would open after its own members)."""
+    """One history appended in random order, nothing folded: what reads
+    back is exactly what was fed."""
     rng = random.Random(6)
     history = synthetic_history(rng, 200)
     rng.shuffle(history)
-    store = fill(directory, history, 32, compress=False)
+    store = filled(directory, history, 32, compress=False)
     assert len({t0 for t0, _ in spans(store)}) > 1
+    assert sorted(stored_rows(store), key=lambda e: e[0]) == list(
+        enumerate(store.fed)
+    )
     return store
 
 
 def stale_tail(directory):
-    """A live store whose buffered records are older than segments
+    """A live store whose buffered events are older than segments
     already written."""
     rng = random.Random(7)
-    store = fill(directory, synthetic_history(rng, 200), 32)
-    room = 31 - len(store._buffer)
-    for record in synthetic_history(rng, room)[:room]:  # spans 0..20 again
-        store._append(record)
+    store = filled(directory, synthetic_history(rng, 200), 32)
+    room = 31 - store.buffered
+    feed_more(store, synthetic_history(rng, room)[:room])  # spans 0..20 again
     last_t0, last_t1 = spans(store)[-1]
-    oldest = min(r["t"] for r in store._buffer)
-    assert store._buffer and oldest < last_t0 < last_t1
+    oldest = min(r["t"] for r in store.fed[-store.buffered :])
+    assert store.buffered and oldest < last_t0 < last_t1
     assert oldest < spans(store)[1][0], "the tail belongs before segment 2"
     return store
 
@@ -497,17 +554,9 @@ scan_filters = st.fixed_dictionaries(
         "t1": instants,
         "node": st.none() | st.sampled_from(NODES),
         "relation": st.none() | st.sampled_from(RELATIONS + ["start"]),
-        "kind": st.none()
-        | st.sampled_from(
-            [fmt.RULE_EXEC, fmt.TUPLE_IDENT, fmt.TUPLE_LOG, fmt.RULE_BURST]
-        ),
-        "expand_bursts": st.booleans(),
+        "kind": st.none() | st.sampled_from(KINDS),
     }
 )
-
-
-def encoded(records):
-    return [fmt.encode(r) for r in records]
 
 
 def check_every_limit(store, **query):
@@ -520,11 +569,7 @@ def check_every_limit(store, **query):
 
 def test_unfiltered_scan_equals_the_reference_at_every_limit(scanned):
     no_filter = dict.fromkeys(("t0", "t1", "node", "relation", "kind"))
-    for expand_bursts in (True, False):
-        expected = check_every_limit(
-            scanned, expand_bursts=expand_bursts, **no_filter
-        )
-        assert len(expected) >= 9
+    assert len(check_every_limit(scanned, **no_filter)) >= 9
     times = [r["t"] for r in scanned.events()]
     assert len(set(times)) < len(times), "no timestamp ties to break"
 
@@ -538,17 +583,113 @@ def test_filtered_scan_equals_the_reference_at_every_limit(scanned, query):
 def test_scan_is_a_snapshot_of_the_store_at_the_call(tmp_path):
     store = stale_tail(tmp_path / "s")
     expected = encoded(
-        reference_events(store, None, None, None, None, None, None, True)
+        reference_events(store, None, None, None, None, None, None)
     )
     segments = store.segments_written
     scan = store.iter_events()
     # Nothing has been read yet; what follows must not be seen.
-    for record in synthetic_history(random.Random(8), 80):
-        store._append(record)
-    assert store.segments_written > segments and store._buffer
+    feed_more(store, synthetic_history(random.Random(8), 80))
+    assert store.segments_written > segments and store.buffered
     head = encoded(next(scan) for _ in range(50))
-    for record in synthetic_history(random.Random(9), 40):
-        store._append(record)
+    feed_more(store, synthetic_history(random.Random(9), 40))
     store.close()
     assert head + encoded(scan) == expected
     assert len(store.events()) > len(expected)
+
+
+# ----------------------------------------------------------------------
+# The capture oracle: what reads back is what the taps were handed
+
+
+def captured_run(directory, segment_events, execution):
+    """A two-node chain driven by a 50 Hz timer for one sim-second,
+    captured into a live store — and, beside it, by this function's own
+    taps on the same hooks, as the list of logical records the store
+    was handed, in order."""
+    system = System(
+        seed=3,
+        store=StoreConfig(directory=str(directory), segment_events=segment_events),
+        execution=execution,
+    )
+    fed, payloaded = [], set()
+    nodes = [
+        system.add_node(address, tracing=True, logging=True)
+        for address in ("a:1", "b:1")
+    ]
+    for node in nodes:
+        address = str(node.address)
+
+        def edge(row, outcome, n=address):
+            if outcome.value != "refreshed":
+                fed.append(fmt.rule_exec_record(n, *row.values[1:]))
+
+        def identity(tid, src, src_tid, loc, tup, n=address):
+            payload = None
+            if tup is not None and (n, tid) not in payloaded:
+                payloaded.add((n, tid))
+                payload = fmt.tuple_payload(tup)
+            fed.append(
+                fmt.tuple_ident_record(n, tid, src, src_tid, loc, system.now, payload)
+            )
+
+        node.store.get("ruleExec").on_insert.append(edge)
+        node.registry.on_register.append(identity)
+        node.store.get("tupleLog").on_insert.append(
+            lambda row, outcome, n=address: fed.append(
+                fmt.tuple_log_record(n, *row.values[1:])
+            )
+        )
+        node.store.get("tableLog").on_insert.append(
+            lambda row, outcome, n=address: fed.append(
+                fmt.table_log_record(n, *row.values[1:])
+            )
+        )
+    a, b = nodes
+    a.install_source(
+        'r0 start@N("b:1", E) :- periodic@N(E, 0.02).\n'
+        "r1 hop@Dst(X) :- start@N(Dst, X)."
+    )
+    b.install_source(
+        "materialize(seen, 1, 20, keys(2)).\n"
+        "r2 alarm@N(X) :- hop@N(X).\n"
+        "r3 seen@N(X) :- hop@N(X)."
+    )
+    system.run_for(1.0)
+    return system.store, fed
+
+
+@pytest.mark.parametrize("loop", ["inline", "tick"])
+@pytest.mark.parametrize("segment_events", [64, 4096, 10**9])
+def test_events_are_the_captured_records_in_capture_order(
+    tmp_path, segment_events, loop
+):
+    execution = ExecutionConfig(tick=0.05) if loop == "tick" else None
+    store, fed = captured_run(tmp_path / "s", segment_events, execution)
+    assert len(fed) == store.events_appended > 300
+    assert {r["k"] for r in fed} == set(KINDS) - {fmt.LOG_BURST}
+    assert (store.segments_written > 3) == (segment_events == 64)
+    oracle = [fed[q] for _, q in sorted((r["t"], q) for q, r in enumerate(fed))]
+    live = store.events()
+    assert encoded(live) == encoded(oracle)
+    store.close()
+    reopened = ForensicStore.open(store.config.directory)
+    assert encoded(reopened.events()) == encoded(oracle)
+    queries = [
+        {"node": "b:1"}, {"relation": "alarm"}, {"kind": fmt.TABLE_LOG},
+        {"t0": 0.3, "t1": 0.7}, {"node": "a:1", "kind": fmt.TUPLE_IDENT, "t1": 0.5},
+        {"relation": "seen", "kind": fmt.TABLE_LOG, "t0": 0.5},
+    ]
+    for query in queries:
+        expected = [
+            r for r in oracle
+            if query.get("node") in (None, r["n"])
+            and query.get("kind") in (None, r["k"])
+            and ("relation" not in query or r.get("rel") == query["relation"])
+            and query.get("t0", 0.0) <= r["t"] <= query.get("t1", 9.9)
+        ]
+        assert expected, query
+        assert encoded(reopened.events(**query)) == encoded(expected), query
+        for limit in (0, 1, 7, len(expected), len(expected) + 1):
+            assert encoded(reopened.events(limit=limit, **query)) == encoded(
+                expected[:limit]
+            ), (query, limit)

@@ -131,7 +131,7 @@ def test_store_metrics_exported(tmp_path):
         ("a:1", "ruleExec")
     ]
     buffered = reg.snapshot("store_buffered_events")[()]
-    assert buffered == len(system.store._buffer)
+    assert buffered == system.store.buffered
 
 
 def test_store_metrics_absent_without_store():

@@ -1,4 +1,4 @@
-"""Segment files: summaries, pruning, offset reads, provenance."""
+"""Segment files: blocks, summaries, pruning, offset reads, provenance."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ import json
 import os
 
 from repro.store import format as fmt
-from repro.store.compress import BurstCompressor
-from repro.store.segment import SegmentReader, write_segment
+from repro.store.segment import Segment, code_blocks, write_segment
+from tests.store.feeding import columns_of
 
 
 def sample_records():
@@ -24,21 +24,42 @@ def sample_records():
 
 
 def rule_run():
-    """Six firings of one rule, at t = 1.5 .. 6.5: one ``re.b`` burst."""
+    """Six firings of one rule, at t = 1.5 .. 6.5."""
     return [
         fmt.rule_exec_record("n1:1", "r1", 10 + i, 11 + i, 1.0 + i, 1.5 + i, True)
         for i in range(6)
     ]
 
 
+def written(directory, records, seg_id=1):
+    summary = write_segment(
+        str(directory), seg_id, code_blocks(seg_id, columns_of(records))
+    )
+    return Segment(str(directory), summary)
+
+
+def scanned(segment, t0=None, t1=None, node=None, relation=None, kind=None):
+    return [
+        record
+        for _, _, record in sorted(
+            segment.scan(t0, t1, node, relation, kind), key=lambda e: e[:2]
+        )
+    ]
+
+
 def test_write_segment_summary(tmp_path):
-    summary = write_segment(str(tmp_path), 1, sample_records())
+    summary = written(tmp_path, sample_records()).summary
     assert summary["t0"] == 0.5 and summary["t1"] == 1.1
     assert summary["nodes"] == ["n1:1", "n2:2"]
+    assert summary["rels"] == ["hop", "start", "succ"]
     assert summary["records"] == 5 and summary["events"] == 5
-    assert summary["tids"] == {"n1:1": [1, 2], "n2:2": [3, 4]}
-    assert os.path.exists(tmp_path / summary["file"])
-    assert os.path.exists(tmp_path / summary["index"])
+    # Lookup keys only — effects and identities: cause 3 on n2:2 is
+    # nothing a lookup into this segment could ask for.
+    assert summary["tids"] == {"n1:1": [1, 2], "n2:2": [4, 4]}
+    assert [(b["k"], b["rows"]) for b in summary["blocks"]] == [
+        ("re", 2), ("tt", 1), ("p", 1), ("tl", 1), ("xl", 1)
+    ]
+    assert summary["bytes"] == os.path.getsize(tmp_path / summary["file"])
 
 
 def test_segment_files_are_byte_stable(tmp_path):
@@ -46,93 +67,117 @@ def test_segment_files_are_byte_stable(tmp_path):
     b = tmp_path / "b"
     a.mkdir()
     b.mkdir()
-    write_segment(str(a), 1, sample_records())
-    write_segment(str(b), 1, sample_records())
-    for name in ("seg-000001.jsonl", "seg-000001.idx.json"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+    assert written(a, sample_records()).summary == written(
+        b, sample_records()
+    ).summary
+    assert os.listdir(a) == ["seg-000001.jsonl"]
+    assert (a / "seg-000001.jsonl").read_bytes() == (
+        b / "seg-000001.jsonl"
+    ).read_bytes()
 
 
 def test_pruning_predicates(tmp_path):
-    reader = SegmentReader(
-        str(tmp_path), write_segment(str(tmp_path), 1, sample_records())
-    )
-    assert reader.overlaps_time(0.0, 0.5)
-    assert not reader.overlaps_time(2.0, None)
-    assert not reader.overlaps_time(None, 0.4)
-    assert reader.has_node("n2:2") and not reader.has_node("n9:9")
-    assert reader.has_relation("hop") and not reader.has_relation("ghost")
-    assert reader.may_hold_tid("n1:1", 2)
-    assert not reader.may_hold_tid("n1:1", 3)
-    assert not reader.may_hold_tid("n9:9", 1)
+    segment = written(tmp_path, sample_records())
+    assert segment.overlaps_time(0.0, 0.5)
+    assert not segment.overlaps_time(2.0, None)
+    assert not segment.overlaps_time(None, 0.4)
+    assert segment.has_node("n2:2") and not segment.has_node("n9:9")
+    assert segment.has_relation("hop") and not segment.has_relation("ghost")
+    assert segment.may_hold_tid("n1:1", 2)
+    assert not segment.may_hold_tid("n1:1", 3)
+    assert not segment.may_hold_tid("n2:2", 3)  # a cause, never a key
+    assert not segment.may_hold_tid("n9:9", 1)
 
 
 def test_offset_reads_match_full_scan(tmp_path):
-    records = sample_records()
-    reader = SegmentReader(
-        str(tmp_path), write_segment(str(tmp_path), 1, records)
-    )
-    by_offset = reader.records_at([0, 2, 4])
-    assert [fmt.encode(r) for r in by_offset] == [
-        fmt.encode(records[i]) for i in (0, 2, 4)
-    ]
+    segment = written(tmp_path, sample_records())
+    with open(segment.path) as handle:
+        lines = handle.read().splitlines()
+    for entry, line in zip(segment.summary["blocks"], lines):
+        # A fresh reader each time: one block, found by its offset.
+        reader = Segment(str(tmp_path), segment.summary)
+        (block,) = reader.fetch([entry["k"]]).values()
+        if entry["k"] == fmt.PAYLOADS:
+            assert block == {0: ["n1:1", 7]}
+        else:
+            assert block.cols == json.loads(line)
+            assert block.rows == entry["rows"]
 
 
 def test_select_filters(tmp_path):
-    reader = SegmentReader(
-        str(tmp_path), write_segment(str(tmp_path), 1, sample_records())
-    )
-    assert len(reader.select(node="n2:2")) == 2
-    assert len(reader.select(kind=fmt.RULE_EXEC)) == 2
-    assert len(reader.select(t0=1.0)) == 2
-    only_hop = reader.select(relation="hop")
-    # tt (payload-bearing) and burst records pass for caller-level
-    # expansion; the tl row matches directly.
-    assert any(r["k"] == fmt.TUPLE_LOG for r in only_hop)
+    segment = written(tmp_path, sample_records())
+    assert len(scanned(segment)) == 5
+    assert len(scanned(segment, node="n2:2")) == 2
+    assert len(scanned(segment, kind=fmt.RULE_EXEC)) == 2
+    assert len(scanned(segment, t0=1.0)) == 2
+    assert [r["k"] for r in scanned(segment, relation="hop")] == [fmt.TUPLE_LOG]
+    assert [r["k"] for r in scanned(segment, relation="start")] == [
+        fmt.TUPLE_IDENT
+    ]
+    assert scanned(segment, relation="ghost") == []
+    assert scanned(segment, node="n1:1", kind=fmt.TABLE_LOG) == []
 
 
 def test_burst_is_reachable_by_any_window_touching_its_members(tmp_path):
-    # The run collapses into one re.b row whose ``t`` is 6.5: neither
-    # the segment summary nor the sidecar pre-filter may use that to
-    # drop a window ending mid-burst.
-    compressed = BurstCompressor(min_run=4).compress(rule_run())
-    assert [r["k"] for r in compressed] == [fmt.RULE_BURST]
-    summary = write_segment(str(tmp_path), 1, compressed)
-    assert summary["t0"] <= 1.5 and summary["t1"] == 6.5
-    reader = SegmentReader(str(tmp_path), summary)
-    assert reader.overlaps_time(None, 3.0)
-    assert not reader.overlaps_time(None, 0.5)
-    assert reader.select(t1=3.0) == compressed
-    assert reader.select(t0=3.0, t1=4.0, kind=fmt.RULE_EXEC) == compressed
-    assert reader.select(t0=7.0) == []
+    # A run spans t = 1.5 .. 6.5: a window ending or starting inside it
+    # selects exactly the members it covers.
+    run = rule_run()
+    segment = written(tmp_path, run)
+    assert (segment.t0, segment.t1) == (1.5, 6.5)
+    assert segment.overlaps_time(None, 3.0)
+    assert not segment.overlaps_time(None, 0.5)
+    assert scanned(segment, t1=3.0) == run[:2]
+    assert scanned(segment, t0=3.0, t1=4.0, kind=fmt.RULE_EXEC) == run[2:3]
+    assert scanned(segment, t0=7.0) == []
 
 
 def test_provenance_lookups_expand_bursts(tmp_path):
-    compressed = BurstCompressor(min_run=4).compress(rule_run())
-    assert compressed[0]["k"] == fmt.RULE_BURST
-    reader = SegmentReader(
-        str(tmp_path), write_segment(str(tmp_path), 1, compressed)
-    )
-    edges = reader.edges_to("n1:1", 13)
-    assert len(edges) == 1
-    assert edges[0]["k"] == fmt.RULE_EXEC
-    assert edges[0]["c"] == 12 and edges[0]["e"] == 13
-    assert reader.edges_to("n1:1", 99) == []
+    """A lookup into a run of firings returns the one edge asked for,
+    as a whole ``re`` record."""
+    run = rule_run()
+    segment = written(tmp_path, run)
+    assert segment.edges_to("n1:1", 13) == [run[2]]
+    assert segment.edges_to("n1:1", 99) == []
+    assert segment.edges_to("n9:9", 13) == []
 
 
 def test_ident_rows_in_write_order(tmp_path):
+    payload = {"rel": "hop", "v": ["n1:1", 5]}
     records = [
         fmt.tuple_ident_record("n1:1", 5, "n1:1", 5, "n1:1", 0.1, None),
-        fmt.tuple_ident_record("n1:1", 5, "n2:2", 9, "n1:1", 0.2, None),
+        fmt.tuple_ident_record("n1:1", 5, "n2:2", 9, "n1:1", 0.2, payload),
+        fmt.tuple_ident_record("n1:1", 5, "n3:3", 2, "n1:1", 0.3, None),
     ]
-    reader = SegmentReader(
-        str(tmp_path), write_segment(str(tmp_path), 1, records)
-    )
-    rows = reader.ident_rows("n1:1", 5)
-    assert [r["s"] for r in rows] == ["n1:1", "n2:2"]
+    segment = written(tmp_path, records)
+    block = segment.fetch([fmt.TUPLE_IDENT])[fmt.TUPLE_IDENT]
+    assert block.rows_of("n1:1", 5) == [0, 1, 2]
+    assert segment.source_of("n1:1", 5) == ("n3:3", 2)  # the latest row
+    assert segment.contents_of("n1:1", 5) == payload  # the first carrying one
+    assert segment.source_of("n1:1", 6) is None
+    assert segment.contents_of("n1:1", 6) is None
 
 
-def test_sidecar_is_canonical_json(tmp_path):
-    summary = write_segment(str(tmp_path), 1, sample_records())
-    raw = (tmp_path / summary["index"]).read_text()
-    parsed = json.loads(raw)
-    assert raw == json.dumps(parsed, sort_keys=True, separators=(",", ":"))
+def test_segment_file_is_canonical_json(tmp_path):
+    segment = written(tmp_path, sample_records())
+    with open(segment.path) as handle:
+        for raw in handle.read().splitlines():
+            parsed = json.loads(raw)
+            assert raw == json.dumps(parsed, sort_keys=True, separators=(",", ":"))
+            assert parsed["seg"] == 1
+
+
+def test_dictionary_keeps_equal_values_of_different_types_apart(tmp_path):
+    """``l`` is a tuple's first field, whatever that is: values Python
+    calls equal (``1 == 1.0 == True``, ``0.0 == -0.0``) and values it
+    cannot hash must each come back as themselves."""
+    locations = [1, 1.0, True, "1", None, [1, "x"], {"!r": "<o>"}, -0.0, 0.0, 0]
+    records = [
+        fmt.tuple_ident_record("n1:1", i, "n1:1", i, loc, 0.5, None)
+        for i, loc in enumerate(locations)
+    ]
+    segment = written(tmp_path, records)
+    assert [fmt.encode(r) for r in scanned(segment)] == [
+        fmt.encode(r) for r in records
+    ]
+    block = segment.fetch([fmt.TUPLE_IDENT])[fmt.TUPLE_IDENT]
+    assert len(set(block.cols["l"])) == len(locations)

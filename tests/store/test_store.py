@@ -13,6 +13,7 @@ from repro.sim.batch import ExecutionConfig
 from repro.store import format as fmt
 from repro.store.store import ForensicStore, StoreConfig
 from tests.conftest import run_cli
+from tests.store.feeding import feed_all
 
 
 CHAIN = "r1 hop@Dst(X) :- start@N(Dst, X)."
@@ -46,9 +47,11 @@ def test_capture_and_flush(tmp_path):
     assert store.closed
     # Totals reconcile: every appended event landed in a segment.
     assert (
-        sum(fmt.logical_events(r) for s in store._segments for r in s.records())
+        sum(s.summary["events"] for s in store._segments)
+        == sum(fmt.logical_events(r) for r in store.events())
         == store.events_appended
     )
+    assert store.buffered == 0
 
 
 def test_reopen_matches_live_store(tmp_path):
@@ -135,25 +138,22 @@ def test_seeded_runs_produce_identical_stores(tmp_path):
         assert fa.read_bytes() == fb.read_bytes()
 
 
-#: sha256 of every file ``pinned_records`` produces, taken at a6de306
-#: (sidecar and manifest through ``json.dump``, data lines through a
-#: text-mode handle): the writer may get faster, never different.
+#: sha256 of every file ``pinned_records`` produces, re-pinned once for
+#: store format v2 (one columnar file per segment, no sidecar): the
+#: writer may get faster, never different.
 PINNED_DIGESTS = {
     "manifest.json":
-        "b5f2f0e5b4f65a4febc46b283bc09e7721ac96bc12a14fe03bf634e08d32009a",
-    "seg-000001.idx.json":
-        "7542747022d12032bd638be905a6afbf7d2a9659ec9357e5e96f9d8b10ccdf53",
+        "f3f37f6cd7dc50b2e01b1c46cdb3e4e79af65bcd33d95c76d3acd3bf6c930875",
     "seg-000001.jsonl":
-        "83e34809f50cc6e1a0c6d11f35df57aeb75f4438a5f5dd47551e2d4f2582cdb1",
-    "seg-000002.idx.json":
-        "339f91741c1a3429f786c23022493aa0666e4193d27b0ba6ff46af5e59606288",
+        "7ac153affc55acd27f601af5ebf4c295067970e45c608d6327f33001b6a3f2ae",
     "seg-000002.jsonl":
-        "624c60606c1a42992c538051216d4636ca8cf86f7939c956b2a47d3bd72e16d1",
+        "d378768e1d398a3ee45068037c0c5eec9b4d1f85bd49d2ae7a7346515f2ade1a",
 }
 
 
 def pinned_records():
-    """Every record kind, both burst kinds once compressed, and the
+    """Every record kind, a firing storm, a noise storm that folds into
+    a ``log.b`` row, and the
     values a JSON writer can get wrong: non-ASCII text, ``-0.0``, a
     small exponent, an int past 2**64, nesting, a degraded value."""
     payload = {
@@ -189,11 +189,10 @@ def test_written_files_match_digests_pinned_at_the_parent(tmp_path):
     store = ForensicStore(
         StoreConfig(directory=str(tmp_path / "s"), segment_events=12)
     )
-    for record in pinned_records():
-        store._append(record)
+    feed_all(store, pinned_records())
     store.ring_rotated("n1:1", "tupleLog")
     store.close()
-    assert store.bursts_written == 2
+    assert store.bursts_written == 1 and store.segments_written == 2
     digests = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in (tmp_path / "s").iterdir()
@@ -214,8 +213,7 @@ def test_manifest_is_written_once_per_cut_and_once_by_an_idle_close(
         "_write_manifest",
         lambda self: writes.append(self.segments_written) or real(self),
     )
-    for record in pinned_records():  # one full segment, four left over
-        store._append(record)
+    feed_all(store, pinned_records())  # one full segment, four left over
     assert writes == [1]
     store.close()
     assert writes == [1, 2], "close() rewrote what its last cut just wrote"
@@ -240,19 +238,23 @@ def test_tick_mode_flushes_at_tick_barriers(tmp_path):
     assert store.segments_written >= 1  # barrier hook cut segments mid-run
     system.close_store()
     assert (
-        sum(fmt.logical_events(r) for s in store._segments for r in s.records())
+        sum(fmt.logical_events(r) for r in store.events())
         == store.events_appended
     )
 
 
 def poke_store(directory, compress, spacing=0.0):
-    """Sixty firings of one rule into a closed store; with ``spacing``
-    they are that many sim-s apart, so every ``re.b`` burst covers a
-    stretch of time rather than an instant."""
+    """Sixty firings of one rule into a closed store whose ``poke`` log
+    entries count as noise; with ``spacing`` they are that many sim-s
+    apart, so every ``log.b`` burst covers a stretch of time rather
+    than an instant."""
     system = System(
         seed=2,
         store=StoreConfig(
-            directory=str(directory), segment_events=64, compress=compress
+            directory=str(directory),
+            segment_events=64,
+            compress=compress,
+            noise_relations=("poke",),
         ),
     )
     a = system.add_node("a:1", tracing=True, logging=True)
@@ -269,11 +271,12 @@ def test_compression_can_be_disabled(tmp_path):
     store = poke_store(tmp_path / "store", compress=False)
     assert store.compression_ratio == 1.0
     assert store.bursts_written == 0
+    assert poke_store(tmp_path / "packed", compress=True).compression_ratio > 1.0
 
 
 def test_rule_exec_query_sees_through_burst_compression(tmp_path, capsys):
     """``kind="re"`` returns the same rule executions whether or not
-    the segments hold them as ``re.b`` bursts."""
+    the segments around them fold log noise into ``log.b`` bursts."""
     plain = poke_store(tmp_path / "plain", compress=False)
     packed = poke_store(tmp_path / "packed", compress=True)
     assert packed.bursts_written > 0
@@ -288,32 +291,35 @@ def test_rule_exec_query_sees_through_burst_compression(tmp_path, capsys):
 
 def test_time_window_cutting_through_a_burst_keeps_its_members(tmp_path):
     """``events(t0, t1)`` is the brute-force time filter of ``events()``
-    even when ``t1`` falls inside a burst (whose sidecar ``t`` is its
-    last member's time), with compression on and off."""
+    even when the window cuts through a run of firings, or through a
+    counted burst (one event, at its last member's time), with noise
+    folding on and off."""
     plain = poke_store(tmp_path / "plain", compress=False, spacing=0.05)
     packed = poke_store(tmp_path / "packed", compress=True, spacing=0.05)
-    bursts = [
-        r
-        for r in packed.events(expand_bursts=False)
-        if r["k"] == fmt.RULE_BURST
-    ]
-    assert bursts
-    everything = packed.events()
-    assert [fmt.encode(r) for r in plain.events()] == [
-        fmt.encode(r) for r in everything
-    ]
+    bursts = [r for r in packed.events() if r["k"] == fmt.LOG_BURST]
+    assert bursts and all(burst["tf"] < burst["t"] for burst in bursts)
+
+    def lossless(store):
+        return [
+            fmt.encode(r) for r in store.events() if r.get("rel") != "poke"
+        ]
+
+    assert lossless(plain) == lossless(packed)
     windows = [(None, 1.0), (0.4, 0.9), (1.0, 1.02), (2.0, None)]
     for burst in bursts:
-        inside = (burst["to"][0] + burst["t"]) / 2
-        assert burst["to"][0] < inside < burst["t"]
-        windows += [(None, inside), (burst["to"][0], inside), (inside, inside)]
-    for t0, t1 in windows:
-        expected = [
-            fmt.encode(r)
-            for r in everything
-            if (t0 is None or r["t"] >= t0) and (t1 is None or r["t"] <= t1)
+        inside = (burst["tf"] + burst["t"]) / 2
+        windows += [
+            (None, inside), (burst["tf"], inside), (inside, inside),
+            (inside, burst["t"]),
         ]
-        for store in (packed, plain):
+    for store in (packed, plain):
+        everything = store.events()
+        for t0, t1 in windows:
+            expected = [
+                fmt.encode(r)
+                for r in everything
+                if (t0 is None or r["t"] >= t0) and (t1 is None or r["t"] <= t1)
+            ]
             got = store.events(t0=t0, t1=t1)
             assert [fmt.encode(r) for r in got] == expected, (t0, t1)
 
