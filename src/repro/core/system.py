@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 from typing import Dict, List, Optional
 
@@ -23,6 +25,33 @@ from repro.sim.batch import BatchKernel, ExecutionConfig
 from repro.sim.simulator import Simulator
 from repro.introspect import EventLogger, Reflector, Tracer, enable_tracing
 from repro.store.store import RINGS, ForensicStore, StoreConfig
+
+
+def _check_rings(
+    trace_lifetime: float, trace_entries: int, log_capacity: int, tuple_entries: int
+) -> None:
+    """Reject a ring lifetime that is not a positive finite number of
+    seconds, and a ring capacity that is not an integer of at least 1."""
+    if (
+        isinstance(trace_lifetime, bool)
+        or not isinstance(trace_lifetime, numbers.Real)
+        or not 0 < trace_lifetime < math.inf
+    ):
+        raise ReproError(
+            "trace_lifetime must be a positive finite number of seconds, "
+            f"got {trace_lifetime!r}"
+        )
+    for name, value in (
+        ("trace_entries", trace_entries),
+        ("log_capacity", log_capacity),
+        ("tuple_entries", tuple_entries),
+    ):
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, numbers.Integral)
+            or value < 1
+        ):
+            raise ReproError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 class System:
@@ -69,7 +98,7 @@ class System:
             tick=execution.tick if execution is not None else 0.0,
         )
         self.telemetry = Telemetry(
-            clock=lambda: self.sim.now,
+            clock=self.sim.clock.reader(),
             enabled=observability,
         )
         self.network = Network(
@@ -95,6 +124,7 @@ class System:
         self.overload = overload
         #: System-wide introspection-ring capacity defaults; ``add_node``
         #: arguments override them per node.
+        _check_rings(trace_lifetime, trace_entries, log_capacity, tuple_entries)
         self.trace_lifetime = trace_lifetime
         self.trace_entries = trace_entries
         self.log_capacity = log_capacity
@@ -104,7 +134,7 @@ class System:
         #: keeps answering provenance queries after the rings rotate.
         self.store: Optional[ForensicStore] = None
         if store is not None:
-            self.store = ForensicStore(store, clock=lambda: self.sim.now)
+            self.store = ForensicStore(store, clock=self.sim.clock.reader())
             if self.kernel is not None:
                 # Cut segments at tick barriers, never mid-tick.
                 self.store.tick_mode = True
@@ -158,15 +188,7 @@ class System:
         tuple_entries = (
             self.tuple_entries if tuple_entries is None else tuple_entries
         )
-        for name, value in (
-            ("trace_entries", trace_entries),
-            ("log_capacity", log_capacity),
-            ("tuple_entries", tuple_entries),
-        ):
-            if value < 1:
-                raise ReproError(
-                    f"{name} must be at least 1, got {value!r}"
-                )
+        _check_rings(trace_lifetime, trace_entries, log_capacity, tuple_entries)
         node = P2Node(
             address,
             self.sim,
@@ -221,9 +243,11 @@ class System:
 
         label = str(address)
 
+        evicted = RemoveReason.EVICTED
+
         def observe(ring: str) -> None:
             def on_remove(row, reason) -> None:
-                if reason is not RemoveReason.EVICTED:
+                if reason is not evicted:
                     return
                 key = (label, ring)
                 first = key not in self.ring_rotations

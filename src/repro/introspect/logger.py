@@ -17,11 +17,13 @@ Being ordinary tables, both can be joined from OverLog monitoring rules
 
 from __future__ import annotations
 
+import enum
+from functools import partial
 from typing import Any
 
 from repro.overlog.ast import Materialize
 from repro.runtime.node import P2Node
-from repro.runtime.table import InsertOutcome, RemoveReason, Table
+from repro.runtime.table import Table
 from repro.runtime.tuples import Tuple
 
 TUPLE_LOG = "tupleLog"
@@ -48,6 +50,14 @@ class EventLogger:
         )
         self._seq = 0
         self.enabled = True
+        # What every log row calls, looked up once.
+        self._address = node.address
+        self._charge = node.work.charge
+        self._work_clock = node.work_clock
+        self._log_tuple = self._tuple_log.insert
+        self._log_table = self._table_log.insert
+        self._shown: Any = None
+        self._text = ""
 
         node.on_deliver.append(self._tuple_delivered)
         for table in node.store.tables():
@@ -57,50 +67,43 @@ class EventLogger:
     def _observe(self, table: Table) -> None:
         if table.name in _INTERNAL:
             return
-        table.on_insert.append(
-            lambda tup, outcome, _t=table: self._table_changed(
-                _t.name, outcome.value, tup
-            )
-        )
-        table.on_remove.append(
-            lambda tup, reason, _t=table: self._table_changed(
-                _t.name, reason.value, tup
-            )
-        )
+        # One observer serves on_insert and on_remove: the outcome or
+        # the reason is an enum whose value names the change.
+        observer = partial(self._table_changed, table.name)
+        table.on_insert.append(observer)
+        table.on_remove.append(observer)
 
     def _tuple_delivered(self, tup: Tuple) -> None:
         if not self.enabled or tup.name in _INTERNAL:
             return
         self._seq += 1
-        self._node.work.charge("trace")
-        self._tuple_log.insert(
+        self._charge("trace")
+        # A materialized tuple's table change is logged right after its
+        # delivery: keep the text for it.
+        self._shown = tup
+        self._text = text = repr(tup)
+        self._log_tuple(
             Tuple(
                 TUPLE_LOG,
-                (
-                    self._node.address,
-                    self._seq,
-                    self._node.work_clock(),
-                    tup.name,
-                    repr(tup),
-                ),
+                (self._address, self._seq, self._work_clock(), tup.name, text),
             )
         )
 
-    def _table_changed(self, table_name: str, op: str, tup: Tuple) -> None:
+    def _table_changed(self, table_name: str, tup: Tuple, change: enum.Enum) -> None:
         if not self.enabled:
             return
         self._seq += 1
-        self._node.work.charge("trace")
-        self._table_log.insert(
+        self._charge("trace")
+        self._log_table(
             Tuple(
                 TABLE_LOG,
                 (
-                    self._node.address,
+                    self._address,
                     self._seq,
-                    self._node.work_clock(),
+                    self._work_clock(),
                     table_name,
-                    op,
-                    repr(tup),
+                    change._value_,
+                    self._text if tup is self._shown else repr(tup),
                 ),
             )
         )

@@ -38,6 +38,7 @@ from typing import Any, Dict, List, Optional
 from repro.overlog.ast import Materialize
 from repro.runtime.node import P2Node
 from repro.runtime.strand import RuleStrand, TraceHooks
+from repro.runtime.table import RemoveReason
 from repro.runtime.tuples import Tuple
 from repro.introspect.tuple_table import TUPLE_TABLE, TupleRegistry
 
@@ -59,10 +60,6 @@ class _Record:
         self.lo = 1
         self.hi = 0
 
-    @property
-    def empty_range(self) -> bool:
-        return self.lo > self.hi
-
 
 class Tracer(TraceHooks):
     """Per-node execution tracer writing the ``ruleExec`` table."""
@@ -83,9 +80,19 @@ class Tracer(TraceHooks):
         )
         self._table.on_insert.append(self._row_inserted)
         self._table.on_remove.append(self._row_removed)
-        self._records: Dict[str, List[_Record]] = {}
+        # strand id -> the strand's in-flight records, or None for a
+        # strand that is never traced (see :meth:`_lane`).
+        self._records: Dict[str, Optional[List[_Record]]] = {}
+        # Retired records, reused by the next inputs.
+        self._spare: List[_Record] = []
         self._deferred_decrefs: List[int] = []
         self.executions_recorded = 0
+        # What every hook calls, looked up once.
+        self._address = node.address
+        self._charge = node.work.charge
+        self._insert = self._table.insert
+        self._ids = self.registry._ids
+        self._refs = self.registry._refs
 
         node.hooks = self
         node.registry = self.registry
@@ -93,53 +100,87 @@ class Tracer(TraceHooks):
     # ------------------------------------------------------------------
     # TraceHooks implementation
 
+    def _lane(self, strand: RuleStrand) -> Optional[List[_Record]]:
+        """The record list of a strand seen for the first time — None,
+        and so never traced, when a trace table triggers it: tracing a
+        ruleExec-triggered rule would write more ruleExec rows and
+        recurse forever."""
+        lane = None if strand.trigger_name in _META_TABLES else []
+        self._records[strand.strand_id] = lane
+        return lane
+
     def input_observed(self, strand: RuleStrand, tup: Tuple, when: float) -> None:
-        if self._skip(strand):
+        try:
+            records = self._records[strand.strand_id]
+        except KeyError:
+            records = self._lane(strand)
+        if records is None:
             return
-        self._node.work.charge("trace")
-        records = self._records.setdefault(strand.strand_id, [])
-        record = next((r for r in records if r.empty_range), None)
-        if record is None:
-            record = _Record()
+        self._charge("trace")
+        for record in records:
+            if record.lo > record.hi:
+                break
+        else:
+            record = self._spare.pop() if self._spare else _Record()
             records.append(record)
         record.lo, record.hi = 1, 1
-        record.input_id = self.registry.id_of(tup)
+        tid = self._ids.get(tup)
+        record.input_id = self.registry.id_of(tup) if tid is None else tid
         record.input_time = when
         record.precs.clear()
 
     def precondition_observed(
         self, strand: RuleStrand, stage: int, tup: Tuple, when: float
     ) -> None:
-        if self._skip(strand):
+        try:
+            records = self._records[strand.strand_id]
+        except KeyError:
+            records = self._lane(strand)
+        if records is None:
             return
-        self._node.work.charge("trace")
-        records = self._records.get(strand.strand_id, [])
-        record = next(
-            (r for r in records if r.lo <= stage <= r.hi), None
-        )
-        if record is None:
-            record = next((r for r in records if r.hi == stage - 1), None)
-            if record is not None:
-                record.hi = stage
-        if record is None:
-            return
-        record.precs[stage] = (self.registry.id_of(tup), when)
-        for later in [s for s in record.precs if s > stage]:
-            del record.precs[later]
+        self._charge("trace")
+        for record in records:
+            if record.lo <= stage <= record.hi:
+                break
+        else:
+            for record in records:
+                if record.hi == stage - 1:
+                    record.hi = stage
+                    break
+            else:
+                return
+        tid = self._ids.get(tup)
+        precs = record.precs
+        precs[stage] = (self.registry.id_of(tup) if tid is None else tid, when)
+        # Tuples flow left to right: fields right of this stage are stale.
+        for later in range(stage + 1, strand.num_stages + 1):
+            if later in precs:
+                del precs[later]
 
     def output_observed(self, strand: RuleStrand, tup: Tuple, when: float) -> None:
-        if self._skip(strand):
+        try:
+            records = self._records[strand.strand_id]
+        except KeyError:
+            records = self._lane(strand)
+        if records is None:
             return
-        self._node.work.charge("trace")
-        records = self._records.get(strand.strand_id, [])
-        candidates = [r for r in records if r.input_id is not None]
-        if not candidates:
+        self._charge("trace")
+        # The record deepest in the pipeline (the first, on a tie).
+        record = None
+        for candidate in records:
+            if candidate.input_id is not None and (
+                record is None or candidate.hi > record.hi
+            ):
+                record = candidate
+        if record is None:
             return
-        record = max(candidates, key=lambda r: r.hi)
-        effect_id = self.registry.id_of(tup)
+        effect_id = self._ids.get(tup)
+        if effect_id is None:
+            effect_id = self.registry.id_of(tup)
         rule_id = strand.rule_id
-        address = self._node.address
-        rows = [
+        address = self._address
+        insert = self._insert
+        insert(
             Tuple(
                 RULE_EXEC,
                 (
@@ -152,59 +193,69 @@ class Tracer(TraceHooks):
                     True,
                 ),
             )
-        ]
-        for stage in sorted(record.precs):
-            prec_id, prec_time = record.precs[stage]
-            rows.append(
-                Tuple(
-                    RULE_EXEC,
-                    (
-                        address,
-                        rule_id,
-                        prec_id,
-                        effect_id,
-                        prec_time,
-                        when,
-                        False,
-                    ),
+        )
+        precs = record.precs
+        if precs:
+            for stage in sorted(precs):
+                prec_id, prec_time = precs[stage]
+                insert(
+                    Tuple(
+                        RULE_EXEC,
+                        (
+                            address,
+                            rule_id,
+                            prec_id,
+                            effect_id,
+                            prec_time,
+                            when,
+                            False,
+                        ),
+                    )
                 )
-            )
-        for row in rows:
-            self._table.insert(row)
         self.executions_recorded += 1
 
     def stage_completed(self, strand: RuleStrand, stage: int) -> None:
-        if self._skip(strand):
+        try:
+            records = self._records[strand.strand_id]
+        except KeyError:
+            records = self._lane(strand)
+        if records is None:
             return
-        records = self._records.get(strand.strand_id, [])
-        record = next((r for r in records if r.lo == stage), None)
-        if record is None:
+        for i, record in enumerate(records):
+            if record.lo == stage:
+                break
+        else:
             return
         record.lo = stage + 1
         if record.lo > strand.num_stages:
-            records.remove(record)
-        else:
+            del records[i]
+            self._spare.append(record)
+        elif record.hi < record.lo:
             # Completing stage i moves the execution *into* stage i+1,
             # even before any stage-i+1 precondition is observed —
             # otherwise the record's range would go empty and the next
             # input would steal it (losing the in-flight execution).
-            record.hi = max(record.hi, record.lo)
+            record.hi = record.lo
 
     # ------------------------------------------------------------------
     # Reference counting via table observers
 
     def _row_inserted(self, row: Tuple, outcome) -> None:
-        self.registry.incref(row.values[2])
-        self.registry.incref(row.values[3])
+        values = row.values
+        refs = self._refs
+        cause, effect = values[2], values[3]
+        if cause in refs:
+            refs[cause] += 1
+        if effect in refs:
+            refs[effect] += 1
         # Settle decrefs deferred from a same-key replacement, now that
         # the replacing row holds its references.
-        while self._deferred_decrefs:
-            self.registry.decref(self._deferred_decrefs.pop())
+        deferred = self._deferred_decrefs
+        while deferred:
+            self.registry.decref(deferred.pop())
 
     def _row_removed(self, row: Tuple, reason) -> None:
-        from repro.runtime.table import RemoveReason
-
-        if reason == RemoveReason.REPLACED:
+        if reason is RemoveReason.REPLACED:
             # The replacing insert is notified right after this removal;
             # decrementing now would transiently zero the refcount and
             # discard memos the new row still references.
@@ -216,14 +267,9 @@ class Tracer(TraceHooks):
 
     # ------------------------------------------------------------------
 
-    def _skip(self, strand: RuleStrand) -> bool:
-        """Never trace rules triggered by the trace tables themselves —
-        tracing a ruleExec-triggered rule would write more ruleExec rows
-        and recurse forever."""
-        return strand.trigger_name in _META_TABLES
-
     def pending_records(self, strand_id: str) -> int:
-        return len(self._records.get(strand_id, []))
+        records = self._records.get(strand_id)
+        return len(records) if records else 0
 
 
 def enable_tracing(

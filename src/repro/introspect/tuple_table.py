@@ -43,9 +43,12 @@ class TupleRegistry:
         max_entries: Any = 100000,
     ) -> None:
         self._node = node
+        self._address = node.address
+        self._now = node.now
         self._table = node.store.materialize(
             Materialize(TUPLE_TABLE, lifetime, max_entries, [2])
         )
+        self._insert = self._table.insert
         self._table.on_remove.append(self._row_removed)
         self._ids: Dict[Tuple, int] = {}
         self._memo: Dict[int, Tuple] = {}
@@ -84,7 +87,7 @@ class TupleRegistry:
         self._ids[tup] = tid
         self._memo[tid] = tup
         self._refs[tid] = 0
-        self._write_row(tid, self._node.address, tid, loc_spec)
+        self._write_row(tid, self._address, tid, loc_spec)
         return tid
 
     def id_of(self, tup: Tuple) -> int:
@@ -124,7 +127,7 @@ class TupleRegistry:
             return -1
         if src is not None and mid is not None:
             seen = self._seen_mids
-            now = self._node.sim.now
+            now = self._now()
             if self._mid_lifetime is not None:
                 horizon = now - self._mid_lifetime
                 while seen and next(iter(seen.values())) <= horizon:
@@ -136,9 +139,10 @@ class TupleRegistry:
                     tup, loc_spec=tup.location
                 )
             seen[(src, mid)] = now
-        tid = self.ensure(tup, loc_spec=tup.location)
+        location = tup.location
+        tid = self.ensure(tup, loc_spec=location)
         if src is not None and src_tid is not None:
-            self._write_row(tid, src, src_tid, tup.location)
+            self._write_row(tid, src, src_tid, location)
         return tid
 
     def on_send(self, tup: Tuple, destination: str) -> int:
@@ -146,7 +150,7 @@ class TupleRegistry:
         if tup.name == TUPLE_TABLE:
             return -1
         tid = self.ensure(tup, loc_spec=destination)
-        self._write_row(tid, self._node.address, tid, destination)
+        self._write_row(tid, self._address, tid, destination)
         return tid
 
     def lookup(self, tid: int) -> Optional[Tuple]:
@@ -201,14 +205,13 @@ class TupleRegistry:
     def _write_row(
         self, tid: int, src: Any, src_tid: Any, loc_spec: Any
     ) -> None:
-        row = Tuple(
-            TUPLE_TABLE,
-            (self._node.address, tid, src, src_tid, loc_spec),
+        self._insert(
+            Tuple(TUPLE_TABLE, (self._address, tid, src, src_tid, loc_spec))
         )
-        self._table.insert(row)
-        if self.on_register:
+        callbacks = self.on_register
+        if callbacks:
             tup = self._memo.get(tid)
-            for callback in list(self.on_register):
+            for callback in callbacks:
                 callback(tid, src, src_tid, loc_spec, tup)
 
     def retained(self) -> int:

@@ -77,7 +77,10 @@ class P2Node:
         self.network = network
         self.id_bits = id_bits
         self.rng = sim.random.stream(f"node.{address}")
-        self.store = TableStore(lambda: sim.now)
+        #: The virtual time, read in no Python frame (``sim.now`` is two
+        #: properties deep): every table access reads it.
+        self.now: Callable[[], float] = sim.clock.reader()
+        self.store = TableStore(self.now)
         self.work = WorkModel()
         # Rule-visible clock: in tick mode (docs/SCALE.md) rules see the
         # quantized simulator clock without the intra-event micro-offset,
@@ -85,7 +88,7 @@ class P2Node:
         # work is grouped — f_now() must read identically under the
         # per-tuple and the batched kernel.  Legacy mode keeps the
         # micro-clock so execution traces stay strictly ordered.
-        rule_clock = (lambda: sim.now) if sim.det_order else self.work_clock
+        rule_clock = self.now if sim.det_order else self.work_clock
         self.ctx = EvalContext(rule_clock, self.rng, id_bits)
         self.planner = Planner(self.store, node_label=address)
 
@@ -122,7 +125,7 @@ class P2Node:
         if overload is not None:
             self.overload = OverloadController(
                 overload,
-                clock=lambda: self.sim.now,
+                clock=self.now,
                 node_label=self.label,
             )
 
@@ -171,7 +174,7 @@ class P2Node:
 
     def work_clock(self) -> float:
         """Virtual time plus intra-event micro-time (for trace timestamps)."""
-        return self.sim.now + self.work.micro_offset
+        return self.now() + self.work._micro_offset
 
     # ------------------------------------------------------------------
     # Program installation

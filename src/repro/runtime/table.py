@@ -3,13 +3,40 @@
 A table is declared by ``materialize(name, lifetime, size, keys(...))``:
 tuples expire ``lifetime`` seconds after their last (re-)insertion, the
 table holds at most ``size`` tuples (least recently (re-)inserted
-evicted first, found through a lazily validated heap in O(log size)),
-and the ``keys`` positions form the primary key — inserting a tuple
-whose key matches an existing row replaces that row.
+evicted first), and the ``keys`` positions form the primary key —
+inserting a tuple whose key matches an existing row replaces that row.
 
 Change callbacks drive the rest of the system: delta rule triggering,
 event logging, and tupleTable reference counting all hang off
 ``on_insert`` / ``on_remove`` observers.
+
+Row layout.  A row is its :class:`Tuple` plus one *stamp*.  ``_rows``
+maps the primary key — the bare column value for a one-column key, a
+tuple of values otherwise — to the tuple, in scan order (dict insertion
+order: a key keeps its place while it is replaced or refreshed).
+``_stamps`` maps the same key to ``(inserted_at, seq, key, rank)``:
+
+- ``inserted_at`` is the time of the row's last (re-)insertion, and
+  ``inserted_at + lifetime`` its deadline; the rare row restored with
+  any other deadline keeps that one in ``_deadlines``;
+- ``seq`` comes from a per-table counter on every insert that adds or
+  replaces a row — not on a refresh, so a refreshed row keeps sorting
+  before a row first inserted earlier at the same instant;
+- ``rank`` is the ``seq`` the key drew when it entered the table, kept
+  across replacements: the row's place in scan order, which is what
+  index probes and expiry sort on.  Until a row is replaced it is the
+  very int object ``seq`` is, so it costs one slot of the stamp.
+
+The stamps also form one min-heap, ``_evict_heap`` (kept while the table
+has a lifetime or a size bound), ordered by ``(inserted_at, seq)``.  That
+one order serves both bounds: the size-bound victim is its least live
+stamp, and because a deadline grows with ``inserted_at`` the rows due to
+expire are a prefix of it, taken off the top and then notified in scan
+order.  Stamps are never removed in place — a row deleted, replaced or
+refreshed leaves its old stamp behind — and a stamp is live exactly when
+it *is* the stamp ``_stamps`` holds for its key; expiry and eviction drop
+dead ones as they meet them, and the heap is rebuilt from ``_stamps``
+once it holds about twice as many stamps as live rows.
 
 Secondary hash indexes (:class:`TableIndex`) accelerate join probes:
 ``index_on(positions)`` builds an index over an arbitrary column subset
@@ -32,6 +59,9 @@ from repro.errors import SchemaError
 from repro.overlog.types import INFINITY
 from repro.runtime.tuples import Tuple
 
+INF = float("inf")
+_RANK = itemgetter(3)  # a stamp's place in scan order
+
 
 class InsertOutcome(enum.Enum):
     """What an insert did; only NEW and REPLACED count as changes."""
@@ -50,20 +80,11 @@ class RemoveReason(enum.Enum):
     REPLACED = "replaced"  # overwritten by a same-key insert
 
 
-class _Row:
-    __slots__ = ("tuple", "inserted_at", "expires_at", "seq", "order")
-
-    def __init__(
-        self, tup: Tuple, now: float, expires_at: float, seq: int, order: int
-    ):
-        self.tuple = tup
-        self.inserted_at = now
-        self.expires_at = expires_at
-        self.seq = seq
-        # Scan-order stamp: assigned when the primary key first enters the
-        # table and inherited across same-key replacements, mirroring dict
-        # insertion order so indexed probes can reproduce scan order.
-        self.order = order
+_NEW = InsertOutcome.NEW
+_REPLACED = InsertOutcome.REPLACED
+_REFRESHED = InsertOutcome.REFRESHED
+_GONE_REPLACED = RemoveReason.REPLACED
+_EVICTED = RemoveReason.EVICTED
 
 
 class TableIndex:
@@ -80,15 +101,19 @@ class TableIndex:
     """
 
     __slots__ = (
-        "positions", "_buckets", "_loose", "_memo", "probes", "rows_served",
+        "positions", "_stamps", "_buckets", "_loose", "_memo", "probes",
+        "rows_served",
     )
 
-    def __init__(self, positions: PyTuple) -> None:
+    def __init__(self, positions: PyTuple, stamps: Dict[Any, PyTuple]) -> None:
         self.positions = tuple(positions)
-        # index key -> {primary key: _Row}
-        self._buckets: Dict[PyTuple, Dict[PyTuple, _Row]] = {}
-        # primary key -> _Row, for rows with unhashable index keys
-        self._loose: Dict[PyTuple, _Row] = {}
+        # The owning table's stamps: a row's rank (scan order) is
+        # ``stamps[key][3]``.
+        self._stamps = stamps
+        # index key -> {primary key: tuple}
+        self._buckets: Dict[PyTuple, Dict[Any, Tuple]] = {}
+        # primary key -> tuple, for rows with unhashable index keys
+        self._loose: Dict[Any, Tuple] = {}
         # Probe memo: probe key -> candidate list, valid until the next
         # mutation.  Consecutive firings probe the same key over and
         # over (e.g. every succ-table probe at node n uses key (n,)),
@@ -98,25 +123,25 @@ class TableIndex:
         self.probes = 0
         self.rows_served = 0
 
-    def _project(self, row: _Row) -> PyTuple:
-        values = row.tuple.values
+    def _project(self, tup: Tuple) -> PyTuple:
+        values = tup.values
         return tuple(values[i] for i in self.positions)
 
-    def add(self, key: PyTuple, row: _Row) -> None:
+    def add(self, key: Any, tup: Tuple) -> None:
         if self._memo:
             self._memo.clear()
         try:
-            self._buckets.setdefault(self._project(row), {})[key] = row
+            self._buckets.setdefault(self._project(tup), {})[key] = tup
         except IndexError:
             return  # row too short to match any pattern using this index
         except TypeError:
-            self._loose[key] = row
+            self._loose[key] = tup
 
-    def discard(self, key: PyTuple, row: _Row) -> None:
+    def discard(self, key: Any, tup: Tuple) -> None:
         if self._memo:
             self._memo.clear()
         try:
-            ikey = self._project(row)
+            ikey = self._project(tup)
             bucket = self._buckets.get(ikey)
         except IndexError:
             return
@@ -128,15 +153,15 @@ class TableIndex:
             if not bucket:
                 del self._buckets[ikey]
 
-    def replace(self, key: PyTuple, old: _Row, new: _Row) -> None:
+    def replace(self, key: Any, old: Tuple, new: Tuple) -> None:
         """Swap ``old`` for ``new``, both stored under primary key ``key``.
 
         When the indexed columns did not change — a monitored value
         refreshed under its key, the fan-in case — ``new`` takes the
         bucket slot ``old`` holds; otherwise (columns differ, or the row
         is too short or unhashable) it is a discard and an add.  Probes
-        cannot tell the two apart: ``new`` inherits ``old``'s scan
-        order and :meth:`candidates` sorts on it.
+        cannot tell the two apart: ``new`` inherits ``old``'s rank and
+        :meth:`candidates` sorts on it.
         """
         if self._memo:
             self._memo.clear()
@@ -152,6 +177,16 @@ class TableIndex:
         self.discard(key, old)
         self.add(key, new)
 
+    def _in_scan_order(self, rows: List[PyTuple]) -> List[Tuple]:
+        """The tuples of ``(primary key, tuple)`` pairs, by rank (ranks
+        are unique, so the sort never compares two tuples)."""
+        if len(rows) < 2:
+            return [rows[0][1]] if rows else []
+        stamps = self._stamps
+        ranked = [(stamps[key][3], tup) for key, tup in rows]
+        ranked.sort()
+        return [tup for _, tup in ranked]
+
     def candidates(self, key_values: PyTuple) -> List[Tuple]:
         """Live rows whose indexed columns may equal ``key_values``.
 
@@ -165,23 +200,22 @@ class TableIndex:
             probe_key = tuple(key_values)
             cached = self._memo.get(probe_key)
         except TypeError:
-            rows = [r for b in self._buckets.values() for r in b.values()]
-            rows.extend(self._loose.values())
-            rows.sort(key=lambda r: r.order)
-            self.rows_served += len(rows)
-            return [r.tuple for r in rows]
+            rows = [item for b in self._buckets.values() for item in b.items()]
+            rows.extend(self._loose.items())
+            result = self._in_scan_order(rows)
+            self.rows_served += len(result)
+            return result
         if cached is not None:
             self.rows_served += len(cached)
             return cached
         bucket = self._buckets.get(probe_key)
-        rows = list(bucket.values()) if bucket else []
+        rows = list(bucket.items()) if bucket else []
         if self._loose:
-            rows.extend(self._loose.values())
-        # Bucket order drifts from global order on same-key replacement,
-        # so always restore scan order (near-sorted: Timsort is linear).
-        rows.sort(key=lambda r: r.order)
-        self.rows_served += len(rows)
-        result = [r.tuple for r in rows]
+            rows.extend(self._loose.items())
+        # Bucket order drifts from scan order when a replace moves a row
+        # to another bucket, so always restore it.
+        result = self._in_scan_order(rows)
+        self.rows_served += len(result)
         self._memo[probe_key] = result
         return result
 
@@ -206,37 +240,27 @@ class Table:
         if any(k < 1 for k in key_positions):
             raise SchemaError(f"table {name!r}: key positions are 1-based")
         self.name = name
-        self.lifetime = lifetime
         self.key_positions = list(key_positions)
-        self._key_idx = [k - 1 for k in key_positions]
-        # Insert-path constants, hoisted: the per-row TTL as a float (or
-        # None for infinity) and a C-level key projector.
-        self._ttl = None if lifetime is INFINITY else float(lifetime)
-        if len(self._key_idx) == 1:
-            only = self._key_idx[0]
-            self._key_get = lambda values: (values[only],)
-        else:
-            self._key_get = itemgetter(*self._key_idx)
+        # A C-level key projector: the bare value for one key column.
+        self._key_get = itemgetter(*[k - 1 for k in key_positions])
+        self._single_key = len(key_positions) == 1
         self._now = now
-        self._rows: Dict[PyTuple, _Row] = {}
-        # Eviction order for the size bound: a min-heap of
-        # ``(inserted_at, seq, key)`` stamps, None until the table first
-        # overflows.  Entries are never removed in place — a row that
-        # was deleted, expired, replaced or refreshed leaves a stale
-        # stamp that ``_pop_victim`` skips — and the heap is dropped
-        # (rebuilt at the next overflow) once it outgrows
-        # ``_evict_slack``, so a table that is refreshed far more often
-        # than it overflows holds no more than that.
-        self._evict_heap: Optional[List[PyTuple]] = None
-        self.max_size = max_size
+        self._rows: Dict[Any, Tuple] = {}
+        self._stamps: Dict[Any, PyTuple] = {}
+        # key -> deadline, for restored rows whose deadline is not
+        # ``inserted_at + lifetime``.
+        self._deadlines: Dict[Any, float] = {}
         self._seq = 0
-        self._order = 0
         self._indexes: Dict[PyTuple, TableIndex] = {}
-        # Earliest possible expiry among live rows (a lower bound: a
-        # refresh may raise a row's expires_at without updating this).
-        # Lets every table access skip the expiry pass in O(1) until a
-        # deadline is actually reached.
-        self._next_expiry = float("inf")
+        # A lower bound on every live row's deadline: until the clock
+        # reaches it, no table access needs an expiry pass.
+        self._next_expiry = INF
+        self._evict_heap: Optional[List[PyTuple]] = None
+        self._evict_slack = 4
+        self._ttl: Optional[float] = None
+        self._limit: Optional[int] = None
+        self.lifetime = lifetime
+        self.max_size = max_size
         self.on_insert: List[Callable[[Tuple, InsertOutcome], None]] = []
         self.on_remove: List[Callable[[Tuple, RemoveReason], None]] = []
         # Fired on REFRESHED inserts (identical tuple re-inserted, TTL
@@ -244,9 +268,28 @@ class Table:
         # not state *changes* — delta rules must not re-trigger — but
         # durability (the recovery WAL) must still see the new deadline.
         self.on_refresh: List[Callable[[Tuple, float], None]] = []
-        # Lifetime counters for introspection.
-        self.total_inserts = 0
+        # Lifetime counters for introspection (and see total_inserts).
         self.total_removals = 0
+        self._restored = 0
+
+    @property
+    def total_inserts(self) -> int:
+        """Inserts that added or replaced a row: every ``seq`` drawn but
+        a restore's."""
+        return self._seq - self._restored
+
+    @property
+    def lifetime(self) -> Any:
+        """The declared lifetime (seconds, or INFINITY)."""
+        return self._lifetime
+
+    @lifetime.setter
+    def lifetime(self, value: Any) -> None:
+        self._lifetime = value
+        self._ttl = None if value is INFINITY else float(value)
+        # Deadlines moved: the next access recomputes the bound.
+        self._next_expiry = INF if self._ttl is None or not self._rows else -INF
+        self._keep_heap()
 
     @property
     def max_size(self) -> Any:
@@ -257,12 +300,34 @@ class Table:
     def max_size(self, value: Any) -> None:
         self._max_size = value
         self._limit = None if value is INFINITY else int(value)
-        self._evict_slack = 0 if value is INFINITY else 2 * int(value) + 16
+        self._keep_heap()
+
+    def _keep_heap(self) -> None:
+        """Hold the stamp heap exactly while a bound needs it."""
+        if self._ttl is None and self._limit is None:
+            self._evict_heap = None
+        elif self._evict_heap is None:
+            self._evict_heap = []
+            self._compact()
+
+    def _compact(self) -> None:
+        """Rebuild the heap, in place, from the live stamps alone."""
+        heap = self._evict_heap
+        heap[:] = self._stamps.values()
+        heapify(heap)
+        live = len(heap)
+        if self._limit is not None and self._limit < live:
+            live = self._limit
+        self._evict_slack = 2 * live + 4
 
     # ------------------------------------------------------------------
 
     def key_of(self, tup: Tuple) -> PyTuple:
         """The primary-key projection of ``tup``."""
+        key = self._row_key(tup)
+        return (key,) if self._single_key else key
+
+    def _row_key(self, tup: Tuple) -> Any:
         try:
             return self._key_get(tup.values)
         except IndexError:
@@ -277,7 +342,9 @@ class Table:
             raise SchemaError(
                 f"tuple {tup.name!r} inserted into table {self.name!r}"
             )
-        self._expire_now()
+        now = self._now()
+        if now >= self._next_expiry:
+            self._expire(now)
         try:
             key = self._key_get(tup.values)
         except IndexError:
@@ -285,68 +352,153 @@ class Table:
                 f"tuple {tup!r} too short for key positions "
                 f"{self.key_positions} of table {self.name!r}"
             )
-        now = self._now()
         ttl = self._ttl
-        expires = float("inf") if ttl is None else now + ttl
+        expires = INF if ttl is None else now + ttl
         if expires < self._next_expiry:
             self._next_expiry = expires
-        existing = self._rows.get(key)
-        indexes = self._indexes
-        if existing is not None:
-            if existing.tuple == tup:
-                existing.expires_at = expires
-                if existing.inserted_at != now:
-                    # The row keeps its seq, so it sorts before a row
-                    # first inserted earlier at this same instant.
-                    existing.inserted_at = now
-                    self._stamp(key, existing)
+        rows = self._rows
+        stamps = self._stamps
+        old = rows.get(key)
+        if old is not None:
+            stamp = stamps[key]
+            if old.values == tup.values:  # both named after this table
+                # REFRESHED.  The row keeps its seq, so it sorts before a
+                # row first inserted earlier at this same instant.
+                if stamp[0] != now:
+                    stamps[key] = stamp = (now, stamp[1], key, stamp[3])
+                    heap = self._evict_heap
+                    if heap is not None:
+                        if len(heap) < self._evict_slack:
+                            heappush(heap, stamp)
+                        else:
+                            self._compact()
+                if self._deadlines:
+                    self._deadlines.pop(key, None)
                 callbacks = self.on_refresh
                 if len(callbacks) == 1:
                     callbacks[0](tup, expires)
                 elif callbacks:
                     for callback in list(callbacks):
                         callback(tup, expires)
-                return InsertOutcome.REFRESHED
-            old = existing.tuple
-            self._seq += 1
-            # The replacing row keeps the dict slot (and therefore the
-            # scan-order stamp) of the row it displaces.
-            row = _Row(tup, now, expires, self._seq, existing.order)
-            self._rows[key] = row
-            self._stamp(key, row)
-            for index in indexes.values():
-                index.replace(key, existing, row)
-            self.total_inserts += 1
+                return _REFRESHED
+            # REPLACED: the new row keeps the key's dict slot and rank.
+            self._seq = seq = self._seq + 1
+            stamps[key] = stamp = (now, seq, key, stamp[3])
+            rows[key] = tup
+            heap = self._evict_heap
+            if heap is not None:
+                if len(heap) < self._evict_slack:
+                    heappush(heap, stamp)
+                else:
+                    self._compact()
+            if self._deadlines:
+                self._deadlines.pop(key, None)
+            for index in self._indexes.values():
+                index.replace(key, old, tup)
             self.total_removals += 1
-            self._notify_remove(old, RemoveReason.REPLACED)
-            self._notify_insert(tup, InsertOutcome.REPLACED)
-            return InsertOutcome.REPLACED
+            # Observers are called on a snapshot of their list: one or two
+            # (the usual case) are read into locals, more are copied, so a
+            # callback that edits the list mid-call changes nothing here.
+            callbacks = self.on_remove
+            n = len(callbacks)
+            if n == 1:
+                callbacks[0](old, _GONE_REPLACED)
+            elif n == 2:
+                first, second = callbacks
+                first(old, _GONE_REPLACED)
+                second(old, _GONE_REPLACED)
+            elif n:
+                for callback in list(callbacks):
+                    callback(old, _GONE_REPLACED)
+            callbacks = self.on_insert
+            n = len(callbacks)
+            if n == 1:
+                callbacks[0](tup, _REPLACED)
+            elif n == 2:
+                first, second = callbacks
+                first(tup, _REPLACED)
+                second(tup, _REPLACED)
+            elif n:
+                for callback in list(callbacks):
+                    callback(tup, _REPLACED)
+            return _REPLACED
 
-        self._seq += 1
-        self._order += 1
-        row = _Row(tup, now, expires, self._seq, self._order)
-        self._rows[key] = row
-        self._stamp(key, row)
+        # NEW
+        self._seq = seq = self._seq + 1
+        stamps[key] = stamp = (now, seq, key, seq)
+        rows[key] = tup
+        heap = self._evict_heap
+        if heap is not None:
+            if len(heap) < self._evict_slack:
+                heappush(heap, stamp)
+            else:
+                self._compact()
+        indexes = self._indexes
         if indexes:
-            self._index_add(key, row)
-        self.total_inserts += 1
+            for index in indexes.values():
+                index.add(key, tup)
         limit = self._limit
-        if limit is not None and len(self._rows) > limit:
-            self._enforce_size(limit, protect=key)
-        self._notify_insert(tup, InsertOutcome.NEW)
-        return InsertOutcome.NEW
+        if limit is not None and len(rows) > limit:
+            # Evict the least-recently (re-)inserted rows other than this
+            # one: refreshing a tuple keeps it alive, which is the
+            # soft-state contract the Chord stabilization rules rely on.
+            while len(rows) > limit:
+                held = oldest = None
+                while heap:
+                    oldest = heappop(heap)
+                    victim = oldest[2]
+                    if stamps.get(victim) is not oldest:
+                        oldest = None  # deleted, replaced or refreshed since
+                    elif victim is key or victim == key:
+                        held = oldest
+                        oldest = None
+                    else:
+                        break
+                if held is not None:
+                    heappush(heap, held)
+                if oldest is None:
+                    break
+                gone = rows.pop(victim)
+                del stamps[victim]
+                if self._deadlines:
+                    self._deadlines.pop(victim, None)
+                for index in indexes.values():
+                    index.discard(victim, gone)
+                self.total_removals += 1
+                callbacks = self.on_remove
+                n = len(callbacks)
+                if n == 1:
+                    callbacks[0](gone, _EVICTED)
+                elif n == 2:
+                    first, second = callbacks
+                    first(gone, _EVICTED)
+                    second(gone, _EVICTED)
+                elif n:
+                    for callback in list(callbacks):
+                        callback(gone, _EVICTED)
+        callbacks = self.on_insert
+        n = len(callbacks)
+        if n == 1:
+            callbacks[0](tup, _NEW)
+        elif n == 2:
+            first, second = callbacks
+            first(tup, _NEW)
+            second(tup, _NEW)
+        elif n:
+            for callback in list(callbacks):
+                callback(tup, _NEW)
+        return _NEW
 
     def delete(self, tup: Tuple) -> bool:
         """Remove the row whose key matches ``tup``; True if removed."""
-        self._expire_now()
-        key = self.key_of(tup)
-        row = self._rows.get(key)
-        if row is None or row.tuple != tup:
+        now = self._now()
+        if now >= self._next_expiry:
+            self._expire(now)
+        key = self._row_key(tup)
+        old = self._rows.get(key)
+        if old is None or old != tup:
             return False
-        del self._rows[key]
-        self._index_discard(key, row)
-        self.total_removals += 1
-        self._notify_remove(row.tuple, RemoveReason.DELETED)
+        self._remove(key, RemoveReason.DELETED)
         return True
 
     def delete_matching(self, values: List[Any]) -> int:
@@ -355,24 +507,37 @@ class Table:
         Used by OverLog ``delete`` rules: unbound head variables become
         None entries and match any value.  Returns the removal count.
         """
-        self._expire_now()
+        now = self._now()
+        if now >= self._next_expiry:
+            self._expire(now)
         victims = []
-        for row in self._rows.values():
-            tup = row.tuple
+        for key, tup in self._rows.items():
             if len(values) != len(tup.values):
                 continue
             if all(
                 pattern is None or _eq(pattern, actual)
                 for pattern, actual in zip(values, tup.values)
             ):
-                victims.append(tup)
-        for tup in victims:
-            key = self.key_of(tup)
-            row = self._rows.pop(key)
-            self._index_discard(key, row)
-            self.total_removals += 1
-            self._notify_remove(tup, RemoveReason.DELETED)
+                victims.append(key)
+        for key in victims:
+            self._remove(key, RemoveReason.DELETED)
         return len(victims)
+
+    def _remove(self, key: Any, reason: RemoveReason) -> None:
+        """Drop the row under ``key`` and tell the observers why."""
+        tup = self._rows.pop(key)
+        del self._stamps[key]
+        if self._deadlines:
+            self._deadlines.pop(key, None)
+        for index in self._indexes.values():
+            index.discard(key, tup)
+        self.total_removals += 1
+        callbacks = self.on_remove
+        if len(callbacks) == 1:
+            callbacks[0](tup, reason)
+        elif callbacks:
+            for callback in list(callbacks):
+                callback(tup, reason)
 
     # ------------------------------------------------------------------
     # Crash-recovery replay (repro.recovery)
@@ -398,68 +563,93 @@ class Table:
         now = self._now()
         if expires_at <= now:
             return False
-        key = self.key_of(tup)
-        existing = self._rows.get(key)
-        self._seq += 1
-        if existing is not None:
-            row = _Row(
-                tup,
-                inserted_at if inserted_at is not None else now,
-                expires_at,
-                self._seq,
-                existing.order,
-            )
-            self._index_discard(key, existing)
+        key = self._row_key(tup)
+        if inserted_at is None:
+            inserted_at = now
+        stamps = self._stamps
+        old = self._rows.get(key)
+        self._seq = seq = self._seq + 1
+        self._restored += 1
+        if old is not None:
+            rank = stamps[key][3]
+            for index in self._indexes.values():
+                index.discard(key, old)
         else:
-            self._order += 1
-            row = _Row(
-                tup,
-                inserted_at if inserted_at is not None else now,
-                expires_at,
-                self._seq,
-                self._order,
-            )
-        self._rows[key] = row
-        self._stamp(key, row)
-        self._index_add(key, row)
-        if expires_at < self._next_expiry:
+            rank = seq
+        self._rows[key] = tup
+        stamps[key] = stamp = (inserted_at, seq, key, rank)
+        heap = self._evict_heap
+        if heap is not None:
+            if len(heap) < self._evict_slack:
+                heappush(heap, stamp)
+            else:
+                self._compact()
+        for index in self._indexes.values():
+            index.add(key, tup)
+        ttl = self._ttl
+        if expires_at == (INF if ttl is None else inserted_at + ttl):
+            self._deadlines.pop(key, None)
+        else:
+            self._deadlines[key] = expires_at
+        if ttl is not None and expires_at < self._next_expiry:
             self._next_expiry = expires_at
         return True
 
     def snapshot_rows(self) -> List[PyTuple]:
         """Live rows with their timing metadata, for checkpointing:
         ``(tuple, inserted_at, expires_at)`` triples in scan order."""
-        self._expire_now()
-        return [
-            (row.tuple, row.inserted_at, row.expires_at)
-            for row in self._rows.values()
-        ]
+        now = self._now()
+        if now >= self._next_expiry:
+            self._expire(now)
+        ttl = self._ttl
+        stamps = self._stamps
+        deadlines = self._deadlines
+        out = []
+        for key, tup in self._rows.items():
+            inserted_at = stamps[key][0]
+            if key in deadlines:
+                expires_at = deadlines[key]
+            else:
+                expires_at = INF if ttl is None else inserted_at + ttl
+            out.append((tup, inserted_at, expires_at))
+        return out
 
     def restore_remove(self, tup: Tuple) -> bool:
         """Silently drop the row matching ``tup`` during WAL replay
         (the removal was already observed pre-crash; replaying it must
         not re-fire observers)."""
-        key = self.key_of(tup)
-        row = self._rows.get(key)
-        if row is None or row.tuple != tup:
+        key = self._row_key(tup)
+        old = self._rows.get(key)
+        if old is None or old != tup:
             return False
         del self._rows[key]
-        self._index_discard(key, row)
+        del self._stamps[key]
+        self._deadlines.pop(key, None)
+        for index in self._indexes.values():
+            index.discard(key, old)
         return True
 
     # ------------------------------------------------------------------
 
     def scan(self) -> Iterator[Tuple]:
         """Iterate live tuples (expired rows are dropped first)."""
-        self._expire_now()
+        now = self._now()
+        if now >= self._next_expiry:
+            self._expire(now)
         # Snapshot so rules may insert/delete while iterating.
-        return iter([row.tuple for row in self._rows.values()])
+        return iter(list(self._rows.values()))
 
     def lookup_key(self, key_values: PyTuple) -> Optional[Tuple]:
         """Fetch the live row with this primary key, if any."""
-        self._expire_now()
-        row = self._rows.get(tuple(key_values))
-        return row.tuple if row is not None else None
+        now = self._now()
+        if now >= self._next_expiry:
+            self._expire(now)
+        key = tuple(key_values)
+        if self._single_key:
+            if len(key) != 1:
+                return None
+            key = key[0]
+        return self._rows.get(key)
 
     # ------------------------------------------------------------------
     # Secondary indexes
@@ -484,9 +674,9 @@ class Table:
             )
         index = self._indexes.get(canon)
         if index is None:
-            index = TableIndex(canon)
-            for key, row in self._rows.items():
-                index.add(key, row)
+            index = TableIndex(canon, self._stamps)
+            for key, tup in self._rows.items():
+                index.add(key, tup)
             self._indexes[canon] = index
         return index
 
@@ -498,126 +688,82 @@ class Table:
         """Live tuples whose ``index.positions`` columns may equal
         ``key_values``, in scan order (expired rows are dropped first,
         exactly as :meth:`scan` does)."""
-        self._expire_now()
+        now = self._now()
+        if now >= self._next_expiry:
+            self._expire(now)
         return index.candidates(key_values)
 
-    def _index_add(self, key: PyTuple, row: _Row) -> None:
-        for index in self._indexes.values():
-            index.add(key, row)
-
-    def _index_discard(self, key: PyTuple, row: _Row) -> None:
-        for index in self._indexes.values():
-            index.discard(key, row)
-
     def __len__(self) -> int:
-        self._expire_now()
+        now = self._now()
+        if now >= self._next_expiry:
+            self._expire(now)
         return len(self._rows)
 
     def __contains__(self, tup: Tuple) -> bool:
-        self._expire_now()
-        row = self._rows.get(self.key_of(tup))
-        return row is not None and row.tuple == tup
+        now = self._now()
+        if now >= self._next_expiry:
+            self._expire(now)
+        row = self._rows.get(self._row_key(tup))
+        return row is not None and row == tup
 
     def estimated_bytes(self) -> int:
         """Approximate memory footprint of live tuples."""
-        self._expire_now()
-        return sum(row.tuple.estimated_size() for row in self._rows.values())
+        now = self._now()
+        if now >= self._next_expiry:
+            self._expire(now)
+        return sum(tup.estimated_size() for tup in self._rows.values())
 
     # ------------------------------------------------------------------
 
     def sweep(self) -> int:
         """Force expiry processing; returns number of tuples expired."""
-        return self._expire_now()
-
-    def _expire_now(self) -> int:
-        if self.lifetime is INFINITY:
-            return 0
         now = self._now()
         if now < self._next_expiry:
             return 0
-        expired = [
-            key for key, row in self._rows.items() if row.expires_at <= now
-        ]
-        for key in expired:
-            row = self._rows.pop(key)
-            self._index_discard(key, row)
-            self.total_removals += 1
-            self._notify_remove(row.tuple, RemoveReason.EXPIRED)
-        # Recompute the bound from survivors; a stale (too-low) value
-        # only costs one empty pass when that instant is reached.
-        self._next_expiry = min(
-            (row.expires_at for row in self._rows.values()),
-            default=float("inf"),
-        )
-        return len(expired)
+        return self._expire(now)
 
-    def _stamp(self, key: PyTuple, row: _Row) -> None:
-        """Record ``row``'s new place in the eviction order."""
+    def _expire(self, now: float) -> int:
+        """Drop every row whose deadline is ``now`` or earlier.
+
+        The due rows are taken off the top of the stamp heap, then
+        removed and notified in scan order; the pass ends at the first
+        live stamp not yet due, whose deadline becomes the next bound.
+        """
+        ttl = self._ttl
+        if ttl is None:
+            self._next_expiry = INF
+            return 0
         heap = self._evict_heap
-        if heap is not None:
-            if len(heap) >= self._evict_slack:
-                self._evict_heap = None
-            else:
-                heappush(heap, (row.inserted_at, row.seq, key))
-
-    def _enforce_size(self, limit: int, protect: PyTuple) -> None:
-        rows = self._rows
-        while len(rows) > limit:
-            # Evict the least-recently (re-)inserted row: refreshing a
-            # tuple keeps it alive, which is the soft-state contract the
-            # Chord stabilization rules rely on.
-            victim_key = self._pop_victim(protect)
-            if victim_key is None:
-                return
-            row = rows.pop(victim_key)
-            self._index_discard(victim_key, row)
-            self.total_removals += 1
-            self._notify_remove(row.tuple, RemoveReason.EVICTED)
-
-    def _pop_victim(self, protect: PyTuple) -> Optional[PyTuple]:
-        """Key of the live row with the least ``(inserted_at, seq)``
-        other than ``protect``, or None if there is no other row."""
-        rows = self._rows
-        heap = self._evict_heap
-        if heap is None:
-            heap = self._evict_heap = [
-                (row.inserted_at, row.seq, key) for key, row in rows.items()
-            ]
-            heapify(heap)
-        held = victim = None
+        stamps = self._stamps
+        deadlines = self._deadlines
+        due = []
+        held = []
+        upcoming = INF
         while heap:
-            stamp = heappop(heap)
-            inserted_at, seq, key = stamp
-            row = rows.get(key)
-            if row is None or row.seq != seq or row.inserted_at != inserted_at:
-                continue  # deleted, expired, replaced or refreshed since
-            if key == protect:
-                held = stamp
-                continue
-            victim = key
-            break
-        if held is not None:
-            heappush(heap, held)
-        return victim
-
-    def _notify_insert(self, tup: Tuple, outcome: InsertOutcome) -> None:
-        callbacks = self.on_insert
-        if len(callbacks) == 1:
-            # Hot path: exactly one observer (the owning node).  A lone
-            # callback that mutates the list mid-call sees the same
-            # behaviour a snapshot would give it.
-            callbacks[0](tup, outcome)
-        elif callbacks:
-            for callback in list(callbacks):
-                callback(tup, outcome)
-
-    def _notify_remove(self, tup: Tuple, reason: RemoveReason) -> None:
-        callbacks = self.on_remove
-        if len(callbacks) == 1:
-            callbacks[0](tup, reason)
-        elif callbacks:
-            for callback in list(callbacks):
-                callback(tup, reason)
+            stamp = heap[0]
+            key = stamp[2]
+            if stamps.get(key) is not stamp:
+                heappop(heap)
+            elif deadlines and key in deadlines:
+                held.append(heappop(heap))  # its own deadline rules it
+            elif stamp[0] + ttl <= now:
+                due.append(heappop(heap))
+            else:
+                upcoming = stamp[0] + ttl
+                break
+        for stamp in held:
+            heappush(heap, stamp)
+        for key, deadline in deadlines.items():
+            if deadline <= now:
+                due.append(stamps[key])
+            elif deadline < upcoming:
+                upcoming = deadline
+        self._next_expiry = upcoming
+        if due:
+            due.sort(key=_RANK)
+            for stamp in due:
+                self._remove(stamp[2], RemoveReason.EXPIRED)
+        return len(due)
 
 
 def _eq(a: Any, b: Any) -> bool:

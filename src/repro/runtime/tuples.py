@@ -46,7 +46,7 @@ class Tuple:
         return self._hash
 
     def __repr__(self) -> str:
-        rest = ", ".join(format_value(v) for v in self.values[1:])
+        rest = ", ".join(map(format_value, self.values[1:]))
         loc = self.values[0] if self.values else "?"
         return f"{self.name}@{loc}({rest})"
 

@@ -6,7 +6,13 @@ the clock; all other components hold a reference and read it.
 
 from __future__ import annotations
 
+from functools import partial
+from operator import attrgetter
+from typing import Callable
+
 from repro.errors import SimulationError
+
+_NOW = attrgetter("_now")
 
 
 class Clock:
@@ -19,6 +25,11 @@ class Clock:
     def now(self) -> float:
         """Current virtual time in seconds."""
         return self._now
+
+    def reader(self) -> Callable[[], float]:
+        """A callable returning :attr:`now` in no Python frame (the
+        property is one), for readers on every hot path."""
+        return partial(_NOW, self)
 
     def advance_to(self, when: float) -> None:
         """Move the clock forward to ``when``.

@@ -80,3 +80,35 @@ def test_run_advances_virtual_time():
     assert system.now == 5.0
     system.run_until(9.0)
     assert system.now == 9.0
+
+
+# Each was accepted, or escaped as a bare ValueError / TypeError: a zero
+# or negative lifetime kept no trace at all, NaN expired nothing, and a
+# fractional capacity was truncated.
+BAD_RING_ARGUMENTS = [
+    ("trace_lifetime", 0),
+    ("trace_lifetime", -5),
+    ("trace_lifetime", float("nan")),
+    ("trace_lifetime", float("inf")),
+    ("trace_lifetime", "120"),
+    ("trace_entries", float("nan")),
+    ("trace_entries", True),
+    ("log_capacity", 2.5),
+    ("tuple_entries", "100"),
+]
+
+
+@pytest.mark.parametrize("where", ["system", "add_node"])
+@pytest.mark.parametrize("name, value", BAD_RING_ARGUMENTS)
+def test_bad_ring_arguments_are_rejected_by_name(where, name, value):
+    with pytest.raises(ReproError) as raised:
+        if where == "system":
+            System(seed=0, **{name: value}).add_node(
+                "a:1", tracing=True, logging=True
+            )
+        else:
+            System(seed=0).add_node(
+                "a:1", tracing=True, logging=True, **{name: value}
+            )
+    message = str(raised.value)
+    assert name in message and repr(value) in message

@@ -15,7 +15,10 @@ O(capacity)).  Each side is the best of :data:`ROUNDS` runs: scheduler
 noise only ever makes a run *slower*, so the fastest run is the
 least-contaminated estimate.
 
-The rest are *counts* with no clock at all: a cold backward slice
+The rest are *counts* with no clock at all: an expiry pass may compare
+only about as many deadlines with the clock as it removes rows (due
+rows come off the eviction order; scanning the table for them made
+every pass cost the whole table), a cold backward slice
 may open only a few of the store's segments and parse only a sliver of
 its bytes (summaries prune on the ids a lookup asks for, and a lookup
 parses only the blocks it needs; reading every touched segment whole is
@@ -38,7 +41,7 @@ same-key replace that leaves the indexed columns alone may delete
 nothing from an index bucket, and a whole firing — timer or delivery,
 pump, strand, table insert, routing — may make only so many calls on
 the telemetry workload of ``tests/obs/test_no_heisenberg.py`` (telemetry
-off and on) and on the Figure-4
+off and on, and traced and logged) and on the Figure-4
 periodic-rule workload (``cProfile``'s call count is the same on every
 machine and every CPython from 3.10 to 3.12).
 """
@@ -88,12 +91,17 @@ def fig4_program(count: int) -> str:
 
 
 def calls_per_firing(
-    source: str, warmup: float, window: float, observability: bool = False
+    source: str,
+    warmup: float,
+    window: float,
+    observability: bool = False,
+    tracing: bool = False,
+    logging: bool = False,
 ) -> float:
     """Python-level calls (``cProfile``'s total) per rule firing over
     ``window`` virtual seconds of one node running ``source``."""
     system = System(seed=5, observability=observability)
-    node = system.add_node("n:1")
+    node = system.add_node("n:1", tracing=tracing, logging=logging)
     node.install_source(source, name="workload")
     system.run_for(warmup)
     before = node.rule_executions
@@ -113,13 +121,23 @@ def assert_under(calls: float, ceiling: float, label: str) -> None:
     )
 
 
-#: Measured 36.7 with telemetry off and 74.7 on (a ``rule_exec`` span
+#: Measured 33.4 with telemetry off and 65.4 on (a ``rule_exec`` span
 #: and two histogram observations per firing); ceilings leave ~15 %.
-#: With every head tuple wrapped in an action object and walked through
-#: ``_route`` / ``store.find`` / ``_enqueue_strands`` / ``_notify``,
-#: each event costing the loop a peek, a pop and a clock call, and each
-#: timer a ``schedule`` and a ``randrange``, they were 50.2 and 88.2.
-OBS_CALLS_PER_FIRING = {"disabled": 42.0, "enabled": 86.0}
+#: With each table access reading the clock through a lambda and two
+#: properties they were 36.7 and 74.7; with every head tuple wrapped in
+#: an action object and walked through ``_route`` / ``store.find`` /
+#: ``_enqueue_strands`` / ``_notify``, each event costing the loop a
+#: peek, a pop and a clock call, and each timer a ``schedule`` and a
+#: ``randrange``, 50.2 and 88.2.
+OBS_CALLS_PER_FIRING = {"disabled": 38.0, "enabled": 75.0}
+#: The same workload traced and logged: measured 111.4 — four hook
+#: calls, about two ``ruleExec``, two ``tupleTable`` and one log row per
+#: firing, each an insert that reads the clock in no Python frame and
+#: stamps the row without building an object for it.  With a ``_Row``
+#: per row, an expiry check, a stamp and a notify frame per insert, a
+#: three-frame clock read, generator scans over the tracer's records
+#: and a copied observer list per identity row, it was 186.4.
+TRACED_CALLS_PER_FIRING = 128.0
 #: Measured 38.2 (a timer event, a periodic tuple and a delivered head
 #: tuple per firing); 58.2 with the hops above.
 FIG4_CALLS_PER_FIRING = 44.0
@@ -131,6 +149,11 @@ def test_obs_workload_calls_per_firing_hold(mode):
         OBS_WORKLOAD, 20.0, 40.0, observability=(mode == "enabled")
     )
     assert_under(calls, OBS_CALLS_PER_FIRING[mode], f"telemetry {mode}")
+
+
+def test_traced_logged_workload_calls_per_firing_hold():
+    calls = calls_per_firing(OBS_WORKLOAD, 20.0, 40.0, tracing=True, logging=True)
+    assert_under(calls, TRACED_CALLS_PER_FIRING, "traced and logged")
 
 
 def test_fig4_calls_per_firing_hold():
@@ -169,6 +192,49 @@ def test_full_ring_insert_cost_does_not_grow_with_capacity():
         f"{small:,.0f} for a full 256-row table ({small / large:.1f}x "
         f"slower): eviction cost depends on capacity"
     )
+
+
+class CountedTime(float):
+    """A clock reading that counts the deadlines compared against it
+    (``deadline <= now`` runs ``now.__ge__``)."""
+
+    compared = 0
+
+    def __ge__(self, other):
+        CountedTime.compared += 1
+        return float(self) >= other
+
+    def __le__(self, other):
+        CountedTime.compared += 1
+        return float(self) <= other
+
+
+#: Deadline comparisons allowed for an expiry pass that removes 10 rows:
+#: one per row due, one for the first row that is not, and slack.
+#: Scanning every row for its deadline made it one per row — 9,010.
+EXPIRY_COMPARISONS = 20
+
+
+def test_expiry_pass_examines_only_the_rows_it_removes():
+    clock = [CountedTime(0.0)]
+    table = Table("t", 100.0, INFINITY, [1], lambda: clock[0])
+    for i in range(10_000):
+        if i % 1000 == 0:
+            clock[0] = CountedTime(i / 1000)
+        table.insert(Tuple("t", (i, "x")))
+    # The first thousand rows share the earliest deadline; with 990 of
+    # them deleted, 10 are due when the clock reaches it.
+    for i in range(990):
+        table.delete(Tuple("t", (i, "x")))
+    clock[0] = CountedTime(100.0)
+    CountedTime.compared = 0
+    assert table.sweep() == 10
+    assert CountedTime.compared <= EXPIRY_COMPARISONS, (
+        f"{CountedTime.compared:,} deadline comparisons to expire 10 of "
+        f"9,010 rows: the expiry pass walks the table instead of the "
+        f"eviction order"
+    )
+    assert len(table) == 9000
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,11 @@ plan relies on:
 * **Bound maintenance** — under arbitrary insert / refresh / replace /
   delete / expiry / restore sequences the table evicts exactly the rows
   a reference that scans for its victim does, in the same order.
+* **Same table as before** — under random sequences of every mutation
+  and read, on tables with and without a lifetime, a size bound,
+  indexes and a multi-column key, the table behaves exactly like the
+  ``_Row``-per-row table it replaced (``reference_table.py``): outcomes,
+  observer calls and their order, scans, probes and snapshots.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -28,6 +33,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.overlog.types import INFINITY
 from repro.runtime.table import InsertOutcome, RemoveReason, Table
 from repro.runtime.tuples import Tuple
+from tests.runtime.reference_table import Table as ReferenceTable
 
 
 class FakeClock:
@@ -589,3 +595,206 @@ def test_stale_stamps_never_outgrow_the_bound():
         assert len(table._evict_heap or ()) <= bookkeeping_bound(2)
     table.insert(Tuple("t", (3, "a", 0)))
     assert [t.values[0] for t in table.scan()] == [2, 3]
+
+
+# ----------------------------------------------------------------------
+# Against the reference table
+#
+# ``reference_table.Table`` is the table before a row became its tuple
+# plus one shared stamp: a ``_Row`` object per row, expiry by scanning
+# every row.  Both tables get the same Tuple objects, the same clock and
+# the same calls in the same order; after every step their returns,
+# observer streams, scans, probes and lengths must agree.  Mutations of
+# the production table this property catches: a refresh that draws a
+# new seq, expiry notified in heap (age) order instead of scan order, a
+# replacing row that does not inherit its key's rank, a restored
+# deadline treated as ``inserted_at + lifetime``, a refresh that leaves
+# a restored row's own deadline in force, a restore that does not lower
+# the expiry bound, eviction that does not spare the row just inserted,
+# and index candidates left in bucket order.
+
+REF_KEYS = [(1,), (1, 2)]
+ref_rows = st.tuples(
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from(["a", "b"]),
+    st.integers(min_value=0, max_value=1),
+)
+ref_positions = st.sampled_from([[0], [1], [2], [1, 2]])
+ref_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), ref_rows),
+        st.tuples(st.just("insert"), ref_rows),
+        # Re-insert live row `pick` with its payload set: a refresh or a
+        # same-key replace.
+        st.tuples(st.just("rewrite"), st.tuples(pick, st.integers(0, 1))),
+        st.tuples(st.just("refresh"), pick),
+        st.tuples(st.just("delete"), ref_rows),
+        st.tuples(st.just("delete_live"), pick),
+        st.tuples(st.just("delete_matching"), patterns),
+        st.tuples(st.just("advance"), st.sampled_from([0.0, 0.5, 1.0, 2.5, 6.0])),
+        st.tuples(
+            st.just("restore"),
+            st.tuples(
+                ref_rows,
+                st.sampled_from([-1.0, 0.5, 3.0, 5.0, 9.0]),  # deadline - now
+                st.sampled_from([None, 0.0, 1.0, 4.0]),  # now - inserted_at
+            ),
+        ),
+        st.tuples(st.just("restore_remove"), ref_rows),
+        st.tuples(st.just("restore_remove_live"), pick),
+        st.tuples(st.just("snapshot"), st.none()),
+        st.tuples(st.just("sweep"), st.none()),
+        st.tuples(st.just("lookup"), ref_rows),
+        st.tuples(st.just("index"), ref_positions),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def ref_probe_keys(positions):
+    keys = [()]
+    for p in positions:
+        column = [0, 1, 2, 3] if p == 0 else ["a", "b"] if p == 1 else [0, 1]
+        keys = [key + (v,) for key in keys for v in column]
+    return keys
+
+
+def ref_pair(lifetime, max_size, keys, observers):
+    clock = FakeClock()
+    tables = [
+        Table("t", lifetime, max_size, list(keys), clock),
+        ReferenceTable("t", lifetime, max_size, list(keys), clock),
+    ]
+    streams = []
+    for table in tables:
+        seen = []
+        streams.append(seen)
+        for i in range(observers):
+            tap = lambda tup, what, seen=seen, i=i: seen.append((i, tup.values, what))
+            table.on_insert.append(tap)
+            table.on_remove.append(tap)
+            table.on_refresh.append(tap)
+    return clock, tables, streams
+
+
+def run_against_reference(sequence, lifetime, max_size, keys, indexed, observers):
+    clock, (table, ref), (seen, want) = ref_pair(lifetime, max_size, keys, observers)
+    indexes = []
+    if indexed is not None:
+        indexes.append((table.index_on(indexed), ref.index_on(indexed)))
+
+    def agree(a, b, what):
+        assert a == b, f"{what}: {a!r} != {b!r}"
+        assert seen == want, f"{what}: observers saw {seen} != {want}"
+
+    for step, (op, arg) in enumerate(sequence):
+        when = f"step {step} ({op} {arg!r})"
+        live = list(ref.scan())
+        if op == "insert" or (op in ("rewrite", "refresh") and live):
+            if op == "rewrite":
+                which, payload = arg
+                values = live[which % len(live)].values[:2] + (payload,)
+            elif op == "refresh":
+                values = live[arg % len(live)].values
+            else:
+                values = arg
+            tup = Tuple("t", values)
+            agree(table.insert(tup), ref.insert(tup), when)
+        elif op == "delete":
+            tup = Tuple("t", arg)
+            agree(table.delete(tup), ref.delete(tup), when)
+        elif op == "delete_live" and live:
+            tup = live[arg % len(live)]
+            agree(table.delete(tup), ref.delete(tup), when)
+        elif op == "delete_matching":
+            agree(table.delete_matching(list(arg)), ref.delete_matching(list(arg)), when)
+        elif op == "advance":
+            clock.t += arg
+        elif op == "restore":
+            values, remaining, age = arg
+            tup = Tuple("t", values)
+            expires_at = clock.t + remaining
+            inserted_at = None if age is None else clock.t - age
+            agree(
+                table.restore(tup, expires_at, inserted_at),
+                ref.restore(tup, expires_at, inserted_at),
+                when,
+            )
+        elif op == "restore_remove":
+            tup = Tuple("t", arg)
+            agree(table.restore_remove(tup), ref.restore_remove(tup), when)
+        elif op == "restore_remove_live" and live:
+            tup = live[arg % len(live)]
+            agree(table.restore_remove(tup), ref.restore_remove(tup), when)
+        elif op == "snapshot":
+            agree(table.snapshot_rows(), ref.snapshot_rows(), when)
+        elif op == "sweep":
+            agree(table.sweep(), ref.sweep(), when)
+        elif op == "lookup":
+            key = tuple(arg[k - 1] for k in keys)
+            agree(table.lookup_key(key), ref.lookup_key(key), when)
+            agree(Tuple("t", arg) in table, Tuple("t", arg) in ref, when)
+        elif op == "index":
+            indexes.append((table.index_on(arg), ref.index_on(arg)))
+        for index, ref_index in indexes:
+            for key in ref_probe_keys(index.positions):
+                got = table.probe_index(index, key)
+                assert [id(t) for t in got] == [
+                    id(t) for t in ref.probe_index(ref_index, key)
+                ], f"{when}: probe {index.positions} {key}"
+        assert [id(t) for t in table.scan()] == [id(t) for t in ref.scan()], when
+        agree(len(table), len(ref), when)
+        agree(
+            (table.total_inserts, table.total_removals),
+            (ref.total_inserts, ref.total_removals),
+            when,
+        )
+    agree(table.snapshot_rows(), ref.snapshot_rows(), "end")
+    return seen
+
+
+@settings(max_examples=400, deadline=None)
+# A refreshed row keeps its seq: it is evicted before B, first inserted
+# earlier at the instant of the refresh ...
+@example(
+    sequence=[("insert", A0), ("advance", 1.0), ("insert", B0), ("refresh", 0),
+              ("insert", C0)],
+    lifetime=INFINITY, max_size=2, keys=(1, 2), indexed=None, observers=1,
+)
+# ... and a row whose indexed column changes moves to the end of its new
+# bucket but keeps its place in scan order.
+@example(
+    sequence=[("insert", A0), ("insert", (1, "a", 1)), ("rewrite", (0, 1))],
+    lifetime=INFINITY, max_size=INFINITY, keys=(1, 2), indexed=[2], observers=1,
+)
+@given(
+    sequence=ref_ops,
+    lifetime=st.sampled_from([INFINITY, 5.0]),
+    max_size=st.sampled_from([INFINITY, 0, 1, 2, 4]),
+    keys=st.sampled_from(REF_KEYS),
+    indexed=st.sampled_from([None, [0], [2], [1, 2]]),
+    observers=st.integers(min_value=0, max_value=2),
+)
+def test_table_behaves_like_the_reference_table(
+    sequence, lifetime, max_size, keys, indexed, observers
+):
+    run_against_reference(sequence, lifetime, max_size, keys, indexed, observers)
+
+
+def test_expiry_is_notified_in_scan_order_not_age_order():
+    # b is older than a in (inserted_at, seq) order — a was refreshed —
+    # yet a comes first in scan order, so a is expired (and notified)
+    # first; c, replaced after both, keeps its first place's rank.
+    a, b, c = (0, "a", 0), (1, "a", 0), (2, "a", 0)
+    seen = run_against_reference(
+        [
+            ("insert", c), ("insert", a), ("advance", 1.0), ("insert", b),
+            ("advance", 1.0), ("insert", a), ("insert", (2, "a", 1)),
+            ("advance", 6.0), ("sweep", None),
+        ],
+        lifetime=5.0, max_size=INFINITY, keys=(1,), indexed=[2], observers=1,
+    )
+    expired = [values for _, values, what in seen if what is RemoveReason.EXPIRED]
+    assert expired == [(2, "a", 1), a, b]
+
