@@ -16,7 +16,7 @@ from typing import List, Tuple
 from repro.core.system import System
 from repro.errors import ReproError
 from repro.faults.corruption import corrupt_best_succ, corrupt_pred
-from repro.net.marshal import encode_message
+from repro.net.marshal import payload_for, wire_length
 from repro.runtime.tuples import Tuple as RTuple
 
 #: Synthetic source address storm traffic is sent from.  It is never
@@ -168,9 +168,10 @@ class FaultInjector:
 
         def tick(left: int) -> None:
             self._storm_seq += 1
-            tup = RTuple(STORM_RELATION, (address, self._storm_seq))
-            wire = encode_message(tup, STORM_SOURCE, None, mid=self._storm_seq)
-            system.network.send(STORM_SOURCE, address, wire, size=len(wire))
+            mid = self._storm_seq
+            tup = payload_for(RTuple(STORM_RELATION, (address, mid)))
+            size = wire_length(tup, STORM_SOURCE, None, mid)
+            system.network.send(STORM_SOURCE, address, tup, size, mid=mid)
             if left > 1:
                 system.sim.schedule(interval, lambda: tick(left - 1))
 

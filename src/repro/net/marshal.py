@@ -1,15 +1,31 @@
-"""Tuple marshaling — the wire format between nodes.
+"""Tuple marshaling — what the wire between nodes guarantees.
 
-P2's network preamble/postamble marshal tuples onto UDP; this module is
-the simulated equivalent: a canonical, self-describing byte encoding
-(tagged JSON) for every OverLog value type.  Routing real bytes (rather
-than passing Python object references) keeps nodes honestly isolated —
-a value that cannot survive the wire fails loudly at send time — and
-gives the bandwidth accounting exact message sizes.
+P2's network preamble/postamble marshal tuples onto UDP.  Here every
+node shares one process, so a message carries the receiver-ready
+:class:`Tuple` itself; the wire format — a canonical, self-describing
+tagged JSON encoding (:func:`encode_message`, :func:`encode_delete`) —
+is the contract each send is held to, not bytes built and parsed:
 
-Encodable values: str, bool, int, float, None, NodeID, and (nested)
-sequences thereof.  Sequences decode as tuples (OverLog lists are
-immutable values).
+- **Isolation.** :func:`payload_for` returns a tuple exactly as decoding
+  its wire bytes would give it back, value by value and type by type:
+  sequences become tuples, a subclass of ``str``, ``int``, ``float`` or
+  ``NodeID`` becomes its base class (json spells it the way the base
+  class does).  It is the sender's own tuple whenever nothing would
+  change; tuples are immutable, so sharing one across nodes leaks
+  nothing the bytes would not have carried.
+- **Failure at send time.** A value the encoder cannot marshal raises
+  :class:`NetworkError` in :func:`payload_for` and :func:`wire_length`,
+  before the message enters the fabric.
+- **Exact sizes.** :func:`wire_length` and :func:`delete_length` are
+  ``len(encode_message(...))`` and ``len(encode_delete(...))`` computed
+  arithmetically, so byte accounting counts what shipping the bytes
+  would.
+
+Nothing at runtime builds or parses a message: the encoder and
+:func:`decode_message` define the format that the Hypothesis properties
+in ``tests/batchexec/test_properties.py`` pin sizes and normalisation
+against.  Encodable values: str, bool, int, float, None, NodeID, and
+(nested) sequences thereof.
 """
 
 from __future__ import annotations
@@ -24,6 +40,13 @@ from repro.runtime.tuples import Tuple
 _NODE_ID_TAG = "nodeid"
 
 
+def _unmarshalable(value: Any) -> NetworkError:
+    return NetworkError(
+        f"value of type {type(value).__name__} cannot be marshaled: "
+        f"{value!r}"
+    )
+
+
 def _encode_value(value: Any):
     if isinstance(value, NodeID):
         return {_NODE_ID_TAG: [value.value, value.bits]}
@@ -31,10 +54,7 @@ def _encode_value(value: Any):
         return [_encode_value(item) for item in value]
     if value is None or isinstance(value, (str, bool, int, float)):
         return value
-    raise NetworkError(
-        f"value of type {type(value).__name__} cannot be marshaled: "
-        f"{value!r}"
-    )
+    raise _unmarshalable(value)
 
 
 def _decode_value(value: Any):
@@ -70,7 +90,7 @@ def encode_message(
     src_tid: Optional[int],
     mid: Optional[int] = None,
 ) -> bytes:
-    """Marshal a tuple (plus trace identity) for transmission.
+    """The wire form of a tuple plus its trace identity.
 
     ``mid`` is the sender's wire-level message id — a per-node monotone
     counter stamped on every send.  (src, mid) uniquely identifies one
@@ -91,7 +111,8 @@ def encode_message(
 
 
 def encode_delete(name: str, pattern: PyTuple) -> bytes:
-    """Marshal a remote-delete request (None entries are wildcards)."""
+    """The wire form of a remote-delete request (None entries are
+    wildcards)."""
     body = {
         "kind": "delete",
         "name": name,
@@ -100,56 +121,54 @@ def encode_delete(name: str, pattern: PyTuple) -> bytes:
     return json.dumps(body, separators=(",", ":")).encode()
 
 
-#: Value types the tagged encoding maps to themselves (bool is an int
-#: subclass; NodeID round-trips to an equal NodeID).
-_WIRE_STABLE = (str, int, float, NodeID)
+#: Classes whose instances decode from the wire as themselves (``bool``
+#: and ``NoneType`` cannot be subclassed; a NodeID decodes to an equal
+#: NodeID).  Membership is by exact class: a subclass changes on the wire.
+_WIRE_STABLE = frozenset((str, int, float, bool, type(None), NodeID))
 
 
-def payload_for(
-    tup: Tuple,
-    src: str,
-    src_tid: Optional[int],
-    mid: Optional[int] = None,
-) -> Dict[str, Any]:
-    """The payload dict :func:`decode_message` would produce for this
-    send, without the JSON round-trip.
+def _wire_value(value: Any):
+    """``value`` as decoding its wire form gives it back."""
+    kind = value.__class__
+    if kind in _WIRE_STABLE:
+        return value
+    if isinstance(value, (list, tuple)):
+        return wire_values(value if kind is tuple else tuple(value))
+    if isinstance(value, NodeID):
+        return NodeID(value.value, value.bits)
+    # json writes a subclass with the base class's spelling
+    # (``int.__repr__``, ``float.__repr__``, the characters of the str).
+    if isinstance(value, str):
+        return str.__str__(value)
+    if isinstance(value, int):
+        return int.__int__(value)
+    if isinstance(value, float):
+        return float.__float__(value)
+    raise _unmarshalable(value)
 
-    This is the batch fabric's zero-copy path: the sender computes the
-    receiver-side payload once and attaches it to the message, so the
-    batched receiver never touches the wire bytes.  Values still pass
-    through the tagged encode/decode pair whenever they could be
-    altered by it (sequences decode as tuples), so the result is
-    byte-for-byte what decoding the real wire message yields.  The
-    extra ``"tuple"`` key carries a ready :class:`Tuple` the receiver
-    may adopt directly (immutable, so sharing across nodes is safe);
-    per-message decode paths never see this key.
-    """
-    values = tup.values
+
+def wire_values(values: PyTuple) -> PyTuple:
+    """``values`` as decoding their wire form gives them back: the same
+    tuple object when no value would change."""
     for value in values:
-        if not (value is None or isinstance(value, _WIRE_STABLE)):
-            normalized = tuple(
-                _decode_value(_encode_value(v)) for v in values
-            )
-            if normalized != values:
-                return {
-                    "kind": "tuple",
-                    "name": tup.name,
-                    "values": normalized,
-                    "src": src,
-                    "src_tid": src_tid,
-                    "mid": mid,
-                    "tuple": Tuple(tup.name, normalized),
-                }
+        if value.__class__ not in _WIRE_STABLE:
             break
-    return {
-        "kind": "tuple",
-        "name": tup.name,
-        "values": values,
-        "src": src,
-        "src_tid": src_tid,
-        "mid": mid,
-        "tuple": tup,
-    }
+    else:
+        return values
+    decoded = tuple(_wire_value(value) for value in values)
+    if all(a is b for a, b in zip(decoded, values)):
+        return values
+    return decoded
+
+
+def payload_for(tup: Tuple) -> Tuple:
+    """The tuple a receiver decodes from ``tup``'s wire form: ``tup``
+    itself unless a value would change on the wire."""
+    for value in tup.values:
+        if value.__class__ not in _WIRE_STABLE:
+            values = wire_values(tup.values)
+            return tup if values is tup.values else Tuple(tup.name, values)
+    return tup
 
 
 #: Cache of ``len(json.dumps(s))`` per distinct string.  Predicate
@@ -168,20 +187,22 @@ def _string_len(s: str) -> int:
 
 
 def _value_len(value: Any) -> int:
-    """len(json.dumps(_encode_value(value), separators=(",", ":")))."""
+    """len(json.dumps(_encode_value(value), separators=(",", ":"))), with
+    each value spelled the way json spells it (a subclass as its base
+    class)."""
     if value is None:
         return 4  # null
     if isinstance(value, bool):
         return 4 if value else 5  # true / false
     if isinstance(value, str):
-        return _string_len(value)
+        return _string_len(str.__str__(value))
     if isinstance(value, int):
-        return len(str(value))
+        return len(int.__repr__(value))
     if isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
+        if value != value or value in _INF:
             # json.dumps spells non-finite floats NaN/Infinity.
             return 3 if value != value else (8 if value > 0 else 9)
-        return len(repr(value))
+        return len(float.__repr__(value))
     if isinstance(value, NodeID):
         # {"nodeid":[value,bits]} — 14 chars of framing around the two
         # integers.
@@ -190,10 +211,7 @@ def _value_len(value: Any) -> int:
         if not value:
             return 2
         return 1 + len(value) + sum(_value_len(v) for v in value)
-    raise NetworkError(
-        f"value of type {type(value).__name__} cannot be marshaled: "
-        f"{value!r}"
-    )
+    raise _unmarshalable(value)
 
 
 def wire_length(
@@ -203,15 +221,7 @@ def wire_length(
     mid: Optional[int] = None,
 ) -> int:
     """Exact ``len(encode_message(tup, src, src_tid, mid))`` — computed
-    arithmetically, without building the JSON.
-
-    The batch fabric's zero-copy sends skip marshaling (the receiver
-    consumes :func:`payload_for`'s dict, never the bytes) but the
-    network's byte accounting must stay bit-identical to per-tuple
-    execution; this gives it the exact wire size for free.  Pinned
-    against the real encoder by a Hypothesis property in the batch
-    battery.
-    """
+    arithmetically, without building the JSON."""
     cache = _STR_LEN_CACHE
     name_len = cache.get(tup.name)
     if name_len is None:
@@ -237,6 +247,8 @@ def wire_length(
             elif kind is str:
                 cached = cache.get(v)
                 total += cached if cached is not None else _string_len(v)
+            elif kind is NodeID:
+                total += 14 + len(str(v.value)) + len(str(v.bits))
             else:
                 total += _value_len(v)
     else:
@@ -246,24 +258,31 @@ def wire_length(
     return total
 
 
+def delete_length(name: str, pattern: PyTuple) -> int:
+    """Exact ``len(encode_delete(name, pattern))``, computed like
+    :func:`wire_length`."""
+    return _DELETE_OVERHEAD + _string_len(name) + _value_len(tuple(pattern))
+
+
 _INF = (float("inf"), float("-inf"))
 
 
-#: Length of the frame skeleton around the name/values/src/src_tid/mid
-#: payload slots: measured once from the real encoder so the arithmetic
-#: can never drift from a punctuation change.
+#: Length of each frame's skeleton around its payload slots: measured
+#: once from the real encoder so the arithmetic can never drift from a
+#: punctuation change.
 _FRAME_OVERHEAD = (
     len(encode_message(Tuple("", ()), "", None, mid=None))
     - 2 * _string_len("")  # name, src slots
     - 2                    # empty values slot
     - 4 - 4                # null src_tid, null mid
 )
+_DELETE_OVERHEAD = len(encode_delete("", ())) - _string_len("") - 2
 
 
 def decode_message(data: bytes) -> Dict[str, Any]:
-    """Unmarshal a wire message into a payload dict.
+    """Unmarshal a wire message into a dict (the format's inverse).
 
-    For "tuple" messages the dict has name/values/src/src_tid; for
+    For "tuple" messages the dict has name/values/src/src_tid/mid; for
     "delete" messages name/pattern.
     """
     try:

@@ -28,7 +28,8 @@ built from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import NetworkError
 from repro.net.address import Address
@@ -46,38 +47,43 @@ DROP_BACKLOG = "send_backlog_full"
 
 
 class Message:
-    """An in-flight network message (a marshaled tuple payload).
+    """An in-flight network message.
 
-    ``decoded`` carries the unmarshaled payload when someone already
-    has it — a zero-copy sender, or a receiver-side admission gate
-    (overload protection) that had to inspect the relation name before
-    acking — so the node's ``receive`` does not decode again.
-    ``admitted`` is set once the reliable gate accepted the frame: the
-    receiver counts the arrival instead of deciding admission twice.
+    ``body`` is what the receiver applies — for a node, the
+    receiver-ready :class:`~repro.runtime.tuples.Tuple` or the
+    :class:`~repro.runtime.strand.DeleteAction` of a remote delete,
+    normalised by :mod:`repro.net.marshal` to what the wire would
+    deliver.  ``src_tid`` and ``mid`` are the sender's trace identity
+    for it (the receiver's ``tupleTable`` links the two); ``size`` is
+    its exact wire length.  ``admitted`` is set once the reliable gate
+    accepted the frame: the receiver counts the arrival instead of
+    deciding admission twice.
 
     A plain __slots__ class rather than a dataclass: one Message is
     built per send, on the hot path.
     """
 
     __slots__ = (
-        "src", "dst", "payload", "sent_at", "size", "decoded", "admitted",
+        "src", "dst", "body", "sent_at", "size", "src_tid", "mid", "admitted",
     )
 
     def __init__(
         self,
         src: Address,
         dst: Address,
-        payload: Any,
+        body: Any,
         sent_at: float,
         size: int = 0,
-        decoded: Any = None,
+        src_tid: Optional[int] = None,
+        mid: Optional[int] = None,
     ) -> None:
         self.src = src
         self.dst = dst
-        self.payload = payload
+        self.body = body
         self.sent_at = sent_at
         self.size = size
-        self.decoded = decoded
+        self.src_tid = src_tid
+        self.mid = mid
         self.admitted = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -199,6 +205,7 @@ class Network:
                     f"{name} rate must be in [0, 1): {rate}"
                 )
         self._sim = sim
+        self._now = sim.clock.reader()
         self._latency = latency if latency is not None else ConstantLatency(0.01)
         self._loss_rate = loss_rate
         self._link_loss: Dict[Tuple[Address, Address], float] = {}
@@ -229,6 +236,8 @@ class Network:
         #: Telemetry plane (``repro.obs.telemetry.Telemetry``) or None;
         #: None keeps every fast path free of telemetry calls.
         self.obs = obs
+        #: (src, dst) -> its series of the message-latency histogram.
+        self._latency_series: Dict[Tuple[Address, Address], Any] = {}
         #: Called with the abandoned :class:`Message` when the reliable
         #: transport exhausts its retries — the sender-visible drop.
         self.on_send_failure: List[Callable[[Message], None]] = []
@@ -260,11 +269,6 @@ class Network:
             raise NetworkError("the batch fabric requires tick mode")
         self._batch_fabric = True
         self._latency.use_per_source_streams()
-
-    @property
-    def batch_fabric(self) -> bool:
-        """True when UDP deliveries coalesce per (tick, destination)."""
-        return self._batch_fabric
 
     def set_admission(
         self, address: Address, gate: Callable[[Message], bool]
@@ -352,26 +356,25 @@ class Network:
         self,
         src: Address,
         dst: Address,
-        payload: Any,
+        body: Any,
         size: int = 0,
-        decoded: Any = None,
+        src_tid: Optional[int] = None,
+        mid: Optional[int] = None,
     ) -> None:
-        """Send ``payload`` from ``src`` to ``dst``.
+        """Send ``body`` from ``src`` to ``dst`` (fields: :class:`Message`).
 
         UDP mode: messages to unknown/down/partitioned destinations are
         counted as sent and dropped — the sender cannot tell.  Reliable
         mode: the message is tracked until acked or retries run out;
         only exhaustion makes it a (sender-visible) drop.
-
-        ``decoded`` is the already-unmarshaled payload dict (zero-copy
-        fast path): with it the sender may pass ``payload=None``, so it
-        is honoured only over the UDP batch fabric.
         """
-        self.stats.messages_sent += 1
-        self.stats.bytes_sent += size
-        self.stats.per_node_sent[src] = self.stats.per_node_sent.get(src, 0) + 1
-
-        message = Message(src, dst, payload, self._sim.now, size)
+        stats = self.stats
+        stats.messages_sent += 1
+        stats.bytes_sent += size
+        sent = stats.per_node_sent
+        sent[src] = sent.get(src, 0) + 1
+        now = self._now()
+        message = Message(src, dst, body, now, size, src_tid, mid)
         if self.transport == "reliable":
             channel = self._reliable_channel(src, dst)
             config = self.reliable_config
@@ -401,56 +404,57 @@ class Network:
             if reason is not None:
                 self._drop(reason, src, dst)
                 return
-        if self._batch_fabric and decoded is not None:
-            message.decoded = decoded
-        channel = self._channel(src, dst)
-        self._schedule_udp(channel, message)
-        if self._duplicate_rate > 0.0 and (
-            self._stream("net.dup", src).random() < self._duplicate_rate
-        ):
-            self.stats.messages_duplicated += 1
-            self._schedule_udp(channel, message, force_no_fifo=True)
-
-    def _schedule_udp(
-        self, channel: Channel, message: Message, force_no_fifo: bool = False
-    ) -> None:
-        delay = self._latency.delay(message.src, message.dst)
-        fifo = not force_no_fifo
-        if self._reorder_rate > 0.0 and (
-            self._stream("net.reorder", message.src).random()
-            < self._reorder_rate
-        ):
-            self.stats.messages_reordered += 1
-            delay += self._stream("net.reorder", message.src).uniform(
-                0, self._reorder_window
-            )
-            fifo = False
-        when = channel.next_delivery_time(self._sim.now, delay, fifo=fifo)
-        if self._batch_fabric:
-            # One event per (arrival tick, destination): the first
-            # message to the pair schedules the event, later ones append
-            # to the in-flight batch.  Append order equals the canonical
-            # per-message delivery order — senders execute in canonical
-            # order and each sender's sends are its own origin-seq order.
-            key = (when, message.dst)
-            batch = self._pending_batches.get(key)
-            if batch is not None:
-                batch.append(message)
+        link = (src, dst)
+        channel = self._channels.get(link)
+        if channel is None:
+            channel = self._channels[link] = Channel(src, dst)
+        # A fabric duplicate is a second pass that skips the FIFO clamp.
+        duplicate = False
+        while True:
+            delay = self._latency.delay(src, dst)
+            fifo = not duplicate
+            if self._reorder_rate > 0.0 and (
+                self._stream("net.reorder", src).random() < self._reorder_rate
+            ):
+                stats.messages_reordered += 1
+                delay += self._stream("net.reorder", src).uniform(
+                    0, self._reorder_window
+                )
+                fifo = False
+            when = channel.next_delivery_time(now, delay, fifo)
+            if self._batch_fabric:
+                # One event per (arrival tick, destination): the first
+                # message to the pair schedules the event, later ones
+                # append to the in-flight batch.  Append order equals the
+                # canonical per-message delivery order — senders execute
+                # in canonical order and each sender's sends are its own
+                # origin-seq order.
+                arrival = (when, dst)
+                batch = self._pending_batches.get(arrival)
+                if batch is None:
+                    self._pending_batches[arrival] = [message]
+                    self._sim.schedule_at(
+                        when,
+                        partial(self._deliver_batch, arrival),
+                        priority=self._delivery_priority,
+                        group=dst,
+                    )
+                else:
+                    batch.append(message)
+            else:
+                self._sim.schedule_at(
+                    when,
+                    partial(self._hand_over, (message,), self._down),
+                    priority=self._delivery_priority,
+                    group=dst,
+                )
+            if duplicate or not (
+                self._duplicate_rate > 0.0
+                and self._stream("net.dup", src).random() < self._duplicate_rate
+            ):
                 return
-            self._pending_batches[key] = [message]
-            self._sim.schedule_at(
-                when,
-                lambda k=key: self._deliver_batch(k),
-                priority=self._delivery_priority,
-                group=message.dst,
-            )
-            return
-        self._sim.schedule_at(
-            when,
-            lambda: self._deliver(message),
-            priority=self._delivery_priority,
-            group=message.dst,
-        )
+            stats.messages_duplicated += 1
+            duplicate = True
 
     def _drop(self, reason: str, src: Address, dst: Address) -> None:
         """Account one dropped message (stats bucket + telemetry event)."""
@@ -471,12 +475,6 @@ class Network:
                 return DROP_LOSS
         return None
 
-    def _channel(self, src: Address, dst: Address) -> Channel:
-        key = (src, dst)
-        if key not in self._channels:
-            self._channels[key] = Channel(src, dst)
-        return self._channels[key]
-
     def _reliable_channel(self, src: Address, dst: Address) -> ReliableChannel:
         key = (src, dst)
         channel = self._channels.get(key)
@@ -490,36 +488,42 @@ class Network:
             )
         return channel
 
-    def _deliver_batch(self, key: Tuple[float, Address]) -> None:
+    def _deliver_batch(self, arrival: Tuple[float, Address]) -> None:
         """Deliver one (tick, destination) batch of UDP messages, each
-        exactly as its own :meth:`_deliver` event would have been."""
-        for message in self._pending_batches.pop(key, ()):
-            self._deliver(message)
+        exactly as its own per-message event would have been."""
+        self._hand_over(self._pending_batches.pop(arrival), self._down)
 
-    def _deliver(self, message: Message) -> None:
-        # Re-check faults at delivery time: a node that crashed while the
-        # message was in flight must not receive it.
-        if message.dst in self._down or message.src in self._down:
-            self._drop(DROP_DOWN, message.src, message.dst)
-            return
-        self._hand_over(message)
+    def _hand_over(self, messages: Iterable[Message], down=frozenset()) -> None:
+        """Give each message to its destination's receiver, in order,
+        with delivery stats and latency — or count why it cannot be.
 
-    def _hand_over(self, message: Message) -> None:
-        """Give ``message`` to its destination's receiver (or count the
-        drop if it has none) with delivery stats and latency."""
-        receiver = self._receivers.get(message.dst)
-        if receiver is None:
-            self._drop(DROP_NO_RECEIVER, message.src, message.dst)
-            return
-        self.stats.messages_delivered += 1
-        per_node = self.stats.per_node_received
-        per_node[message.dst] = per_node.get(message.dst, 0) + 1
-        if self.obs is not None:
-            self.obs.msg_latency.observe(
-                self._sim.now - message.sent_at,
-                link=f"{message.src}->{message.dst}",
-            )
-        receiver(message)
+        ``down`` holds the addresses whose traffic is dropped at
+        delivery: a UDP message re-checks crashes that happened while
+        it was in flight; a reliable frame leaves them to retransmission.
+        """
+        receivers = self._receivers
+        stats = self.stats
+        received = stats.per_node_received
+        obs = self.obs
+        for message in messages:
+            src, dst = message.src, message.dst
+            if down and (dst in down or src in down):
+                self._drop(DROP_DOWN, src, dst)
+                continue
+            receiver = receivers.get(dst)
+            if receiver is None:
+                self._drop(DROP_NO_RECEIVER, src, dst)
+                continue
+            stats.messages_delivered += 1
+            received[dst] = received.get(dst, 0) + 1
+            if obs is not None:
+                series = self._latency_series.get((src, dst))
+                if series is None:
+                    series = self._latency_series[(src, dst)] = (
+                        obs.msg_latency.series(link=f"{src}->{dst}")
+                    )
+                series.observe(self._now() - message.sent_at)
+            receiver(message)
 
     # ------------------------------------------------------------------
     # Reliable transport: ack / retransmit / reorder machinery
@@ -619,7 +623,7 @@ class Network:
             delay += self._stream("net.reorder", message.src).uniform(
                 0, self._reorder_window
             )
-        when = channel.next_delivery_time(self._sim.now, delay, fifo=False)
+        when = channel.next_delivery_time(self._now(), delay, fifo=False)
         self._sim.schedule_at(
             when,
             lambda: self._deliver_frame(channel, seq, base, message),
@@ -666,15 +670,13 @@ class Network:
         # Everything below the frame's base is resolved at the sender
         # (acked or abandoned) — deliver held frames below it and stop
         # waiting for dead gaps, instead of stalling out the hold timer.
-        for queued in channel.advance_base(base):
-            self._hand_over(queued)
+        self._hand_over(channel.advance_base(base))
         ready = channel.accept(seq, message)
         if not ready and channel.gapped:
             # Held behind a gap: bound head-of-line blocking in case the
             # sender has given up on the missing frame.
             self._arm_gap_timer(channel)
-        for queued in ready:
-            self._hand_over(queued)
+        self._hand_over(ready)
         if not channel.gapped and channel.gap_timer is not None:
             channel.gap_timer.cancel()
             channel.gap_timer = None
@@ -760,8 +762,7 @@ class Network:
             self.obs.event(
                 "net.gap_skip", link=f"{channel.src}->{channel.dst}"
             )
-        for queued in channel.skip_gap():
-            self._hand_over(queued)
+        self._hand_over(channel.skip_gap())
         if channel.gapped:
             self._arm_gap_timer(channel)
 

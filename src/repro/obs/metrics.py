@@ -223,11 +223,16 @@ class Histogram(Instrument):
         self._series: Dict[LabelKey, HistogramData] = {}
 
     def observe(self, value: float, **labels) -> None:
+        self.series(**labels).observe(value)
+
+    def series(self, **labels) -> HistogramData:
+        """The distribution of one label combination (created empty on
+        first use), for a caller that observes it repeatedly."""
         key = self._key(labels)
         data = self._series.get(key)
         if data is None:
             data = self._series[key] = HistogramData(self.subbuckets)
-        data.observe(value)
+        return data
 
     def data(self, *key) -> Optional[HistogramData]:
         return self._series.get(tuple(key))

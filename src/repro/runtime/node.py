@@ -29,11 +29,10 @@ from typing import Any, Callable, Dict, List, Optional, Tuple as PyTuple
 from repro.errors import RuntimeStateError
 from repro.net.address import Address
 from repro.net.marshal import (
-    decode_message,
-    encode_delete,
-    encode_message,
+    delete_length,
     payload_for,
     wire_length,
+    wire_values,
 )
 from repro.net.network import Message, Network
 from repro.overlog.builtins import EvalContext
@@ -111,12 +110,6 @@ class P2Node:
         self._queue: deque = deque()
         self._pumping = False
         self._stopped = False
-
-        # Zero-copy sends: over the coalescing UDP fabric the sender
-        # attaches the decoded payload (marshal.payload_for) so the
-        # receiver skips the unmarshal.  The wire size is still
-        # accounted exactly — only the encode/decode pair is elided.
-        self._zero_copy = network.transport == "udp" and network.batch_fabric
 
         # Overload protection (repro.overload): None keeps every hot
         # path exactly as before — no admission checks, no mailbox.
@@ -303,7 +296,7 @@ class P2Node:
     # Tuple entry points
 
     def receive(self, message: Message) -> None:
-        """Network delivery callback: unmarshal, admit, and deliver.
+        """Network delivery callback: admit and apply one message.
 
         Serves per-message and coalesced fabric delivery alike.  Each
         message is processed to strand fixpoint before the caller hands
@@ -314,74 +307,56 @@ class P2Node:
             return
         self.work.reset_micro()
         self.work.charge("receive")
-        payload = message.decoded
-        if payload is None:
-            payload = decode_message(message.payload)
         ctrl = self.overload
-        if ctrl is None:
-            self._process_payload(payload)
-            self._pump()
-            return
-        relation = payload.get("name", "")
-        if message.admitted:
-            # The reliable-transport gate (:meth:`_admit_frame`) already
-            # ran admit_remote and accepted; count the arrival without
-            # re-deciding, or we would double-count the offer.
-            ctrl.count_arrival(relation)
-        elif not ctrl.admit_mailbox(relation):
-            return
-        if ctrl.service_delay <= 0.0:
-            # Zero service time: inline processing — exactly the
+        if ctrl is not None:
+            relation = message.body.name
+            if message.admitted:
+                # The reliable-transport gate (:meth:`_admit_frame`)
+                # already ran admit_remote and accepted; count the
+                # arrival without re-deciding, or we would double-count
+                # the offer.
+                ctrl.count_arrival(relation)
+            elif not ctrl.admit_mailbox(relation):
+                return
+            # Zero service time processes inline — exactly the
             # pre-overload behaviour, plus admission accounting.
-            self._process_payload(payload)
-            self._pump()
-            return
-        if not ctrl.mailbox_push(payload):
-            # The mailbox hit hard-full after the admission decision
-            # (reordered reliable frames are admitted at arrival but
-            # delivered when gaps fill); retract the admission.
-            ctrl.shed_after_admit(relation)
-            return
-        self._schedule_drain()
+            if ctrl.service_delay > 0.0:
+                if ctrl.mailbox_push(message):
+                    self._schedule_drain()
+                else:
+                    # The mailbox hit hard-full after the admission
+                    # decision (reordered reliable frames are admitted
+                    # at arrival but delivered when gaps fill); retract
+                    # the admission.
+                    ctrl.shed_after_admit(relation)
+                return
+        self._apply(message)
 
-    def _process_payload(self, payload: Dict[str, Any]) -> None:
-        """Apply one decoded wire payload (tuple or delete) locally."""
-        if payload["kind"] == "delete":
-            table = (
-                self.store.get(payload["name"])
-                if self.store.has(payload["name"])
-                else None
-            )
-            if table is not None:
-                removed = table.delete_matching(list(payload["pattern"]))
-                self.work.charge("delete", max(1, removed))
-            return
-        tup = payload.get("tuple") if self.registry is None else None
-        if tup is None:
-            tup = Tuple(payload["name"], tuple(payload["values"]))
-        if self.registry is not None:
-            self.registry.on_arrival(
-                tup,
-                payload.get("src"),
-                payload.get("src_tid"),
-                mid=payload.get("mid"),
-            )
-        self._deliver_local(tup)
+    def _apply(self, message: Message) -> None:
+        """Apply an admitted message's body — a tuple arriving with the
+        sender's trace identity, or a remote delete — and pump."""
+        body = message.body
+        if body.__class__ is Tuple:
+            if self.registry is not None:
+                self.registry.on_arrival(
+                    body, message.src, message.src_tid, mid=message.mid
+                )
+            self._deliver_local(body)
+        else:
+            self._delete_here(body.name, body.pattern)
+        self._pump()
 
     def _admit_frame(self, message: Message) -> bool:
         """Reliable-transport receiver gate (``Network.set_admission``).
 
         Called before a non-duplicate frame is acked; False becomes a
-        BUSY nack that feeds the sender's retransmit backoff.  Decodes
-        once and stashes the payload on the message so :meth:`receive`
-        does not decode it again; the network marks an accepted frame
-        ``admitted`` so :meth:`receive` does not re-admit it either.
+        BUSY nack that feeds the sender's retransmit backoff.  The
+        network marks an accepted frame ``admitted`` so :meth:`receive`
+        does not re-admit it.
         """
         if self._stopped or self.overload is None:
             return True
-        if message.decoded is None:
-            message.decoded = decode_message(message.payload)
-        return self.overload.admit_remote(message.decoded.get("name", ""))
+        return self.overload.admit_remote(message.body.name)
 
     def _schedule_drain(self) -> None:
         if self._drain_timer is not None or self._stopped:
@@ -398,10 +373,9 @@ class P2Node:
         ctrl = self.overload
         if self._stopped or ctrl is None or not ctrl.mailbox:
             return
-        payload = ctrl.mailbox_pop()
+        message = ctrl.mailbox_pop()
         self.work.reset_micro()
-        self._process_payload(payload)
-        self._pump()
+        self._apply(message)
         if ctrl.mailbox:
             self._schedule_drain()
 
@@ -425,6 +399,8 @@ class P2Node:
     # Delivery and the pump
 
     def _deliver_local(self, tup: Tuple) -> None:
+        if self._stopped:
+            return  # stopped mid-turn: the rest of the turn goes nowhere
         self.tuples_delivered += 1
         size = tup._size  # cached by estimated_size(); -1 until asked
         self.bytes_delivered += size if size >= 0 else tup.estimated_size()
@@ -560,47 +536,46 @@ class P2Node:
         return actions
 
     def _delete(self, action: DeleteAction) -> None:
-        if action.location == self.address:
-            if self.store.has(action.name):
-                removed = self.store.get(action.name).delete_matching(
-                    list(action.pattern)
-                )
-                self.work.charge("delete", max(1, removed))
-        else:
-            self.work.charge("send")
-            wire = encode_delete(action.name, tuple(action.pattern))
-            self.network.send(
-                self.address, str(action.location), wire, size=len(wire)
-            )
-
-    def _send_tuple(self, tup: Tuple) -> None:
-        self.work.charge("send")
-        src_tid = None
-        if self.registry is not None:
-            src_tid = self.registry.on_send(tup, str(tup.location))
-        self._wire_mid += 1
-        if self._zero_copy:
-            # Nobody reads the wire bytes (the receiver consumes the
-            # precomputed payload dict), so skip marshaling and charge
-            # the exact would-be wire size.
-            self.network.send(
-                self.address,
-                str(tup.location),
-                None,
-                size=wire_length(
-                    tup, self.address, src_tid, mid=self._wire_mid
-                ),
-                decoded=payload_for(
-                    tup, self.address, src_tid, mid=self._wire_mid
-                ),
-            )
+        if self._stopped:
             return
-        wire = encode_message(tup, self.address, src_tid, mid=self._wire_mid)
+        if action.location == self.address:
+            self._delete_here(action.name, action.pattern)
+            return
+        self.work.charge("send")
+        pattern = wire_values(tuple(action.pattern))
         self.network.send(
             self.address,
-            str(tup.location),
-            wire,
-            size=len(wire),
+            str(action.location),
+            DeleteAction(action.name, action.location, pattern),
+            size=delete_length(action.name, pattern),
+        )
+
+    def _delete_here(self, name: str, pattern: PyTuple) -> None:
+        table = self.store.find(name)
+        if table is not None:
+            removed = table.delete_matching(list(pattern))
+            self.work.charge("delete", max(1, removed))
+
+    def _send_tuple(self, tup: Tuple) -> None:
+        """Ship ``tup`` to its location as the tuple the receiver would
+        decode from its wire form, sized exactly (:mod:`repro.net.marshal`)."""
+        if self._stopped:
+            return
+        self.work.charge("send")
+        dst = str(tup.values[0])
+        src_tid = None
+        if self.registry is not None:
+            src_tid = self.registry.on_send(tup, dst)
+        self._wire_mid += 1
+        mid = self._wire_mid
+        body = payload_for(tup)
+        self.network.send(
+            self.address,
+            dst,
+            body,
+            wire_length(body, self.address, src_tid, mid),
+            src_tid,
+            mid,
         )
 
     # ------------------------------------------------------------------
@@ -716,9 +691,9 @@ class P2Node:
             # admitted but never processed: account them as shed so the
             # per-class identity offered == admitted + shed + deferred
             # survives a stop() mid-storm.
-            for payload in self.overload.mailbox.clear():
+            for message in self.overload.mailbox.clear():
                 self.overload.shed_after_admit(
-                    payload.get("name", ""), reason=SHED_STOPPED
+                    message.body.name, reason=SHED_STOPPED
                 )
         for table in self.store.tables():
             table.on_insert.clear()

@@ -23,8 +23,8 @@ This kernel executes one *tick* at a time instead:
 The kernel only *schedules*: what a node does with an event — receive,
 pump, fire — is the same code under every loop.  The speed-up comes
 from draining a tick in one pass and from the fabric this kernel turns
-on: one event per ``(tick, destination)`` instead of one per message,
-and zero-copy sends (docs/SCALE.md).
+on: one event per ``(tick, destination)`` instead of one per message
+(docs/SCALE.md).
 
 Equivalence contract (docs/SCALE.md): within a tick, nodes interact
 only through events scheduled for *later* ticks, and all per-message

@@ -116,7 +116,7 @@ class Simulator:
         # stays, anything else rounds up.
         k = math.ceil(when / tick - 1e-9)
         when = k * tick
-        now = self.clock.now
+        now = self.clock._now
         if when <= now:
             when = (math.floor(now / tick + 1e-9) + 1) * tick
         return when
@@ -164,7 +164,7 @@ class Simulator:
         group: Optional[str] = None,
     ) -> ScheduledEvent:
         """Run ``callback`` at absolute virtual time ``when``."""
-        if when < self.clock.now:
+        if when < self.clock._now:
             raise SimulationError(
                 f"cannot schedule in the past: {when} < {self.clock.now}"
             )

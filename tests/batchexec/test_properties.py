@@ -5,11 +5,13 @@ Three families:
 - *Loop invariance*: the per-event loop (``batch_size=1``) and the
   tick kernel (``batch_size=None``) reach the same fixpoint — and no
   other ``batch_size`` exists.
-- *Wire-length exactness*: :func:`repro.net.marshal.wire_length`
-  equals ``len(encode_message(...))`` for arbitrary marshalable
-  tuples (the zero-copy send path's byte accounting can never drift).
-- *Zero-copy payload fidelity*: :func:`repro.net.marshal.payload_for`
-  produces exactly what decoding the real wire bytes would.
+- *Wire-length exactness*: :func:`repro.net.marshal.wire_length` and
+  :func:`~repro.net.marshal.delete_length` equal the encoder's byte
+  count for arbitrary marshalable tuples and delete patterns (the send
+  path's byte accounting can never drift).
+- *Body fidelity*: :func:`repro.net.marshal.payload_for` gives the
+  receiver exactly what decoding the real wire bytes would, value by
+  value and type by type — numeric subclasses included.
 """
 
 from __future__ import annotations
@@ -21,9 +23,12 @@ from repro.core.system import System
 from repro.errors import SimulationError
 from repro.net.marshal import (
     decode_message,
+    delete_length,
+    encode_delete,
     encode_message,
     payload_for,
     wire_length,
+    wire_values,
 )
 from repro.overlog.program import Program
 from repro.overlog.types import NodeID
@@ -102,7 +107,7 @@ def test_batch_size_is_not_a_chunk_size(batch_size):
 
 
 # ----------------------------------------------------------------------
-# Wire-length exactness and zero-copy payload fidelity
+# Wire-length exactness and body fidelity
 
 node_ids = st.builds(
     lambda bits, frac: NodeID(int(frac * (1 << bits)) % (1 << bits), bits),
@@ -110,13 +115,37 @@ node_ids = st.builds(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
 )
 
+
+class Count(int):
+    """An int subclass: json spells it ``int.__repr__``, so it decodes
+    as an int."""
+
+
+class Reading(float):
+    """A float subclass whose own ``repr`` json never uses."""
+
+    def __repr__(self) -> str:
+        return f"Reading({float.__repr__(self)})"
+
+
+ints = st.integers(min_value=-(10**18), max_value=10**18)
+floats = st.floats(allow_nan=True, allow_infinity=True)
+numeric_subclasses = [ints.map(Count), floats.map(Reading)]
+try:
+    import numpy
+except ImportError:  # numpy is optional: the two classes above remain
+    pass
+else:
+    numeric_subclasses.append(floats.map(numpy.float64))
+
 scalars = st.one_of(
     st.none(),
     st.booleans(),
-    st.integers(min_value=-(10**18), max_value=10**18),
-    st.floats(allow_nan=True, allow_infinity=True),
+    ints,
+    floats,
     st.text(max_size=30),
     node_ids,
+    *numeric_subclasses,
 )
 
 values = st.recursive(
@@ -138,33 +167,46 @@ maybe_tid = st.one_of(st.none(), st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=400, deadline=None)
 @given(tup=wire_tuples, src=addresses, tid=maybe_tid, mid=maybe_tid)
 def test_wire_length_matches_encoder(tup, src, tid, mid):
+    body = payload_for(tup)
     assert wire_length(tup, src, tid, mid=mid) == len(
         encode_message(tup, src, tid, mid=mid)
-    )
+    ) == wire_length(body, src, tid, mid=mid)
 
 
-def _nan_safe(value):
-    """Replace NaN with a sentinel so payload dicts compare by value."""
-    if isinstance(value, float) and value != value:
-        return "<nan>"
-    if isinstance(value, tuple):
-        return tuple(_nan_safe(v) for v in value)
-    return value
+@settings(max_examples=200, deadline=None)
+@given(tup=wire_tuples)
+def test_delete_length_matches_encoder(tup):
+    pattern = wire_values(tup.values)
+    assert delete_length(tup.name, tup.values) == len(
+        encode_delete(tup.name, tup.values)
+    ) == delete_length(tup.name, pattern)
+    decoded = decode_message(encode_delete(tup.name, tup.values))["pattern"]
+    assert same_on_the_wire(pattern, decoded)
+
+
+def same_on_the_wire(ours, decoded) -> bool:
+    """Equal value by value and type by type at every nesting depth
+    (a NaN matches a NaN, and a float is spelled like the other)."""
+    if type(ours) is not type(decoded):
+        return False
+    if isinstance(ours, tuple):
+        return len(ours) == len(decoded) and all(
+            map(same_on_the_wire, ours, decoded)
+        )
+    if isinstance(ours, float):
+        return repr(ours) == repr(decoded)
+    if isinstance(ours, NodeID):
+        return (ours.value, ours.bits) == (decoded.value, decoded.bits)
+    return ours == decoded
 
 
 @settings(max_examples=400, deadline=None)
 @given(tup=wire_tuples, src=addresses, tid=maybe_tid, mid=maybe_tid)
 def test_payload_for_matches_wire_roundtrip(tup, src, tid, mid):
     via_wire = decode_message(encode_message(tup, src, tid, mid=mid))
-    zero_copy = payload_for(tup, src, tid, mid=mid)
-    carried = zero_copy.pop("tuple")
-    assert _nan_safe(tuple(zero_copy.pop("values"))) == _nan_safe(
-        tuple(via_wire.pop("values"))
-    )
-    assert zero_copy == via_wire
-    # The ready-made Tuple the receiver adopts matches the values the
-    # per-message decode path would have built its Tuple from.
-    assert carried.name == tup.name
-    assert _nan_safe(carried.values) == _nan_safe(
-        tuple(decode_message(encode_message(tup, src, tid, mid=mid))["values"])
-    )
+    body = payload_for(tup)
+    assert body.name == via_wire["name"] == tup.name
+    assert same_on_the_wire(body.values, via_wire["values"])
+    # Nothing changes on the wire: the sender's own tuple travels.
+    if same_on_the_wire(tup.values, via_wire["values"]):
+        assert body is tup

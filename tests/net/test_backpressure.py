@@ -36,12 +36,12 @@ def test_refused_frame_is_nacked_and_retried():
     sim, net = build(config=ReliableConfig(rto=0.2, jitter=0.0))
     got = []
     admitted = []
-    net.attach("b", lambda m: got.append(m.payload))
+    net.attach("b", lambda m: got.append(m.body))
     # Refuse the first presentation of every frame, accept retries.
     def gate(message):
-        if message.payload in admitted:
+        if message.body in admitted:
             return True
-        admitted.append(message.payload)
+        admitted.append(message.body)
         return False
     net.set_admission("b", gate)
     for i in range(5):
@@ -57,7 +57,7 @@ def test_permanently_busy_receiver_exhausts_retries():
     failed = []
     net.attach("b", lambda m: None)
     net.set_admission("b", lambda m: False)
-    net.on_send_failure.append(lambda m: failed.append(m.payload))
+    net.on_send_failure.append(lambda m: failed.append(m.body))
     net.send("a", "b", "m")
     sim.run_until(30.0)
     assert failed == ["m"]
@@ -68,7 +68,7 @@ def test_permanently_busy_receiver_exhausts_retries():
 def test_accepting_gate_is_invisible():
     sim, net = build()
     got = []
-    net.attach("b", lambda m: got.append(m.payload))
+    net.attach("b", lambda m: got.append(m.body))
     net.set_admission("b", lambda m: True)
     for i in range(10):
         net.send("a", "b", i)
@@ -94,9 +94,9 @@ def test_duplicate_frames_bypass_the_gate():
     sim, net = build(seed=3, duplicate_rate=0.5)
     got = []
     gate_calls = []
-    net.attach("b", lambda m: got.append(m.payload))
+    net.attach("b", lambda m: got.append(m.body))
     def gate(message):
-        gate_calls.append(message.payload)
+        gate_calls.append(message.body)
         return True
     net.set_admission("b", gate)
     for i in range(30):
@@ -113,7 +113,7 @@ def test_duplicate_frames_bypass_the_gate():
 def test_window_cap_queues_sends_in_backlog():
     sim, net = build(config=ReliableConfig(window=2, backlog=100))
     got = []
-    net.attach("b", lambda m: got.append(m.payload))
+    net.attach("b", lambda m: got.append(m.body))
     for i in range(10):
         net.send("a", "b", i)
     assert net.stats.backlogged == 8  # only 2 in flight at once
@@ -126,7 +126,7 @@ def test_backlog_overflow_is_an_attributed_drop():
     sim, net = build(config=ReliableConfig(window=1, backlog=2))
     failed = []
     net.attach("b", lambda m: None)
-    net.on_send_failure.append(lambda m: failed.append(m.payload))
+    net.on_send_failure.append(lambda m: failed.append(m.body))
     for i in range(6):
         net.send("a", "b", i)
     # 1 in flight + 2 backlogged; the other 3 overflow immediately.
@@ -154,7 +154,7 @@ def test_reorder_cap_refuses_excess_held_frames():
         config=ReliableConfig(rto=0.2, jitter=0.0, reorder_cap=1),
     )
     got = []
-    net.attach("b", lambda m: got.append(m.payload))
+    net.attach("b", lambda m: got.append(m.body))
     for i in range(40):
         net.send("a", "b", i)
     sim.run_until(120.0)

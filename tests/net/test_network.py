@@ -20,14 +20,14 @@ def test_delivery_with_latency():
     assert got == []
     sim.run_until(0.051)
     assert len(got) == 1
-    assert got[0].payload == "hello"
+    assert got[0].body == "hello"
     assert got[0].src == "a"
 
 
 def test_fifo_per_channel():
     sim, net = build()
     got = []
-    net.attach("b", lambda m: got.append(m.payload))
+    net.attach("b", lambda m: got.append(m.body))
     for i in range(20):
         net.send("a", "b", i)
     sim.run_until(1.0)
@@ -80,7 +80,7 @@ def test_heal_restores_traffic():
     net.heal("a", "b")
     net.send("a", "b", 2)
     sim.run_until(1.0)
-    assert [m.payload for m in got] == [2]
+    assert [m.body for m in got] == [2]
 
 
 def test_take_down_drops_in_flight_messages():
@@ -104,7 +104,7 @@ def test_bring_up_after_down():
     net.bring_up("b")
     net.send("a", "b", 2)
     sim.run_until(1.0)
-    assert [m.payload for m in got] == [2]
+    assert [m.body for m in got] == [2]
 
 
 def test_loss_rate_drops_some_messages():
@@ -116,7 +116,7 @@ def test_loss_rate_drops_some_messages():
     sim.run_until(5.0)
     assert 0 < len(got) < 200
     # Delivered messages still arrive in FIFO order.
-    payloads = [m.payload for m in got]
+    payloads = [m.body for m in got]
     assert payloads == sorted(payloads)
 
 
@@ -170,8 +170,8 @@ def test_every_drop_has_an_attributed_reason():
 def test_per_link_loss_overrides_global_rate():
     sim, net = build(seed=2)
     got_b, got_c = [], []
-    net.attach("b", lambda m: got_b.append(m.payload))
-    net.attach("c", lambda m: got_c.append(m.payload))
+    net.attach("b", lambda m: got_b.append(m.body))
+    net.attach("c", lambda m: got_c.append(m.body))
     net.set_link_loss("a", "b", 0.8)
     for i in range(100):
         net.send("a", "b", i)
@@ -191,7 +191,7 @@ def test_udp_reorder_knob_breaks_fifo():
         sim, ConstantLatency(0.01), reorder_rate=0.5, reorder_window=0.5
     )
     got = []
-    net.attach("b", lambda m: got.append(m.payload))
+    net.attach("b", lambda m: got.append(m.body))
     for i in range(100):
         net.send("a", "b", i)
     sim.run_until(5.0)
@@ -204,7 +204,7 @@ def test_udp_duplicate_knob_delivers_copies():
     sim = Simulator(seed=8)
     net = Network(sim, ConstantLatency(0.01), duplicate_rate=0.5)
     got = []
-    net.attach("b", lambda m: got.append(m.payload))
+    net.attach("b", lambda m: got.append(m.body))
     for i in range(100):
         net.send("a", "b", i)
     sim.run_until(5.0)

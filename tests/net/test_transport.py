@@ -108,7 +108,7 @@ def test_channel_advance_base_delivers_held_and_skips_dead():
 def test_lossless_delivery_acks_and_clears_pending():
     sim, net = build()
     got = []
-    net.attach("b", lambda m: got.append(m.payload))
+    net.attach("b", lambda m: got.append(m.body))
     for i in range(10):
         net.send("a", "b", i)
     sim.run_until(5.0)
@@ -121,7 +121,7 @@ def test_lossless_delivery_acks_and_clears_pending():
 def test_lossy_link_is_masked_by_retransmission():
     sim, net = build(seed=7, loss=0.4)
     got = []
-    net.attach("b", lambda m: got.append(m.payload))
+    net.attach("b", lambda m: got.append(m.body))
     for i in range(50):
         net.send("a", "b", i)
     sim.run_until(120.0)
@@ -134,7 +134,7 @@ def test_lossy_link_is_masked_by_retransmission():
 def test_duplicating_fabric_is_deduplicated():
     sim, net = build(seed=3, duplicate_rate=0.5)
     got = []
-    net.attach("b", lambda m: got.append(m.payload))
+    net.attach("b", lambda m: got.append(m.body))
     for i in range(50):
         net.send("a", "b", i)
     sim.run_until(30.0)
@@ -153,7 +153,7 @@ def test_reordering_fabric_still_delivers_fifo():
         reorder_window=0.3,
     )
     got = []
-    net.attach("b", lambda m: got.append(m.payload))
+    net.attach("b", lambda m: got.append(m.body))
     for i in range(100):
         net.send("a", "b", i)
     sim.run_until(60.0)
@@ -164,7 +164,7 @@ def test_retry_exhaustion_is_sender_visible():
     config = ReliableConfig(rto=0.1, backoff=2.0, max_retries=2, jitter=0.0)
     sim, net = build(config=config)
     failures = []
-    net.on_send_failure.append(lambda m: failures.append(m.payload))
+    net.on_send_failure.append(lambda m: failures.append(m.body))
     net.send("a", "ghost", "lost")
     sim.run_until(10.0)
     assert failures == ["lost"]
@@ -178,7 +178,7 @@ def test_partition_heal_inside_retry_horizon_recovers():
     config = ReliableConfig(rto=0.2, backoff=2.0, max_retries=6, jitter=0.0)
     sim, net = build(config=config)
     got = []
-    net.attach("b", lambda m: got.append(m.payload))
+    net.attach("b", lambda m: got.append(m.body))
     net.partition("a", "b")
     net.send("a", "b", "patient")
     sim.run_until(1.0)
@@ -202,7 +202,7 @@ def test_abandoned_sends_do_not_stall_the_channel():
     )
     sim, net = build(config=config)
     got = []
-    net.attach("b", lambda m: got.append(m.payload))
+    net.attach("b", lambda m: got.append(m.body))
     net.partition("a", "b")
     net.send("a", "b", "doomed")
     sim.run_until(5.0)  # retries exhausted while partitioned
@@ -225,7 +225,7 @@ def test_gap_skip_backstops_sender_that_goes_silent():
     )
     sim, net = build(config=config)
     got = []
-    net.attach("b", lambda m: got.append(m.payload))
+    net.attach("b", lambda m: got.append(m.body))
     net.partition("a", "b")
     net.send("a", "b", "doomed")  # attempts at 0, 0.1, 0.25; gives up at 0.475
     sim.run_until(0.3)
@@ -244,7 +244,7 @@ def test_ack_loss_triggers_retransmit_but_single_delivery():
     # payload exactly once.
     sim, net = build(seed=11, loss=0.35)
     got = []
-    net.attach("b", lambda m: got.append(m.payload))
+    net.attach("b", lambda m: got.append(m.body))
     for i in range(30):
         net.send("a", "b", i)
     sim.run_until(60.0)
@@ -254,8 +254,8 @@ def test_ack_loss_triggers_retransmit_but_single_delivery():
 def test_bidirectional_channels_are_independent():
     sim, net = build(seed=2, loss=0.2)
     got_a, got_b = [], []
-    net.attach("a", lambda m: got_a.append(m.payload))
-    net.attach("b", lambda m: got_b.append(m.payload))
+    net.attach("a", lambda m: got_a.append(m.body))
+    net.attach("b", lambda m: got_b.append(m.body))
     for i in range(20):
         net.send("a", "b", ("ab", i))
         net.send("b", "a", ("ba", i))

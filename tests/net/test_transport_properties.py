@@ -58,7 +58,7 @@ def run_network(
     )
     received = {n: [] for n in NODES}
     for node in NODES:
-        net.attach(node, lambda m, _n=node: received[_n].append(m.payload))
+        net.attach(node, lambda m, _n=node: received[_n].append(m.body))
     for i, (src, dst) in enumerate(send_list):
         net.send(src, dst, (src, dst, i))
     sim.run_until(600.0)

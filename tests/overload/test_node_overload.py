@@ -46,8 +46,8 @@ def test_zero_service_time_processes_inline(sim, make_node):
 @pytest.mark.parametrize(
     "transport, execution, expected",
     [
-        # Zero-copy UDP: the message carries a decoded payload but was
-        # never admitted, so the mailbox decides — exactly once.
+        # UDP: the message was never admitted, so the mailbox decides —
+        # exactly once.
         ("udp", ExecutionConfig(), {"admit_mailbox": 1}),
         # Reliable: the gate decided before the ack; receive only
         # counts the arrival.
@@ -77,9 +77,9 @@ def test_admission_is_decided_once_per_message(
     sent = []
     send = system.network.send
 
-    def record_send(src, dst, payload, size=0, decoded=None):
-        sent.append((payload, decoded))
-        send(src, dst, payload, size=size, decoded=decoded)
+    def record_send(src, dst, body, size=0, src_tid=None, mid=None):
+        sent.append(body)
+        send(src, dst, body, size, src_tid, mid)
 
     monkeypatch.setattr(system.network, "send", record_send)
     got = b.collect("out")
@@ -87,8 +87,8 @@ def test_admission_is_decided_once_per_message(
     system.run_for(1.0)
     assert len(got) == 1
     assert calls == expected
-    (payload, decoded), = sent
-    assert (payload is None and decoded is not None) == (transport == "udp")
+    # Both transports carry the receiver-ready tuple itself.
+    assert sent == got
     counts = b.overload.counts[CLASS_DATA]
     assert counts.offered == 1 and counts.admitted == 1
 

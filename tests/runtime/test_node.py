@@ -418,30 +418,41 @@ def test_uninstall_drops_work_still_queued(make_node):
     assert not node._queue and first in node.programs
 
 
-def test_stop_mid_pump_ends_the_turn(make_node):
+def test_stop_mid_pump_ends_the_turn(sim, network, make_node):
     from repro.runtime.tuples import Tuple as T
 
-    node = make_node("a:1")
+    node, b = make_node("a:1"), make_node("b:1")
     node.install_source(
         """
         materialize(row, infinity, 10, keys(1,2)).
         r1 fan@N(X) :- evt@N(_), row@N(X).
-        r2 after@N(X) :- fan@N(X).
+        r2 out@Dst(X) :- fan@N(X), Dst := "b:1".
         """
     )
     for i in range(3):
         node.inject("row", ("a:1", i))
-    heard, after = [], node.collect("after")
+    heard, received = [], b.collect("out")
+    at_stop = {}
 
     def stop_at_first(tup: T) -> None:
         heard.append(tup)
         node.stop()
+        at_stop.update(
+            firings=node.rule_executions,
+            delivered=node.tuples_delivered,
+            sent=network.stats.messages_sent,
+        )
 
     node.subscribe("fan", stop_at_first)
     node.inject("evt", ("a:1", 0))
-    # The firing's other heads are still handed over, but to nobody:
-    # every subscription went with the stop.
-    assert len(heard) == 1 and after == []
+    sim.run_for(1.0)
+    # r1's other two heads would re-queue r2 on the stopped node: the
+    # turn ends at the stop instead — no firing, no delivery, no send.
+    assert len(heard) == 1 and at_stop["firings"] == 1
+    assert node.rule_executions == at_stop["firings"]
+    assert node.tuples_delivered == at_stop["delivered"]
+    assert network.stats.messages_sent == at_stop["sent"] == 0
+    assert received == []
     assert node.stopped and not node._pumping and not node._queue
     with pytest.raises(RuntimeStateError):
         node.inject("evt", ("a:1", 1))
