@@ -70,10 +70,8 @@ def test_trace_tables_are_bounded(benchmark):
     trace state must plateau, not grow with runtime."""
 
     def run():
-        system = System(seed=6)
-        node = system.add_node(
-            "n:1", tracing=True, trace_lifetime=30.0, trace_entries=500
-        )
+        system = System(seed=6, trace_lifetime=30.0, trace_entries=500)
+        node = system.add_node("n:1", tracing=True)
         node.install_source(WORKLOAD, name="workload")
         system.run_for(60.0)
         early = node.live_tuples()

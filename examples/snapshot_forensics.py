@@ -90,7 +90,16 @@ def main() -> None:
 
     nodes_by_addr = {a: net.node(a) for a in net.addresses}
     chain = trace_back(nodes_by_addr, target.values[0], target)
-    breakdown = latency_breakdown(chain)
+    # The ep rules also count the last delivery hop, up to when the
+    # observer first consumed the response: the earliest ruleExec row
+    # the response caused there.
+    tid = observer.registry.id_of(target)
+    observed_at = min(
+        row.values[4]
+        for row in observer.store.get("ruleExec").scan()
+        if row.values[2] == tid
+    )
+    breakdown = latency_breakdown(chain, observed_at=observed_at)
     print(
         f"  offline (analysis):  rule {breakdown.rule_time * 1000:.3f} ms, "
         f"net {breakdown.net_time * 1000:.1f} ms, "

@@ -20,10 +20,19 @@ from repro.chord import ids as ring
 from repro.errors import ReproError
 from repro.chord.program import ChordParams, chord_program
 from repro.net.address import make_address
-from repro.net.topology import ConstantLatency, LatencyModel
 from repro.overlog.types import NodeID
 from repro.runtime.node import P2Node
 from repro.runtime.tuples import Tuple
+
+#: Seconds after a join at which a node still without a successor (its
+#: join lookup was lost or raced the landmark's bootstrap) joins again.
+JOIN_RETRY = 15.0
+#: Joins retried after a node's first join, and after the re-join of a
+#: node :meth:`ChordNetwork.ensure_joined` found evicted.
+JOIN_RETRIES = 5
+REJOIN_RETRIES = 3
+#: Delay before the first re-join attempt after a crash-restart.
+REJOIN_DELAY = 5.0
 
 
 class ChordNetwork:
@@ -36,29 +45,17 @@ class ChordNetwork:
         params: Optional[ChordParams] = None,
         tracing: bool = False,
         logging: bool = False,
-        reflection: bool = False,
         recycle_dead_bug: bool = False,
-        latency: float = 0.01,
-        latency_model: Optional[LatencyModel] = None,
         **system,
     ) -> None:
-        """``system`` is forwarded verbatim to :class:`System` (transport,
-        fault rates, ``observability``, ``overload``, ``execution``,
-        ``store``, ring capacities, ...): options and their defaults are
-        declared there, once."""
+        """``system`` is forwarded verbatim to :class:`System` (latency
+        model, transport, fault rates, ``observability``, ``overload``,
+        ``execution``, ``store``, ring capacities, ...): options and their
+        defaults are declared there, once."""
         if num_nodes < 1:
             raise ReproError(f"num_nodes must be at least 1, got {num_nodes!r}")
         self.params = params if params is not None else ChordParams()
-        self.system = System(
-            seed=seed,
-            latency=(
-                latency_model
-                if latency_model is not None
-                else ConstantLatency(latency)
-            ),
-            id_bits=self.params.id_bits,
-            **system,
-        )
+        self.system = System(seed=seed, id_bits=self.params.id_bits, **system)
         self.program = chord_program(self.params, recycle_dead_bug)
         self.addresses: List[str] = [
             make_address(i) for i in range(num_nodes)
@@ -72,35 +69,26 @@ class ChordNetwork:
         #: Set by :meth:`enable_recovery`.
         self.recovery = None
         for addr in self.addresses:
-            self.system.add_node(
-                addr,
-                tracing=tracing,
-                logging=logging,
-                reflection=reflection,
-            )
+            self.system.add_node(addr, tracing=tracing, logging=logging)
 
     # ------------------------------------------------------------------
     # Bootstrap
 
-    def start(
-        self,
-        join_spacing: float = 1.0,
-        join_retry: float = 15.0,
-        max_retries: int = 5,
-    ) -> None:
+    def start(self, join_spacing: float = 1.0) -> None:
         """Install Chord everywhere and schedule staggered joins.
 
         The landmark joins first (forming the single-node ring); node i
         joins at ``i * join_spacing``.  If a node has no successor
-        ``join_retry`` seconds after joining (its join lookup was lost
-        or raced the landmark), the join event is re-injected.
+        ``JOIN_RETRY`` seconds after joining (its join lookup was lost
+        or raced the landmark), the join event is re-injected, up to
+        ``JOIN_RETRIES`` times.
         """
         for addr in self.addresses:
             self._prepare(addr)
         for index, addr in enumerate(self.addresses):
             self.system.sim.schedule(
                 index * join_spacing,
-                lambda a=addr: self._join(a, max_retries),
+                lambda a=addr: self._join(a, JOIN_RETRIES),
             )
 
     def _prepare(self, addr: str) -> None:
@@ -110,7 +98,7 @@ class ChordNetwork:
         node.inject("landmark", (addr, self.landmark))
         node.inject("nextFingerFix", (addr, 0))
 
-    def _join(self, addr: str, retries: int, join_retry: float = 15.0) -> None:
+    def _join(self, addr: str, retries: int) -> None:
         node = self.system.node(addr)
         if node.stopped:
             return
@@ -119,17 +107,16 @@ class ChordNetwork:
         self._joined.add(addr)
         if retries > 0:
             self.system.sim.schedule(
-                join_retry,
-                lambda: self._retry_join(addr, retries - 1, join_retry),
+                JOIN_RETRY, lambda: self._retry_join(addr, retries - 1)
             )
 
-    def _retry_join(self, addr: str, retries: int, join_retry: float) -> None:
+    def _retry_join(self, addr: str, retries: int) -> None:
         node = self.system.node(addr)
         if node.stopped or node.query("bestSucc"):
             return
-        self._join(addr, retries, join_retry)
+        self._join(addr, retries)
 
-    def ensure_joined(self, addr: str, retries: int = 3) -> bool:
+    def ensure_joined(self, addr: str) -> bool:
         """Re-inject a join for a node that lost its ring membership.
 
         A node isolated (or silenced) longer than the ping-eviction
@@ -155,15 +142,10 @@ class ChordNetwork:
             if other_succ is not None and other_succ != other:
                 node.inject("landmark", (addr, other))
                 break
-        self._join(addr, retries)
+        self._join(addr, REJOIN_RETRIES)
         return True
 
-    def add_late_node(
-        self,
-        tracing: bool = False,
-        logging: bool = False,
-        reflection: bool = False,
-    ) -> str:
+    def add_late_node(self, tracing: bool = False) -> str:
         """Create one more node (joined separately) and return its address.
 
         This is the paper's "21st node": the measured node added after
@@ -172,27 +154,23 @@ class ChordNetwork:
         addr = make_address(len(self.addresses))
         self.addresses.append(addr)
         self.ids[addr] = ring.node_id_for(addr, self.params.id_bits)
-        self.system.add_node(
-            addr, tracing=tracing, logging=logging, reflection=reflection
-        )
+        self.system.add_node(addr, tracing=tracing)
         self._prepare(addr)
-        self._join(addr, retries=5)
+        self._join(addr, JOIN_RETRIES)
         return addr
 
     @classmethod
-    def paper_setup(
-        cls, seed: int = 0, tracing: bool = False, **kwargs
-    ) -> "tuple[ChordNetwork, str]":
+    def paper_setup(cls, seed: int = 0) -> "tuple[ChordNetwork, str]":
         """The paper's §4 configuration: 20 nodes stabilize, then the
         21st (measured) node joins.  Returns (network, measured_addr).
 
         The pre-population runs for 5 simulated minutes before the
         measured node appears, as in the paper.
         """
-        net = cls(num_nodes=20, seed=seed, tracing=tracing, **kwargs)
+        net = cls(num_nodes=20, seed=seed)
         net.start()
         net.system.run_for(300.0)
-        measured = net.add_late_node(tracing=tracing)
+        measured = net.add_late_node()
         net.system.run_for(60.0)
         return net, measured
 
@@ -209,9 +187,7 @@ class ChordNetwork:
         else:
             self.system.crash(addr)
 
-    def enable_recovery(
-        self, checkpoint_interval: float = 30.0, rejoin_delay: float = 5.0
-    ):
+    def enable_recovery(self, checkpoint_interval: float = 30.0):
         """Protect every node with durable checkpoint+WAL state.
 
         After :meth:`restart`, the recovered node re-enters the ring
@@ -219,7 +195,7 @@ class ChordNetwork:
         is not enough: a successor entry whose TTL survived the downtime
         replays as *stale* state, making the first ``ensure_joined`` a
         no-op — and once it expires, nothing else would ever retry.  So
-        the hook arms a retry ladder (``rejoin_delay`` then 30 s apart)
+        the hook arms a retry ladder (``REJOIN_DELAY`` then 30 s apart)
         long enough to outlive any replayed successor's remaining TTL;
         every call after a successful re-join is a no-op.
         """
@@ -232,10 +208,10 @@ class ChordNetwork:
         )
         self.recovery.protect_all()
 
-        def rejoin(addr, node, report, _delay=rejoin_delay):
+        def rejoin(addr, node, report):
             for attempt in range(5):
                 self.system.sim.schedule(
-                    _delay + attempt * 30.0,
+                    REJOIN_DELAY + attempt * 30.0,
                     lambda a=addr: self.ensure_joined(a),
                 )
 

@@ -36,6 +36,9 @@ from typing import Dict, List, Optional
 
 from repro.errors import ReproError
 
+#: Seconds between live-tuple and memory samples.
+SAMPLE_PERIOD = 1.0
+
 
 @dataclass
 class MetricsSample:
@@ -78,15 +81,9 @@ class MetricsSample:
 class Meter:
     """Windowed measurement of a node subset (default: all nodes)."""
 
-    def __init__(
-        self,
-        system,
-        addresses: Optional[List[str]] = None,
-        sample_period: float = 1.0,
-    ) -> None:
+    def __init__(self, system, addresses: Optional[List[str]] = None) -> None:
         self._system = system
         self._addresses = addresses
-        self._sample_period = sample_period
         self._running = False
         self._timer = None
         self._t0 = 0.0
@@ -139,9 +136,7 @@ class Meter:
                 if node == address
             }
         self._sample()
-        self._timer = self._system.sim.every(
-            self._sample_period, self._sample
-        )
+        self._timer = self._system.sim.every(SAMPLE_PERIOD, self._sample)
 
     def _sample(self) -> None:
         reg = self._registry

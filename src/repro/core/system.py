@@ -23,7 +23,7 @@ from repro.overlog.types import DEFAULT_ID_BITS
 from repro.runtime.node import P2Node
 from repro.sim.batch import BatchKernel, ExecutionConfig
 from repro.sim.simulator import Simulator
-from repro.introspect import EventLogger, Reflector, Tracer, enable_tracing
+from repro.introspect import EventLogger, Reflector, Tracer
 from repro.store.store import RINGS, ForensicStore, StoreConfig
 
 
@@ -75,7 +75,6 @@ class System:
         id_bits: int = DEFAULT_ID_BITS,
         transport: str = "udp",
         reliable: Optional[ReliableConfig] = None,
-        reorder_rate: float = 0.0,
         duplicate_rate: float = 0.0,
         observability: bool = False,
         overload: Optional[OverloadConfig] = None,
@@ -107,7 +106,6 @@ class System:
             loss_rate=loss_rate,
             transport=transport,
             reliable=reliable,
-            reorder_rate=reorder_rate,
             duplicate_rate=duplicate_rate,
             obs=self.telemetry if observability else None,
         )
@@ -122,8 +120,7 @@ class System:
         #: Overload-protection config applied to every node (None keeps
         #: all hot paths exactly as before; see :mod:`repro.overload`).
         self.overload = overload
-        #: System-wide introspection-ring capacity defaults; ``add_node``
-        #: arguments override them per node.
+        #: Introspection-ring lifetime and capacities of every node.
         _check_rings(trace_lifetime, trace_entries, log_capacity, tuple_entries)
         self.trace_lifetime = trace_lifetime
         self.trace_entries = trace_entries
@@ -163,32 +160,13 @@ class System:
         tracing: bool = False,
         logging: bool = False,
         reflection: bool = False,
-        trace_lifetime: Optional[float] = None,
-        trace_entries: Optional[int] = None,
-        log_capacity: Optional[int] = None,
-        tuple_entries: Optional[int] = None,
     ) -> P2Node:
         """Create and register a node; optionally enable introspection.
 
-        Ring capacities (``trace_entries``, ``log_capacity``,
-        ``tuple_entries``) and the trace lifetime default to the
-        system-wide values given at construction.
+        Its rings take the lifetime and capacities given at construction.
         """
         if address in self.nodes:
             raise ReproError(f"node {address!r} already exists")
-        trace_lifetime = (
-            self.trace_lifetime if trace_lifetime is None else trace_lifetime
-        )
-        trace_entries = (
-            self.trace_entries if trace_entries is None else trace_entries
-        )
-        log_capacity = (
-            self.log_capacity if log_capacity is None else log_capacity
-        )
-        tuple_entries = (
-            self.tuple_entries if tuple_entries is None else tuple_entries
-        )
-        _check_rings(trace_lifetime, trace_entries, log_capacity, tuple_entries)
         node = P2Node(
             address,
             self.sim,
@@ -203,20 +181,16 @@ class System:
             "tracing": tracing,
             "logging": logging,
             "reflection": reflection,
-            "trace_lifetime": trace_lifetime,
-            "trace_entries": trace_entries,
-            "log_capacity": log_capacity,
-            "tuple_entries": tuple_entries,
         }
         if tracing:
-            self.tracers[address] = enable_tracing(
+            self.tracers[address] = Tracer(
                 node,
-                lifetime=trace_lifetime,
-                max_entries=trace_entries,
-                tuple_entries=tuple_entries,
+                lifetime=self.trace_lifetime,
+                max_entries=self.trace_entries,
+                tuple_entries=self.tuple_entries,
             )
         if logging:
-            self.loggers[address] = EventLogger(node, capacity=log_capacity)
+            self.loggers[address] = EventLogger(node, capacity=self.log_capacity)
         if reflection:
             self.reflectors[address] = Reflector(node)
         if self.store is not None and (tracing or logging):

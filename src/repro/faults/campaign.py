@@ -8,7 +8,7 @@ drives the schedule through its fault window, and emits a structured
 
 - **converged** — the ring is oracle-correct after the recovery phase;
 - **sound** — every alarm raised during the fault window cleared
-  within ``clear_grace`` seconds of the last heal (no stuck alarms);
+  within ``CLEAR_GRACE`` seconds of the last heal (no stuck alarms);
 - the full alarm timeline, the applied schedule in reproducible text
   form, and the network's transport counters (retransmissions,
   per-reason drops, suppressed duplicates).
@@ -40,46 +40,59 @@ from repro.sim.batch import ExecutionConfig
 from repro.store.store import StoreConfig
 
 
+#: Fault windows start up to this far into the campaign phase.
+FAULT_LEAD = 10.0
+#: Most reversible faults sampled per campaign.
+MAX_FAULTS = 3
+#: Alarms must stop within this many seconds after the last heal.
+#: The bound is set by the monitors themselves: the oscillation
+#: detector's ``repeatOscill`` is a windowed aggregate over a 120 s
+#: ``oscill`` table checked every ``tOscCheck``, so genuinely
+#: transient oscillation near heal time keeps the aggregate firing
+#: for up to ~155 s afterwards — that is correct monitor behaviour,
+#: not a stuck alarm.
+CLEAR_GRACE = 200.0
+#: Periods of the ring-probe and oscillation monitors under test.
+RING_PROBE_PERIOD = 15.0
+OSCILLATION_CHECK = 20.0
+#: Most crash–restart cycles per churn campaign (distinct nodes).
+MAX_RESTARTS = 2
+#: Sampled downtime bounds for churn windows (seconds).
+MIN_DOWN = 8.0
+MAX_DOWN = 45.0
+#: Checkpoint period for churn-mode durable protection.
+CHECKPOINT_INTERVAL = 20.0
+#: Most nodes stormed per storm campaign.
+MAX_STORMS = 2
+#: Storm arrival-rate bounds (msgs / virtual second).  With the 2 ms
+#: service time of :meth:`CampaignConfig.storm_overload` the node
+#: drains 500 msg/s, so these are ~1.4–2.4x saturation.
+STORM_RATE_MIN = 700.0
+STORM_RATE_MAX = 1200.0
+#: Storm duration bounds (seconds).
+STORM_DURATION_MIN = 4.0
+STORM_DURATION_MAX = 10.0
+#: Post-heal Chord lookups asserted in the storm verdict.
+STORM_LOOKUPS = 3
+
+
 @dataclass
 class CampaignConfig:
     """Knobs of one campaign run (defaults fit an 8-node smoke ring)."""
 
     num_nodes: int = 8
     transport: str = "reliable"
-    reliable: Optional[ReliableConfig] = None
     stabilize_time: float = 240.0
-    #: Fault windows start up to this far into the campaign phase.
-    fault_lead: float = 10.0
     #: Longest fault window (windows are sampled within it).
     fault_duration: float = 60.0
     #: Observation window after the last heal; must exceed
-    #: ``clear_grace`` so late alarms are actually observable.
+    #: ``CLEAR_GRACE`` so late alarms are actually observable.
     recovery_time: float = 260.0
-    #: Alarms must stop within this many seconds after the last heal.
-    #: The bound is set by the monitors themselves: the oscillation
-    #: detector's ``repeatOscill`` is a windowed aggregate over a 120 s
-    #: ``oscill`` table checked every ``tOscCheck``, so genuinely
-    #: transient oscillation near heal time keeps the aggregate firing
-    #: for up to ~155 s afterwards — that is correct monitor behaviour,
-    #: not a stuck alarm.
-    clear_grace: float = 200.0
-    max_faults: int = 3
-    ring_probe_period: float = 15.0
-    oscillation_check: float = 20.0
-    #: Include irreversible crashes in the sampled fault mix.
-    allow_crash: bool = False
     #: Churn mode: protect every node with durable checkpoint+WAL state
     #: (:mod:`repro.recovery`) and add sampled crash→restart windows to
     #: the schedule.  Restarted nodes replay their durable image and
     #: re-join the ring; the verdict records each recovery outcome.
     churn: bool = False
-    #: Most crash–restart cycles per churn campaign (distinct nodes).
-    max_restarts: int = 2
-    #: Sampled downtime bounds for churn windows (seconds).
-    min_down: float = 8.0
-    max_down: float = 45.0
-    #: Checkpoint period for churn-mode durable protection.
-    checkpoint_interval: float = 20.0
     #: Storm mode: replace the reversible-fault menu with randomized
     #: ``traffic_storm`` bursts (plus sampled ``slow_node`` windows)
     #: against overload-protected nodes.  The verdict gains an
@@ -87,31 +100,15 @@ class CampaignConfig:
     #: BUSY nacks, queue peaks, the priority invariant, and post-heal
     #: lookup outcomes — and ``passed`` requires the invariant to hold.
     storm: bool = False
-    #: Overload config for every node in storm mode (None derives one
-    #: from ``shedding``: bounded queues with ``service_time=0.002``,
-    #: or unbounded observe-only for the control arm).
-    overload: Optional[OverloadConfig] = None
     #: False runs the storm control arm: unbounded queues, shedding
     #: off — the verdict's queue peaks demonstrate unbounded growth.
     shedding: bool = True
-    max_storms: int = 2
-    #: Storm arrival-rate bounds (msgs / virtual second).  With the
-    #: default 2 ms service time the node drains 500 msg/s, so these
-    #: are ~1.4–2.4x saturation.
-    storm_rate_min: float = 700.0
-    storm_rate_max: float = 1200.0
-    storm_duration_min: float = 4.0
-    storm_duration_max: float = 10.0
     #: Probability each storm is accompanied by a slow_node window.
     slow_node_prob: float = 0.5
-    #: Post-heal Chord lookups asserted in the storm verdict.
-    storm_lookups: int = 3
-    #: Run with the telemetry plane enabled (spans, flight recorder,
-    #: fault/alarm events).  Implied by ``artifact_dir``.
-    observability: bool = False
     #: Export telemetry artifacts here after the run (trace + JSONL +
     #: Prometheus, prefix ``campaign_seed<seed>`` plus the mode suffix
-    #: of :meth:`FaultCampaign.leaf`); the verdict embeds
+    #: of :meth:`FaultCampaign.leaf`), with the telemetry plane enabled
+    #: (spans, flight recorder, fault/alarm events); the verdict embeds
     #: the JSONL path so a failure can be replayed in Perfetto or
     #: ``python -m repro obs summarize``.
     artifact_dir: Optional[str] = None
@@ -129,14 +126,8 @@ class CampaignConfig:
     #: so a failing seed's history can be sliced offline with
     #: ``python -m repro store slice``.
     store_dir: Optional[str] = None
-    #: Ring capacities for store-enabled campaigns (small rings force
-    #: rotation, proving the store carries what memory dropped).
-    trace_entries: int = 5000
-    log_capacity: int = 2000
 
     def reliable_config(self) -> ReliableConfig:
-        if self.reliable is not None:
-            return self.reliable
         if self.storm:
             # Bounded transport queues in storm mode: a capped sender
             # window + backlog (overflow is a sender-visible drop) and a
@@ -148,8 +139,6 @@ class CampaignConfig:
 
     def storm_overload(self) -> OverloadConfig:
         """The per-node overload config a storm campaign runs with."""
-        if self.overload is not None:
-            return self.overload
         if self.shedding:
             return OverloadConfig(service_time=0.002)
         # Control arm: same service rate, but unbounded queues and no
@@ -288,15 +277,12 @@ class FaultCampaign:
         schedule = FaultSchedule()
         if config.storm:
             return self._sample_storms(rng, schedule, addresses)
-        menu = list(self.FAULT_MENU)
-        if config.allow_crash:
-            menu.append("crash")
-        for _ in range(rng.randint(1, config.max_faults)):
-            start = rng.uniform(1.0, config.fault_lead)
+        for _ in range(rng.randint(1, MAX_FAULTS)):
+            start = rng.uniform(1.0, FAULT_LEAD)
             end = start + rng.uniform(
                 0.3 * config.fault_duration, config.fault_duration
             )
-            kind = rng.choice(menu)
+            kind = rng.choice(self.FAULT_MENU)
             if kind == "partition":
                 a, b = rng.sample(addresses, 2)
                 schedule.window(start, end, "partition", a, b)
@@ -326,17 +312,15 @@ class FaultCampaign:
                 schedule.window(
                     start, end, "reorder", round(rng.uniform(0.05, 0.3), 3)
                 )
-            elif kind == "crash":
-                schedule.at(start, "crash", rng.choice(addresses))
         if config.churn:
             # Crash→restart windows on distinct nodes: the window's
             # inverse (crash → restart) recovers each node from its
             # durable image after the sampled downtime.
-            count = rng.randint(1, config.max_restarts)
+            count = rng.randint(1, MAX_RESTARTS)
             count = min(count, max(1, len(addresses) - 1))
             for addr in rng.sample(sorted(addresses), count):
-                start = rng.uniform(1.0, config.fault_lead)
-                down = rng.uniform(config.min_down, config.max_down)
+                start = rng.uniform(1.0, FAULT_LEAD)
+                down = rng.uniform(MIN_DOWN, MAX_DOWN)
                 schedule.window(start, start + down, "crash", addr)
         return schedule
 
@@ -351,25 +335,17 @@ class FaultCampaign:
         The ordinary fault menu is deliberately excluded — the storm
         verdict isolates overload behaviour from partition/loss noise.
         """
-        config = self.config
-        count = min(
-            rng.randint(1, config.max_storms), len(addresses)
-        )
+        count = min(rng.randint(1, MAX_STORMS), len(addresses))
         self._storm_end = 0.0
         for addr in rng.sample(sorted(addresses), count):
-            start = rng.uniform(1.0, config.fault_lead)
-            rate = round(
-                rng.uniform(config.storm_rate_min, config.storm_rate_max), 1
-            )
+            start = rng.uniform(1.0, FAULT_LEAD)
+            rate = round(rng.uniform(STORM_RATE_MIN, STORM_RATE_MAX), 1)
             duration = round(
-                rng.uniform(
-                    config.storm_duration_min, config.storm_duration_max
-                ),
-                2,
+                rng.uniform(STORM_DURATION_MIN, STORM_DURATION_MAX), 2
             )
             schedule.at(start, "traffic_storm", addr, rate, duration)
             self._storm_end = max(self._storm_end, start + duration)
-            if rng.random() < config.slow_node_prob:
+            if rng.random() < self.config.slow_node_prob:
                 slow_start = round(rng.uniform(start, start + duration), 2)
                 slow_len = round(rng.uniform(2.0, duration), 2)
                 schedule.window(
@@ -416,14 +392,12 @@ class FaultCampaign:
             seed=self.seed,
             transport=config.transport,
             reliable=config.reliable_config(),
-            observability=config.observability or bool(config.artifact_dir),
+            observability=bool(config.artifact_dir),
             overload=config.storm_overload() if config.storm else None,
             execution=config.execution,
             store=store_config,
             tracing=store_config is not None,
             logging=store_config is not None,
-            trace_entries=config.trace_entries,
-            log_capacity=config.log_capacity,
         )
         net.start()
         stabilized = net.wait_stable(max_time=config.stabilize_time)
@@ -434,16 +408,12 @@ class FaultCampaign:
         recovery = None
         if config.churn:
             recovery = net.enable_recovery(
-                checkpoint_interval=config.checkpoint_interval
+                checkpoint_interval=CHECKPOINT_INTERVAL
             )
 
         nodes = [net.node(a) for a in net.live_addresses()]
-        ring_monitor = RingProbeMonitor(
-            probe_period=config.ring_probe_period
-        )
-        osc_monitor = OscillationMonitor(
-            check_period=config.oscillation_check
-        )
+        ring_monitor = RingProbeMonitor(probe_period=RING_PROBE_PERIOD)
+        osc_monitor = OscillationMonitor(check_period=OSCILLATION_CHECK)
         handles = [ring_monitor.install(nodes), osc_monitor.install(nodes)]
 
         # Timestamped alarm timeline (MonitorHandle keeps only tuples).
@@ -529,7 +499,7 @@ class FaultCampaign:
             lookups: List[List] = []
             live = sorted(net.live_addresses())
             src = live[0]
-            for addr in live[: config.storm_lookups]:
+            for addr in live[:STORM_LOOKUPS]:
                 key = net.ids[addr]
                 result = net.lookup(src, key, timeout=20.0)
                 owner = net.lookup_owner(key)
@@ -546,7 +516,7 @@ class FaultCampaign:
         last_alarm = max((t for t, _, _ in alarms), default=None)
         sound = (
             last_alarm is None
-            or last_alarm <= heal_time + config.clear_grace
+            or last_alarm <= heal_time + CLEAR_GRACE
         )
         if control:
             sound = not alarms

@@ -2,21 +2,24 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.core.system import System
 from repro.errors import ReproError
-from repro.gossip.program import GossipParams, gossip_program
+from repro.gossip.program import gossip_program
 from repro.net.address import make_address
-from repro.net.topology import ConstantLatency
 from repro.runtime.node import P2Node
 from repro.runtime.tuples import Tuple
+
+
+#: Ring-neighbors each node starts knowing.
+FANOUT = 2
 
 
 class GossipNetwork:
     """A population of gossip nodes bootstrapped from a contact graph.
 
-    Each node starts knowing its ``fanout`` ring-neighbors (a sparse
+    Each node starts knowing its ``FANOUT`` ring-neighbors (a sparse
     contact graph); membership sharing (m3/m4) then densifies the view.
     """
 
@@ -24,26 +27,20 @@ class GossipNetwork:
         self,
         num_nodes: int = 8,
         seed: int = 0,
-        params: Optional[GossipParams] = None,
-        fanout: int = 2,
         tracing: bool = False,
-        latency: float = 0.01,
         stale_share_bug: bool = False,
         **system,
     ) -> None:
-        """``system`` is forwarded verbatim to :class:`System`, which
-        declares those options and their defaults."""
+        """``system`` is forwarded verbatim to :class:`System` (latency
+        model, transport, ...), which declares those options and their
+        defaults."""
         if num_nodes < 1:
             raise ReproError(f"num_nodes must be at least 1, got {num_nodes!r}")
-        self.params = params if params is not None else GossipParams()
-        self.system = System(
-            seed=seed, latency=ConstantLatency(latency), **system
-        )
-        self.program = gossip_program(self.params, stale_share_bug)
+        self.system = System(seed=seed, **system)
+        self.program = gossip_program(stale_share_bug=stale_share_bug)
         self.addresses: List[str] = [
             make_address(i, base_port=20000) for i in range(num_nodes)
         ]
-        self.fanout = fanout
         for address in self.addresses:
             self.system.add_node(address, tracing=tracing)
 
@@ -55,7 +52,7 @@ class GossipNetwork:
             node.install(self.program)
             node.inject("self", (address,))
             node.inject("member", (address, address))
-            for step in range(1, self.fanout + 1):
+            for step in range(1, FANOUT + 1):
                 contact = self.addresses[(index + step) % count]
                 node.inject("member", (address, contact))
 

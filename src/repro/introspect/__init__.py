@@ -14,19 +14,18 @@ Everything a node knows about itself is reflected into queryable tables:
   tracer records with pipelined stage association (§2.1.2) feeding the
   normalized ``ruleExec`` table.
 
-``enable_tracing(node)`` is the one-call entry point, corresponding to
-the paper's "execution logging" switch whose cost §4 measures.
+``Tracer(node)`` is the one-call entry point, corresponding to the
+paper's "execution logging" switch whose cost §4 measures.
 """
 
 from repro.introspect.tuple_table import TupleRegistry
-from repro.introspect.tracer import Tracer, enable_tracing
+from repro.introspect.tracer import Tracer
 from repro.introspect.reflect import Reflector
 from repro.introspect.logger import EventLogger
 
 __all__ = [
     "TupleRegistry",
     "Tracer",
-    "enable_tracing",
     "Reflector",
     "EventLogger",
 ]

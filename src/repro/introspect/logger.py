@@ -31,22 +31,20 @@ TABLE_LOG = "tableLog"
 
 _INTERNAL = (TUPLE_LOG, TABLE_LOG, "ruleExec", "tupleTable")
 
+#: Seconds a log row lives.
+LOG_LIFETIME = 120.0
+
 
 class EventLogger:
     """Buffers node events into the tupleLog / tableLog relations."""
 
-    def __init__(
-        self,
-        node: P2Node,
-        lifetime: Any = 120.0,
-        capacity: Any = 2000,
-    ) -> None:
+    def __init__(self, node: P2Node, capacity: Any = 2000) -> None:
         self._node = node
         self._tuple_log = node.store.materialize(
-            Materialize(TUPLE_LOG, lifetime, capacity, [2])
+            Materialize(TUPLE_LOG, LOG_LIFETIME, capacity, [2])
         )
         self._table_log = node.store.materialize(
-            Materialize(TABLE_LOG, lifetime, capacity, [2])
+            Materialize(TABLE_LOG, LOG_LIFETIME, capacity, [2])
         )
         self._seq = 0
         self.enabled = True

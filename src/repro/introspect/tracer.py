@@ -271,17 +271,3 @@ class Tracer(TraceHooks):
         records = self._records.get(strand_id)
         return len(records) if records else 0
 
-
-def enable_tracing(
-    node: P2Node,
-    lifetime: Any = 120.0,
-    max_entries: Any = 5000,
-    tuple_entries: Any = 100000,
-) -> Tracer:
-    """Switch on execution logging for ``node`` (the §4 'logging' knob)."""
-    return Tracer(
-        node,
-        lifetime=lifetime,
-        max_entries=max_entries,
-        tuple_entries=tuple_entries,
-    )

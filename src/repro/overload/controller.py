@@ -69,9 +69,11 @@ SHED_LOG_CAPACITY = 4096
 
 @dataclass
 class OverloadConfig:
-    """Capacities and watermarks for one node's overload protection.
+    """Capacities for one node's overload protection.
 
     ``None`` capacities mean unbounded (observe-only for that queue).
+    Both queues shed from 0.8 and admit again from 0.5 of their capacity
+    (:mod:`repro.overload.queues`).
     ``service_time`` is the simulated per-message processing time that
     turns the mailbox into a real queue: at 0 every message is
     processed inline on arrival (today's behaviour, depth never
@@ -83,8 +85,6 @@ class OverloadConfig:
     mailbox_capacity: Optional[int] = 128
     strand_queue_capacity: Optional[int] = 512
     watch_capacity: int = 1000
-    high_watermark: float = 0.8
-    low_watermark: float = 0.5
     service_time: float = 0.0
     shedding: bool = True
 
@@ -127,16 +127,8 @@ class OverloadController:
         self.telemetry = telemetry
         self.node_label = node_label
         self.priorities = PriorityMap()
-        self.mailbox = BoundedQueue(
-            self.config.mailbox_capacity,
-            high=self.config.high_watermark,
-            low=self.config.low_watermark,
-        )
-        self.strand_state = QueueState(
-            self.config.strand_queue_capacity,
-            high=self.config.high_watermark,
-            low=self.config.low_watermark,
-        )
+        self.mailbox = BoundedQueue(self.config.mailbox_capacity)
+        self.strand_state = QueueState(self.config.strand_queue_capacity)
         self.slow_factor = 1.0
         self.counts: Dict[str, ClassCounts] = {
             cls: ClassCounts() for cls in CLASSES

@@ -42,6 +42,16 @@ OP_INSERT = "insert"    # NEW or REPLACED insert (expires_at follows)
 OP_REFRESH = "refresh"  # identical re-insert renewed the TTL deadline
 OP_REMOVE = "remove"    # delete / expire / evict / replace removal
 
+#: The keys each operation's record carries (the constructors below).
+RECORD_KEYS = {
+    OP_CREATE: ("seq", "t", "table", "lifetime", "max_size", "keys"),
+    OP_INSERT: ("seq", "t", "table", "values", "expires"),
+    OP_REFRESH: ("seq", "t", "table", "values", "expires"),
+    OP_REMOVE: ("seq", "t", "table", "values", "reason"),
+}
+#: The keys each checkpoint table carries (see ``set_checkpoint``).
+TABLE_KEYS = ("lifetime", "max_size", "keys", "rows")
+
 
 def encode_ttl(value: Any):
     """JSON-encode a lifetime/size parameter (INFINITY-aware)."""
@@ -135,6 +145,7 @@ class NodeImage:
             or "time" not in image.checkpoint
         ):
             raise DurableImageError("'checkpoint' is not an object with a 'time'")
+        _check_records(image)
         if image.checkpoint is not None:
             image.checkpoints_taken = 1
             image.checkpoint_time = image.checkpoint["time"]
@@ -145,6 +156,40 @@ class NodeImage:
             )
         image.wal_records_total = len(image.wal)
         return image
+
+
+def _check_records(image: NodeImage) -> None:
+    """Reject a checkpoint table or WAL record that replay could not
+    apply, naming it."""
+    if image.checkpoint is not None:
+        tables = image.checkpoint.get("tables")
+        if not isinstance(tables, dict):
+            raise DurableImageError("'checkpoint' has no 'tables' object")
+        for name, doc in tables.items():
+            where = f"checkpoint table {name!r}"
+            if not isinstance(doc, dict) or any(k not in doc for k in TABLE_KEYS):
+                raise DurableImageError(
+                    f"{where}: not an object with {', '.join(TABLE_KEYS)}"
+                )
+            if not isinstance(doc["rows"], list):
+                raise DurableImageError(f"{where}: 'rows' is not a list")
+            for i, row in enumerate(doc["rows"]):
+                if not isinstance(row, list) or len(row) != 3:
+                    raise DurableImageError(
+                        f"{where} row {i}: not [values, inserted_at, expires_at]"
+                    )
+    for i, record in enumerate(image.wal):
+        if not isinstance(record, dict):
+            raise DurableImageError(f"wal[{i}]: not an object")
+        op = record.get("op")
+        keys = RECORD_KEYS.get(op) if isinstance(op, str) else None
+        if keys is None:
+            raise DurableImageError(f"wal[{i}]: unknown op {op!r}")
+        missing = [k for k in keys if k not in record]
+        if missing:
+            raise DurableImageError(
+                f"wal[{i}]: {op!r} record lacks {', '.join(map(repr, missing))}"
+            )
 
 
 class DurableMedium:

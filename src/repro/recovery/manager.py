@@ -30,7 +30,7 @@ seed — byte-stable campaign verdicts can embed recovery outcomes.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.errors import ReproError
 from repro.introspect.logger import TABLE_LOG, TUPLE_LOG
@@ -163,16 +163,11 @@ def _ensure_table(node: P2Node, name: str, lifetime, max_size, keys):
 class RecoveryManager:
     """Durable-state protection and crash–restart for one system."""
 
-    def __init__(
-        self,
-        system,
-        checkpoint_interval: float = 30.0,
-        medium: Optional[DurableMedium] = None,
-    ) -> None:
+    def __init__(self, system, checkpoint_interval: float = 30.0) -> None:
         if getattr(system, "recovery", None) is not None:
             raise ReproError("system already has a RecoveryManager attached")
         self.system = system
-        self.medium = medium if medium is not None else DurableMedium()
+        self.medium = DurableMedium()
         self.checkpoint_interval = checkpoint_interval
         self._recorders: Dict[Address, NodeRecorder] = {}
         #: Called after every successful restart with
@@ -328,7 +323,7 @@ class RecoveryManager:
 
     # ------------------------------------------------------------------
 
-    def post_mortem(self, address: Address, seed: int = 0, store=None):
+    def post_mortem(self, address: Address, store=None):
         """Open a forensic replica of a (dead) node's durable state.
 
         ``store`` defaults to the system's forensic store (when one is
@@ -341,4 +336,4 @@ class RecoveryManager:
             store = getattr(self.system, "store", None)
         elif store is False:
             store = None
-        return PostMortem(self.medium, address, seed=seed, store=store)
+        return PostMortem(self.medium, address, store=store)

@@ -41,17 +41,13 @@ class PostMortem:
     """A single-node replica of one address's durable image."""
 
     def __init__(
-        self,
-        medium: DurableMedium,
-        address: Address,
-        seed: int = 0,
-        store=None,
+        self, medium: DurableMedium, address: Address, store=None
     ) -> None:
         from repro.core.system import System
 
         self.address = address
         self.image = medium.image(address)
-        self.system = System(seed=seed)
+        self.system = System()
         self.node = self.system.add_node(address)
         # Replay state only: the dead node's programs must not resume
         # firing in the replica — forensics reads history, it does not

@@ -7,7 +7,7 @@ from typing import List
 from repro.analysis.causality import CausalLink
 
 
-def render_chain(chain: List[CausalLink], show_preconditions: bool = True) -> str:
+def render_chain(chain: List[CausalLink]) -> str:
     """Render a newest-first chain oldest-first as an indented tree.
 
     Example::
@@ -33,15 +33,14 @@ def render_chain(chain: List[CausalLink], show_preconditions: bool = True) -> st
             f"{prefix}{link.rule} @ {link.node}  "
             f"[+{rule_ms:.3f} ms rule]{net_mark}"
         )
-        if show_preconditions and link.preconditions:
-            pad = "   " * depth
-            for precondition in link.preconditions:
-                contents = (
-                    repr(precondition.contents)
-                    if precondition.contents is not None
-                    else f"<tuple #{precondition.tuple_id}, expired>"
-                )
-                lines.append(f"{pad}├─ precondition: {contents}")
+        pad = "   " * depth
+        for precondition in link.preconditions:
+            contents = (
+                repr(precondition.contents)
+                if precondition.contents is not None
+                else f"<tuple #{precondition.tuple_id}, expired>"
+            )
+            lines.append(f"{pad}├─ precondition: {contents}")
     final = ordered[-1]
     if final.effect is not None:
         lines.append(f"=> {final.effect!r}")

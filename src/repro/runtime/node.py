@@ -728,10 +728,9 @@ class P2Node:
     def memory_bytes(self) -> int:
         return self.store.estimated_bytes()
 
-    def cpu_utilization(self, elapsed: Optional[float] = None) -> float:
+    def cpu_utilization(self) -> float:
         """Busy fraction (work-model seconds / elapsed virtual seconds)."""
-        window = elapsed if elapsed is not None else max(self.sim.now, 1e-9)
-        return self.work.utilization(window)
+        return self.work.utilization(max(self.sim.now, 1e-9))
 
     def __repr__(self) -> str:
         return f"<P2Node {self.address} tables={len(self.store.names())}>"

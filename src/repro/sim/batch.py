@@ -34,7 +34,8 @@ battery (``tests/batchexec/``) pins this: per-event and per-tick runs
 of every bundled program produce identical final tables, alarm
 streams, and campaign verdicts.
 
-``ExecutionConfig.batch_size`` selects the loop on the tick grid:
+An :class:`ExecutionConfig` always means the tick grid (``execution=None``
+is the continuous loop); its ``batch_size`` selects the loop on it:
 
 - ``None`` (default) — this kernel.
 - ``1`` — the per-event loop in canonical tick order, with per-message
@@ -58,10 +59,9 @@ DEFAULT_TICK = 0.01
 class ExecutionConfig:
     """How a :class:`~repro.core.system.System` executes events.
 
-    ``tick`` quantizes all scheduling onto a grid (the tick kernel
-    needs one; 0 keeps continuous time under the per-event loop).
-    ``batch_size`` selects the loop: ``None`` is the tick kernel, ``1``
-    the per-event loop; nothing else is accepted.
+    ``tick`` (> 0) quantizes all scheduling onto a grid.  ``batch_size``
+    selects the loop on it: ``None`` is the tick kernel, ``1`` the
+    per-event loop; nothing else is accepted.
     """
 
     batch_size: Optional[int] = None
@@ -73,10 +73,8 @@ class ExecutionConfig:
                 f"batch_size must be None (tick kernel) or 1 "
                 f"(per-event loop): {self.batch_size!r}"
             )
-        if self.tick < 0:
-            raise SimulationError(f"tick must be non-negative: {self.tick}")
-        if self.batched and self.tick <= 0:
-            raise SimulationError("batched execution requires tick > 0")
+        if not self.tick > 0:
+            raise SimulationError(f"tick must be positive: {self.tick}")
 
     @property
     def batched(self) -> bool:

@@ -176,24 +176,21 @@ class Simulator:
         callback: Callable[[], None],
         start_delay: Optional[float] = None,
         jitter: float = 0.0,
-        stream: str = "timers",
         group: Optional[str] = None,
     ) -> "PeriodicTimer":
         """Install a repeating timer; returns a handle with ``.cancel()``.
 
         ``start_delay`` defaults to one full period.  ``jitter`` adds a
         uniform random offset in ``[0, jitter)`` to each firing, drawn
-        from a per-timer random stream derived from ``stream`` and the
-        timer's creation index (deterministic under the master seed and
-        independent of how other timers interleave).
+        from a per-timer random stream named after the timer's creation
+        index (deterministic under the master seed and independent of
+        how other timers interleave).
         """
         if period <= 0:
             raise SimulationError(f"timer period must be positive: {period}")
         self._timer_ids += 1
         timer = PeriodicTimer(
-            self, period, callback, jitter,
-            f"{stream}.{self._timer_ids}" if jitter > 0 else stream,
-            group,
+            self, period, callback, jitter, f"timers.{self._timer_ids}", group
         )
         first = period if start_delay is None else start_delay
         timer._arm(first)

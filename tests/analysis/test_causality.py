@@ -1,7 +1,7 @@
 import pytest
 
 from repro.analysis import latency_breakdown, trace_back
-from repro.introspect import enable_tracing
+from repro.introspect import Tracer
 from repro.runtime.tuples import Tuple
 
 
@@ -9,7 +9,7 @@ from repro.runtime.tuples import Tuple
 def traced_pair(sim, make_node):
     a = make_node("a:1")
     b = make_node("b:1")
-    enable_tracing(a), enable_tracing(b)
+    Tracer(a), Tracer(b)
     program = """
     r1 hop@Dst(X) :- start@N(Dst, X).
     r2 final@N(X) :- hop@N(X).

@@ -4,13 +4,13 @@ import pytest
 
 from repro.analysis import trace_back
 from repro.analysis.causality import dependencies
-from repro.introspect import enable_tracing
+from repro.introspect import Tracer
 
 
 @pytest.fixture
 def traced_node(make_node):
     node = make_node("n:1")
-    enable_tracing(node)
+    Tracer(node)
     node.install_source(
         """
         materialize(route, 100, 10, keys(1,2)).
@@ -75,7 +75,7 @@ def test_a_link_lists_only_its_own_firings_preconditions(make_node, sim):
     the row *it* joined — not the other strand's, which is this one's
     trigger."""
     node = make_node("b")
-    enable_tracing(node)
+    Tracer(node)
     node.install_source(
         """
         materialize(link, 100, 20, keys(1,2)).

@@ -3,8 +3,11 @@
 import pytest
 
 from repro.chord import ChordNetwork, ChordParams
-from repro.errors import ReproError
+from repro.errors import ReproError, SimulationError
 from repro.gossip import GossipNetwork
+from repro.net.topology import ConstantLatency, JitteredLatency
+from repro.sim.batch import ExecutionConfig
+from repro.sim.rand import SimRandom
 
 
 def test_late_node_joins_established_ring():
@@ -68,6 +71,37 @@ def test_system_options_are_forwarded_not_redeclared():
     assert net.system.id_bits == 16
     with pytest.raises(TypeError, match="trasport"):
         ChordNetwork(num_nodes=2, trasport="reliable")
+
+
+def test_a_latency_model_reaches_the_network_as_given():
+    model = JitteredLatency(SimRandom(0), 0.01, 0.005)
+    net = ChordNetwork(num_nodes=2, latency=model)
+    assert net.system.network.latency_model is model
+
+
+#: Second spellings of a setting, each rejected where it is given.
+SECOND_SPELLINGS = {
+    "latency_model": (
+        TypeError,
+        lambda: ChordNetwork(num_nodes=2, latency_model=ConstantLatency(0.02)),
+    ),
+    "join_retry": (
+        TypeError,
+        lambda: ChordNetwork(num_nodes=2).start(join_retry=1.0),
+    ),
+    # execution=None is the continuous loop; an ExecutionConfig is a grid.
+    "tick=0": (
+        SimulationError,
+        lambda: ExecutionConfig(batch_size=1, tick=0.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("spelling", list(SECOND_SPELLINGS))
+def test_a_second_spelling_is_rejected(spelling):
+    error, build = SECOND_SPELLINGS[spelling]
+    with pytest.raises(error):
+        build()
 
 
 @pytest.mark.parametrize("count", [0, -3])

@@ -101,14 +101,16 @@ BAD_RING_ARGUMENTS = [
 @pytest.mark.parametrize("where", ["system", "add_node"])
 @pytest.mark.parametrize("name, value", BAD_RING_ARGUMENTS)
 def test_bad_ring_arguments_are_rejected_by_name(where, name, value):
-    with pytest.raises(ReproError) as raised:
-        if where == "system":
-            System(seed=0, **{name: value}).add_node(
-                "a:1", tracing=True, logging=True
-            )
-        else:
+    if where == "add_node":
+        # Ring sizes are System options only; a node takes none.
+        with pytest.raises(TypeError, match=name):
             System(seed=0).add_node(
                 "a:1", tracing=True, logging=True, **{name: value}
             )
+        return
+    with pytest.raises(ReproError) as raised:
+        System(seed=0, **{name: value}).add_node(
+            "a:1", tracing=True, logging=True
+        )
     message = str(raised.value)
     assert name in message and repr(value) in message

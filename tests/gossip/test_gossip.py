@@ -9,6 +9,7 @@ import pytest
 
 from repro.analysis import trace_back
 from repro.gossip import GossipNetwork, GossipParams, gossip_program
+from repro.net.topology import JitteredLatency
 from repro.overload.controller import OverloadConfig
 from repro.store import (
     ForensicStore,
@@ -17,6 +18,7 @@ from repro.store import (
     backward_slice,
     format as fmt,
 )
+from repro.sim.rand import SimRandom
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +147,12 @@ def test_system_options_reach_the_gossip_ring(tmp_path):
 
     with pytest.raises(TypeError, match="trace_entires"):
         GossipNetwork(num_nodes=2, trace_entires=200)
+
+
+def test_a_latency_model_reaches_the_gossip_network_as_given():
+    model = JitteredLatency(SimRandom(0), 0.01, 0.005)
+    net = GossipNetwork(num_nodes=2, latency=model)
+    assert net.system.network.latency_model is model
 
 
 def test_hop_counts_bounded_by_graph(meshed):

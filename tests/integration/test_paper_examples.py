@@ -8,7 +8,6 @@ stated outcomes.
 import pytest
 
 from repro.core.system import System
-from repro.introspect import enable_tracing
 
 
 def test_figure1_all_routes_rule():

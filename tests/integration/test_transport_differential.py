@@ -32,8 +32,9 @@ LOSSY = dict(
 # Figure 1: the all-routes path-vector program
 
 
-def run_allroutes(transport: str, **net_kwargs):
+def run_allroutes(transport: str, reorder_rate=0.0, **net_kwargs):
     system = System(seed=3, transport=transport, **net_kwargs)
+    system.network.set_reorder_rate(reorder_rate)
     source = """
     materialize(link, 100, 20, keys(1,2)).
     materialize(path, 100, 100, keys(1,2,3)).
@@ -66,8 +67,9 @@ def test_allroutes_tables_identical_udp_vs_lossy_reliable():
 # Chord: ring convergence
 
 
-def run_chord(transport: str, **net_kwargs):
+def run_chord(transport: str, reorder_rate=0.0, **net_kwargs):
     net = ChordNetwork(num_nodes=8, seed=5, transport=transport, **net_kwargs)
+    net.system.network.set_reorder_rate(reorder_rate)
     net.start()
     assert net.wait_stable(max_time=400.0), (
         f"{transport} ring never stabilized: {net.ring_errors()}"
@@ -93,8 +95,9 @@ def test_chord_ring_state_identical_udp_vs_lossy_reliable():
 # Gossip: membership mesh and broadcast coverage
 
 
-def run_gossip(transport: str, **net_kwargs):
+def run_gossip(transport: str, reorder_rate=0.0, **net_kwargs):
     net = GossipNetwork(num_nodes=8, seed=7, transport=transport, **net_kwargs)
+    net.system.network.set_reorder_rate(reorder_rate)
     net.start()
     net.run_for(60.0)
     net.publish(net.addresses[0], 42, "payload")

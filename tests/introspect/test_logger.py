@@ -75,10 +75,10 @@ def test_disable_stops_logging(node):
 
 
 def test_internal_tables_not_logged(make_node):
-    from repro.introspect import enable_tracing
+    from repro.introspect import Tracer
 
     node = make_node("m:1")
-    enable_tracing(node)
+    Tracer(node)
     EventLogger(node)
     node.install_source("r1 out@N(X) :- evt@N(X).")
     node.inject("evt", ("m:1", 1))

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.introspect import enable_tracing
+from repro.introspect import Tracer
 
 
 def test_rule_exec_cap_enforced(make_node):
     node = make_node("n:1")
-    tracer = enable_tracing(node, lifetime=1000.0, max_entries=50)
+    tracer = Tracer(node, lifetime=1000.0, max_entries=50)
     node.install_source("r1 out@N(X) :- evt@N(X).")
     for i in range(500):
         node.inject("evt", ("n:1", i))
@@ -16,7 +16,7 @@ def test_rule_exec_cap_enforced(make_node):
 
 def test_evicted_rows_release_tuple_memos(make_node):
     node = make_node("n:1")
-    tracer = enable_tracing(node, lifetime=1000.0, max_entries=50)
+    tracer = Tracer(node, lifetime=1000.0, max_entries=50)
     node.install_source("r1 out@N(X) :- evt@N(X).")
     for i in range(500):
         node.inject("evt", ("n:1", i))
@@ -32,7 +32,7 @@ def test_evicted_rows_release_tuple_memos(make_node):
 
 def test_trace_state_constant_under_steady_load(sim, make_node):
     node = make_node("n:1")
-    enable_tracing(node, lifetime=20.0, max_entries=5000)
+    Tracer(node, lifetime=20.0, max_entries=5000)
     node.install_source(
         """
         r drive@N(E) :- periodic@N(E, 0.5).
@@ -49,6 +49,6 @@ def test_trace_state_constant_under_steady_load(sim, make_node):
 def test_tracer_attach_points(make_node):
     node = make_node("n:1")
     assert node.hooks is None and node.registry is None
-    tracer = enable_tracing(node)
+    tracer = Tracer(node)
     assert node.hooks is tracer
     assert node.registry is tracer.registry

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.introspect import enable_tracing
+from repro.introspect import Tracer
 
 
 @pytest.fixture
 def traced(make_node):
     node = make_node("n:1")
-    tracer = enable_tracing(node, lifetime=100.0)
+    tracer = Tracer(node, lifetime=100.0)
     return node, tracer
 
 
@@ -95,7 +95,7 @@ def test_multiple_preconditions_one_row_each(traced):
 def test_cross_network_identity(sim, make_node):
     a = make_node("a:1")
     b = make_node("b:1")
-    tracer_a, tracer_b = enable_tracing(a), enable_tracing(b)
+    tracer_a, tracer_b = Tracer(a), Tracer(b)
     program = """
     r1 out@Dst(X) :- event@N(Dst, X).
     r2 final@N(X) :- out@N(X).

@@ -10,14 +10,14 @@ preconditions to the right execution.
 
 import pytest
 
-from repro.introspect import enable_tracing
+from repro.introspect import Tracer
 from repro.runtime.tuples import Tuple
 
 
 @pytest.fixture
 def setup(make_node):
     node = make_node("n:1")
-    tracer = enable_tracing(node, lifetime=100.0)
+    tracer = Tracer(node, lifetime=100.0)
     node.install_source(
         """
         materialize(prec1, 100, 10, keys(1,2,3)).

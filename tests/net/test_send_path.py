@@ -38,8 +38,9 @@ class Reading(float):
         return f"Reading({float.__repr__(self)})"
 
 
-def pair(loop, tracing=False, **options):
+def pair(loop, tracing=False, reorder_rate=0.0, **options):
     system = System(seed=3, **LOOPS[loop], **options)
+    system.network.set_reorder_rate(reorder_rate)
     a = system.add_node("a:1", tracing=tracing)
     b = system.add_node("b:1", tracing=tracing)
     a.install_source(SOURCE)

@@ -2,7 +2,7 @@
 
 A regression tripwire, not a benchmark: the numbers people quote come
 from ``benchmarks/`` (``benchmarks/e2e`` end to end, the paper-figure
-benchmarks into ``benchmarks/results/*.json``).  No guard here compares
+benchmarks into ``benchmarks/results/*.txt``).  No guard here compares
 a wall-clock reading with a number measured somewhere else: a few
 hundred firings take a few milliseconds, and a pinned ops/s from
 another machine says more about the machine than about the code.

@@ -8,11 +8,15 @@ last checkpoint (the WAL tail) survives too.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.system import System
 from repro.errors import DurableImageError, ReproError
 from repro.recovery import DurableMedium, NodeImage, RecoveryManager
+from repro.recovery.durable import insert_record
+from repro.recovery.postmortem import PostMortem
 
 KV_PROGRAM = """
 materialize(item, infinity, infinity, keys(2)).
@@ -277,3 +281,47 @@ def test_a_bad_image_beside_a_good_one_is_the_one_named(tmp_path):
     assert str(bad) in str(caught.value) and good not in str(caught.value)
     bad.unlink()
     assert DurableMedium.load(str(tmp_path)).addresses() == ["a:1"]
+
+
+def _bogus_op(doc):
+    record = insert_record(1, 11.0, "item", ("a:1", "k", 2), 1e9)
+    doc["wal"] = [dict(record, op="bogus")]
+
+
+def _short_row(doc):
+    row = doc["checkpoint"]["tables"]["item"]["rows"][0]
+    del row[2]
+
+
+# Replay would trip over each of these (KeyError, ValueError) or, for an
+# unknown op, count the record in ``report.wal_records`` and apply
+# nothing; loading rejects them instead.
+MALFORMED_RECORDS = [
+    ("empty-wal-record", lambda doc: doc.update(wal=[{}]), "wal[0]: unknown op None"),
+    ("short-checkpoint-row", _short_row, "checkpoint table 'item' row 0:"),
+    (
+        "checkpoint-without-tables",
+        lambda doc: doc["checkpoint"].pop("tables"),
+        "'checkpoint' has no 'tables' object",
+    ),
+    ("unknown-op", _bogus_op, "wal[0]: unknown op 'bogus'"),
+]
+
+
+@pytest.mark.parametrize(
+    "damage, reason",
+    [case[1:] for case in MALFORMED_RECORDS],
+    ids=[case[0] for case in MALFORMED_RECORDS],
+)
+def test_malformed_records_are_typed_errors_naming_file_and_record(
+    tmp_path, damage, reason
+):
+    path = saved_image(tmp_path)
+    with open(path) as handle:
+        doc = json.load(handle)
+    damage(doc)
+    with open(path, "w") as handle:
+        json.dump(doc, handle)
+    with pytest.raises(DurableImageError) as caught:
+        PostMortem(DurableMedium.load(str(tmp_path)), "a:1")
+    assert caught.value.path == path and reason in str(caught.value)

@@ -6,7 +6,7 @@ from repro.analysis import trace_back
 from repro.chord import ChordNetwork
 from repro.core.system import System
 from repro.faults import corrupt_best_succ
-from repro.introspect import enable_tracing
+from repro.introspect import Tracer
 from repro.monitors.base import Monitor
 from repro.report import Dashboard, render_chain, render_ring
 
@@ -45,7 +45,7 @@ def test_render_ring_flags_corruption(small_ring):
 def test_render_chain(make_node, sim):
     a = make_node("a:1")
     b = make_node("b:1")
-    enable_tracing(a), enable_tracing(b)
+    Tracer(a), Tracer(b)
     source = """
     materialize(cfg, 100, 10, keys(1,2)).
     r1 hop@Dst(X, C) :- start@N(Dst, X), cfg@N(C).

@@ -30,7 +30,7 @@ import pytest
 
 from repro.chord import ChordNetwork
 from repro.gossip.harness import GossipNetwork
-from repro.introspect.tracer import RULE_EXEC, enable_tracing
+from repro.introspect.tracer import RULE_EXEC, Tracer
 from repro.monitors import (
     ConsistencyProbeMonitor,
     PassiveRingMonitor,
@@ -368,7 +368,7 @@ def _run_random_case(
         sim = Simulator(seed=99)
         network = Network(sim, ConstantLatency(0.01))
         node = P2Node(ADDRESS, sim, network)
-        enable_tracing(node)
+        Tracer(node)
         stream = attach_stream(node)
         node.install_source(source, name="fuzz")
         for op, payload in workload:

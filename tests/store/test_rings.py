@@ -1,7 +1,7 @@
 """Configurable ring capacities and the rotation signal.
 
 Satellite of the forensic store: operators size the introspection
-rings per deployment (or per node), and the first time any ring
+rings per deployment, and the first time any ring
 rotates the system announces it — once — so dashboards can say
 "in-memory forensics is now lossy; slice from the store".
 """
@@ -41,20 +41,11 @@ def test_system_defaults_size_every_ring():
     assert a.store.get("tupleTable").max_size == 13
 
 
-def test_per_node_overrides_beat_system_defaults():
-    system = System(seed=0, trace_entries=500)
-    a = system.add_node(
-        "a:1", tracing=True, logging=True, trace_entries=9, log_capacity=5
-    )
-    b = system.add_node("b:1", tracing=True, logging=True)
-    assert a.store.get("ruleExec").max_size == 9
-    assert a.store.get("tupleLog").max_size == 5
-    assert b.store.get("ruleExec").max_size == 500
-
-
 def test_overrides_survive_crash_restart():
-    system = System(seed=1, trace_entries=9)
-    system.add_node("a:1", tracing=True, logging=True, log_capacity=5)
+    """Ring sizes that override the class defaults hold for a restarted
+    node too."""
+    system = System(seed=1, trace_entries=9, log_capacity=5)
+    system.add_node("a:1", tracing=True, logging=True)
     system.run_for(1.0)
     system.crash("a:1")
     system.run_for(1.0)
@@ -148,7 +139,7 @@ def test_bad_ring_capacities_rejected():
     with pytest.raises(ReproError):
         System(seed=0, trace_entries=0).add_node("a:1", tracing=True)
     with pytest.raises(ReproError):
-        System(seed=0).add_node("a:1", logging=True, log_capacity=-1)
+        System(seed=0, log_capacity=-1).add_node("a:1", logging=True)
 
 
 def test_dashboard_renders_forensic_panel(tmp_path):
