@@ -24,6 +24,7 @@ from repro.runtime.node import P2Node
 from repro.sim.batch import BatchKernel, ExecutionConfig
 from repro.sim.simulator import Simulator
 from repro.introspect import EventLogger, Reflector, Tracer
+from repro.introspect.tracer import RULE_EXEC
 from repro.store.store import RINGS, ForensicStore, StoreConfig
 
 
@@ -335,9 +336,10 @@ class System:
         """Write the three telemetry artifacts into ``directory``.
 
         Returns ``{"trace": ..., "jsonl": ..., "prom": ...}`` paths.  The
-        exports are byte-stable for a given seed and workload: every
-        timestamp comes from the virtual clock and every ordering is
-        explicitly sorted.
+        Chrome trace's ``rule_exec`` spans are the traced nodes' retained
+        ``ruleExec`` rows.  The exports are byte-stable for a given seed
+        and workload: every timestamp comes from the virtual clock and
+        every ordering is explicitly sorted.
         """
         os.makedirs(directory, exist_ok=True)
         if meta is None:
@@ -351,7 +353,12 @@ class System:
             "jsonl": os.path.join(directory, f"{prefix}.jsonl"),
             "prom": os.path.join(directory, f"{prefix}.prom"),
         }
-        write_chrome_trace(self.telemetry, paths["trace"], meta=meta)
+        executions = [
+            row.values
+            for address in self.tracers
+            for row in self.nodes[address].query(RULE_EXEC)
+        ]
+        write_chrome_trace(self.telemetry, paths["trace"], meta, executions)
         write_jsonl(self.telemetry, paths["jsonl"], meta=meta)
         write_prometheus(self.telemetry, paths["prom"])
         return paths

@@ -66,10 +66,13 @@ class TupleRegistry:
         self.duplicates_ignored = 0
         #: Observers of identity-row writes: ``(tid, src, src_tid,
         #: loc_spec, tup)`` per ``tupleTable`` row written, where
-        #: ``tup`` is the memoized contents.  The forensic event store
+        #: ``tup`` is the tuple on the write that mints ``tid`` and None
+        #: on every later write of it.  The forensic event store
         #: (:mod:`repro.store`) taps this to persist tuple identity and
-        #: payloads beyond the in-memory ring's lifetime.
-        self.on_register: List[Callable[[int, Any, Any, Any, Tuple], None]] = []
+        #: each payload once, beyond the in-memory ring's lifetime.
+        self.on_register: List[
+            Callable[[int, Any, Any, Any, Optional[Tuple]], None]
+        ] = []
 
     # ------------------------------------------------------------------
     # Identity
@@ -87,7 +90,7 @@ class TupleRegistry:
         self._ids[tup] = tid
         self._memo[tid] = tup
         self._refs[tid] = 0
-        self._write_row(tid, self._address, tid, loc_spec)
+        self._write_row(tid, self._address, tid, loc_spec, tup)
         return tid
 
     def id_of(self, tup: Tuple) -> int:
@@ -203,16 +206,18 @@ class TupleRegistry:
     # ------------------------------------------------------------------
 
     def _write_row(
-        self, tid: int, src: Any, src_tid: Any, loc_spec: Any
+        self,
+        tid: int,
+        src: Any,
+        src_tid: Any,
+        loc_spec: Any,
+        minted: Optional[Tuple] = None,
     ) -> None:
         self._insert(
             Tuple(TUPLE_TABLE, (self._address, tid, src, src_tid, loc_spec))
         )
-        callbacks = self.on_register
-        if callbacks:
-            tup = self._memo.get(tid)
-            for callback in callbacks:
-                callback(tid, src, src_tid, loc_spec, tup)
+        for callback in self.on_register:
+            callback(tid, src, src_tid, loc_spec, minted)
 
     def retained(self) -> int:
         """Number of memoized tuples currently held."""

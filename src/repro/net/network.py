@@ -32,6 +32,7 @@ from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import NetworkError
+from repro.histogram import HistogramData
 from repro.net.address import Address
 from repro.net.channel import Channel, PendingSend, ReliableChannel
 from repro.net.topology import ConstantLatency, LatencyModel
@@ -236,8 +237,12 @@ class Network:
         #: Telemetry plane (``repro.obs.telemetry.Telemetry``) or None;
         #: None keeps every fast path free of telemetry calls.
         self.obs = obs
-        #: (src, dst) -> its series of the message-latency histogram.
-        self._latency_series: Dict[Tuple[Address, Address], Any] = {}
+        #: (src, dst) -> send-to-delivery latencies and armed retransmit
+        #: timeouts, kept while ``obs`` is set; the telemetry registry
+        #: reads them as ``net_message_latency_seconds`` and
+        #: ``net_retransmit_backoff_seconds``.
+        self.link_latency: Dict[Tuple[Address, Address], HistogramData] = {}
+        self.link_backoff: Dict[Tuple[Address, Address], HistogramData] = {}
         #: Called with the abandoned :class:`Message` when the reliable
         #: transport exhausts its retries — the sender-visible drop.
         self.on_send_failure: List[Callable[[Message], None]] = []
@@ -517,12 +522,10 @@ class Network:
             stats.messages_delivered += 1
             received[dst] = received.get(dst, 0) + 1
             if obs is not None:
-                series = self._latency_series.get((src, dst))
-                if series is None:
-                    series = self._latency_series[(src, dst)] = (
-                        obs.msg_latency.series(link=f"{src}->{dst}")
-                    )
-                series.observe(self._now() - message.sent_at)
+                latency = self.link_latency.get((src, dst))
+                if latency is None:
+                    latency = self.link_latency[(src, dst)] = HistogramData()
+                latency.observe(self._now() - message.sent_at)
             receiver(message)
 
     # ------------------------------------------------------------------
@@ -564,15 +567,19 @@ class Network:
                 0, config.jitter
             )
         if self.obs is not None:
-            self.obs.backoff.observe(
-                timeout, link=f"{message.src}->{message.dst}"
-            )
+            self._note_backoff(message.src, message.dst, timeout)
         entry.attempts += 1
         entry.timer = self._sim.schedule(
             timeout,
             lambda: self._retransmit(channel, entry),
             group=message.src,
         )
+
+    def _note_backoff(self, src: Address, dst: Address, timeout: float) -> None:
+        backoff = self.link_backoff.get((src, dst))
+        if backoff is None:
+            backoff = self.link_backoff[(src, dst)] = HistogramData()
+        backoff.observe(timeout)
 
     def _retransmit(self, channel: ReliableChannel, entry: PendingSend) -> None:
         if channel.pending.get(entry.seq) is not entry:
@@ -735,9 +742,7 @@ class Network:
                 0, config.jitter
             )
         if self.obs is not None:
-            self.obs.backoff.observe(
-                timeout, link=f"{channel.src}->{channel.dst}"
-            )
+            self._note_backoff(channel.src, channel.dst, timeout)
         entry.timer = self._sim.schedule(
             timeout,
             lambda: self._retransmit(channel, entry),

@@ -1,19 +1,23 @@
-"""Unified telemetry: spans, metrics, flight recorder, and exporters.
+"""Unified telemetry: events, metrics, flight recorder, and exporters.
 
 The observability plane the paper argues every distributed system
 should carry (§2–§3 apply it to the *monitored* system; this package
-applies it to the reproduction itself):
+applies it to the reproduction itself).  It reads what the layers keep
+and records only rare events; nothing here runs per rule firing or per
+delivery:
 
-- :mod:`repro.obs.telemetry` — the :class:`Telemetry` hub: a span API
-  on the virtual clock with parent/child causality, instant events,
-  and the standard instruments;
+- :mod:`repro.obs.telemetry` — the :class:`Telemetry` hub: instant
+  events on the virtual clock, and the registry callbacks over the
+  counters and distributions the runtime keeps (rule strands' charged
+  work and rows examined, links' latency and backoff);
 - :mod:`repro.obs.recorder` — the bounded, deterministic
-  :class:`FlightRecorder` ring the spans and events land in;
+  :class:`FlightRecorder` ring the events land in;
 - :mod:`repro.obs.metrics` — the :class:`MetricsRegistry` of labeled
   counters, gauges, and log-linear histograms, plus lazy callback
   adapters over counters that live elsewhere;
 - :mod:`repro.obs.export` — Chrome trace-event JSON (loads in
-  Perfetto), structured JSONL, and Prometheus text exporters;
+  Perfetto; ``rule_exec`` spans come from the tracer's ``ruleExec``
+  rows), structured JSONL, and Prometheus text exporters;
 - :mod:`repro.obs.summarize` — the offline analyzer behind
   ``python -m repro obs summarize <artifact>``.
 
@@ -31,7 +35,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.recorder import FlightRecorder
-from repro.obs.telemetry import NULL_SPAN, Span, Telemetry, wire_system_metrics
+from repro.obs.telemetry import Telemetry, wire_system_metrics
 from repro.obs.export import (
     chrome_trace,
     jsonl_lines,
@@ -44,8 +48,6 @@ from repro.obs.summarize import Artifact, summarize
 
 __all__ = [
     "Telemetry",
-    "Span",
-    "NULL_SPAN",
     "FlightRecorder",
     "MetricsRegistry",
     "Counter",

@@ -4,17 +4,20 @@ Three artifact formats over one :class:`repro.obs.telemetry.Telemetry`:
 
 - :func:`chrome_trace` / :func:`write_chrome_trace` — the Chrome
   trace-event format (``{"traceEvents": [...]}``) that loads directly
-  in Perfetto / ``chrome://tracing``.  Spans become complete (``"X"``)
-  events, instant events become ``"i"`` events, and each node gets a
-  named thread row via metadata events.
+  in Perfetto / ``chrome://tracing``.  Each rule execution the tracer
+  retains (a ``ruleExec`` row with ``IsEvent`` true) becomes a complete
+  (``"X"``) ``rule_exec`` event from ``InT`` to ``OutT``, recorder
+  events become instant (``"i"``) events, and each node gets a named
+  thread row via metadata events.  An untraced run has no ``X`` events.
 - :func:`jsonl_lines` / :func:`write_jsonl` — one JSON object per line:
-  a ``meta`` header, every flight-recorder record, then the full
+  a ``meta`` header, every flight-recorder event, then the full
   metrics snapshot (scalar metrics and histogram lines with their raw
   log-linear buckets).  This is the self-contained artifact
   ``python -m repro obs summarize`` consumes.
 - :func:`prometheus_text` / :func:`write_prometheus` — the Prometheus
   exposition text format (counters/gauges verbatim, histograms as
-  cumulative ``_bucket{le=...}`` series plus ``_count``/``_sum``).
+  cumulative ``_bucket{le=...}`` series ending in ``le="+Inf"``, plus
+  ``_count``/``_sum``).
 
 Everything is derived from the virtual clock and seeded randomness and
 serialized with sorted keys and fixed separators, so a given seed
@@ -25,7 +28,8 @@ export regression tests pin.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+import math
+from typing import Iterable, List, Optional, Tuple
 
 from repro.obs.metrics import HistogramData, bucket_upper
 from repro.obs.telemetry import Telemetry
@@ -41,22 +45,24 @@ def _us(t: float) -> float:
     return round(t * 1e6, 3)
 
 
-def _tid_map(records: List[dict]) -> Dict[str, int]:
-    """Stable node → thread-id assignment (sorted node labels)."""
-    nodes = sorted(
-        {
-            rec["attrs"]["node"]
-            for rec in records
-            if isinstance(rec.get("attrs"), dict) and "node" in rec["attrs"]
-        }
-    )
-    return {node: index + 1 for index, node in enumerate(nodes)}
+def chrome_trace(
+    telemetry: Telemetry,
+    meta: Optional[dict] = None,
+    executions: Iterable[Tuple] = (),
+) -> dict:
+    """Build the Chrome trace-event object.
 
-
-def chrome_trace(telemetry: Telemetry, meta: Optional[dict] = None) -> dict:
-    """Build the Chrome trace-event object from the flight recorder."""
+    ``executions`` are ``ruleExec`` rows' values, ``(node, rule, cause,
+    effect, in_t, out_t, is_event)``; those with ``is_event`` true
+    become the ``rule_exec`` spans.
+    """
     records = telemetry.recorder.snapshot()
-    tids = _tid_map(records)
+    spans = [values for values in executions if values[6]]
+    nodes = {str(values[0]) for values in spans}
+    nodes.update(
+        rec["attrs"]["node"] for rec in records if "node" in rec["attrs"]
+    )
+    tids = {node: index + 1 for index, node in enumerate(sorted(nodes))}
     events: List[dict] = [
         {
             "ph": "M",
@@ -83,37 +89,39 @@ def chrome_trace(telemetry: Telemetry, meta: Optional[dict] = None) -> dict:
                 "args": {"name": node},
             }
         )
+    for node, rule, cause, effect, in_t, out_t, _ in spans:
+        node = str(node)
+        events.append(
+            {
+                "ph": "X",
+                "name": "rule_exec",
+                "cat": "rule",
+                "ts": _us(in_t),
+                "dur": _us(out_t - in_t),
+                "pid": 1,
+                "tid": tids[node],
+                "args": {
+                    "node": node,
+                    "rule": rule,
+                    "cause": cause,
+                    "effect": effect,
+                },
+            }
+        )
     for rec in records:
-        attrs = rec.get("attrs", {})
-        tid = tids.get(attrs.get("node"), FABRIC_TID)
-        if rec["type"] == "span":
-            events.append(
-                {
-                    "ph": "X",
-                    "name": rec["name"],
-                    "cat": "span",
-                    "ts": _us(rec["t0"]),
-                    "dur": _us(rec["t1"] - rec["t0"]),
-                    "pid": 1,
-                    "tid": tid,
-                    "args": dict(
-                        attrs, span_id=rec["id"], parent=rec["parent"]
-                    ),
-                }
-            )
-        else:
-            events.append(
-                {
-                    "ph": "i",
-                    "s": "t",
-                    "name": rec["name"],
-                    "cat": "event",
-                    "ts": _us(rec["t"]),
-                    "pid": 1,
-                    "tid": tid,
-                    "args": dict(attrs),
-                }
-            )
+        attrs = rec["attrs"]
+        events.append(
+            {
+                "ph": "i",
+                "s": "t",
+                "name": rec["name"],
+                "cat": "event",
+                "ts": _us(rec["t"]),
+                "pid": 1,
+                "tid": tids.get(attrs.get("node"), FABRIC_TID),
+                "args": dict(attrs),
+            }
+        )
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
@@ -122,9 +130,12 @@ def chrome_trace(telemetry: Telemetry, meta: Optional[dict] = None) -> dict:
 
 
 def write_chrome_trace(
-    telemetry: Telemetry, path: str, meta: Optional[dict] = None
+    telemetry: Telemetry,
+    path: str,
+    meta: Optional[dict] = None,
+    executions: Iterable[Tuple] = (),
 ) -> str:
-    text = json.dumps(chrome_trace(telemetry, meta), **_JSON_KW)
+    text = json.dumps(chrome_trace(telemetry, meta, executions), **_JSON_KW)
     with open(path, "w") as handle:
         handle.write(text + "\n")
     return path
@@ -197,6 +208,9 @@ def _escape_label(value: object) -> str:
 def _fmt_value(value: float) -> str:
     if isinstance(value, bool):  # bools are ints; be explicit
         return "1" if value else "0"
+    if isinstance(value, float) and not math.isfinite(value):
+        # The exposition format's spellings, not Python's inf / nan.
+        return "NaN" if value != value else ("+Inf" if value > 0 else "-Inf")
     if isinstance(value, int) or (
         isinstance(value, float) and value.is_integer()
     ):
@@ -224,16 +238,16 @@ def prometheus_text(telemetry: Telemetry) -> str:
         for key in sorted(snapshot, key=lambda k: tuple(map(str, k))):
             value = snapshot[key]
             if isinstance(value, HistogramData):
+                le_names = metric.labelnames + ("le",)
                 cumulative = 0
                 for index in sorted(value.buckets):
                     cumulative += value.buckets[index]
-                    upper = bucket_upper(index, value.subbuckets)
-                    le_labels = dict(zip(metric.labelnames, key))
-                    inner = ",".join(
-                        [f'{n}="{_escape_label(v)}"' for n, v in le_labels.items()]
-                        + [f'le="{upper!r}"']
-                    )
-                    out.append(f"{name}_bucket{{{inner}}} {cumulative}")
+                    upper = repr(bucket_upper(index, value.subbuckets))
+                    labels = _labels_text(le_names, key + (upper,))
+                    out.append(f"{name}_bucket{labels} {cumulative}")
+                # The format requires a last bucket, +Inf, equal to _count.
+                labels = _labels_text(le_names, key + ("+Inf",))
+                out.append(f"{name}_bucket{labels} {value.count}")
                 labels = _labels_text(metric.labelnames, key)
                 out.append(f"{name}_count{labels} {value.count}")
                 out.append(f"{name}_sum{labels} {_fmt_value(value.sum)}")

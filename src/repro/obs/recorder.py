@@ -1,6 +1,6 @@
 """The flight recorder: a bounded, deterministic ring of telemetry records.
 
-Records are plain JSON-ready dicts (spans and instant events) appended
+Records are plain JSON-ready dicts (instant events) appended
 in simulation order, so with the same seed the buffer contents — and
 everything exported from them — are byte-for-byte identical across
 runs.  The ring is bounded: when full, the oldest records fall off and
@@ -19,7 +19,7 @@ DEFAULT_CAPACITY = 65536
 
 
 class FlightRecorder:
-    """Bounded ring buffer of span/event records."""
+    """Bounded ring buffer of event records."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity <= 0:

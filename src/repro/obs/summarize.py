@@ -5,8 +5,9 @@ the Chrome trace JSON is also accepted) and prints what an operator or
 a CI log reader wants first:
 
 - **top-k slow rules** — per-rule firing counts and duration
-  statistics from the ``rule_duration_seconds`` histogram (or from
-  ``rule_exec`` spans when reading a Chrome trace);
+  statistics from the ``rule_duration_seconds`` histogram (or, reading
+  a Chrome trace, from its ``rule_exec`` spans: the traced nodes'
+  retained ``ruleExec`` executions);
 - **per-link latency percentiles** — p50/p90/p99/max of
   ``net_message_latency_seconds`` per directed link;
 - **drop / retransmit attribution** — the per-reason drop breakdown,
@@ -77,8 +78,6 @@ class Artifact:
             kind = rec.get("type")
             if kind == "meta":
                 art.meta = {k: v for k, v in rec.items() if k != "type"}
-            elif kind == "span":
-                art.spans.append(rec)
             elif kind == "event":
                 art.events.append(rec)
             elif kind == "metric":

@@ -1,21 +1,24 @@
-"""The telemetry hub: spans on the virtual clock, events, instruments.
+"""The telemetry hub: instant events, the flight recorder, the registry.
 
 One :class:`Telemetry` object serves a whole
 :class:`repro.core.system.System`.  It owns the flight recorder and the
-metrics registry and exposes the two write primitives every layer uses:
+metrics registry, and :meth:`Telemetry.event` is its one write
+primitive: an instant record of something rare (drops, retransmits,
+fault injections, monitor alarms, phase markers).
 
-- :meth:`Telemetry.span` — a context manager timing a region on the
-  *virtual* clock (optionally a node's micro-clock, so intra-event rule
-  durations are meaningful); spans carry parent/child causality through
-  an explicit stack, which is exact because the simulator is
-  single-threaded;
-- :meth:`Telemetry.event` — an instant record (drops, retransmits,
-  fault injections, monitor alarms, phase markers).
+Telemetry reads, never wraps: nothing is recorded per rule firing or
+per delivery.  Rule strands keep their own charged-work and
+rows-examined distributions and links their own latency and backoff
+distributions (:mod:`repro.histogram`); the registry reads them, like
+every other counter the runtime already keeps, through the lazy
+callbacks :func:`wire_system_metrics` registers.  A rule firing's
+timing is already a relation — the tracer's ``ruleExec`` rows — and
+the Chrome-trace export draws its ``rule_exec`` spans from those
+(:func:`repro.obs.export.chrome_trace`).
 
-**Zero-cost when disabled**: ``span()`` returns a shared no-op span and
-``event()`` returns immediately, but the callers are expected to do one
-better — every hot-path instrumentation site in the runtime/net layers
-holds ``obs = None`` when telemetry is off and never calls in at all,
+**Zero-cost when disabled**: ``event()`` returns immediately, but the
+callers do one better — every hot-path site in the runtime/net layers
+holds ``obs = None`` when telemetry is off and never records at all,
 which ``tests/obs/test_no_heisenberg.py`` and the calls-per-firing
 ceilings in ``tests/perf_guard`` pin.
 
@@ -26,86 +29,13 @@ and the dashboard read through it unconditionally.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict
 
+from repro.histogram import HistogramData
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import DEFAULT_CAPACITY, FlightRecorder
 
 Clock = Callable[[], float]
-
-
-class _NullSpan:
-    """The shared disabled span: every operation is a no-op."""
-
-    __slots__ = ()
-
-    span_id = 0
-    parent_id = 0
-    t0 = 0.0
-    t1 = 0.0
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-    def set(self, **attrs) -> None:
-        pass
-
-
-NULL_SPAN = _NullSpan()
-
-
-class Span:
-    """One timed region; records itself into the flight recorder on exit."""
-
-    __slots__ = (
-        "_telemetry",
-        "_clock",
-        "name",
-        "attrs",
-        "span_id",
-        "parent_id",
-        "t0",
-        "t1",
-    )
-
-    def __init__(
-        self,
-        telemetry: "Telemetry",
-        name: str,
-        attrs: Dict,
-        clock: Clock,
-    ) -> None:
-        self._telemetry = telemetry
-        self._clock = clock
-        self.name = name
-        self.attrs = attrs
-        self.span_id = 0
-        self.parent_id = 0
-        self.t0 = 0.0
-        self.t1 = 0.0
-
-    def set(self, **attrs) -> None:
-        """Attach attributes after entry (e.g. results known at exit)."""
-        self.attrs.update(attrs)
-
-    @property
-    def duration(self) -> float:
-        return self.t1 - self.t0
-
-    def __enter__(self) -> "Span":
-        self.t0 = self._clock()
-        self.span_id, self.parent_id = self._telemetry._open_span(self)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.t1 = self._clock()
-        if exc_type is not None:
-            self.attrs["error"] = exc_type.__name__
-        self._telemetry._close_span(self)
-        return False
 
 
 class Telemetry:
@@ -121,92 +51,13 @@ class Telemetry:
         self.enabled = enabled
         self.recorder = FlightRecorder(capacity=capacity)
         self.metrics = MetricsRegistry()
-        self._stack: List[Span] = []
-        self._next_span_id = 1
-
-        # Standard instruments every instrumentation point shares.
-        self.rule_duration = self.metrics.histogram(
-            "rule_duration_seconds",
-            "per-firing rule-strand duration on the work micro-clock",
-            ("node", "rule"),
-        )
-        self.join_rows = self.metrics.histogram(
-            "join_rows_examined",
-            "rows examined by the join elements of one rule firing",
-            ("node", "rule"),
-        )
-        self.msg_latency = self.metrics.histogram(
-            "net_message_latency_seconds",
-            "send-to-delivery latency per directed link",
-            ("link",),
-        )
-        self.backoff = self.metrics.histogram(
-            "net_retransmit_backoff_seconds",
-            "armed retransmit timeouts per directed link",
-            ("link",),
-        )
-
-    # ------------------------------------------------------------------
-    # Spans
-
-    def span(self, name: str, clock: Optional[Clock] = None, **attrs):
-        """Open a span (``with tel.span("rule_exec", node=...) as s:``).
-
-        ``clock`` overrides the telemetry clock for this span — nodes
-        pass their work micro-clock so same-instant rule firings get
-        strictly increasing, duration-bearing timestamps.
-        """
-        if not self.enabled:
-            return NULL_SPAN
-        return Span(self, name, attrs, clock if clock is not None else self.clock)
-
-    def _open_span(self, span: Span):
-        span_id = self._next_span_id
-        self._next_span_id += 1
-        parent_id = self._stack[-1].span_id if self._stack else 0
-        self._stack.append(span)
-        return span_id, parent_id
-
-    def _close_span(self, span: Span) -> None:
-        if self._stack and self._stack[-1] is span:
-            self._stack.pop()
-        else:  # out-of-order exit; drop it wherever it is
-            try:
-                self._stack.remove(span)
-            except ValueError:
-                pass
-        self.recorder.record(
-            {
-                "type": "span",
-                "name": span.name,
-                "id": span.span_id,
-                "parent": span.parent_id,
-                "t0": span.t0,
-                "t1": span.t1,
-                "attrs": span.attrs,
-            }
-        )
-
-    @property
-    def current_span_id(self) -> int:
-        """Id of the innermost open span (0 when none)."""
-        return self._stack[-1].span_id if self._stack else 0
-
-    # ------------------------------------------------------------------
-    # Events
 
     def event(self, name: str, **attrs) -> None:
         """Record an instant event (no-op when disabled)."""
         if not self.enabled:
             return
         self.recorder.record(
-            {
-                "type": "event",
-                "name": name,
-                "t": self.clock(),
-                "span": self.current_span_id,
-                "attrs": attrs,
-            }
+            {"type": "event", "name": name, "t": self.clock(), "attrs": attrs}
         )
 
 
@@ -214,11 +65,12 @@ def wire_system_metrics(telemetry: Telemetry, system) -> None:
     """Register the standard registry callbacks over a ``System``.
 
     These adapt the counters that already exist — ``NetworkStats``, the
-    per-node work models, table occupancy — into the registry, so the
-    Meter, the dashboard, and the exporters all read one surface and
-    nothing reaches into another layer's internals.  Callbacks close
-    over the *system*, not a node list, so nodes added later are
-    included automatically.
+    per-node work models, table occupancy, the strands' and links' own
+    distributions — into the registry, so the Meter, the dashboard, and
+    the exporters all read one surface and nothing reaches into another
+    layer's internals.  Callbacks close over the *system*, not a node
+    list, so nodes added later are included automatically, and a strand
+    that is uninstalled drops out of every per-rule series at once.
     """
     reg = telemetry.metrics
     stats = system.network.stats
@@ -341,6 +193,53 @@ def wire_system_metrics(telemetry: Telemetry, system) -> None:
         lambda: _per_rule("outputs"),
         help="head actions (emits and deletes) produced by rule strands",
         labelnames=("node", "rule"),
+    )
+
+    def _per_strand(attr: str):
+        # A rule's strands (one per trigger) fold into one series; the
+        # strands' own distributions are never written to.
+        totals: Dict[tuple, HistogramData] = {}
+        for address, node in system.nodes.items():
+            for strand in node.strands:
+                data = getattr(strand, attr)
+                if data is not None:
+                    key = (str(address), strand.rule_id)
+                    if key not in totals:
+                        totals[key] = HistogramData(data.subbuckets)
+                    totals[key].merge(data)
+        return totals
+
+    reg.register_callback(
+        "rule_duration_seconds",
+        lambda: _per_strand("work_time"),
+        help="per-firing rule-strand duration on the work micro-clock",
+        labelnames=("node", "rule"),
+        kind="histogram",
+    )
+    reg.register_callback(
+        "join_rows_examined",
+        lambda: _per_strand("rows_examined"),
+        help="rows examined by the join elements of one rule firing",
+        labelnames=("node", "rule"),
+        kind="histogram",
+    )
+
+    def _per_link(links: Dict[tuple, HistogramData]):
+        return {(f"{src}->{dst}",): data for (src, dst), data in links.items()}
+
+    reg.register_callback(
+        "net_message_latency_seconds",
+        lambda: _per_link(system.network.link_latency),
+        help="send-to-delivery latency per directed link",
+        labelnames=("link",),
+        kind="histogram",
+    )
+    reg.register_callback(
+        "net_retransmit_backoff_seconds",
+        lambda: _per_link(system.network.link_backoff),
+        help="armed retransmit timeouts per directed link",
+        labelnames=("link",),
+        kind="histogram",
     )
     reg.register_callback(
         "net_channel_pending",

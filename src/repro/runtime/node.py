@@ -126,7 +126,8 @@ class P2Node:
         self.hooks: Optional[TraceHooks] = None
         self.registry = None  # repro.introspect.tuple_table.TupleRegistry
         # Telemetry attachment point (set by repro.core.system when
-        # observability is enabled; None keeps every hot path no-op).
+        # observability is enabled; strands then fire through
+        # RuleStrand.fire_timed, and None keeps every hot path as is).
         self.obs = None  # repro.obs.telemetry.Telemetry
         # Called with every locally delivered tuple (event logging).
         self.on_deliver: List[Callable[[Tuple], None]] = []
@@ -493,7 +494,7 @@ class P2Node:
                 if self.obs is None:
                     actions = strand.fire(trigger, ctx, self.hooks, charge)
                 else:
-                    actions = self._fire_observed(strand, trigger)
+                    actions = strand.fire_timed(trigger, ctx, self.hooks, self.work)
                 for action in actions:
                     if action.__class__ is not Tuple:
                         self._delete(action)
@@ -503,37 +504,6 @@ class P2Node:
                         self._send_tuple(action)
         finally:
             self._pumping = False
-
-    def _fire_observed(self, strand: RuleStrand, trigger: Tuple):
-        """Fire one strand inside a ``rule_exec`` telemetry span.
-
-        Durations come off the work micro-clock, so they measure charged
-        work (deterministic under the seed) rather than the stalled sim
-        clock; join rows-examined are the firing's delta of the work
-        model's probe counters.
-        """
-        obs = self.obs
-        label = self.label
-        counts = self.work.counters.counts
-        rows0 = counts.get("join_probe", 0) + counts.get("join_indexed", 0)
-        with obs.span(
-            "rule_exec",
-            clock=self.work_clock,
-            node=label,
-            rule=strand.rule_id,
-            trigger=trigger.name,
-        ) as span:
-            actions = strand.fire(
-                trigger, self.ctx, self.hooks, self.work.charge
-            )
-            span.set(actions=len(actions))
-        obs.rule_duration.observe(
-            span.t1 - span.t0, node=label, rule=strand.rule_id
-        )
-        rows = counts.get("join_probe", 0) + counts.get("join_indexed", 0) - rows0
-        if rows:
-            obs.join_rows.observe(rows, node=label, rule=strand.rule_id)
-        return actions
 
     def _delete(self, action: DeleteAction) -> None:
         if self._stopped:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple as PyTuple, Union
 
 from repro.errors import EvaluationError
+from repro.histogram import HistogramData
 from repro.overlog import ast
 from repro.overlog.builtins import EvalContext
 from repro.runtime.elements import (
@@ -36,6 +37,7 @@ from repro.runtime.elements import (
 )
 from repro.runtime.aggregates import apply_aggregate
 from repro.runtime.tuples import Tuple
+from repro.runtime.work import WorkModel
 
 
 @dataclass
@@ -107,15 +109,20 @@ class RuleStrand:
         # Overload-protection priority class ("data"/"monitor"/"trace");
         # set from the owning Program's role at install time.
         self.overload_class = "data"
-        #: Pipeline stages = stateful (join) elements, at least 1.
-        self.num_stages = max(
-            1, sum(isinstance(op, JoinElement) for op in ops)
-        )
+        #: Stateful (join) elements; pipeline stages = max(1, joins).
+        self.joins = sum(isinstance(op, JoinElement) for op in ops)
+        self.num_stages = max(1, self.joins)
         self.firings = 0
         self.outputs = 0
         #: Derivations abandoned because a condition, an assignment or
         #: the head raised :class:`~repro.errors.EvaluationError`.
         self.eval_errors = 0
+        #: Charged work per firing and rows the joins examined per
+        #: firing that examined any, kept by :meth:`fire_timed` (None
+        #: until its first firing); the telemetry registry reads them as
+        #: ``rule_duration_seconds`` and ``join_rows_examined``.
+        self.work_time: Optional[HistogramData] = None
+        self.rows_examined: Optional[HistogramData] = None
         #: Text of the function generated for this strand.
         self.source = source
         self._fire = bind(self)
@@ -143,6 +150,37 @@ class RuleStrand:
     ) -> List[Action]:
         """Run the strand on ``trigger``; returns the actions produced."""
         return self._fire(trigger, ctx, hooks, charge)
+
+    def fire_timed(
+        self,
+        trigger: Tuple,
+        ctx: EvalContext,
+        hooks: Optional[TraceHooks],
+        work: WorkModel,
+    ) -> List[Action]:
+        """:meth:`fire`, charging the node's ``work`` model, and adding
+        the firing to :attr:`work_time` — the advance of the work
+        micro-clock, so a deterministic charged-work duration — and, for
+        a strand with joins, to :attr:`rows_examined` (the firing's
+        ``join_probe`` + ``join_indexed`` charges).  A node with
+        telemetry on fires through this; nothing else is recorded per
+        firing."""
+        start = work._micro_offset
+        if self.joins:
+            counts = work._counts
+            rows = counts.get("join_probe", 0) + counts.get("join_indexed", 0)
+            actions = self._fire(trigger, ctx, hooks, work.charge)
+            rows = counts.get("join_probe", 0) + counts.get("join_indexed", 0) - rows
+            if rows:
+                if self.rows_examined is None:
+                    self.rows_examined = HistogramData()
+                self.rows_examined.observe(rows)
+        else:
+            actions = self._fire(trigger, ctx, hooks, work.charge)
+        if self.work_time is None:
+            self.work_time = HistogramData()
+        self.work_time.observe(work._micro_offset - start)
+        return actions
 
     def fold_groups(self, groups: Dict[PyTuple, List[Any]]) -> List[Tuple]:
         """Head tuples of an aggregate rule, one per group in first-seen

@@ -173,7 +173,7 @@ def write_segment(
 class Block:
     """The rows of one kind in one segment, as coded columns."""
 
-    __slots__ = ("kind", "rows", "cols", "names", "_by_tid")
+    __slots__ = ("kind", "rows", "cols", "names")
 
     def __init__(self, data: Any, kind: str, rows: int) -> None:
         """Take a decoded block of ``rows`` rows; raises ``ValueError``
@@ -203,7 +203,6 @@ class Block:
         self.cols: Dict[str, list] = data
         # Through a dict, so a code read back as ``1.0`` still decodes.
         self.names: Dict[int, Any] = dict(enumerate(names))
-        self._by_tid: Optional[Dict[PyTuple[int, Any], List[int]]] = None
 
     def code_of(self, value: Any) -> Optional[int]:
         for code, name in self.names.items():
@@ -284,18 +283,26 @@ class Block:
 
     def rows_of(self, node: str, tid: int) -> List[int]:
         """Rows whose lookup key — the effect of an ``re`` row, the id
-        of a ``tt`` row — is ``tid`` on ``node``, in capture order."""
-        if self._by_tid is None:
-            key = "e" if self.kind == fmt.RULE_EXEC else "i"
-            index: Dict[PyTuple[int, Any], List[int]] = {}
-            for row, at in enumerate(zip(self.cols["n"], self.cols[key])):
-                held = index.get(at)
-                if held is None:
-                    index[at] = [row]
-                else:
-                    held.append(row)
-            self._by_tid = index
-        return self._by_tid.get((self.code_of(node), tid), [])
+        of a ``tt`` row — is ``tid`` on ``node``, in capture order.
+
+        A lookup asks a block for one or two ids, so the key column is
+        searched (``list.index``, from just past the last hit) rather
+        than indexed whole; the few hits then have their node checked.
+        """
+        code = self.code_of(node)
+        if code is None:
+            return []
+        keys = self.cols["e" if self.kind == fmt.RULE_EXEC else "i"]
+        nodes = self.cols["n"]
+        rows: List[int] = []
+        at = -1
+        try:
+            while True:
+                at = keys.index(tid, at + 1)
+                if nodes[at] == code:
+                    rows.append(at)
+        except ValueError:  # no further hit
+            return rows
 
 
 def _loaded(data: Any, kind: str, seg_id: int, rows: int) -> Any:
@@ -316,9 +323,9 @@ class Segment:
     """One segment: its summary, and its blocks read on demand.
 
     A scan parses the blocks it needs and keeps none of them; provenance
-    lookups keep theirs (and the index over them), so a warm lookup
-    touches no file.  ``held`` makes a segment of blocks that are
-    already in memory — the unflushed tail of a live store.
+    lookups keep theirs, so a warm lookup touches no file.  ``held``
+    makes a segment of blocks that are already in memory — the
+    unflushed tail of a live store.
     """
 
     def __init__(

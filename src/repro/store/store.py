@@ -98,8 +98,6 @@ class ForensicStore:
         #: Deferred-cut mode: True once registered on a batch kernel's
         #: tick-barrier hook (segments then align to tick boundaries).
         self.tick_mode = False
-        # Per-node set of tuple ids whose payload was already persisted.
-        self._payloaded: Dict[str, set] = {}
         # Counters (exported as store_* metrics).  ``events_appended``
         # is also the next capture sequence number.
         self.events_appended = 0
@@ -204,16 +202,13 @@ class ForensicStore:
             self.flush_segment()
 
     def _on_register(self, node: str, tid, src, src_tid, loc, tup) -> None:
+        # ``tup`` comes only with the write that mints ``tid``: each
+        # payload is persisted once, and nothing is kept to know that.
         if self.closed:
             return
         rel = values = None
         if tup is not None:
-            seen = self._payloaded.get(node)
-            if seen is None:
-                seen = self._payloaded[node] = set()
-            if tid not in seen:
-                seen.add(tid)
-                rel, values = tup.name, fmt.payload_values(tup)
+            rel, values = tup.name, fmt.payload_values(tup)
         plain = fmt.PLAIN
         if src.__class__ not in plain:
             src = fmt.json_value(src)

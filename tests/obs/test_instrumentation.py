@@ -1,4 +1,9 @@
-"""End-to-end instrumentation: spans and events from the live runtime."""
+"""End-to-end instrumentation: events and distributions from the live runtime."""
+
+import json
+from collections import Counter, defaultdict
+
+import pytest
 
 from repro.core.system import System
 from repro.faults.injector import FaultInjector
@@ -13,10 +18,10 @@ f2 seen@N(M) :- fwd@N(M).
 """
 
 
-def build(seed=3, observability=True, **kwargs):
+def build(seed=3, observability=True, tracing=False, **kwargs):
     system = System(seed=seed, observability=observability, **kwargs)
-    a = system.add_node("a:1")
-    system.add_node("b:2")
+    a = system.add_node("a:1", tracing=tracing)
+    system.add_node("b:2", tracing=tracing)
     system.install_source(WORKLOAD, name="w")
     a.inject("nextHop", ("a:1", "b:2"))
     return system, a
@@ -30,37 +35,96 @@ def events_named(telemetry, name):
     ]
 
 
-def spans_named(telemetry, name):
-    return [
-        r
-        for r in telemetry.recorder.snapshot()
-        if r["type"] == "span" and r["name"] == name
-    ]
+def meter_firings(system):
+    """Wrap every strand's generated function to count, per ``(node,
+    rule)``, its firings, the work charged while they run (the strand's
+    and the tracer's), and the rows their joins examine (the
+    ``join_probe`` / ``join_indexed`` charges)."""
+    fired, charged, examined = Counter(), defaultdict(float), defaultdict(list)
+    for address, node in system.nodes.items():
+        work = node.work
+        for strand in node.strands:
+            key = (address, strand.rule_id)
+
+            def fire(
+                trigger, ctx, hooks, charge, inner=strand._fire, key=key, work=work
+            ):
+                fired[key] += 1
+                rows = []
+
+                def counted(op, amount=1):
+                    if op in ("join_probe", "join_indexed"):
+                        rows.append(amount)
+                    charge(op, amount)
+
+                busy = work.busy_seconds
+                actions = inner(trigger, ctx, hooks, counted)
+                charged[key] += work.busy_seconds - busy
+                if rows:
+                    examined[key].append(sum(rows))
+                return actions
+
+            strand._fire = fire
+    return fired, charged, examined
 
 
-def test_rule_execution_spans_and_histograms():
-    system, a = build()
+def rule_spans(system, directory):
+    """The ``rule_exec`` spans of the system's exported Chrome trace."""
+    with open(system.export_telemetry(str(directory))["trace"]) as handle:
+        events = json.load(handle)["traceEvents"]
+    return [e for e in events if e["ph"] == "X" and e["name"] == "rule_exec"]
+
+
+def test_rule_execution_spans_and_histograms(tmp_path):
+    system, a = build(tracing=True)
+    fired, charged, examined = meter_firings(system)
     for i in range(5):
         a.inject("msg", ("a:1", f"m{i}"))
     system.run_for(5.0)
 
-    spans = spans_named(system.telemetry, "rule_exec")
-    assert spans, "no rule_exec spans recorded"
-    fired = {(s["attrs"]["node"], s["attrs"]["rule"]) for s in spans}
-    assert ("a:1", "f1") in fired and ("b:2", "f2") in fired
-    for span in spans:
-        assert span["t1"] >= span["t0"]
-
     reg = system.telemetry.metrics
     durations = reg.snapshot("rule_duration_seconds")
-    assert ("a:1", "f1") in durations
-    assert durations[("a:1", "f1")].count == 5
-    # The join against nextHop examined rows, charged per firing.
+    # One observation per firing, exactly, and the charged work summed.
+    assert fired[("a:1", "f1")] == 5
+    assert {key: data.count for key, data in durations.items()} == dict(fired)
+    for key, data in durations.items():
+        assert data.sum == pytest.approx(charged[key], rel=1e-9, abs=0)
+        assert data.min > 0
+    # The join against nextHop examined one row per firing of f1.
     join = reg.snapshot("join_rows_examined")
-    assert any(key[1] == "f1" and data.count > 0 for key, data in join.items())
+    assert examined[("a:1", "f1")] == [1] * 5
+    assert {key: data.count for key, data in join.items()} == {
+        key: len(rows) for key, rows in examined.items()
+    }
+    for key, data in join.items():
+        assert data.sum == sum(examined[key])
     # The registry reads the strands' own counters for the same rules.
     assert reg.value("strand_inputs_total", ("a:1", "f1")) == 5
     assert reg.value("strand_outputs_total", ("a:1", "f1")) == 5
+    # Traced, every execution the tracer kept is a span in the trace.
+    spans = rule_spans(system, tmp_path)
+    fired_spans = {(s["args"]["node"], s["args"]["rule"]) for s in spans}
+    assert ("a:1", "f1") in fired_spans and ("b:2", "f2") in fired_spans
+    assert all(s["dur"] >= 0 for s in spans)
+    assert len(spans) == sum(
+        1
+        for node in system.nodes.values()
+        for row in node.query("ruleExec")
+        if row.values[6]
+    )
+
+
+def test_uninstalled_strands_drop_out_of_every_per_rule_series():
+    system, a = build()
+    watch = a.install_source("u1 echo@N(M) :- msg@N(M), nextHop@N(D).")
+    a.inject("msg", ("a:1", "m0"))
+    system.run_for(2.0)
+    reg = system.telemetry.metrics
+    per_rule = ("strand_inputs_total", "rule_duration_seconds", "join_rows_examined")
+    assert all(("a:1", "u1") in reg.snapshot(name) for name in per_rule)
+    a.uninstall(watch)
+    assert not any(("a:1", "u1") in reg.snapshot(name) for name in per_rule)
+    assert ("a:1", "f1") in reg.snapshot("rule_duration_seconds")
 
 
 def test_drop_events_carry_reasons():
@@ -152,7 +216,7 @@ def test_monitor_sink_is_plain_append_without_observability():
     assert system.telemetry.recorder.snapshot() == []
 
 
-def test_tracer_composes_with_telemetry_hooks():
+def test_tracer_composes_with_telemetry_hooks(tmp_path):
     system = System(seed=5, observability=True)
     node = system.add_node("a:1", tracing=True)
     # Telemetry rides no strand hook: a traced node has the tracer
@@ -167,7 +231,17 @@ def test_tracer_composes_with_telemetry_hooks():
     assert system.telemetry.metrics.value(
         "strand_inputs_total", ("a:1", "r1")
     ) == 1
-    assert spans_named(system.telemetry, "rule_exec")
+    (duration,) = system.telemetry.metrics.snapshot(
+        "rule_duration_seconds"
+    ).values()
+    assert duration.count == 1
+    # The firing's span in the trace is the ruleExec row's, times and all.
+    (span,) = rule_spans(system, tmp_path)
+    (row,) = node.query("ruleExec")
+    _, rule, _, _, in_t, out_t, is_event = row.values
+    assert is_event and span["args"]["rule"] == rule == "r1"
+    assert span["ts"] == round(in_t * 1e6, 3)
+    assert span["dur"] == round((out_t - in_t) * 1e6, 3)
 
 
 def test_disabled_observability_leaves_hot_paths_untouched():

@@ -18,8 +18,8 @@ p3 tick@N(E) :- periodic@N(E, 0.5).
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
     system = System(seed=9, loss_rate=0.2, observability=True)
-    a = system.add_node("a:1")
-    system.add_node("b:2")
+    a = system.add_node("a:1", tracing=True)
+    system.add_node("b:2", tracing=True)
     system.install_source(WORKLOAD, name="w")
     for i in range(5):
         a.inject("hello", ("a:1", "b:2"))
@@ -31,9 +31,13 @@ def artifacts(tmp_path_factory):
 def test_artifact_roundtrip_from_jsonl(artifacts):
     art = Artifact.load(artifacts["jsonl"])
     assert art.meta["seed"] == 9
-    assert art.spans and art.events
+    assert art.events and not art.spans
     rules = dict(art.rule_stats())
     assert "p3" in rules and rules["p3"]["count"] > 10
+    # Every firing of every node is in the rule timing.
+    assert sum(row["count"] for row in rules.values()) == sum(
+        art.metrics["node_rule_executions_total"].values()
+    )
     assert art.drop_attribution().get("loss", 0) > 0
     assert "messages_sent" in art.transport_counters()
     assert art.event_counts("net.drop", "reason").get("loss", 0) > 0
@@ -42,9 +46,16 @@ def test_artifact_roundtrip_from_jsonl(artifacts):
 def test_artifact_from_chrome_trace_falls_back_to_spans(artifacts):
     art = Artifact.load(artifacts["trace"])
     assert art.meta["seed"] == 9
-    assert art.spans
-    rules = dict(art.rule_stats())  # derived from rule_exec spans
-    assert "p3" in rules
+    assert art.spans and {span["name"] for span in art.spans} == {"rule_exec"}
+    # Ranked from the rule_exec spans (the traced nodes' ruleExec rows).
+    stats = art.rule_stats()
+    assert {rule for rule, _ in stats} == {"p1", "p2", "p3"}
+    assert sum(row["count"] for _, row in stats) == len(art.spans)
+    totals = [row["total"] for _, row in stats]
+    assert totals == sorted(totals, reverse=True) and totals[0] > 0
+    text = summarize(artifacts["trace"])
+    assert f"records: {len(art.spans)} spans" in text
+    assert "(no rule timing data)" not in text
 
 
 def test_summarize_sections(artifacts):

@@ -24,10 +24,9 @@ def feed(store, record) -> None:
         )
         store._on_rule_exec(node, row, InsertOutcome.NEW)
     elif kind == fmt.TUPLE_IDENT:
-        # The callback stamps the store's clock and keeps a payload only
-        # the first time it sees an id: make both say what the record does.
+        # The callback stamps the store's clock: make it say what the
+        # record does.
         store._clock = lambda: record["t"]
-        store._payloaded.get(node, set()).discard(record["i"])
         store._on_register(
             node, record["i"], record["s"], record["si"], record["l"],
             fmt.payload_tuple(record.get("rep")),

@@ -356,7 +356,7 @@ def test_rows_are_the_stored_lines_exactly(live_store):
 
 
 # ----------------------------------------------------------------------
-# Provenance: the index over coded columns == one over rebuilt records
+# Provenance: lookups in the coded columns == an index over rebuilt records
 
 
 def reference_index(rows, kind, key):

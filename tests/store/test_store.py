@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -124,6 +125,43 @@ def test_live_queries_see_unflushed_buffer(tmp_path):
     store = system.store
     assert store.segments_written == 0  # nothing flushed yet
     assert store.events(node="a:1", kind=fmt.RULE_EXEC)
+
+
+def test_each_minted_tid_persists_its_payload_once(tmp_path):
+    """A send writes the sender's row twice, an arrival the receiver's
+    row twice, and a tuple re-sent after its row expired is minted a
+    fresh tid: every ``(node, tid)`` still carries exactly one payload,
+    on its first identity record."""
+    system = System(
+        seed=2, trace_lifetime=1.0, store=StoreConfig(str(tmp_path / "s"))
+    )
+    for address, peer in (("a:1", "b:1"), ("b:1", "a:1")):
+        node = system.add_node(address, tracing=True)
+        node.install_source(
+            "materialize(peer, infinity, 1, keys(1)).\n"
+            "s1 ping@P(N, 1) :- periodic@N(E, 2), peer@N(P)."
+        )
+        node.inject("peer", (address, peer))
+    system.run_for(12.0)
+    records = system.store.events(kind=fmt.TUPLE_IDENT)
+    writes, payloads = Counter(), Counter()
+    for record in records:
+        key = (record["n"], record["i"])
+        if "rep" in record:
+            assert not writes[key], f"{key}: payload after its first write"
+            payloads[key] += 1
+        writes[key] += 1
+    assert set(payloads) == set(writes)
+    assert set(payloads.values()) == {1}
+    # The send and the arrival each wrote a row twice ...
+    assert max(writes.values()) == 2
+    # ... and the same ping, re-sent after expiry, got fresh tids.
+    pings = Counter(
+        (record["n"], json.dumps(record["rep"]))
+        for record in records
+        if record.get("rep", {}).get("rel") == "ping"
+    )
+    assert pings and min(pings.values()) >= 4
 
 
 def test_seeded_runs_produce_identical_stores(tmp_path):
