@@ -79,24 +79,23 @@ class System:
         duplicate_rate: float = 0.0,
         observability: bool = False,
         overload: Optional[OverloadConfig] = None,
-        execution: Optional[ExecutionConfig] = None,
+        execution: ExecutionConfig = ExecutionConfig(),
         store: Optional[StoreConfig] = None,
         trace_lifetime: float = 120.0,
         trace_entries: int = 5000,
         log_capacity: int = 2000,
         tuple_entries: int = 100000,
     ) -> None:
-        #: How events execute (:mod:`repro.sim.batch`).  ``None`` keeps
-        #: the original continuous-time per-event loop, bit-identical to
-        #: every pre-batch release.  An :class:`ExecutionConfig` puts the
-        #: simulator in tick mode; its ``batch_size`` selects the tick
-        #: kernel with the coalescing fabric (default) or the per-event
-        #: loop (1).  Nodes run the same code under all three.
+        #: How events execute (:mod:`repro.sim.batch`): the tick grid,
+        #: and on it the tick kernel with the coalescing fabric (the
+        #: default) or the per-event reference loop (``batch_size=1``).
+        #: Nodes run the same code under both.
+        if not isinstance(execution, ExecutionConfig):
+            raise ReproError(
+                f"execution must be an ExecutionConfig, got {execution!r}"
+            )
         self.execution = execution
-        self.sim = Simulator(
-            seed=seed,
-            tick=execution.tick if execution is not None else 0.0,
-        )
+        self.sim = Simulator(seed=seed, tick=execution.tick)
         self.telemetry = Telemetry(
             clock=self.sim.clock.reader(),
             enabled=observability,
@@ -110,9 +109,9 @@ class System:
             duplicate_rate=duplicate_rate,
             obs=self.telemetry if observability else None,
         )
-        #: The batch kernel driving ``run_until`` (None = legacy loop).
+        #: The batch kernel driving ``run_until`` (None = per-event loop).
         self.kernel: Optional[BatchKernel] = None
-        if execution is not None and execution.batched:
+        if execution.batched:
             self.kernel = BatchKernel(self.sim)
             self.sim.use_batch_kernel(self.kernel)
             if transport == "udp":

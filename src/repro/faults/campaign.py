@@ -112,12 +112,10 @@ class CampaignConfig:
     #: the JSONL path so a failure can be replayed in Perfetto or
     #: ``python -m repro obs summarize``.
     artifact_dir: Optional[str] = None
-    #: Execution mode (:mod:`repro.sim.batch`): None keeps the original
-    #: continuous-time per-tuple loop; an :class:`ExecutionConfig`
-    #: selects tick mode, and the batch-vs-per-tuple differential
-    #: battery pins that the verdict fingerprint is identical across
-    #: batch sizes for a given tick.
-    execution: Optional[ExecutionConfig] = None
+    #: Execution mode (:mod:`repro.sim.batch`): the tick kernel by
+    #: default; the batch-vs-per-tuple differential battery pins that
+    #: the verdict fingerprint is identical under the per-event loop.
+    execution: ExecutionConfig = ExecutionConfig()
     #: Run every node traced + logged with a durable forensic store
     #: (:mod:`repro.store`) spilling under ``<store_dir>/seed<seed>``
     #: plus the mode suffix of :meth:`FaultCampaign.leaf`.

@@ -152,30 +152,42 @@ class FaultInjector:
 
         Sends ``rate`` messages per virtual second for ``duration``
         seconds, on a deterministic tick chain (no randomness — the
-        storm is byte-identical under a given schedule).  The payloads
-        are ``stormPayload`` tuples, which no priority map knows, so
-        admission control treats them as application traffic: the
-        overload they create must shed MONITOR/TRACE work first.
+        storm is byte-identical under a given schedule).  Sends land on
+        the tick grid, so each tick sends the messages its width pays
+        for at ``rate`` and banks the fraction: the storm keeps its rate
+        and ends ``duration`` after it starts, however far ``1/rate``
+        is below one tick.  The payloads are ``stormPayload`` tuples,
+        which no priority map knows, so admission control treats them
+        as application traffic: the overload they create must shed
+        MONITOR/TRACE work first.
         """
         if rate <= 0.0:
             raise ReproError(f"storm rate must be > 0: {rate}")
         if duration <= 0.0:
             raise ReproError(f"storm duration must be > 0: {duration}")
         self._record("traffic_storm", (address, rate, duration))
-        interval = 1.0 / rate
-        remaining = max(1, int(rate * duration))
         system = self._system
+        per_tick = rate * system.sim.tick
+        # [messages left to send, fraction of a message banked]
+        state = [max(1, int(rate * duration)), 0.0]
 
-        def tick(left: int) -> None:
-            self._storm_seq += 1
-            mid = self._storm_seq
-            tup = payload_for(RTuple(STORM_RELATION, (address, mid)))
-            size = wire_length(tup, STORM_SOURCE, None, mid)
-            system.network.send(STORM_SOURCE, address, tup, size, mid=mid)
-            if left > 1:
-                system.sim.schedule(interval, lambda: tick(left - 1))
+        def tick() -> None:
+            credit = state[1] + per_tick
+            count = min(state[0], int(credit + 1e-9))
+            state[1] = credit - count
+            state[0] -= count
+            for _ in range(count):
+                self._storm_seq += 1
+                mid = self._storm_seq
+                tup = payload_for(RTuple(STORM_RELATION, (address, mid)))
+                size = wire_length(tup, STORM_SOURCE, None, mid)
+                system.network.send(
+                    STORM_SOURCE, address, tup, size, mid=mid
+                )
+            if state[0] > 0:
+                system.sim.schedule(0.0, tick)
 
-        system.sim.schedule(0.0, lambda: tick(remaining))
+        system.sim.schedule(0.0, tick)
 
     def slow_node(self, address: str, factor: float) -> None:
         """Scale a node's per-message service time by ``factor``.

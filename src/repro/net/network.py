@@ -46,6 +46,10 @@ DROP_NO_RECEIVER = "no_receiver"
 DROP_RETRIES = "retries_exhausted"
 DROP_BACKLOG = "send_backlog_full"
 
+#: Simulator priority of every message, ack and nack delivery: a tick's
+#: deliveries sort before its timers under both loops.
+DELIVERY_PRIORITY = -1
+
 
 class Message:
     """An in-flight network message.
@@ -220,14 +224,6 @@ class Network:
         self._channels: Dict[Tuple[Address, Address], Channel] = {}
         self._blocked: Set[frozenset] = set()
         self._down: Set[Address] = set()
-        # Tick mode (docs/SCALE.md): fabric randomness moves to
-        # per-sender streams so each sender's draw sequence depends only
-        # on its own processing order (kernel-independent), and message
-        # deliveries get priority -1 so a tick's deliveries sort before
-        # its timers under both kernels.  Legacy mode keeps the global
-        # streams and priority 0 — bit-identical to the pre-batch fabric.
-        self._det = sim.det_order
-        self._delivery_priority = -1 if self._det else 0
         # Batch fabric (enabled alongside the batch kernel): one
         # simulator event per (delivery tick, destination) carrying the
         # whole message list, instead of one event per message.
@@ -248,11 +244,10 @@ class Network:
         self.on_send_failure: List[Callable[[Message], None]] = []
 
     def _stream(self, name: str, entity: Address):
-        """A fabric random stream: per-entity in tick mode, global in
-        legacy mode (see the constructor comment)."""
-        if self._det:
-            return self._sim.random.stream(f"{name}.{entity}")
-        return self._sim.random.stream(name)
+        """The fabric random stream ``name`` of sender ``entity``: each
+        sender's draw sequence depends only on its own processing
+        order, so it is the same under both loops (docs/SCALE.md)."""
+        return self._sim.random.stream(f"{name}.{entity}")
 
     # ------------------------------------------------------------------
     # Registration
@@ -266,14 +261,10 @@ class Network:
     def use_batch_fabric(self) -> None:
         """Coalesce UDP deliveries into per-(tick, destination) batches.
 
-        Requires tick mode.  Reliable-transport frames keep
-        per-message events (their ack/retransmit machinery is
-        per-frame).
+        Reliable-transport frames keep per-message events (their
+        ack/retransmit machinery is per-frame).
         """
-        if not self._det:
-            raise NetworkError("the batch fabric requires tick mode")
         self._batch_fabric = True
-        self._latency.use_per_source_streams()
 
     def set_admission(
         self, address: Address, gate: Callable[[Message], bool]
@@ -326,8 +317,6 @@ class Network:
     def set_latency_model(self, model: LatencyModel) -> None:
         """Swap the latency model (e.g. for a jittered-latency fault
         window); affects messages sent from now on."""
-        if self._batch_fabric:
-            model.use_per_source_streams()
         self._latency = model
 
     @property
@@ -441,7 +430,7 @@ class Network:
                     self._sim.schedule_at(
                         when,
                         partial(self._deliver_batch, arrival),
-                        priority=self._delivery_priority,
+                        priority=DELIVERY_PRIORITY,
                         group=dst,
                     )
                 else:
@@ -450,7 +439,7 @@ class Network:
                 self._sim.schedule_at(
                     when,
                     partial(self._hand_over, (message,), self._down),
-                    priority=self._delivery_priority,
+                    priority=DELIVERY_PRIORITY,
                     group=dst,
                 )
             if duplicate or not (
@@ -634,7 +623,7 @@ class Network:
         self._sim.schedule_at(
             when,
             lambda: self._deliver_frame(channel, seq, base, message),
-            priority=self._delivery_priority,
+            priority=DELIVERY_PRIORITY,
             group=message.dst,
         )
 
@@ -699,7 +688,7 @@ class Network:
         self._sim.schedule(
             delay,
             lambda: self._deliver_ack(channel, seq),
-            priority=self._delivery_priority,
+            priority=DELIVERY_PRIORITY,
             group=channel.src,
         )
 
@@ -720,7 +709,7 @@ class Network:
         self._sim.schedule(
             delay,
             lambda: self._deliver_busy(channel, seq),
-            priority=self._delivery_priority,
+            priority=DELIVERY_PRIORITY,
             group=channel.src,
         )
 

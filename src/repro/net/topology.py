@@ -22,17 +22,6 @@ class LatencyModel:
     def delay(self, src: Address, dst: Address) -> float:
         raise NotImplementedError
 
-    def use_per_source_streams(self) -> None:
-        """Switch random draws to per-sender streams (no-op by default).
-
-        The batch fabric calls this in deterministic (tick) mode so each
-        sender's latency draws come from its own stream — one node's send
-        volume can then never perturb another node's delays, which is
-        the isolation the batch-vs-per-tuple determinism contract
-        documents for every other fault draw (loss, duplication,
-        reordering, backoff).  Models without randomness ignore it.
-        """
-
 
 class ConstantLatency(LatencyModel):
     """Every message takes the same one-way delay."""
@@ -49,31 +38,26 @@ class ConstantLatency(LatencyModel):
 class UniformLatency(LatencyModel):
     """Delay drawn uniformly from [low, high) per message.
 
-    Draws come from a named stream of the simulation's random source, so
-    runs stay reproducible.  FIFO ordering is still enforced per channel
-    by the network layer (delivery times are made monotone).
+    Draws come from the sender's own stream of the simulation's random
+    source, so runs stay reproducible and a sender's delays depend only
+    on its own send order: one node's send volume never perturbs
+    another's, and regrouping a tick per node (the batch kernel) leaves
+    every draw where the per-event loop makes it.  FIFO ordering is
+    still enforced per channel by the network layer (delivery times are
+    made monotone).
     """
 
     def __init__(self, rand: SimRandom, low: float, high: float) -> None:
         if low < 0 or high < low:
             raise NetworkError(f"invalid latency range [{low}, {high})")
         self._rand = rand
-        self._rng = rand.stream("net.latency")
-        self._per_source = False
         self.low = low
         self.high = high
-
-    def use_per_source_streams(self) -> None:
-        self._per_source = True
 
     def delay(self, src: Address, dst: Address) -> float:
         if self.high == self.low:
             return self.low
-        rng = (
-            self._rand.stream(f"net.latency.{src}")
-            if self._per_source
-            else self._rng
-        )
+        rng = self._rand.stream(f"net.latency.{src}")
         return rng.uniform(self.low, self.high)
 
 
@@ -83,7 +67,8 @@ class JitteredLatency(LatencyModel):
     Equivalent to ``UniformLatency(rand, base, base + jitter)`` but
     parameterized the way fault schedules describe links: a nominal
     propagation delay and a jitter magnitude that campaigns can crank
-    up independently.
+    up independently.  Draws are per sender, as for
+    :class:`UniformLatency`.
     """
 
     def __init__(self, rand: SimRandom, base: float, jitter: float) -> None:
@@ -92,22 +77,13 @@ class JitteredLatency(LatencyModel):
                 f"invalid jittered latency base={base} jitter={jitter}"
             )
         self._rand = rand
-        self._rng = rand.stream("net.latency")
-        self._per_source = False
         self.base = base
         self.jitter = jitter
-
-    def use_per_source_streams(self) -> None:
-        self._per_source = True
 
     def delay(self, src: Address, dst: Address) -> float:
         if self.jitter == 0:
             return self.base
-        rng = (
-            self._rand.stream(f"net.latency.{src}")
-            if self._per_source
-            else self._rng
-        )
+        rng = self._rand.stream(f"net.latency.{src}")
         return rng.uniform(0, self.jitter) + self.base
 
 
@@ -131,14 +107,6 @@ class AsymmetricLatency(LatencyModel):
         self._overrides: Dict[
             Tuple[Address, Address], Union[float, LatencyModel]
         ] = dict(overrides or {})
-        self._per_source = False
-
-    def use_per_source_streams(self) -> None:
-        self._per_source = True
-        self._default.use_per_source_streams()
-        for override in self._overrides.values():
-            if isinstance(override, LatencyModel):
-                override.use_per_source_streams()
 
     def set_link(
         self, src: Address, dst: Address, delay: Union[float, LatencyModel]
@@ -146,8 +114,6 @@ class AsymmetricLatency(LatencyModel):
         """Override the one-way delay for the directed link src → dst."""
         if isinstance(delay, (int, float)) and delay < 0:
             raise NetworkError(f"latency must be non-negative: {delay}")
-        if self._per_source and isinstance(delay, LatencyModel):
-            delay.use_per_source_streams()
         self._overrides[(src, dst)] = delay
 
     def clear_link(self, src: Address, dst: Address) -> None:

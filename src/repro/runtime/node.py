@@ -9,10 +9,10 @@ uniform: the tracer and event subscribers observe everything.
 There is one execution path: :meth:`receive` admits and applies one
 message, :meth:`_pump` drains the work queue one ``(strand, trigger)``
 at a time, and :meth:`RuleStrand.fire` runs it.  The simulator loop
-and the fabric (continuous, per-event on the tick grid, or the tick
-kernel's coalesced deliveries — :mod:`repro.sim.batch`) only decide
-*when* those are called, so tracers, telemetry and overload control
-attach to the path every node runs rather than selecting another one.
+and the fabric (the tick kernel's coalesced deliveries, or the
+per-event reference loop — :mod:`repro.sim.batch`) only decide *when*
+those are called, so tracers, telemetry and overload control attach to
+the path every node runs rather than selecting another one.
 
 Tracing attachment is by composition to keep layering clean: the
 introspection package sets ``node.hooks`` (a
@@ -81,14 +81,10 @@ class P2Node:
         self.now: Callable[[], float] = sim.clock.reader()
         self.store = TableStore(self.now)
         self.work = WorkModel()
-        # Rule-visible clock: in tick mode (docs/SCALE.md) rules see the
-        # quantized simulator clock without the intra-event micro-offset,
-        # because the micro-clock's reset points depend on how a tick's
-        # work is grouped — f_now() must read identically under the
-        # per-tuple and the batched kernel.  Legacy mode keeps the
-        # micro-clock so execution traces stay strictly ordered.
-        rule_clock = self.now if sim.det_order else self.work_clock
-        self.ctx = EvalContext(rule_clock, self.rng, id_bits)
+        # Rules and the tracer read the micro-clock, so a rule's ruleExec
+        # row ends after it starts (§3.2's RuleT).  Its reset points are
+        # this node's own turns, which both loops run in the same order.
+        self.ctx = EvalContext(self.work_clock, self.rng, id_bits)
         self.planner = Planner(self.store, node_label=address)
 
         self.programs: List[CompiledProgram] = []
@@ -115,6 +111,10 @@ class P2Node:
         # path exactly as before — no admission checks, no mailbox.
         self.overload: Optional[OverloadController] = None
         self._drain_timer = None
+        # When the pending drain was armed, and the fraction of a
+        # message's service time banked by earlier drains.
+        self._drain_armed = 0.0
+        self._drain_credit = 0.0
         if overload is not None:
             self.overload = OverloadController(
                 overload,
@@ -278,7 +278,12 @@ class P2Node:
             strand.overload_class, strand.rule_id
         ):
             return
-        self.work.charge("timer")
+        # A timer turn is one of the node's own turns, like a receive:
+        # its rules read the work clock from the turn's start
+        # (WorkModel.reset_micro, without the frame).
+        work = self.work
+        work._micro_offset = 0.0
+        work.charge("timer")
         # rng.randrange(1 << 31), spelled as the draws it makes (32 bits,
         # again while out of range): same nonces, three frames fewer on
         # what is one firing in every periodic rule's turn.
@@ -362,6 +367,7 @@ class P2Node:
     def _schedule_drain(self) -> None:
         if self._drain_timer is not None or self._stopped:
             return
+        self._drain_armed = self.sim.clock._now
         self._drain_timer = self.sim.schedule(
             self.overload.service_delay,
             self._drain_mailbox,
@@ -369,16 +375,35 @@ class P2Node:
         )
 
     def _drain_mailbox(self) -> None:
-        """Service one mailbox message, then re-arm while work remains."""
+        """Serve the mailbox messages the time since the drain was armed
+        pays for, then re-arm while work remains.
+
+        The node serves one message per ``service_delay``, but a drain
+        lands on the tick grid: a delay below one tick still waits a
+        whole tick.  Serving every message the elapsed time pays for,
+        and banking the fraction, keeps the service rate (and a
+        slow_node factor) exact at any delay.  An idle node banks
+        nothing.
+        """
         self._drain_timer = None
         ctrl = self.overload
         if self._stopped or ctrl is None or not ctrl.mailbox:
             return
-        message = ctrl.mailbox_pop()
-        self.work.reset_micro()
-        self._apply(message)
-        if ctrl.mailbox:
-            self._schedule_drain()
+        credit = self._drain_credit + (
+            self.sim.clock._now - self._drain_armed
+        ) / ctrl.service_delay
+        # At least one: grid snapping may land a hair before the full
+        # service time.
+        serve = max(1, int(credit + 1e-9))
+        for _ in range(serve):
+            message = ctrl.mailbox_pop()
+            self.work.reset_micro()
+            self._apply(message)
+            if self._stopped or not ctrl.mailbox:
+                self._drain_credit = 0.0
+                return
+        self._drain_credit = max(0.0, credit - serve)
+        self._schedule_drain()
 
     def inject(self, name: str, values: PyTuple) -> None:
         """Introduce a tuple from outside (tests, harnesses, consoles).

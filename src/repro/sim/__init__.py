@@ -8,8 +8,8 @@ a single seed.
 """
 
 from repro.sim.clock import Clock
-from repro.sim.events import EventQueue, ScheduledEvent
+from repro.sim.events import ScheduledEvent
 from repro.sim.simulator import Simulator
 from repro.sim.rand import SimRandom
 
-__all__ = ["Clock", "EventQueue", "ScheduledEvent", "Simulator", "SimRandom"]
+__all__ = ["Clock", "ScheduledEvent", "Simulator", "SimRandom"]

@@ -1,14 +1,14 @@
 """Batch-execution kernel: tick-at-a-time event dispatch.
 
-The continuous loop (:meth:`repro.sim.simulator.Simulator.run_until`)
+The per-event loop (:meth:`repro.sim.simulator.Simulator.run_until`)
 pops one event at a time.  At a thousand nodes most of that is
 scheduler overhead: every message is its own heap entry and its own
 callback frame.
 
 This kernel executes one *tick* at a time instead:
 
-1. advance the clock to the earliest pending event time ``t`` (in tick
-   mode every event sits on the tick grid);
+1. advance the clock to the earliest pending event time ``t`` (every
+   event sits on the tick grid);
 2. drain **all** events at ``t`` in canonical order
    ``(priority, origin, origin_seq)``;
 3. gather grouped events per *group* (the node that executes them) and
@@ -20,11 +20,13 @@ This kernel executes one *tick* at a time instead:
    kills) and so *is* ordered relative to each node's own event stream;
 5. call the ``on_tick`` hooks (the forensic store cuts segments here).
 
-The kernel only *schedules*: what a node does with an event — receive,
-pump, fire — is the same code under every loop.  The speed-up comes
-from draining a tick in one pass and from the fabric this kernel turns
-on: one event per ``(tick, destination)`` instead of one per message
-(docs/SCALE.md).
+A tick whose events share one group — a single node's timers, or one
+event alone — is already in that order, so it runs straight off the
+heap.  The kernel only *schedules*: what a node does with an event —
+receive, pump, fire — is the same code under both loops.  The speed-up
+comes from draining a tick in one pass and from the fabric this kernel
+turns on: one event per ``(tick, destination)`` instead of one per
+message (docs/SCALE.md).
 
 Equivalence contract (docs/SCALE.md): within a tick, nodes interact
 only through events scheduled for *later* ticks, and all per-message
@@ -34,8 +36,7 @@ battery (``tests/batchexec/``) pins this: per-event and per-tick runs
 of every bundled program produce identical final tables, alarm
 streams, and campaign verdicts.
 
-An :class:`ExecutionConfig` always means the tick grid (``execution=None``
-is the continuous loop); its ``batch_size`` selects the loop on it:
+An :class:`ExecutionConfig`'s ``batch_size`` selects the loop:
 
 - ``None`` (default) — this kernel.
 - ``1`` — the per-event loop in canonical tick order, with per-message
@@ -45,21 +46,18 @@ is the continuous loop); its ``batch_size`` selects the loop on it:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import SimulationError
-
-#: Default tick width (seconds).  Matches the default one-way network
-#: latency, so a message sent during tick ``t`` is delivered exactly at
-#: tick ``t + 1`` and quantization does not stretch the fabric.
-DEFAULT_TICK = 0.01
+from repro.sim.simulator import DEFAULT_TICK, GLOBAL_ORIGIN
 
 
 @dataclass(frozen=True)
 class ExecutionConfig:
     """How a :class:`~repro.core.system.System` executes events.
 
-    ``tick`` (> 0) quantizes all scheduling onto a grid.  ``batch_size``
+    ``tick`` (> 0) is the grid all scheduling snaps onto.  ``batch_size``
     selects the loop on it: ``None`` is the tick kernel, ``1`` the
     per-event loop; nothing else is accepted.
     """
@@ -103,45 +101,88 @@ class BatchKernel:
         self.on_tick: List[Callable[[float], None]] = []
 
     def run_until(self, when: float) -> None:
+        """Run every tick at or before ``when`` (the simulator then
+        leaves its clock at ``when``).
+
+        Like the per-event loop, it works the queue's heap itself; the
+        tick and event counters are kept in locals and stored once.
+        """
         sim = self._sim
-        while True:
-            t = sim._peek_time()
-            if t is None or t > when:
-                break
-            events = sim._drain_tick(t)
-            if not events:
-                continue
-            self.ticks += 1
-            if len(events) > self.max_tick_events:
-                self.max_tick_events = len(events)
-            sim._count_event(len(events))
-            groups: Dict[str, List] = {}
-            for event in events:
-                # An earlier event this tick may have cancelled a later
-                # one (crash cancelling timers); honour it like the
-                # per-event loop's lazy-cancellation pop does.
-                if event.cancelled:
+        heap = sim._heap
+        clock = sim.clock
+        on_tick = self.on_tick
+        ticks = processed = 0
+        most = self.max_tick_events
+        try:
+            while heap:
+                t = heap[0][0]
+                if t > when:
+                    break
+                events = []
+                group = None
+                mixed = False
+                while True:  # the heap holds at least one entry at t
+                    event = heappop(heap)[4]
+                    if not event.cancelled:
+                        events += (event,)  # no call: cheaper than append
+                        g = event.group
+                        if g != group and g is not None:
+                            # A second group makes the tick mixed for good.
+                            mixed = group is not None
+                            group = g
+                    if not heap or heap[0][0] != t:
+                        break
+                if not events:
                     continue
-                group = event.group
-                if group is None:
-                    # Control code can inject into or kill nodes, so a
-                    # control event is ordered relative to each node's
-                    # own stream: everything gathered so far sorts
-                    # canonically before it and must run first.
-                    self._flush(groups)
-                    sim._set_origin("")
-                    event.callback()
+                clock._now = t
+                ticks += 1
+                n = len(events)
+                if n > most:
+                    most = n
+                processed += n
+                if mixed:
+                    self._run_grouped(events)
                 else:
-                    bucket = groups.get(group)
-                    if bucket is None:
-                        groups[group] = [event]
-                    else:
-                        bucket.append(event)
-            self._flush(groups)
-            for hook in self.on_tick:
-                hook(t)
-        sim._set_origin("")
-        sim.clock.advance_to(when)
+                    # One group (with or without control events):
+                    # canonical order already is the grouped order.
+                    for event in events:
+                        # An earlier event this tick may have cancelled
+                        # a later one (crash cancelling timers); honour
+                        # it like the per-event loop's lazy pop.
+                        if not event.cancelled:
+                            sim._origin = event.group or GLOBAL_ORIGIN
+                            event.callback()
+                if on_tick:
+                    for hook in on_tick:
+                        hook(t)
+        finally:
+            self.ticks += ticks
+            self.max_tick_events = most
+            sim._events_processed += processed
+
+    def _run_grouped(self, events: List) -> None:
+        """Run a tick that spans several groups, per group."""
+        sim = self._sim
+        groups: Dict[str, List] = {}
+        for event in events:
+            if event.cancelled:
+                continue
+            group = event.group
+            if group is None:
+                # Control code can inject into or kill nodes, so a
+                # control event is ordered relative to each node's own
+                # stream: everything gathered so far sorts canonically
+                # before it and must run first.
+                self._flush(groups)
+                sim._origin = GLOBAL_ORIGIN
+                event.callback()
+            else:
+                bucket = groups.get(group)
+                if bucket is None:
+                    groups[group] = [event]
+                else:
+                    bucket.append(event)
+        self._flush(groups)
 
     def _flush(self, groups: Dict[str, List]) -> None:
         """Run each group's gathered events, in stable address order.
@@ -153,7 +194,7 @@ class BatchKernel:
             return
         sim = self._sim
         for key in sorted(groups):
-            sim._set_origin(key)
+            sim._origin = key
             for event in groups[key]:
                 if not event.cancelled:
                     event.callback()

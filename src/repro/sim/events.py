@@ -1,33 +1,35 @@
-"""Ordered event queue for the discrete-event simulator.
+"""Scheduled events and their order in the simulator's queue.
 
-Events are ordered by ``(time, priority, origin key, origin seq,
-global seq)``.  The global sequence number makes ordering total and
-deterministic: two events scheduled for the same instant fire in
-scheduling order.  Priority lets the network deliver messages before
+Events are ordered by ``(time, priority, origin key, origin seq)``.
+Priority lets the network deliver messages before
 timers that fire at the same instant (or vice versa) in a controlled
 way; the default priority of 0 is fine for nearly all uses.
 
 The *origin* fields are the batch-execution kernel's determinism
-contract (docs/SCALE.md).  When the simulator runs in tick mode it
-stamps every event with the entity that created it (``okey`` — a node
-address, or ``""`` for harness/control code) and a per-origin counter
-(``oseq``).  Because each entity's own processing order is preserved by
-both the per-tuple and the batched kernel, the pair ``(okey, oseq)`` is
-identical across kernels, which makes same-tick ordering independent of
-how the previous tick's work was interleaved globally.  In legacy mode
-every event carries ``("", 0)`` there, so ordering falls through to the
-global sequence number — bit-identical to the pre-batch scheduler.
+contract (docs/SCALE.md).  The simulator stamps every event with the
+entity that created it (``okey`` — a node address, or ``""`` for
+harness/control code) and a per-origin counter (``oseq``).  Because
+each entity's own processing order is preserved by both the per-event
+loop and the batch kernel, the pair ``(okey, oseq)`` is identical
+across loops, which makes same-tick ordering independent of how the
+previous tick's work was interleaved globally.  Every push takes the
+next ``oseq`` of its origin, so the pair is unique: the order is total,
+and two events one entity schedules for the same instant fire in
+scheduling order.
 
-The heap stores plain key tuples (C-speed comparisons) rather than
-ordered dataclass instances; :class:`ScheduledEvent` is the cancellation
-handle riding along in the last slot.
+The queue is a plain heap on the simulator (``Simulator._heap``) of
+key tuples ``(time, priority, okey, oseq, event)`` — C-speed
+comparisons that never reach the event, because ``(okey, oseq)`` is
+unique.
+:class:`ScheduledEvent` is the cancellation handle riding along in the
+last slot.  ``Simulator._push`` pushes and both loops
+(``Simulator._run_events``, ``BatchKernel.run_until``) pop the heap
+directly: those are the hottest lines in a run.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 
 class ScheduledEvent:
@@ -40,15 +42,14 @@ class ScheduledEvent:
     """
 
     __slots__ = (
-        "time", "priority", "okey", "oseq", "seq",
-        "callback", "group", "cancelled",
+        "time", "priority", "okey", "oseq", "callback", "group",
+        "cancelled",
     )
 
     def __init__(
         self,
         time: float,
         priority: int,
-        seq: int,
         callback: Callable[[], None],
         okey: str = "",
         oseq: int = 0,
@@ -58,7 +59,6 @@ class ScheduledEvent:
         self.priority = priority
         self.okey = okey
         self.oseq = oseq
-        self.seq = seq
         self.callback = callback
         self.group = group
         self.cancelled = False
@@ -69,74 +69,11 @@ class ScheduledEvent:
 
     def sort_key(self):
         """The queue's total order key (for tests and introspection)."""
-        return (self.time, self.priority, self.okey, self.oseq, self.seq)
+        return (self.time, self.priority, self.okey, self.oseq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<ScheduledEvent t={self.time} prio={self.priority} "
-            f"origin={self.okey}:{self.oseq} seq={self.seq} "
+            f"origin={self.okey}:{self.oseq} "
             f"group={self.group!r}{' cancelled' if self.cancelled else ''}>"
         )
-
-
-class EventQueue:
-    """A heap of :class:`ScheduledEvent` with deterministic ordering."""
-
-    def __init__(self) -> None:
-        # Heap entries are (time, priority, okey, oseq, seq, event):
-        # tuple comparison never reaches the event object because seq is
-        # unique, and runs at C speed.
-        self._heap: list = []
-        self._seq = itertools.count()
-
-    def __len__(self) -> int:
-        return sum(1 for entry in self._heap if not entry[5].cancelled)
-
-    def push(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        priority: int = 0,
-        okey: str = "",
-        oseq: int = 0,
-        group: Optional[str] = None,
-    ) -> ScheduledEvent:
-        """Schedule ``callback`` at virtual time ``time``; returns a handle."""
-        seq = next(self._seq)
-        event = ScheduledEvent(time, priority, seq, callback, okey, oseq, group)
-        heapq.heappush(self._heap, (time, priority, okey, oseq, seq, event))
-        return event
-
-    def pop(self) -> Optional[ScheduledEvent]:
-        """Remove and return the earliest live event, or None if empty."""
-        heap = self._heap
-        while heap:
-            event = heapq.heappop(heap)[5]
-            if not event.cancelled:
-                return event
-        return None
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the earliest live event, or None if the queue is empty."""
-        heap = self._heap
-        while heap and heap[0][5].cancelled:
-            heapq.heappop(heap)
-        if heap:
-            return heap[0][0]
-        return None
-
-    def drain_at(self, time: float) -> List[ScheduledEvent]:
-        """Pop every live event whose time equals ``time``, in order.
-
-        The returned list is in full queue order (priority, origin,
-        seq) — the batch kernel's one tick's worth of work.  Events at
-        earlier times must already have been drained; this never skips
-        ahead past ``time``.
-        """
-        heap = self._heap
-        batch: List[ScheduledEvent] = []
-        while heap and heap[0][0] <= time:
-            event = heapq.heappop(heap)[5]
-            if not event.cancelled:
-                batch.append(event)
-        return batch

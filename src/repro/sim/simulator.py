@@ -12,60 +12,62 @@ Components receive the simulator at construction time and use
 deterministic order and leaves the clock exactly at the requested time so
 back-to-back runs compose.
 
-Two execution regimes (docs/SCALE.md):
+Time runs on a grid of ``tick``-second boundaries (docs/SCALE.md):
+scheduling snaps onto the grid, always to a *strictly future* boundary,
+so co-temporal work coalesces into discrete ticks.  Every event also
+carries an *origin key*: the entity (node) whose processing created
+it, plus a per-origin sequence number.  Ordering within a tick is
+``(priority, origin, origin_seq)`` — independent of how the previous
+tick's work was interleaved across entities, which is what lets the
+batch kernel regroup a tick per node without changing any node's
+observable event order.
 
-- **Legacy (tick=0)** — the continuous-time loop above, bit-identical
-  to the pre-batch scheduler: every event fires at its exact scheduled
-  instant in ``(time, priority, seq)`` order.
-- **Tick mode (tick>0)** — scheduling quantizes onto a grid of
-  ``tick``-second boundaries (always rounding to a *strictly future*
-  boundary), so co-temporal work coalesces into discrete ticks.  Events
-  additionally carry an *origin key*: the entity (node) whose
-  processing created them, plus a per-origin sequence number.  Ordering
-  within a tick is ``(priority, origin, origin_seq)`` — independent of
-  how the previous tick's work was interleaved across entities, which
-  is what lets the batched kernel regroup a tick per node without
-  changing any node's observable event order.
-
-When a :class:`~repro.sim.batch.BatchKernel` is installed (see
-:meth:`use_batch_kernel`), ``run_until`` delegates to it; harness code
-never needs to know which kernel is driving.
+``run_until`` itself is the per-event loop, the reference the batch
+kernel is tested against.  When a :class:`~repro.sim.batch.BatchKernel`
+is installed (see :meth:`use_batch_kernel`), ``run_until`` delegates to
+it; harness code never needs to know which loop is driving.
 """
 
 from __future__ import annotations
 
-import math
-from heapq import heappop
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from repro.errors import SimulationError
 from repro.sim.clock import Clock
-from repro.sim.events import EventQueue, ScheduledEvent
+from repro.sim.events import ScheduledEvent
 from repro.sim.rand import SimRandom
 
 #: Origin key used for events created outside any entity's processing
 #: turn (harness code, fault schedules, campaign probes).  The empty
 #: string sorts before every node address, so control events at a tick
-#: run before that tick's node work in both kernels.
+#: run before that tick's node work in both loops.
 GLOBAL_ORIGIN = ""
+
+#: Default tick width (seconds).  Matches the default one-way network
+#: latency, so a message sent during tick ``t`` is delivered exactly at
+#: tick ``t + 1`` and quantization does not stretch the fabric.
+DEFAULT_TICK = 0.01
 
 
 class Simulator:
-    """Event loop over a virtual clock."""
+    """Event loop over a virtual clock on a ``tick``-second grid."""
 
-    def __init__(self, seed: int = 0, tick: float = 0.0) -> None:
-        if tick < 0:
-            raise SimulationError(f"tick must be non-negative: {tick}")
+    def __init__(self, seed: int = 0, tick: float = DEFAULT_TICK) -> None:
+        if not tick > 0:
+            raise SimulationError(f"tick must be positive: {tick}")
         self.clock = Clock()
         self.random = SimRandom(seed)
         self.tick = tick
-        self._queue = EventQueue()
+        # The event queue: a heap of (time, priority, okey, oseq, event)
+        # entries (repro.sim.events).
+        self._heap: list = []
         self._running = False
         self._events_processed = 0
         # Batch kernel (repro.sim.batch.BatchKernel) or None.
         self._kernel = None
         # Entity whose event is currently executing; schedules inherit
-        # it as their origin key (tick mode only).
+        # it as their origin key.
         self._origin = GLOBAL_ORIGIN
         self._origin_seqs: dict = {}
         self._timer_ids = 0
@@ -76,11 +78,6 @@ class Simulator:
         return self.clock.now
 
     @property
-    def det_order(self) -> bool:
-        """True in tick mode: same-tick ordering is origin-canonical."""
-        return self.tick > 0
-
-    @property
     def events_processed(self) -> int:
         """Total events dispatched since construction."""
         return self._events_processed
@@ -88,38 +85,19 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of live events still queued."""
-        return len(self._queue)
+        return sum(1 for entry in self._heap if not entry[4].cancelled)
 
     @property
     def kernel(self):
-        """The installed batch kernel, or None (legacy loop)."""
+        """The installed batch kernel, or None (the per-event loop)."""
         return self._kernel
 
     def use_batch_kernel(self, kernel) -> None:
         """Route ``run_until`` through ``kernel`` from now on."""
-        if self.tick <= 0:
-            raise SimulationError("the batch kernel requires tick > 0")
         self._kernel = kernel
 
     # ------------------------------------------------------------------
     # Scheduling
-
-    def _quantize(self, when: float) -> float:
-        """Snap ``when`` onto the tick grid (strictly after ``now``).
-
-        An event landing on the current instant is deferred one full
-        tick: both kernels apply the same rule, so no event is ever
-        added to a tick already being processed.
-        """
-        tick = self.tick
-        # Robust grid snap: a value already (numerically) on the grid
-        # stays, anything else rounds up.
-        k = math.ceil(when / tick - 1e-9)
-        when = k * tick
-        now = self.clock._now
-        if when <= now:
-            when = (math.floor(now / tick + 1e-9) + 1) * tick
-        return when
 
     def _push(
         self,
@@ -128,16 +106,26 @@ class Simulator:
         priority: int,
         group: Optional[str],
     ) -> ScheduledEvent:
-        if self.tick > 0:
-            when = self._quantize(when)
-            okey = self._origin
-            seqs = self._origin_seqs
-            oseq = seqs.get(okey, 0)
-            seqs[okey] = oseq + 1
-            return self._queue.push(
-                when, callback, priority, okey=okey, oseq=oseq, group=group
-            )
-        return self._queue.push(when, callback, priority, GLOBAL_ORIGIN, 0, group)
+        # Snap onto the grid: a value already (numerically) on it
+        # stays, anything else rounds up — ``ceil(when / tick - 1e-9)``
+        # spelled as arithmetic, because this runs on every schedule.
+        # An event landing on the current instant is deferred one full
+        # tick, so no event is ever added to a tick being processed.
+        tick = self.tick
+        when = -((1e-9 - when / tick) // 1) * tick
+        now = self.clock._now
+        if when <= now:
+            when = ((now / tick + 1e-9) // 1 + 1) * tick
+        okey = self._origin
+        seqs = self._origin_seqs
+        try:
+            oseq = seqs[okey]
+        except KeyError:
+            oseq = 0
+        seqs[okey] = oseq + 1
+        event = ScheduledEvent(when, priority, callback, okey, oseq, group)
+        heappush(self._heap, (when, priority, okey, oseq, event))
+        return event
 
     def schedule(
         self,
@@ -150,7 +138,7 @@ class Simulator:
 
         ``group`` names the entity that will execute the event (a node
         address); the batch kernel gathers each tick's events per group
-        and the legacy loop ignores it.
+        and the per-event loop ignores it.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: delay={delay}")
@@ -207,58 +195,45 @@ class Simulator:
             )
         if self._running:
             raise SimulationError("run_until called re-entrantly")
-        if self._kernel is not None:
-            self._running = True
-            try:
-                self._kernel.run_until(when)
-            finally:
-                self._running = False
-            return
         self._running = True
-        # The loop works the queue's heap itself, so an event costs its
-        # callback's frame and no queue or clock call.  Entries are
-        # (time, priority, okey, oseq, seq, event); the heap never
-        # yields a time before the clock because nothing can be
-        # scheduled in the past.
-        heap = self._queue._heap
-        clock = self.clock
         try:
-            while heap:
-                entry = heap[0]
-                if entry[0] > when:
-                    break
-                heappop(heap)
-                event = entry[5]
-                if event.cancelled:
-                    continue
-                clock._now = entry[0]
-                self._events_processed += 1
-                group = event.group
-                self._origin = group if group is not None else GLOBAL_ORIGIN
-                event.callback()
-            clock.advance_to(when)
+            if self._kernel is not None:
+                self._kernel.run_until(when)
+            else:
+                self._run_events(when)
+            self.clock.advance_to(when)
         finally:
             self._origin = GLOBAL_ORIGIN
             self._running = False
 
+    def _run_events(self, when: float) -> None:
+        """The per-event loop: one event at a time in canonical order.
+
+        It works the queue's heap itself, so an event costs its
+        callback's frame and no queue or clock call.  Entries are
+        (time, priority, okey, oseq, event); the heap never yields
+        a time before the clock because nothing can be scheduled in the
+        past.
+        """
+        heap = self._heap
+        clock = self.clock
+        while heap:
+            entry = heap[0]
+            if entry[0] > when:
+                break
+            heappop(heap)
+            event = entry[4]
+            if event.cancelled:
+                continue
+            clock._now = entry[0]
+            self._events_processed += 1
+            group = event.group
+            self._origin = group if group is not None else GLOBAL_ORIGIN
+            event.callback()
+
     def run_for(self, duration: float) -> None:
         """Process events for ``duration`` seconds of virtual time."""
         self.run_until(self.clock.now + duration)
-
-    # Internal: the batch kernel borrows these.
-
-    def _drain_tick(self, time: float):
-        self.clock.advance_to(time)
-        return self._queue.drain_at(time)
-
-    def _peek_time(self) -> Optional[float]:
-        return self._queue.peek_time()
-
-    def _count_event(self, n: int = 1) -> None:
-        self._events_processed += n
-
-    def _set_origin(self, okey: str) -> None:
-        self._origin = okey
 
 
 class PeriodicTimer:
@@ -296,7 +271,7 @@ class PeriodicTimer:
         else:
             sim = self._sim
             self._pending = sim._push(
-                sim.clock.now + self._period, self._fire, 0, self._group
+                sim.clock._now + self._period, self._fire, 0, self._group
             )
         self._callback()
 

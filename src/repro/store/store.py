@@ -15,7 +15,8 @@ the store-wide capture sequence number ``q``, to the buffer of its kind
 cuts a segment from everything it holds: one encode per block, one file
 write, then the manifest.  Under the batch kernel the cut is deferred
 to the next tick barrier (segments align to tick boundaries); under the
-legacy loop it happens inline.  ``close()`` flushes the remainder and
+per-event reference loop, and for a store fed by hand, it happens
+inline.  ``close()`` flushes the remainder and
 (re)writes ``manifest.json``.
 
 Read path: :meth:`iter_events` / :meth:`events` for filtered scans

@@ -27,6 +27,7 @@ from repro.monitors import (
     RingProbeMonitor,
     StatusFlowMonitor,
 )
+from repro.net.topology import JitteredLatency
 from repro.overload.controller import OverloadConfig
 from repro.sim.batch import DEFAULT_TICK, ExecutionConfig
 
@@ -142,12 +143,35 @@ def run_chord(
     return state
 
 
-def run_chord_observed(
+def run_chord_jittered(
+    seed: int,
+    execution: ExecutionConfig,
+    transport: str,
+    nodes: int = 10,
+    duration: float = 90.0,
+) -> Dict[str, Any]:
+    """Chord over jittered links (10–40 ms one way) on ``transport``.
+
+    Every message draws its delay, so the kernels agree only if each
+    sender's draws depend on its own send order and not on how a tick
+    interleaves the senders.
+    """
+    net = ChordNetwork(
+        num_nodes=nodes, seed=seed, transport=transport, execution=execution
+    )
+    system = net.system
+    system.network.set_latency_model(JitteredLatency(system.sim.random, 0.01, 0.03))
+    net.start()
+    net.run_for(duration)
+    return system_state(system, net.addresses)
+
+
+def observed_chord(
     seed: int,
     execution: ExecutionConfig,
     nodes: int = 6,
     duration: float = 45.0,
-) -> Dict[str, Any]:
+) -> ChordNetwork:
     """Chord with every observer attached: tracer, event logger,
     telemetry spans and an overload controller on every node (UDP).
 
@@ -166,6 +190,14 @@ def run_chord_observed(
     )
     net.start()
     net.run_for(duration)
+    return net
+
+
+def run_chord_observed(
+    seed: int, execution: ExecutionConfig, **kwargs
+) -> Dict[str, Any]:
+    """:func:`observed_chord`'s state."""
+    net = observed_chord(seed, execution, **kwargs)
     return system_state(net.system, net.addresses)
 
 

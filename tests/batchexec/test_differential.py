@@ -13,12 +13,17 @@ from __future__ import annotations
 import pytest
 
 from tests.batchexec.harness import (
+    MODES,
+    assert_identical,
     differential,
+    observed_chord,
     run_aggtree,
     run_chord,
+    run_chord_jittered,
     run_chord_observed,
     run_gossip,
     run_monitors,
+    system_state,
 )
 
 FAST_SEEDS = (0, 1, 2, 3, 4)
@@ -39,15 +44,30 @@ def test_observed_chord_identical(seed):
     differential(run_chord_observed, seed)
 
 
-def test_observed_workload_is_not_vacuous():
-    """Every observer in the observed differential actually recorded."""
-    from tests.batchexec.harness import BATCHED
+@pytest.mark.parametrize("transport", ("udp", "reliable"))
+@pytest.mark.parametrize("seed", (3, 4))
+def test_jittered_chord_identical(seed, transport):
+    differential(run_chord_jittered, seed, transport=transport)
 
-    state = run_chord_observed(0, BATCHED)
-    for node in state["nodes"].values():
+
+def test_observed_workload_is_not_vacuous():
+    """Every observer in the observed differential actually recorded,
+    the kernels agree on it, and every retained rule execution took
+    time: its ``ruleExec`` row ends after it starts (§3.2's RuleT)."""
+    nets = {label: observed_chord(0, execution) for label, execution in MODES.items()}
+    states = {
+        label: system_state(net.system, net.addresses) for label, net in nets.items()
+    }
+    assert_identical(states)
+    for node in states["batched"]["nodes"].values():
         for ring in ("ruleExec", "tupleLog", "tableLog"):
             assert node["tables"][ring], ring
         assert sum(c["offered"] for c in node["overload"].values()) > 0
+    net = nets["batched"]
+    for address in net.addresses:
+        rows = list(net.system.node(address).store.get("ruleExec").scan())
+        # ruleExec@N(Rule, CauseID, EffectID, InT, OutT, IsEvent)
+        assert all(row.values[5] > row.values[4] for row in rows), address
 
 
 @pytest.mark.parametrize("seed", FAST_SEEDS)

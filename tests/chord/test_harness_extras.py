@@ -89,10 +89,15 @@ SECOND_SPELLINGS = {
         TypeError,
         lambda: ChordNetwork(num_nodes=2).start(join_retry=1.0),
     ),
-    # execution=None is the continuous loop; an ExecutionConfig is a grid.
+    # Every run is on a tick grid: tick=0 and execution=None spell no
+    # loop and are rejected.
     "tick=0": (
         SimulationError,
-        lambda: ExecutionConfig(batch_size=1, tick=0.0),
+        lambda: ChordNetwork(num_nodes=2, execution=ExecutionConfig(tick=0.0)),
+    ),
+    "execution=None": (
+        ReproError,
+        lambda: ChordNetwork(num_nodes=2, execution=None),
     ),
 }
 

@@ -2,12 +2,21 @@ import pytest
 
 from repro.core.system import System
 from repro.errors import ReproError
+from repro.faults.campaign import CampaignConfig
+from repro.sim.batch import DEFAULT_TICK, ExecutionConfig
 
 
 def test_add_and_get_node():
     system = System(seed=1)
     node = system.add_node("a:1")
     assert system.node("a:1") is node
+
+
+def test_every_run_is_on_the_tick_kernel_by_default():
+    system = System()
+    assert system.kernel is not None
+    assert system.sim.tick == DEFAULT_TICK
+    assert CampaignConfig().execution == ExecutionConfig()
 
 
 def test_duplicate_address_rejected():

@@ -120,6 +120,54 @@ def test_slow_node_scales_service_and_inverts():
     assert ctrl.slow_factor == 1.0
 
 
+def test_storm_above_the_tick_rate_keeps_its_rate_and_ends_on_time():
+    """A storm whose spacing (1 ms) is below the 10 ms tick sends
+    rate x tick messages a tick, so it ends ``duration`` after it
+    starts instead of stretching to one message a tick."""
+    system = System(seed=1)
+    assert system.kernel is not None
+    system.add_node("a:1")
+    injector = FaultInjector(system)
+    system.run_for(1.0)
+    injector.traffic_storm("a:1", rate=1000.0, duration=2.0)
+    sent = system.network.stats.per_node_sent
+    system.run_for(1.0)
+    assert sent[STORM_SOURCE] == pytest.approx(1000, abs=10)
+    system.run_for(1.0 + system.sim.tick)
+    assert sent[STORM_SOURCE] == 2000  # rate * duration, all by start + duration
+    system.run_for(1.0)
+    assert sent[STORM_SOURCE] == 2000
+    assert system.network.stats.per_node_received["a:1"] == 2000
+
+
+def drained_per_second(factor):
+    """Messages a storm-flooded node serves per second after
+    ``slow_node(factor)``, with a 2 ms service time (below one tick)."""
+    system = System(
+        seed=1,
+        overload=OverloadConfig(mailbox_capacity=None, service_time=0.002),
+    )
+    assert system.kernel is not None
+    node = system.add_node("a:1")
+    injector = FaultInjector(system)
+    injector.slow_node("a:1", factor)
+    injector.traffic_storm("a:1", rate=1000.0, duration=4.0)
+    system.run_for(1.0)  # the mailbox fills
+    ctrl = node.overload
+    served = lambda: ctrl.counts["data"].admitted - len(ctrl.mailbox)
+    before = served()
+    system.run_for(2.0)
+    assert ctrl.mailbox  # still saturated: the rate is the service rate
+    return (served() - before) / 2.0
+
+
+def test_slow_node_cuts_the_service_rate_below_one_tick():
+    normal = drained_per_second(1.0)
+    slow = drained_per_second(3.0)
+    assert normal == pytest.approx(500.0, rel=0.02)  # 1 / 2 ms
+    assert slow == pytest.approx(500.0 / 3.0, rel=0.02)  # 1 / 6 ms
+
+
 def test_corrupt_verb_routes_through_helpers_and_logs():
     net = ChordNetwork(num_nodes=4, seed=40)
     net.start()

@@ -1,6 +1,6 @@
 """One send path: what a node ships is the tuple the wire would deliver.
 
-Every loop (continuous, tick kernel) and both transports carry the same
+Both loops (tick kernel, per-event) and both transports carry the same
 body; these pin the two properties the bytes used to guarantee — an
 unmarshalable value fails at send time, and the receiver's tuple is
 what decoding the real wire bytes gives — plus exact byte accounting
@@ -19,7 +19,7 @@ from repro.runtime.tuples import Tuple
 from repro.sim.batch import ExecutionConfig
 
 LOOPS = {
-    "continuous": {},
+    "per-event": {"execution": ExecutionConfig(batch_size=1)},
     "tick": {"execution": ExecutionConfig()},
     "reliable": {"transport": "reliable"},
 }

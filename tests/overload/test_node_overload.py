@@ -50,8 +50,13 @@ def test_zero_service_time_processes_inline(sim, make_node):
         # exactly once.
         ("udp", ExecutionConfig(), {"admit_mailbox": 1}),
         # Reliable: the gate decided before the ack; receive only
-        # counts the arrival.
-        ("reliable", None, {"admit_remote": 1, "count_arrival": 1}),
+        # counts the arrival.  Its frames are per-message events on
+        # either loop; this row runs the per-event one.
+        (
+            "reliable",
+            ExecutionConfig(batch_size=1),
+            {"admit_remote": 1, "count_arrival": 1},
+        ),
     ],
 )
 def test_admission_is_decided_once_per_message(

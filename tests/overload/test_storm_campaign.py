@@ -12,7 +12,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.system import System
 from repro.faults.campaign import CampaignConfig, FaultCampaign
+from repro.faults.injector import FaultInjector
+from repro.net.network import ReliableConfig
+from repro.overload.controller import OverloadConfig
 
 FAST_SEEDS = [0, 1]
 # The full randomized storm sweep (nightly tier / CI smoke subset).
@@ -74,17 +78,44 @@ def test_control_arm_shows_unbounded_growth():
 
 def test_reliable_storm_defers_rather_than_sheds_data():
     """On the reliable transport the receiver gate answers BUSY, so
-    overload turns into sender-side backpressure: DATA is deferred or
-    absorbed by the bounded sender backlog, not silently dropped."""
+    overload turns into sender-side backpressure: DATA is deferred, the
+    storm's sender overflows its bounded backlog, and every DATA offer
+    and every dropped message is accounted for."""
     verdict = FaultCampaign(0, storm_config(transport="reliable")).run()
     assert_protected(verdict)
     assert verdict.counters["busy_nacks"] > 0
     data = verdict.overload["classes"]["data"]
     assert data["deferred"] > 0
-    # Sender-side overflow is attributed, not lost silently.
-    assert "send_backlog_full" in verdict.drop_reasons or (
-        verdict.counters["backlogged"] > 0
+    assert data["offered"] == data["admitted"] + data["shed"] + data["deferred"]
+    # The storm runs at its sampled rate, above what the window drains.
+    assert verdict.counters["backlogged"] > 0
+    assert verdict.drop_reasons.get("send_backlog_full", 0) > 0
+    assert verdict.counters["messages_dropped"] == sum(
+        verdict.drop_reasons.values()
     )
+
+
+def test_reliable_storm_overflowing_the_sender_backlog_is_attributed():
+    """A storm the receiver cannot absorb fills the sender's window and
+    then its bounded backlog: each overflow is a sender-visible drop
+    with its reason, never a silent loss."""
+    system = System(
+        seed=0,
+        transport="reliable",
+        reliable=ReliableConfig(window=8, backlog=16),
+        overload=OverloadConfig(service_time=0.2),
+    )
+    assert system.kernel is not None
+    system.add_node("n0:1")
+    FaultInjector(system).traffic_storm("n0:1", 100.0, 5.0)
+    system.run_for(30.0)
+    stats = system.network.stats
+    assert stats.busy_nacks > 0
+    assert stats.backlogged > 0
+    overflow = stats.drop_reasons.get("send_backlog_full", 0)
+    assert overflow > 0
+    assert stats.send_failures >= overflow
+    assert stats.messages_dropped == sum(stats.drop_reasons.values())
 
 
 def test_storm_schedules_are_storm_only_and_healed():

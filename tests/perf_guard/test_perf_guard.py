@@ -45,11 +45,10 @@ off and on, and traced and logged) and on the Figure-4
 periodic-rule workload, with telemetry on the flight recorder may gain
 no record per firing or per delivery, and a message of an 8-node
 monitoring fan-in — the sender's firing to the collector's insert —
-may make only so many
-calls on the tick kernel and the continuous loop (a message is the
-receiver-ready tuple; marshaling it, or a frame per delivery hop, costs
-as much as the rest of the hop) (``cProfile``'s call count is the same
-on every machine and every CPython from 3.10 to 3.12).
+may make only so many calls (a message is the receiver-ready tuple;
+marshaling it, or a frame per delivery hop, costs as much as the rest
+of the hop) (``cProfile``'s call count is the same on every machine and
+every CPython from 3.10 to 3.12).
 """
 
 from __future__ import annotations
@@ -73,7 +72,6 @@ from repro.runtime.store import TableStore
 from repro.runtime.table import Table, TableIndex
 from repro.runtime.work import WorkModel
 from repro.runtime.tuples import Tuple
-from repro.sim.batch import ExecutionConfig
 from repro.store import ForensicStore, StoreConfig, StoreProvider, backward_slice
 from repro.store import format as fmt
 from repro.store.segment import Segment
@@ -128,9 +126,9 @@ def assert_under(calls: float, ceiling: float, label: str) -> None:
     )
 
 
-#: Measured 33.4 with telemetry off and 36.4 on (the strand adds the
-#: firing's charged work to its own distribution: ``observe``,
-#: ``bucket_index``, ``frexp``); ceilings leave ~15 %.  With a
+#: Measured 32.4 with telemetry off and 35.4 on, on the tick kernel (the
+#: strand adds the firing's charged work to its own distribution:
+#: ``observe``, ``bucket_index``, ``frexp``); ceilings leave ~15 %.  With a
 #: ``rule_exec`` span, its attrs dict in the flight recorder and two
 #: label-keyed histogram observations per firing, telemetry on was 66.4.
 #: With each table access reading the clock through a lambda and two
@@ -140,7 +138,7 @@ def assert_under(calls: float, ceiling: float, label: str) -> None:
 #: peek, a pop and a clock call, and each timer a ``schedule`` and a
 #: ``randrange``, 50.2 and 88.2.
 OBS_CALLS_PER_FIRING = {"disabled": 38.0, "enabled": 42.0}
-#: The same workload traced and logged: measured 111.4 — four hook
+#: The same workload traced and logged: measured 110.5 — four hook
 #: calls, about two ``ruleExec``, two ``tupleTable`` and one log row per
 #: firing, each an insert that reads the clock in no Python frame and
 #: stamps the row without building an object for it.  With a ``_Row``
@@ -148,8 +146,10 @@ OBS_CALLS_PER_FIRING = {"disabled": 38.0, "enabled": 42.0}
 #: three-frame clock read, generator scans over the tracer's records
 #: and a copied observer list per identity row, it was 186.4.
 TRACED_CALLS_PER_FIRING = 128.0
-#: Measured 38.2 (a timer event, a periodic tuple and a delivered head
-#: tuple per firing); 58.2 with the hops above.
+#: Measured 35.8 on the tick kernel (a timer event, a periodic tuple and
+#: a delivered head tuple per firing; a one-node tick runs straight off
+#: the heap and snaps to the grid in arithmetic); 58.2 with the hops
+#: above.  Running ticks through the per-node grouping made it 51.0.
 FIG4_CALLS_PER_FIRING = 44.0
 
 
@@ -179,20 +179,16 @@ materialize(rep, infinity, infinity, keys(1,2)).
 r1 rep@C(N, M, T) :- periodic@N(E, 0.1), dest@N(M, C), T := f_now().
 """
 #: Python-level calls per delivered message, sender's firing to the
-#: collector's table insert.  Measured 79.7 on the tick kernel and 78.5
-#: on the continuous loop: the message is the receiver-ready tuple, sized
-#: arithmetically, appended to its ``(tick, destination)`` batch inline
-#: and handed to ``receive`` from the batch loop.  With a payload dict on
-#: the tick kernel, JSON bytes on the continuous loop, and two delivery
-#: frames per message on both, they were 93.6 and 139.5.
-FAN_IN_CALLS_PER_MESSAGE = {"tick": 88.0, "continuous": 86.5}
+#: collector's table insert.  Measured 75.9 on the tick kernel: the
+#: message is the receiver-ready tuple, sized arithmetically, appended to
+#: its ``(tick, destination)`` batch inline and handed to ``receive``
+#: from the batch loop.  With a payload dict and two delivery frames per
+#: message it was 93.6.
+FAN_IN_CALLS_PER_MESSAGE = 88.0
 
 
-@pytest.mark.parametrize("loop", ("tick", "continuous"))
-def test_fan_in_calls_per_message_hold(loop):
-    system = System(
-        seed=5, execution=ExecutionConfig() if loop == "tick" else None
-    )
+def test_fan_in_calls_per_message_hold():
+    system = System(seed=5)
     addresses = [f"n{i}:1" for i in range(8)]
     for address in addresses:
         system.add_node(address).install_source(FAN_IN_SOURCE, name="fanin")
@@ -210,10 +206,9 @@ def test_fan_in_calls_per_message_hold(loop):
     messages = system.network.stats.messages_delivered - before
     assert messages >= 5000, "the fan-in stopped reporting: the guard is vacuous"
     calls = pstats.Stats(profile).total_calls / messages
-    ceiling = FAN_IN_CALLS_PER_MESSAGE[loop]
-    assert calls <= ceiling, (
-        f"{loop}: {calls:.1f} Python-level calls per delivered message, "
-        f"ceiling {ceiling}: something new runs on every fabric hop"
+    assert calls <= FAN_IN_CALLS_PER_MESSAGE, (
+        f"{calls:.1f} Python-level calls per delivered message, ceiling "
+        f"{FAN_IN_CALLS_PER_MESSAGE}: something new runs on every fabric hop"
     )
 
 

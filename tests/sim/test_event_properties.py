@@ -1,17 +1,20 @@
-"""Hypothesis properties for the scheduler primitives the batch kernel
-stands on (``repro.sim.events``, ``repro.sim.clock``).
+"""Hypothesis properties for the two loops that drain the event queue:
+the per-event loop (``Simulator._run_events``) and the tick kernel
+(``BatchKernel.run_until``), which both pop the heap themselves.
 
-The batch kernel's determinism contract (docs/SCALE.md) reduces to two
-queue-level guarantees, checked here over arbitrary schedules:
+The batch kernel's determinism contract (docs/SCALE.md) reduces to
+these guarantees, checked here over arbitrary schedules:
 
-- *total canonical order*: events pop in ``(time, priority, origin
-  key, origin seq, global seq)`` order, so two events at the same
-  instant fire in a stable, scheduling-order-independent-of-heap-shape
-  sequence — FIFO among true ties;
-- *no time travel*: draining a tick yields exactly the events at that
-  instant, in the same canonical order popping one-by-one would give,
-  and never disturbs later events — so the clock can only move
-  forward, which :class:`~repro.sim.clock.Clock` enforces by
+- *total canonical order*: the per-event loop fires events in
+  ``(time, priority, origin key, origin seq)`` order, so two events at
+  the same instant fire in a stable sequence — FIFO among ties of
+  time, priority and origin;
+- *same work per node*: the kernel fires exactly the live events the
+  per-event loop fires, each at its own tick, and every group (node)
+  sees its own events and the control events in the same order;
+- *no time travel*: running to a tick fires exactly the events at
+  that instant and never disturbs later events — so the clock can only
+  move forward, which :class:`~repro.sim.clock.Clock` enforces by
   construction.
 """
 
@@ -21,93 +24,112 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
+from repro.sim.batch import BatchKernel
 from repro.sim.clock import Clock
-from repro.sim.events import EventQueue
+from repro.sim.simulator import Simulator
 
-# A schedule entry: (time, priority, okey, oseq).  Small domains force
-# collisions so ties are exercised constantly, not occasionally.
+# A schedule entry: (time, priority, okey, group).  Small domains force
+# collisions so ties are exercised constantly, not occasionally; times
+# are on the 0.01 grid (0.0 snaps to the first tick).
 entries = st.tuples(
     st.sampled_from((0.0, 0.01, 0.02, 0.03, 1.5)),
     st.sampled_from((-1, 0, 1)),
     st.sampled_from(("", "a:1", "b:2")),
-    st.integers(min_value=0, max_value=3),
+    st.sampled_from((None, "a:1", "b:2")),
 )
 
 schedules = st.lists(entries, max_size=40)
 
+END = 2.0
 
-def build(schedule):
-    queue = EventQueue()
+
+def build(schedule, kernel, cancel=()):
+    """A simulator on one loop with ``schedule`` queued; returns it, the
+    event handles, and the list each firing appends ``(index, now)`` to."""
+    sim = Simulator()
+    if kernel:
+        sim.use_batch_kernel(BatchKernel(sim))
+    fired = []
     handles = []
-    for i, (time, priority, okey, oseq) in enumerate(schedule):
+    for i, (time, priority, okey, group) in enumerate(schedule):
+        sim._origin = okey  # the entity whose turn schedules it
         handles.append(
-            queue.push(
-                time, lambda: None, priority=priority, okey=okey, oseq=oseq
+            sim.schedule_at(
+                time,
+                lambda i=i: fired.append((i, sim.now)),
+                priority=priority,
+                group=group,
             )
         )
-    return queue, handles
+    sim._origin = ""
+    for i in cancel:
+        if i < len(handles):
+            handles[i].cancel()
+    return sim, handles, fired
 
 
-def drain_pop(queue):
-    out = []
-    while True:
-        event = queue.pop()
-        if event is None:
-            return out
-        out.append(event)
+def projection(fired, schedule, group):
+    """The firings one group observes: its own events and control's."""
+    return [
+        i for i, _ in fired if schedule[i][3] in (group, None)
+    ]
 
 
 @settings(max_examples=200, deadline=None)
 @given(schedule=schedules)
 def test_pop_order_is_canonical_and_fifo_among_ties(schedule):
-    queue, _ = build(schedule)
-    popped = drain_pop(queue)
-    keys = [e.sort_key() for e in popped]
+    sim, handles, fired = build(schedule, kernel=False)
+    sim.run_until(END)
+    order = [i for i, _ in fired]
+    assert sorted(order) == list(range(len(schedule)))
+    keys = [handles[i].sort_key() for i in order]
     assert keys == sorted(keys)
-    # Global seq increases with scheduling order, so among full ties
-    # (time, priority, origin) the pop order is exactly FIFO.
-    for prev, cur in zip(popped, popped[1:]):
-        if prev.sort_key()[:4] == cur.sort_key()[:4]:
-            assert prev.seq < cur.seq
+    assert len(set(keys)) == len(keys)  # total: no two events tie
+    # Among ties of (time, priority, origin) the firing order is the
+    # scheduling order.
+    for n in range(1, len(order)):
+        if keys[n - 1][:3] == keys[n][:3]:
+            assert order[n - 1] < order[n]
 
 
 @settings(max_examples=200, deadline=None)
 @given(schedule=schedules, cancel=st.sets(st.integers(0, 39)))
 def test_batch_drain_equals_per_event_pops(schedule, cancel):
-    """Tick draining is pure batching: same events, same order, and no
+    """Tick draining is pure regrouping: the same live events, each at
+    its own time, in the same order as seen from every group — and no
     event from a later instant ever leaks into an earlier tick."""
-    q_batch, handles = build(schedule)
-    q_pop, pop_handles = build(schedule)
-    for i in cancel:
-        if i < len(handles):
-            handles[i].cancel()
-            pop_handles[i].cancel()
+    kernel, k_handles, k_fired = build(schedule, kernel=True, cancel=cancel)
+    plain, p_handles, p_fired = build(schedule, kernel=False, cancel=cancel)
+    kernel.run_until(END)
+    plain.run_until(END)
 
-    clock = Clock()
-    drained = []
-    while True:
-        t = q_batch.peek_time()
-        if t is None:
-            break
-        clock.advance_to(t)  # never raises: ticks come out ascending
-        batch = q_batch.drain_at(t)
-        assert all(e.time == t for e in batch)
-        drained.extend(batch)
-
-    popped = drain_pop(q_pop)
-    assert [e.sort_key() for e in drained] == [e.sort_key() for e in popped]
+    live = {i for i in range(len(schedule)) if i not in cancel}
+    assert sorted(i for i, _ in k_fired) == sorted(live)
+    assert all(now == k_handles[i].time for i, now in k_fired)
+    times = [now for _, now in k_fired]
+    assert times == sorted(times)
+    assert sorted(k_fired) == sorted(p_fired)
+    for group in ("a:1", "b:2"):
+        assert projection(k_fired, schedule, group) == projection(
+            p_fired, schedule, group
+        )
+    assert kernel.events_processed == plain.events_processed == len(live)
+    assert kernel.kernel.ticks == len(set(times))
 
 
 @settings(max_examples=100, deadline=None)
-@given(schedule=schedules)
-def test_drain_never_skips_pending_earlier_work(schedule):
-    queue, _ = build(schedule)
-    t = queue.peek_time()
-    if t is None:
+@given(schedule=schedules, kernel=st.booleans())
+def test_drain_never_skips_pending_earlier_work(schedule, kernel):
+    sim, handles, fired = build(schedule, kernel=kernel)
+    if not handles:
         return
-    queue.drain_at(t)
-    remaining = queue.peek_time()
-    assert remaining is None or remaining > t
+    t = min(h.time for h in handles)
+    sim.run_until(t)
+    assert sorted(i for i, _ in fired) == [
+        i for i, h in enumerate(handles) if h.time == t
+    ]
+    assert all(now == t for _, now in fired)
+    assert sim.pending_events == sum(1 for h in handles if h.time > t)
 
 
 @settings(max_examples=100, deadline=None)
@@ -132,11 +154,12 @@ def test_clock_never_moves_backwards(times):
 
 
 def test_len_counts_only_live_events():
-    queue = EventQueue()
-    handles = [queue.push(0.01, lambda: None) for _ in range(5)]
+    sim = Simulator()
+    sim.use_batch_kernel(BatchKernel(sim))
+    handles = [sim.schedule_at(0.01, lambda: None) for _ in range(5)]
     handles[1].cancel()
     handles[4].cancel()
-    assert len(queue) == 3
-    batch = queue.drain_at(0.01)
-    assert len(batch) == 3
-    assert len(queue) == 0
+    assert sim.pending_events == 3
+    sim.run_until(0.01)
+    assert sim.events_processed == 3
+    assert sim.pending_events == 0

@@ -1,76 +1,85 @@
-from repro.sim.events import EventQueue
+"""Event ordering as the loops see it: every case runs under both the
+per-event loop and the tick kernel, which pop the queue's heap
+themselves."""
+
+from repro.sim.batch import BatchKernel
+from repro.sim.simulator import Simulator
+
+
+def loops():
+    """A fresh simulator on each loop: the per-event loop, the kernel."""
+    plain = Simulator()
+    kernel = Simulator()
+    kernel.use_batch_kernel(BatchKernel(kernel))
+    return plain, kernel
 
 
 def test_pop_in_time_order():
-    queue = EventQueue()
-    fired = []
-    queue.push(2.0, lambda: fired.append("b"))
-    queue.push(1.0, lambda: fired.append("a"))
-    queue.push(3.0, lambda: fired.append("c"))
-    while True:
-        event = queue.pop()
-        if event is None:
-            break
-        event.callback()
-    assert fired == ["a", "b", "c"]
+    for sim in loops():
+        fired = []
+        sim.schedule_at(2.0, lambda: fired.append("b"))
+        sim.schedule_at(1.0, lambda: fired.append("a"))
+        sim.schedule_at(3.0, lambda: fired.append("c"))
+        sim.run_until(5.0)
+        assert fired == ["a", "b", "c"]
 
 
 def test_same_time_events_fire_in_scheduling_order():
-    queue = EventQueue()
-    order = []
-    for i in range(10):
-        queue.push(1.0, lambda i=i: order.append(i))
-    while True:
-        event = queue.pop()
-        if event is None:
-            break
-        event.callback()
-    assert order == list(range(10))
+    for sim in loops():
+        order = []
+        for i in range(10):
+            sim.schedule_at(1.0, lambda i=i: order.append(i))
+        sim.run_until(1.0)
+        assert order == list(range(10))
 
 
 def test_priority_breaks_ties_before_sequence():
-    queue = EventQueue()
-    order = []
-    queue.push(1.0, lambda: order.append("low"), priority=1)
-    queue.push(1.0, lambda: order.append("high"), priority=0)
-    while True:
-        event = queue.pop()
-        if event is None:
-            break
-        event.callback()
-    assert order == ["high", "low"]
+    for sim in loops():
+        order = []
+        sim.schedule_at(1.0, lambda: order.append("low"), priority=1)
+        sim.schedule_at(1.0, lambda: order.append("high"), priority=0)
+        sim.run_until(1.0)
+        assert order == ["high", "low"]
 
 
 def test_cancelled_events_are_skipped():
-    queue = EventQueue()
-    fired = []
-    handle = queue.push(1.0, lambda: fired.append("x"))
-    queue.push(2.0, lambda: fired.append("y"))
-    handle.cancel()
-    while True:
-        event = queue.pop()
-        if event is None:
-            break
-        event.callback()
-    assert fired == ["y"]
+    for sim in loops():
+        fired = []
+        handle = sim.schedule_at(1.0, lambda: fired.append("x"))
+        sim.schedule_at(2.0, lambda: fired.append("y"))
+        handle.cancel()
+        sim.run_until(5.0)
+        assert fired == ["y"]
+        assert sim.events_processed == 1
 
 
 def test_len_excludes_cancelled():
-    queue = EventQueue()
-    handle = queue.push(1.0, lambda: None)
-    queue.push(2.0, lambda: None)
-    assert len(queue) == 2
-    handle.cancel()
-    assert len(queue) == 1
+    for sim in loops():
+        handle = sim.schedule_at(1.0, lambda: None)
+        sim.schedule_at(2.0, lambda: None)
+        assert sim.pending_events == 2
+        handle.cancel()
+        assert sim.pending_events == 1
 
 
 def test_peek_time_skips_cancelled():
-    queue = EventQueue()
-    first = queue.push(1.0, lambda: None)
-    queue.push(2.0, lambda: None)
-    first.cancel()
-    assert queue.peek_time() == 2.0
+    """A tick whose every event was cancelled runs nothing: the next
+    live event is the first to run, at its own time."""
+    for sim in loops():
+        seen = []
+        first = sim.schedule_at(1.0, lambda: seen.append(sim.now))
+        sim.schedule_at(2.0, lambda: seen.append(sim.now))
+        first.cancel()
+        sim.run_until(5.0)
+        assert seen == [2.0]
+        if sim.kernel is not None:
+            assert sim.kernel.ticks == 1
 
 
 def test_peek_time_empty():
-    assert EventQueue().peek_time() is None
+    for sim in loops():
+        sim.run_until(3.0)
+        assert sim.now == 3.0
+        assert sim.events_processed == 0
+        if sim.kernel is not None:
+            assert sim.kernel.ticks == 0

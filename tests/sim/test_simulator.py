@@ -142,3 +142,28 @@ def test_determinism_across_runs():
         return log
 
     assert run() == run()
+
+
+@pytest.mark.parametrize("tick", [0.0, -0.01])
+def test_tick_must_be_positive(tick):
+    with pytest.raises(SimulationError):
+        Simulator(tick=tick)
+
+
+def test_scheduling_snaps_to_a_strictly_future_grid_point():
+    """Off-grid times round up to the grid; an event due now waits one
+    tick, so nothing joins a tick already being processed."""
+    sim = Simulator(tick=0.01)
+    fired = []
+
+    def record(label):
+        return lambda: fired.append((label, sim.now))
+
+    sim.schedule(0.004, record("sub-tick"))
+    sim.schedule(0.0, record("now"))
+    sim.schedule(0.03, record("on-grid"))
+    sim.schedule(0.03, lambda: sim.schedule(0.0, record("from a tick")))
+    sim.run_until(1.0)
+    assert fired == [
+        ("sub-tick", 0.01), ("now", 0.01), ("on-grid", 0.03), ("from a tick", 0.04)
+    ]

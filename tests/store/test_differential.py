@@ -45,7 +45,7 @@ FAST_SEEDS = [0, 1, 2, 3, 4]
 SWEEP_SEEDS = list(range(25))
 
 
-def build(seed, tmp_path, execution=None):
+def build(seed, tmp_path, execution=ExecutionConfig()):
     system = System(
         seed=seed,
         store=StoreConfig(
@@ -154,7 +154,7 @@ class Counting:
         return counted
 
 
-def run_battery(seed, tmp_path, execution=None):
+def run_battery(seed, tmp_path, execution=ExecutionConfig()):
     system, a, b = build(seed, tmp_path, execution=execution)
     got = system.collect("final", on=["b:1"])
 

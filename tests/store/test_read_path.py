@@ -663,7 +663,12 @@ def captured_run(directory, segment_events, execution):
 def test_events_are_the_captured_records_in_capture_order(
     tmp_path, segment_events, loop
 ):
-    execution = ExecutionConfig(tick=0.05) if loop == "tick" else None
+    # "inline": the per-event loop, whose store cuts a segment the
+    # moment it fills; "tick": the kernel, which cuts at tick barriers.
+    if loop == "tick":
+        execution = ExecutionConfig(tick=0.05)
+    else:
+        execution = ExecutionConfig(batch_size=1)
     store, fed = captured_run(tmp_path / "s", segment_events, execution)
     assert len(fed) == store.events_appended > 300
     assert {r["k"] for r in fed} == set(KINDS) - {fmt.LOG_BURST}
