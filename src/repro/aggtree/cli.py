@@ -14,8 +14,8 @@ dispatches and maps outcomes to exit codes.
 from __future__ import annotations
 
 import argparse
-import json
 
+from repro import codec
 from repro.aggtree.differential import DEFAULT_MONITORS, run_differential
 
 
@@ -90,16 +90,16 @@ def run(args) -> int:
         diverged = diverged or not verdict["equal"]
     if args.verdicts:
         with open(args.verdicts, "w") as fh:
-            json.dump(
-                {
-                    "battery": "aggtree_differential",
-                    "monitors": list(args.monitors),
-                    "all_equal": not diverged,
-                    "verdicts": verdicts,
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
+            fh.write(
+                codec.dumps(
+                    {
+                        "battery": "aggtree_differential",
+                        "monitors": list(args.monitors),
+                        "all_equal": not diverged,
+                        "verdicts": verdicts,
+                    }
+                )
+                + "\n"
             )
         print(f"wrote {args.verdicts}")
     return 1 if diverged else 0

@@ -15,9 +15,9 @@ and the Hypothesis properties pin:
   the exact observed count of that member, and any member whose true
   count exceeds the sketch's ``spill`` bound is guaranteed present.
 
-Everything round-trips through the wire encoding
-(:func:`repro.net.marshal.encode_value`), since partials travel between
-nodes as ordinary ``aggPartial`` tuples.
+Everything round-trips through the value encoding of
+:mod:`repro.codec`, since partials travel between nodes as ordinary
+``aggPartial`` tuples.
 """
 
 from __future__ import annotations

@@ -43,9 +43,9 @@ application data (see ``tests/overload/test_aggtree_storm.py``).
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple as PyTuple
 
+from repro import codec
 from repro.errors import AggregationError
 from repro.overload.policy import CLASS_MONITOR
 from repro.overlog.program import Program
@@ -73,20 +73,6 @@ MODES = (MODE_TREE, MODE_CENTRALIZED)
 #: Sentinel rule id of the per-node row-count marker in centralized
 #: mode (lets the collector attribute origins without partials).
 MARKER = ""
-
-
-def _canonical(value: Any) -> Any:
-    """JSON-stable form of a wire value (NodeIDs tagged, tuples listed)."""
-    cls = type(value).__name__
-    if cls == "NodeID":
-        return ["NodeID", str(value)]
-    if isinstance(value, (tuple, list)):
-        return [_canonical(v) for v in value]
-    return value
-
-
-def _row_key(row: Any) -> str:
-    return json.dumps(_canonical(row), sort_keys=True, default=str)
 
 
 class _NodeBuf:
@@ -816,22 +802,19 @@ class AggHandle:
         Rows are sorted canonically, so two runs match iff they emitted
         the same verdicts — regardless of intra-epoch delivery order.
         """
-        canon = {
-            "globals": {
-                name: sorted(
-                    (_canonical(row) for row in rows), key=_row_key
-                )
-                for name, rows in sorted(self.globals.items())
-            },
-            "alarms": {
-                name: sorted(
-                    (_canonical(row) for row in rows), key=_row_key
-                )
-                for name, rows in sorted(self.alarms.items())
-            },
-        }
-        blob = json.dumps(canon, sort_keys=True, default=str)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        blob = codec.dumps(
+            {
+                "globals": {
+                    name: sorted(map(codec.dumps, rows))
+                    for name, rows in self.globals.items()
+                },
+                "alarms": {
+                    name: sorted(map(codec.dumps, rows))
+                    for name, rows in self.alarms.items()
+                },
+            }
+        )
+        return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
     def verdict(self) -> Dict[str, Any]:
         """One run's comparable outcome (the differential battery's unit)."""

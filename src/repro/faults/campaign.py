@@ -21,12 +21,12 @@ prints for the CI smoke job.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro import codec
 from repro.chord.harness import ChordNetwork
 from repro.errors import ReproError
 from repro.faults.injector import FaultInjector
@@ -195,7 +195,7 @@ class CampaignVerdict:
     def fingerprint(self) -> str:
         """Canonical JSON of the whole verdict — byte-for-byte stable
         across runs of the same seed/config."""
-        return json.dumps(
+        return codec.dumps(
             {
                 "seed": self.seed,
                 "transport": self.transport,
@@ -223,9 +223,7 @@ class CampaignVerdict:
                 "overload": self.overload,
                 "artifact": self.artifact,
                 "store": self.store,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            }
         )
 
 

@@ -47,7 +47,6 @@ class EventLogger:
             Materialize(TABLE_LOG, LOG_LIFETIME, capacity, [2])
         )
         self._seq = 0
-        self.enabled = True
         # What every log row calls, looked up once.
         self._address = node.address
         self._charge = node.work.charge
@@ -72,7 +71,7 @@ class EventLogger:
         table.on_remove.append(observer)
 
     def _tuple_delivered(self, tup: Tuple) -> None:
-        if not self.enabled or tup.name in _INTERNAL:
+        if tup.name in _INTERNAL:
             return
         self._seq += 1
         self._charge("trace")
@@ -88,8 +87,6 @@ class EventLogger:
         )
 
     def _table_changed(self, table_name: str, tup: Tuple, change: enum.Enum) -> None:
-        if not self.enabled:
-            return
         self._seq += 1
         self._charge("trace")
         self._log_table(

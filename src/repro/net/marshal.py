@@ -24,64 +24,19 @@ is the contract each send is held to, not bytes built and parsed:
 Nothing at runtime builds or parses a message: the encoder and
 :func:`decode_message` define the format that the Hypothesis properties
 in ``tests/batchexec/test_properties.py`` pin sizes and normalisation
-against.  Encodable values: str, bool, int, float, None, NodeID, and
-(nested) sequences thereof.
+against.  Values are spelled by :mod:`repro.codec`: encodable values
+are its domain — str, bool, int, float, None, NodeID, ``infinity`` and
+(nested) sequences thereof — and the frame is its canonical writer's.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Optional, Tuple as PyTuple
 
+from repro import codec
 from repro.errors import NetworkError
-from repro.overlog.types import NodeID
+from repro.overlog.types import INFINITY, NodeID
 from repro.runtime.tuples import Tuple
-
-_NODE_ID_TAG = "nodeid"
-
-
-def _unmarshalable(value: Any) -> NetworkError:
-    return NetworkError(
-        f"value of type {type(value).__name__} cannot be marshaled: "
-        f"{value!r}"
-    )
-
-
-def _encode_value(value: Any):
-    if isinstance(value, NodeID):
-        return {_NODE_ID_TAG: [value.value, value.bits]}
-    if isinstance(value, (list, tuple)):
-        return [_encode_value(item) for item in value]
-    if value is None or isinstance(value, (str, bool, int, float)):
-        return value
-    raise _unmarshalable(value)
-
-
-def _decode_value(value: Any):
-    if isinstance(value, dict):
-        if _NODE_ID_TAG in value:
-            raw, bits = value[_NODE_ID_TAG]
-            return NodeID(raw, bits)
-        raise NetworkError(f"unknown tagged value on the wire: {value!r}")
-    if isinstance(value, list):
-        return tuple(_decode_value(item) for item in value)
-    return value
-
-
-def encode_value(value: Any):
-    """Public form of the tagged encoding (JSON-ready, NodeID-aware).
-
-    The crash-recovery durable store (:mod:`repro.recovery`) reuses the
-    wire encoding for checkpoint and WAL records: state that cannot
-    survive the wire cannot survive a restart either, and both fail
-    loudly at write time.
-    """
-    return _encode_value(value)
-
-
-def decode_value(value: Any):
-    """Inverse of :func:`encode_value` (sequences decode as tuples)."""
-    return _decode_value(value)
 
 
 def encode_message(
@@ -102,12 +57,12 @@ def encode_message(
     body = {
         "kind": "tuple",
         "name": tup.name,
-        "values": [_encode_value(v) for v in tup.values],
+        "values": codec.encode_values(tup.values),
         "src": src,
         "src_tid": src_tid,
         "mid": mid,
     }
-    return json.dumps(body, separators=(",", ":")).encode()
+    return codec.dumps(body).encode()
 
 
 def encode_delete(name: str, pattern: PyTuple) -> bytes:
@@ -116,15 +71,18 @@ def encode_delete(name: str, pattern: PyTuple) -> bytes:
     body = {
         "kind": "delete",
         "name": name,
-        "pattern": [_encode_value(v) for v in pattern],
+        "pattern": codec.encode_values(pattern),
     }
-    return json.dumps(body, separators=(",", ":")).encode()
+    return codec.dumps(body).encode()
 
 
 #: Classes whose instances decode from the wire as themselves (``bool``
 #: and ``NoneType`` cannot be subclassed; a NodeID decodes to an equal
-#: NodeID).  Membership is by exact class: a subclass changes on the wire.
-_WIRE_STABLE = frozenset((str, int, float, bool, type(None), NodeID))
+#: NodeID, ``infinity`` to the singleton).  Membership is by exact
+#: class: a subclass changes on the wire.
+_WIRE_STABLE = frozenset(
+    (str, int, float, bool, type(None), NodeID, type(INFINITY))
+)
 
 
 def _wire_value(value: Any):
@@ -144,7 +102,7 @@ def _wire_value(value: Any):
         return int.__int__(value)
     if isinstance(value, float):
         return float.__float__(value)
-    raise _unmarshalable(value)
+    raise codec.unmarshalable(value)
 
 
 def wire_values(values: PyTuple) -> PyTuple:
@@ -171,7 +129,7 @@ def payload_for(tup: Tuple) -> Tuple:
     return tup
 
 
-#: Cache of ``len(json.dumps(s))`` per distinct string.  Predicate
+#: Cache of ``len(codec.dumps(s))`` per distinct string.  Predicate
 #: names and addresses repeat endlessly, so the escape-aware length of
 #: each is computed exactly once.
 _STR_LEN_CACHE: Dict[str, int] = {}
@@ -180,16 +138,15 @@ _STR_LEN_CACHE: Dict[str, int] = {}
 def _string_len(s: str) -> int:
     cached = _STR_LEN_CACHE.get(s)
     if cached is None:
-        cached = len(json.dumps(s))
+        cached = len(codec.dumps(s))
         if len(_STR_LEN_CACHE) < 65536:
             _STR_LEN_CACHE[s] = cached
     return cached
 
 
 def _value_len(value: Any) -> int:
-    """len(json.dumps(_encode_value(value), separators=(",", ":"))), with
-    each value spelled the way json spells it (a subclass as its base
-    class)."""
+    """``len(codec.dumps(value))``, with each value spelled the way
+    json spells it (a subclass as its base class)."""
     if value is None:
         return 4  # null
     if isinstance(value, bool):
@@ -207,11 +164,13 @@ def _value_len(value: Any) -> int:
         # {"nodeid":[value,bits]} — 14 chars of framing around the two
         # integers.
         return 14 + len(str(value.value)) + len(str(value.bits))
+    if value is INFINITY:
+        return _INFINITY_LEN
     if isinstance(value, (list, tuple)):
         if not value:
             return 2
         return 1 + len(value) + sum(_value_len(v) for v in value)
-    raise _unmarshalable(value)
+    raise codec.unmarshalable(value)
 
 
 def wire_length(
@@ -265,6 +224,7 @@ def delete_length(name: str, pattern: PyTuple) -> int:
 
 
 _INF = (float("inf"), float("-inf"))
+_INFINITY_LEN = len(codec.dumps(INFINITY))  # {"infinity":null}
 
 
 #: Length of each frame's skeleton around its payload slots: measured
@@ -286,23 +246,23 @@ def decode_message(data: bytes) -> Dict[str, Any]:
     "delete" messages name/pattern.
     """
     try:
-        body = json.loads(data.decode())
+        body = codec.loads(data.decode())
+        kind = body.get("kind")
+        if kind == "tuple":
+            return {
+                "kind": "tuple",
+                "name": body["name"],
+                "values": codec.decode_values(body["values"]),
+                "src": body.get("src"),
+                "src_tid": body.get("src_tid"),
+                "mid": body.get("mid"),
+            }
+        if kind == "delete":
+            return {
+                "kind": "delete",
+                "name": body["name"],
+                "pattern": codec.decode_values(body["pattern"]),
+            }
     except (ValueError, UnicodeDecodeError) as exc:
         raise NetworkError(f"undecodable message: {exc}") from exc
-    kind = body.get("kind")
-    if kind == "tuple":
-        return {
-            "kind": "tuple",
-            "name": body["name"],
-            "values": tuple(_decode_value(v) for v in body["values"]),
-            "src": body.get("src"),
-            "src_tid": body.get("src_tid"),
-            "mid": body.get("mid"),
-        }
-    if kind == "delete":
-        return {
-            "kind": "delete",
-            "name": body["name"],
-            "pattern": tuple(_decode_value(v) for v in body["pattern"]),
-        }
     raise NetworkError(f"unknown message kind on the wire: {kind!r}")

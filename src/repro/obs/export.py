@@ -20,21 +20,19 @@ Three artifact formats over one :class:`repro.obs.telemetry.Telemetry`:
   ``_count``/``_sum``).
 
 Everything is derived from the virtual clock and seeded randomness and
-serialized with sorted keys and fixed separators, so a given seed
+serialized by the canonical writer of :mod:`repro.codec`, so a given seed
 produces **byte-identical** artifacts on every run — the property the
 export regression tests pin.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Iterable, List, Optional, Tuple
 
+from repro import codec
 from repro.obs.metrics import HistogramData, bucket_upper
 from repro.obs.telemetry import Telemetry
-
-_JSON_KW = dict(sort_keys=True, separators=(",", ":"))
 
 #: tid reserved for records not attributable to a node (network fabric).
 FABRIC_TID = 0
@@ -135,7 +133,7 @@ def write_chrome_trace(
     meta: Optional[dict] = None,
     executions: Iterable[Tuple] = (),
 ) -> str:
-    text = json.dumps(chrome_trace(telemetry, meta, executions), **_JSON_KW)
+    text = codec.dumps(chrome_trace(telemetry, meta, executions))
     with open(path, "w") as handle:
         handle.write(text + "\n")
     return path
@@ -147,9 +145,9 @@ def write_chrome_trace(
 
 def jsonl_lines(telemetry: Telemetry, meta: Optional[dict] = None) -> List[str]:
     """The JSONL artifact as a list of serialized lines."""
-    lines = [json.dumps({"type": "meta", **(meta or {})}, **_JSON_KW)]
+    lines = [codec.dumps({"type": "meta", **(meta or {})})]
     for rec in telemetry.recorder.snapshot():
-        lines.append(json.dumps(rec, **_JSON_KW))
+        lines.append(codec.dumps(rec))
     for name, metric, snapshot in telemetry.metrics.collect():
         labelnames = metric.labelnames
         for key in sorted(snapshot, key=lambda k: tuple(map(str, k))):
@@ -157,27 +155,25 @@ def jsonl_lines(telemetry: Telemetry, meta: Optional[dict] = None) -> List[str]:
             labels = {n: v for n, v in zip(labelnames, key)}
             if isinstance(value, HistogramData):
                 lines.append(
-                    json.dumps(
+                    codec.dumps(
                         {
                             "type": "hist",
                             "name": name,
                             "labels": labels,
                             **value.as_dict(),
-                        },
-                        **_JSON_KW,
+                        }
                     )
                 )
             else:
                 lines.append(
-                    json.dumps(
+                    codec.dumps(
                         {
                             "type": "metric",
                             "name": name,
                             "kind": metric.kind,
                             "labels": labels,
                             "value": value,
-                        },
-                        **_JSON_KW,
+                        }
                     )
                 )
     return lines

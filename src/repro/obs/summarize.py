@@ -29,9 +29,9 @@ campaign seed) can be inspected after the fact.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Tuple
 
+from repro import codec
 from repro.errors import ArtifactError
 from repro.obs.metrics import HistogramData
 
@@ -58,7 +58,7 @@ class Artifact:
                 text = handle.read()
             stripped = text.lstrip()
             if stripped.startswith("{") and '"traceEvents"' in stripped[:4096]:
-                return cls._from_chrome(json.loads(text))
+                return cls._from_chrome(codec.loads(text))
             return cls._from_jsonl(text)
         except (OSError, ValueError) as exc:
             raise ArtifactError(path, str(exc)) from exc
@@ -72,7 +72,7 @@ class Artifact:
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            rec = codec.loads(line)
             if not isinstance(rec, dict):
                 raise ValueError(f"line {number} is not a JSON object")
             kind = rec.get("type")

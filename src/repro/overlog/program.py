@@ -20,6 +20,7 @@ from __future__ import annotations
 import copy
 from typing import Any, Dict, List, Optional
 
+from repro import codec
 from repro.errors import ValidationError
 from repro.overlog import ast
 from repro.overlog.parser import parse
@@ -43,6 +44,7 @@ class Program:
         #: priority map learns it.  See :mod:`repro.overload.policy`.
         self.role = role
         if bindings:
+            codec.check(bindings.values())
             self.tree = _substitute(self.tree, bindings)
 
     @classmethod

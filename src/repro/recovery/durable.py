@@ -17,24 +17,22 @@ and holds one :class:`NodeImage` per protected address, consisting of
 - the list of installed :class:`~repro.overlog.program.Program` objects,
   replayed before state so a recovered node resumes rule processing.
 
-Values are serialized with the wire encoding
-(:func:`repro.net.marshal.encode_value`): state that cannot survive the
-network cannot survive a restart either, and both fail loudly at write
-time.  :meth:`DurableMedium.save` / :meth:`DurableMedium.load` move
+Values — tuple fields and the ``infinity`` of a table declaration
+alike — are spelled by :mod:`repro.codec`, the spelling the wire and
+the forensic store use, and images are written by its canonical
+writer.  :meth:`DurableMedium.save` / :meth:`DurableMedium.load` move
 images to and from real JSON files, so a campaign can archive the
 durable logs of a failed seed as forensic artifacts.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
+from repro import codec
 from repro.errors import DurableImageError, ReproError
 from repro.net.address import Address
-from repro.net.marshal import decode_value, encode_value
-from repro.overlog.types import INFINITY
 
 #: WAL record operations.
 OP_CREATE = "create"    # a table was materialized (decl follows)
@@ -51,15 +49,6 @@ RECORD_KEYS = {
 }
 #: The keys each checkpoint table carries (see ``set_checkpoint``).
 TABLE_KEYS = ("lifetime", "max_size", "keys", "rows")
-
-
-def encode_ttl(value: Any):
-    """JSON-encode a lifetime/size parameter (INFINITY-aware)."""
-    return "inf" if value is INFINITY else value
-
-
-def decode_ttl(value: Any):
-    return INFINITY if value == "inf" else value
 
 
 class NodeImage:
@@ -96,9 +85,7 @@ class NodeImage:
         self.checkpoint = document
         self.checkpoints_taken += 1
         self.checkpoint_time = document["time"]
-        self.checkpoint_bytes = len(
-            json.dumps(document, sort_keys=True, separators=(",", ":"))
-        )
+        self.checkpoint_bytes = len(codec.dumps(document))
         self.wal = []
         self.wal_bytes = 0
 
@@ -114,23 +101,21 @@ class NodeImage:
     def to_json(self) -> str:
         """Canonical JSON of the durable state (programs are rendered as
         OverLog text for human forensics; they do not reload)."""
-        return json.dumps(
+        return codec.dumps(
             {
                 "address": self.address,
                 "checkpoint": self.checkpoint,
                 "wal": self.wal,
                 "programs": [str(p) for p in self.programs],
                 "crashed_at": self.crashed_at,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            }
         )
 
     @classmethod
     def from_json(cls, text: str) -> "NodeImage":
         try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as error:
+            payload = codec.loads(text)
+        except ValueError as error:
             raise DurableImageError(f"not JSON: {error}") from None
         if not isinstance(payload, dict) or "address" not in payload:
             raise DurableImageError("not an object with an 'address'")
@@ -149,11 +134,7 @@ class NodeImage:
         if image.checkpoint is not None:
             image.checkpoints_taken = 1
             image.checkpoint_time = image.checkpoint["time"]
-            image.checkpoint_bytes = len(
-                json.dumps(
-                    image.checkpoint, sort_keys=True, separators=(",", ":")
-                )
-            )
+            image.checkpoint_bytes = len(codec.dumps(image.checkpoint))
         image.wal_records_total = len(image.wal)
         return image
 
@@ -220,12 +201,6 @@ class DurableMedium:
     def addresses(self) -> List[Address]:
         return sorted(self._images)
 
-    def total_bytes(self) -> int:
-        return sum(
-            img.checkpoint_bytes + img.wal_bytes
-            for img in self._images.values()
-        )
-
     # ------------------------------------------------------------------
     # File backing (forensic artifacts)
 
@@ -276,7 +251,7 @@ def insert_record(
         "t": when,
         "op": OP_INSERT,
         "table": table,
-        "values": [encode_value(v) for v in values],
+        "values": codec.encode_values(values),
         "expires": expires_at,
     }
 
@@ -289,7 +264,7 @@ def refresh_record(
         "t": when,
         "op": OP_REFRESH,
         "table": table,
-        "values": [encode_value(v) for v in values],
+        "values": codec.encode_values(values),
         "expires": expires_at,
     }
 
@@ -302,7 +277,7 @@ def remove_record(
         "t": when,
         "op": OP_REMOVE,
         "table": table,
-        "values": [encode_value(v) for v in values],
+        "values": codec.encode_values(values),
         "reason": reason,
     }
 
@@ -315,11 +290,7 @@ def create_record(
         "t": when,
         "op": OP_CREATE,
         "table": table,
-        "lifetime": encode_ttl(lifetime),
-        "max_size": encode_ttl(max_size),
+        "lifetime": codec.encode(lifetime),
+        "max_size": codec.encode(max_size),
         "keys": list(keys),
     }
-
-
-def decode_record_values(record: dict) -> tuple:
-    return tuple(decode_value(v) for v in record["values"])

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
+from repro import codec
 from repro.errors import ReproError
 from repro.introspect.logger import TABLE_LOG, TUPLE_LOG
 from repro.introspect.tuple_table import TUPLE_TABLE
@@ -44,8 +45,6 @@ from repro.recovery.durable import (
     OP_INSERT,
     OP_REFRESH,
     OP_REMOVE,
-    decode_record_values,
-    decode_ttl,
 )
 from repro.recovery.recorder import NodeRecorder
 from repro.runtime.node import P2Node
@@ -110,9 +109,7 @@ def replay_image(
             )
             report.tables += 1
             for values, inserted_at, expires_at in doc["rows"]:
-                tup = Tuple(
-                    name, tuple(decode_record_values({"values": values}))
-                )
+                tup = Tuple(name, codec.decode_values(values))
                 charge("replay")
                 if table.restore(tup, expires_at, inserted_at):
                     report.replayed += 1
@@ -137,7 +134,7 @@ def replay_image(
             # (should not happen; tolerate corrupt/partial logs).
             continue
         table = node.store.get(name)
-        tup = Tuple(name, decode_record_values(record))
+        tup = Tuple(name, codec.decode_values(record["values"]))
         charge("replay")
         if op in (OP_INSERT, OP_REFRESH):
             if table.restore(tup, record["expires"], record["t"]):
@@ -156,7 +153,9 @@ def _ensure_table(node: P2Node, name: str, lifetime, max_size, keys):
     if node.store.has(name):
         return node.store.get(name)
     return node.store.materialize(
-        Materialize(name, decode_ttl(lifetime), decode_ttl(max_size), list(keys))
+        Materialize(
+            name, codec.decode(lifetime), codec.decode(max_size), list(keys)
+        )
     )
 
 

@@ -27,13 +27,12 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro import codec
 from repro.overlog.program import Program
 from repro.overlog.types import INFINITY
 from repro.recovery.durable import (
     NodeImage,
     create_record,
-    encode_ttl,
-    encode_value,
     insert_record,
     refresh_record,
     remove_record,
@@ -174,16 +173,12 @@ class NodeRecorder:
             rows = []
             for tup, inserted_at, expires_at in table.snapshot_rows():
                 rows.append(
-                    [
-                        [encode_value(v) for v in tup.values],
-                        inserted_at,
-                        expires_at,
-                    ]
+                    [codec.encode_values(tup.values), inserted_at, expires_at]
                 )
             row_count += len(rows)
             tables[table.name] = {
-                "lifetime": encode_ttl(table.lifetime),
-                "max_size": encode_ttl(table.max_size),
+                "lifetime": codec.encode(table.lifetime),
+                "max_size": codec.encode(table.max_size),
                 "keys": list(table.key_positions),
                 "rows": rows,
             }

@@ -26,6 +26,7 @@ from collections import defaultdict, deque
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple as PyTuple
 
+from repro import codec
 from repro.errors import RuntimeStateError
 from repro.net.address import Address
 from repro.net.marshal import (
@@ -409,12 +410,15 @@ class P2Node:
         """Introduce a tuple from outside (tests, harnesses, consoles).
 
         The tuple is routed by its location specifier, so injecting a
-        tuple whose first field names another node sends it there.
+        tuple whose first field names another node sends it there.  A
+        value outside the language's domain (:mod:`repro.codec`) raises
+        :class:`~repro.errors.NetworkError` before anything sees it.
         """
         if self._stopped:
             raise RuntimeStateError(f"node {self.address} is stopped")
+        tup = Tuple(name, values)
+        codec.check(tup.values)
         self.work.reset_micro()
-        tup = Tuple(name, tuple(values))
         if tup.location == self.address:
             self._deliver_local(tup)
         else:

@@ -6,8 +6,10 @@
 ``query``   filtered event scan (``--t0/--t1/--node/--relation/--kind``),
             one canonical-JSON record per line.
 ``slice``   backward slice of an alarm tuple (``--alarm`` takes the
-            canonical payload JSON, ``--tid`` a known tuple id); prints
-            the slice as canonical JSON, byte-stable under a seed.
+            canonical payload JSON, values spelled by
+            :mod:`repro.codec` — a NodeID as ``{"nodeid":[v,bits]}`` —
+            ``--tid`` a known tuple id); prints the slice as canonical
+            JSON, byte-stable under a seed.
 
 All output is canonical JSON (sorted keys, compact separators) on
 virtual-clock timestamps, so two runs of the same seeded workload
@@ -19,8 +21,8 @@ parses, dispatches and maps outcomes to exit codes.
 from __future__ import annotations
 
 import argparse
-import json
 
+from repro import codec
 from repro.errors import ReproError
 from repro.store import format as fmt
 from repro.store.slicing import StoreProvider, backward_slice
@@ -54,7 +56,7 @@ def _cmd_info(args) -> int:
             for (node, ring), count in sorted(store.ring_rotations.items())
         ],
     }
-    print(fmt.encode(info))
+    print(codec.dumps(info))
     return 0
 
 
@@ -68,7 +70,7 @@ def _cmd_query(args) -> int:
         kind=args.kind,
         limit=args.limit,
     ):
-        print(fmt.encode(record))
+        print(codec.dumps(record))
     return 0
 
 
@@ -94,8 +96,8 @@ def _cmd_slice(args) -> int:
 
 def _alarm_payload(text: str):
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return codec.loads(text)
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not JSON ({exc})") from exc
 
 

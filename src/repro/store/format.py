@@ -1,11 +1,11 @@
 """Record model and column schema of the durable forensic event store.
 
 The *logical* model is one flat JSON-ready dict per event with a ``k``
-(kind) tag; every read API returns these dicts, and :func:`encode`
-serializes anything the store writes in *canonical* form — sorted keys,
-compact separators — so a store built from a seeded run is
-byte-for-byte reproducible, which is what the nightly campaign-smoke CI
-job pins.
+(kind) tag; every read API returns these dicts, and everything the
+store writes goes through the canonical writer of :mod:`repro.codec` —
+sorted keys, compact separators, pure ASCII — so a store built from a
+seeded run is byte-for-byte reproducible, which is what the nightly
+campaign-smoke CI job pins.
 
 Record kinds
 ------------
@@ -31,17 +31,17 @@ in each column of its kind (:data:`COLUMNS`); ``q`` is the store-wide
 capture sequence number, which orders events that share a timestamp.
 
 Timestamps are virtual-clock seconds.  Tuple payloads are
-``{"rel": name, "v": [values...]}`` with non-JSON values degraded to
-``{"!r": repr(value)}`` — deterministic, and sufficient for display and
-content matching.
+``{"rel": name, "v": [values...]}`` with each value spelled by
+:func:`repro.codec.encode` (a NodeID as ``{"nodeid": [value, bits]}``,
+``infinity`` as ``{"infinity": null}``), so :func:`payload_tuple` gives
+back the tuple that was captured.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
+from repro import codec
 from repro.runtime.tuples import Tuple
 
 #: Record kind tags.
@@ -72,29 +72,10 @@ CODED = frozenset(("n", "r", "rel", "op", "s", "l", "lk"))
 TIME = {kind: "t" for kind in COLUMNS}
 TIME[RULE_EXEC] = "to"
 
-#: Classes whose instances are their own JSON-safe projection.
-PLAIN = frozenset((str, int, float, bool, type(None)))
-
-
-def json_value(value: Any) -> Any:
-    """A deterministic JSON-safe projection of one tuple field."""
-    if value.__class__ in PLAIN or isinstance(value, (str, int, float)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [json_value(v) for v in value]
-    return {"!r": repr(value)}
-
-
-def payload_values(tup: Tuple) -> list:
-    """The ``v`` of a tuple's payload (scalars pass without a call)."""
-    return [
-        v if v.__class__ in PLAIN else json_value(v) for v in tup.values
-    ]
-
 
 def tuple_payload(tup: Tuple) -> Dict[str, Any]:
-    """Canonical payload of one tuple: relation name + field list."""
-    return {"rel": tup.name, "v": payload_values(tup)}
+    """Canonical payload of one tuple: relation name + encoded values."""
+    return {"rel": tup.name, "v": codec.encode_values(tup.values)}
 
 
 def payload_matches(payload: Dict[str, Any], tup: Tuple) -> bool:
@@ -102,57 +83,13 @@ def payload_matches(payload: Dict[str, Any], tup: Tuple) -> bool:
     return payload == tuple_payload(tup)
 
 
-@dataclass(frozen=True)
-class Degraded:
-    """Stand-in for a field stored as ``{"!r": text}``: hashable, and
-    it prints — and re-encodes — as the stored text."""
-
-    text: str
-
-    def __repr__(self) -> str:
-        return self.text
-
-
-def _thaw(value: Any) -> Any:
-    if isinstance(value, list):
-        return tuple(_thaw(v) for v in value)
-    if isinstance(value, dict):
-        return Degraded(value["!r"])
-    return value
-
-
 def payload_tuple(payload: Optional[Dict[str, Any]]) -> Optional[Tuple]:
-    """Rebuild a :class:`Tuple` from a payload.
-
-    Never raises on a payload :func:`tuple_payload` produced, and
-    ``tuple_payload(payload_tuple(p)) == p``: lists come back as tuples
-    and degraded fields as :class:`Degraded` stand-ins, at any depth.
-    The stand-ins only display; content matching should go through
-    :func:`payload_matches` instead.
-    """
+    """The :class:`Tuple` a payload encodes:
+    ``payload_tuple(tuple_payload(t)) == t`` for every tuple of the
+    language's values."""
     if payload is None:
         return None
-    return Tuple(payload["rel"], _thaw(payload["v"]))
-
-
-#: One encoder for everything written: ``json.dumps`` with non-default
-#: arguments builds a new one per call.
-_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
-def encode(value: Dict[str, Any]) -> str:
-    """Canonical single-line JSON of one record, block or manifest.
-
-    Pure ASCII (non-ASCII text is ``\\u``-escaped) with no raw newline,
-    so byte offsets are character offsets and a segment file is a JSON
-    array minus punctuation.  Canonical form is a fixed point:
-    ``encode(decode(line)) == line`` for every line this wrote.
-    """
-    return _canonical(value)
-
-
-def decode(line: str) -> Dict[str, Any]:
-    return json.loads(line)
+    return Tuple(payload["rel"], codec.decode_values(payload["v"]))
 
 
 # ----------------------------------------------------------------------
@@ -194,9 +131,9 @@ def tuple_ident_record(
         "k": TUPLE_IDENT,
         "n": node,
         "i": tid,
-        "s": json_value(src),
-        "si": json_value(src_tid),
-        "l": json_value(loc),
+        "s": codec.encode(src),
+        "si": codec.encode(src_tid),
+        "l": codec.encode(loc),
         "t": when,
     }
     if payload is not None:

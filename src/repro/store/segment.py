@@ -32,6 +32,7 @@ from itertools import repeat
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 from typing import Tuple as PyTuple
 
+from repro import codec
 from repro.errors import StoreCorruptionError
 from repro.store import format as fmt
 
@@ -60,7 +61,7 @@ def _coded(column: list, index: Dict[Any, int], values: list) -> List[int]:
         originals = distinct
     else:
         keys = [
-            v if v.__class__ in _PLAIN_KEYS else (fmt.encode(v),)
+            v if v.__class__ in _PLAIN_KEYS else (codec.dumps(v),)
             for v in column
         ]
         originals = dict(zip(keys, column))
@@ -151,15 +152,15 @@ def summarise(blocks: List[Dict[str, Any]]) -> Dict[str, Any]:
 def write_segment(
     directory: str, seg_id: int, blocks: List[Dict[str, Any]]
 ) -> Dict[str, Any]:
-    """Write one segment file, one :func:`~repro.store.format.encode`
-    per block; returns its summary (with ``file``, ``id``, ``bytes``
+    """Write one segment file, one :func:`~repro.codec.dumps` per
+    block; returns its summary (with ``file``, ``id``, ``bytes``
     and each block's byte offset) for the manifest."""
     if not blocks:
         raise ValueError("cannot write an empty segment")
     summary = summarise(blocks)
     summary["file"] = SEGMENT_PATTERN % seg_id
     summary["id"] = seg_id
-    lines = [fmt.encode(block) + "\n" for block in blocks]
+    lines = [codec.dumps(block) + "\n" for block in blocks]
     position = 0
     for entry, line in zip(summary["blocks"], lines):
         entry["off"] = position
@@ -417,7 +418,7 @@ class Segment:
                     f"file ends {len(data)} bytes into a block of {length}"
                 )
             return _loaded(
-                fmt.decode(data.decode("ascii")), kind, self.seg_id, rows
+                codec.loads(data.decode("ascii")), kind, self.seg_id, rows
             )
         except (ValueError, TypeError, KeyError) as exc:
             raise StoreCorruptionError(

@@ -37,6 +37,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple as PyTuple
 
+from repro import codec
 from repro.runtime.tuples import Tuple
 from repro.store import format as fmt
 
@@ -163,7 +164,7 @@ class Slice:
 
     def to_json(self) -> str:
         """Canonical JSON — byte-stable for a given dependency graph."""
-        return fmt.encode(self.to_dict())
+        return codec.dumps(self.to_dict())
 
 
 def _link_sort_key(link: Dict[str, Any]):

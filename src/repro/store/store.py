@@ -38,6 +38,7 @@ from itertools import islice
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple as PyTuple
 
+from repro import codec
 from repro.errors import ReproError, StoreCorruptionError
 from repro.runtime.table import InsertOutcome
 from repro.store import format as fmt
@@ -46,7 +47,7 @@ from repro.store.segment import Columns, Segment, code_blocks, write_segment
 
 MANIFEST = "manifest.json"
 #: The store format this build writes, and the only one it reads.
-VERSION = 2
+VERSION = 3
 
 #: The introspection rings the store taps (and watches for rotation).
 RINGS = ("ruleExec", "tupleLog", "tableLog", "tupleTable")
@@ -124,7 +125,7 @@ class ForensicStore:
         store = cls(StoreConfig(directory=directory))
         try:
             with open(path) as handle:
-                manifest = fmt.decode(handle.read())
+                manifest = codec.loads(handle.read())
             version = manifest["version"]
             if version == VERSION:
                 store._segments = [
@@ -209,14 +210,7 @@ class ForensicStore:
             return
         rel = values = None
         if tup is not None:
-            rel, values = tup.name, fmt.payload_values(tup)
-        plain = fmt.PLAIN
-        if src.__class__ not in plain:
-            src = fmt.json_value(src)
-        if src_tid.__class__ not in plain:
-            src_tid = fmt.json_value(src_tid)
-        if loc.__class__ not in plain:
-            loc = fmt.json_value(loc)
+            rel, values = tup.name, codec.encode_values(tup.values)
         q = self.events_appended
         self.events_appended = q + 1
         self._flat[fmt.TUPLE_IDENT].extend(
@@ -340,7 +334,7 @@ class ForensicStore:
         }
         path = self.manifest_path()
         with open(path + ".tmp", "w") as handle:
-            handle.write(fmt.encode(manifest))
+            handle.write(codec.dumps(manifest))
         os.replace(path + ".tmp", path)
 
     # ------------------------------------------------------------------

@@ -86,11 +86,11 @@ def test_memoized_contents_available(sim, traced_pair):
 
 def test_store_backed_chain_on_a_rotated_chord_ring(tmp_path):
     """Every Chord tuple carries a NodeID, which the store keeps as
-    ``{"!r": "NodeID(…)"}``: a store-backed walk has to give those
-    payloads back as tuples, hashable ones."""
+    ``{"nodeid": [value, bits]}``: a store-backed walk gives back the
+    tuples the live rings held."""
     from repro.chord import ChordNetwork
     from repro.overlog.types import NodeID
-    from repro.store import StoreConfig, format as fmt
+    from repro.store import StoreConfig
 
     def spine_key(link):
         return (
@@ -125,19 +125,18 @@ def test_store_backed_chain_on_a_rotated_chord_ring(tmp_path):
     assert [link.rule for link in chain][:4] == ["l1", "l3b", "l3", "l2"]
     assert chain[-1].rule == "l2" and chain[-1].node == src
     assert chain[-1].cause.name == "lookup"
-    # The rotated chain is the live one: same links, and contents that
-    # encode to the payloads the live tuples encode to.
+    # The rotated chain is the live one: same links, same tuples.
     assert [spine_key(link) for link in chain] == [
         spine_key(link) for link in live
     ]
     for got, want in zip(chain, live):
-        assert fmt.tuple_payload(got.cause) == fmt.tuple_payload(want.cause)
-        assert fmt.tuple_payload(got.effect) == fmt.tuple_payload(want.effect)
-        assert [
-            fmt.tuple_payload(p.contents) for p in got.preconditions
-        ] == [fmt.tuple_payload(p.contents) for p in want.preconditions]
+        assert got.cause == want.cause
+        assert got.effect == want.effect
+        assert [p.contents for p in got.preconditions] == [
+            p.contents for p in want.preconditions
+        ]
     key = chain[0].effect.values[1]
-    assert repr(key) == "NodeID(20817)" and hash(key) == hash(key)
+    assert type(key) is NodeID and key == NodeID(0x5151)
     assert any(link.preconditions for link in chain)
     for link in chain:
         assert link.cause is not None and link.effect is not None

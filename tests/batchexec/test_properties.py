@@ -31,7 +31,7 @@ from repro.net.marshal import (
     wire_values,
 )
 from repro.overlog.program import Program
-from repro.overlog.types import NodeID
+from repro.overlog.types import INFINITY, NodeID
 from repro.runtime.tuples import Tuple
 from repro.sim.batch import DEFAULT_TICK, ExecutionConfig
 
@@ -145,6 +145,7 @@ scalars = st.one_of(
     floats,
     st.text(max_size=30),
     node_ids,
+    st.just(INFINITY),
     *numeric_subclasses,
 )
 

@@ -67,13 +67,6 @@ def test_log_capacity_bounded(node):
     assert len(node.query("tupleLog")) <= 10
 
 
-def test_disable_stops_logging(node):
-    logger = EventLogger(node)
-    logger.enabled = False
-    node.inject("evt", ("n:1", 1))
-    assert node.query("tupleLog") == []
-
-
 def test_internal_tables_not_logged(make_node):
     from repro.introspect import Tracer
 

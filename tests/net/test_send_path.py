@@ -13,8 +13,8 @@ import pytest
 
 from repro.core.system import System
 from repro.errors import NetworkError
-from repro.net.marshal import encode_delete, encode_message
-from repro.overlog.types import NodeID
+from repro.net.marshal import encode_delete, encode_message, wire_length
+from repro.overlog.types import INFINITY, NodeID
 from repro.runtime.tuples import Tuple
 from repro.sim.batch import ExecutionConfig
 
@@ -86,6 +86,29 @@ def test_receiver_gets_what_the_wire_decodes(loop):
     assert system.network.stats.bytes_sent == sum(
         len(encode_message(t, "a:1", None, mid=mid))
         for mid, t in enumerate(got, start=1)
+    )
+
+
+@pytest.mark.parametrize("loop", LOOPS)
+def test_infinity_crosses_the_wire(loop):
+    """The ``infinity`` literal is a value the wire carries: it arrives
+    as the singleton, and costs what the encoder writes for it."""
+    system, a, b = pair(loop)
+    a.install_source("r2 far@B(K, infinity) :- ev@A(K, B).", name="far")
+    far, m = b.collect("far"), b.collect("m")
+    a.inject("ev", ("a:1", "k", "b:1"))
+    a.inject("evt", ("a:1", "b:1", (1, INFINITY)))
+    system.run_for(1.0)
+    assert [t.values for t in far] == [("b:1", "k", INFINITY)]
+    assert [t.values for t in m] == [("b:1", (1, INFINITY))]
+    assert far[0].values[2] is INFINITY and m[0].values[1][1] is INFINITY
+    sent = [(far[0], 1), (m[0], 2)]
+    for tup, mid in sent:
+        assert wire_length(tup, "a:1", None, mid) == len(
+            encode_message(tup, "a:1", None, mid=mid)
+        )
+    assert system.network.stats.bytes_sent == sum(
+        len(encode_message(tup, "a:1", None, mid=mid)) for tup, mid in sent
     )
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.system import System
 from repro.errors import DurableImageError, ReproError
+from repro.overlog.types import INFINITY
 from repro.recovery import DurableMedium, NodeImage, RecoveryManager
 from repro.recovery.durable import insert_record
 from repro.recovery.postmortem import PostMortem
@@ -77,6 +78,28 @@ def test_wal_tail_after_last_checkpoint_survives():
     report = manager.restart("a:1")
     assert rows(system.node("a:1"), "item") == before
     assert report.wal_records > 0
+
+
+def test_a_protected_node_that_derives_infinity_keeps_running():
+    """``infinity`` is a value like any other: the WAL writes it, and
+    the restarted node reads the singleton back."""
+    system, node, manager = protected_system(checkpoint_interval=100.0)
+    node.install_source(
+        """
+        materialize(lim, infinity, 10, keys(1,2)).
+        r1 lim@A(K, infinity) :- ev@A(K).
+        """,
+        name="lim",
+    )
+    node.inject("ev", ("a:1", "k"))
+    system.run_for(1.0)
+    assert rows(node, "lim") == {("a:1", "k", INFINITY)}
+    image = manager.medium.image("a:1")
+    assert any(r.get("table") == "lim" for r in image.wal)
+    manager.crash("a:1")
+    manager.restart("a:1")
+    (row,) = system.node("a:1").query("lim")
+    assert row.values[2] is INFINITY
 
 
 def test_soft_state_lapses_during_downtime():

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import codec
 from repro.store import ForensicStore, StoreConfig
 from repro.store import format as fmt
 from repro.store.compress import fold_noise
@@ -41,7 +42,7 @@ def closed_store(directory, records, **config):
 
 
 def encoded(records):
-    return [fmt.encode(r) for r in records]
+    return [codec.dumps(r) for r in records]
 
 
 def log_columns(records, first_q=0):
@@ -167,7 +168,10 @@ def test_expand_all_round_trips_mixed_stream(tmp_path):
     for i, (one, two) in enumerate(
         zip(rule_run("n1:1", "r1", 5), rule_run("n2:2", "r1", 5, t0=1.25))
     ):
-        payload = {"rel": "hop", "v": ["n2:2", i, [i, None], {"!r": "<obj>"}]}
+        payload = {
+            "rel": "hop",
+            "v": ["n2:2", i, [i, None], {"nodeid": [i, 8]}, {"infinity": None}],
+        }
         records += [
             one,
             fmt.tuple_ident_record("n1:1", i, "n1:1", i, "n2:2", one["t"], payload),

@@ -31,6 +31,7 @@ import os
 
 import pytest
 
+from repro import codec
 from repro.analysis import trace_back
 from repro.core.system import System
 from repro.errors import ReproError, StoreCorruptionError
@@ -504,7 +505,11 @@ def test_another_format_version_is_named_not_misread(tmp_path, capsys):
     path = directory / "manifest.json"
     manifest = json.loads(path.read_text())
     v1 = {"version": 1, "segments": [{"file": "seg-000001.jsonl", "index": "x"}]}
-    for version, text in ((1, fmt.encode(v1)), (3, fmt.encode({**manifest, "version": 3}))):
+    for version, text in (
+        (1, codec.dumps(v1)),
+        (2, codec.dumps({**manifest, "version": 2})),
+        (4, codec.dumps({**manifest, "version": 4})),
+    ):
         path.write_text(text)
         with pytest.raises(ReproError) as caught:
             ForensicStore.open(str(directory))

@@ -34,12 +34,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import codec
 from repro.core.system import System
+from repro.overlog.types import INFINITY, NodeID
 from repro.runtime.tuples import Tuple
 from repro.sim.batch import ExecutionConfig
 from repro.store import ForensicStore, StoreConfig, StoreProvider, backward_slice
 from repro.store import format as fmt
 from repro.store.segment import Segment, code_blocks
+from tests.core.test_codec import same
 from tests.store.feeding import columns_of, feed, feed_all
 
 # ----------------------------------------------------------------------
@@ -52,15 +55,11 @@ numbers = st.one_of(
     st.sampled_from([-0.0, 0.0, 1e-07, 1e22, 2**53 + 1, float("inf")]),
 )
 scalars = st.one_of(st.none(), st.booleans(), numbers, texts)
-#: Tuple fields as the runtime hands them over: nested tuples become
-#: lists, anything JSON cannot hold degrades to ``{"!r": repr(value)}``.
+#: Tuple fields: the language's values (``repro.codec``) — scalars,
+#: NodeIDs, ``infinity`` and nested sequences of them.
+node_ids = st.builds(NodeID, st.integers(0, 2**64), st.integers(1, 64))
 fields = st.recursive(
-    st.one_of(
-        scalars,
-        st.binary(max_size=4),
-        st.frozensets(st.integers(0, 3), max_size=2),
-        st.complex_numbers(allow_nan=False, allow_infinity=False),
-    ),
+    st.one_of(scalars, node_ids, st.just(INFINITY)),
     lambda inner: st.lists(inner, max_size=3).map(tuple),
     max_leaves=8,
 )
@@ -87,15 +86,15 @@ table_logs = st.builds(
 captured = st.one_of(rule_execs, tuple_idents, tuple_logs, table_logs)
 
 
-@given(payloads)
-def test_a_payload_thaws_to_a_tuple_that_encodes_back_to_it(payload):
-    """``payload_tuple`` never raises on what ``tuple_payload`` wrote —
-    a ``{"!r": …}`` field or a nested list must come back hashable —
-    and loses nothing the payload held."""
-    stored = fmt.decode(fmt.encode(payload))
-    tup = fmt.payload_tuple(stored)
-    assert hash(tup) == hash(fmt.payload_tuple(stored)) and repr(tup)
-    assert fmt.tuple_payload(tup) == stored
+@given(texts, st.lists(fields, max_size=4))
+def test_a_payload_thaws_to_a_tuple_that_encodes_back_to_it(rel, values):
+    """``payload_tuple(tuple_payload(t)) == t`` through the stored
+    bytes, every value of the type it went in as."""
+    tup = Tuple(rel, tuple(values))
+    stored = codec.loads(codec.dumps(fmt.tuple_payload(tup)))
+    back = fmt.payload_tuple(stored)
+    assert back == tup and same(back.values, tup.values)
+    assert fmt.tuple_payload(back) == stored
     assert fmt.payload_matches(stored, tup)
 
 
@@ -103,9 +102,9 @@ def test_a_payload_thaws_to_a_tuple_that_encodes_back_to_it(payload):
 def test_canonical_line_is_a_fixed_point(batch):
     """For every record, and for every block a cut would write of them."""
     for value in batch + code_blocks(1, columns_of(batch)):
-        line = fmt.encode(value)
+        line = codec.dumps(value)
         assert line.isascii() and "\n" not in line
-        assert fmt.encode(fmt.decode(line)) == line
+        assert codec.dumps(codec.loads(line)) == line
 
 
 @given(st.lists(captured, max_size=6))
@@ -117,14 +116,14 @@ def test_bulk_decode_is_the_per_line_decode(batch):
     blocks = code_blocks(1, columns_of(batch))
     if not blocks:
         return
-    stored = [fmt.decode(fmt.encode(block)) for block in blocks]
+    stored = [codec.loads(codec.dumps(block)) for block in blocks]
     segment = Segment.of_blocks("nowhere", 1, stored)
     bulk = sorted(
         (q, record) for _, q, record in segment.scan(None, None, None, None, None)
     )
     assert bulk == sorted(rebuilt_rows(stored))
-    assert [fmt.encode(record) for _, record in bulk] == [
-        fmt.encode(record) for record in batch
+    assert [codec.dumps(record) for _, record in bulk] == [
+        codec.dumps(record) for record in batch
     ]
 
 
@@ -304,7 +303,7 @@ filters = st.fixed_dictionaries(
 
 
 def encoded(records):
-    return [fmt.encode(r) for r in records]
+    return [codec.dumps(r) for r in records]
 
 
 @settings(max_examples=150, deadline=None)
@@ -425,7 +424,7 @@ def test_warm_slice_is_the_cold_slice_and_decodes_nothing(
     def refuse(*args):
         raise AssertionError("a warm slice went back to the decoder")
 
-    monkeypatch.setattr(fmt, "decode", refuse)
+    monkeypatch.setattr(codec, "loads", refuse)
     warm = backward_slice(provider, "a:1", SHARED_TID)
     assert warm.to_json() == cold.to_json()
     monkeypatch.undo()

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import os
 
+from repro import codec
+from repro.overlog.types import INFINITY, NodeID
 from repro.store import format as fmt
 from repro.store.segment import Segment, code_blocks, write_segment
 from tests.store.feeding import columns_of
@@ -170,14 +172,16 @@ def test_dictionary_keeps_equal_values_of_different_types_apart(tmp_path):
     """``l`` is a tuple's first field, whatever that is: values Python
     calls equal (``1 == 1.0 == True``, ``0.0 == -0.0``) and values it
     cannot hash must each come back as themselves."""
-    locations = [1, 1.0, True, "1", None, [1, "x"], {"!r": "<o>"}, -0.0, 0.0, 0]
+    locations = [
+        1, 1.0, True, "1", None, [1, "x"], NodeID(1, 8), INFINITY, -0.0, 0.0, 0
+    ]
     records = [
         fmt.tuple_ident_record("n1:1", i, "n1:1", i, loc, 0.5, None)
         for i, loc in enumerate(locations)
     ]
     segment = written(tmp_path, records)
-    assert [fmt.encode(r) for r in scanned(segment)] == [
-        fmt.encode(r) for r in records
+    assert [codec.dumps(r) for r in scanned(segment)] == [
+        codec.dumps(r) for r in records
     ]
     block = segment.fetch([fmt.TUPLE_IDENT])[fmt.TUPLE_IDENT]
     assert len(set(block.cols["l"])) == len(locations)

@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+from repro import codec
 from repro.core.system import System
 from repro.errors import ReproError
 from repro.sim.batch import ExecutionConfig
@@ -108,7 +109,7 @@ def test_events_are_time_sorted_and_stable(tmp_path):
     times = [r["t"] for r in events]
     assert times == sorted(times)
     again = ForensicStore.open(store.config.directory).events()
-    assert [fmt.encode(r) for r in events] == [fmt.encode(r) for r in again]
+    assert [codec.dumps(r) for r in events] == [codec.dumps(r) for r in again]
 
 
 def test_live_queries_see_unflushed_buffer(tmp_path):
@@ -177,13 +178,14 @@ def test_seeded_runs_produce_identical_stores(tmp_path):
 
 
 #: sha256 of every file ``pinned_records`` produces, re-pinned once for
-#: store format v2 (one columnar file per segment, no sidecar): the
-#: writer may get faster, never different.
+#: store format v3 (payload values spelled by ``repro.codec``: a NodeID
+#: and ``infinity`` are tagged, nothing degrades): the writer may get
+#: faster, never different.
 PINNED_DIGESTS = {
     "manifest.json":
-        "f3f37f6cd7dc50b2e01b1c46cdb3e4e79af65bcd33d95c76d3acd3bf6c930875",
+        "b674ceecad6990072a15c4fe05e5c3b54a9f070c474aed237eedd295a680e6d9",
     "seg-000001.jsonl":
-        "7ac153affc55acd27f601af5ebf4c295067970e45c608d6327f33001b6a3f2ae",
+        "8455fc60701959bd6fc6948012c715cc3a81fb73b5252ff01777ee22f3f676d0",
     "seg-000002.jsonl":
         "d378768e1d398a3ee45068037c0c5eec9b4d1f85bd49d2ae7a7346515f2ade1a",
 }
@@ -193,12 +195,13 @@ def pinned_records():
     """Every record kind, a firing storm, a noise storm that folds into
     a ``log.b`` row, and the
     values a JSON writer can get wrong: non-ASCII text, ``-0.0``, a
-    small exponent, an int past 2**64, nesting, a degraded value."""
+    small exponent, an int past 2**64, nesting, a NodeID and
+    ``infinity``."""
     payload = {
         "rel": "start",
         "v": [
             "n1:1", 7, "café ☃", -0.0, 1e-07, 2**70,
-            [1, [2.5, None]], {"!r": "<obj>"},
+            [1, [2.5, None]], {"nodeid": [3141592653, 32]}, {"infinity": None},
         ],
     }
     records = [
@@ -318,10 +321,10 @@ def test_rule_exec_query_sees_through_burst_compression(tmp_path, capsys):
     plain = poke_store(tmp_path / "plain", compress=False)
     packed = poke_store(tmp_path / "packed", compress=True)
     assert packed.bursts_written > 0
-    expected = [fmt.encode(r) for r in plain.events(kind=fmt.RULE_EXEC)]
+    expected = [codec.dumps(r) for r in plain.events(kind=fmt.RULE_EXEC)]
     assert len(expected) >= 60
     assert [
-        fmt.encode(r) for r in packed.events(kind=fmt.RULE_EXEC)
+        codec.dumps(r) for r in packed.events(kind=fmt.RULE_EXEC)
     ] == expected
     assert run_cli("store", "query", packed.config.directory, "--kind", "re") == 0
     assert capsys.readouterr().out.splitlines() == expected
@@ -339,7 +342,7 @@ def test_time_window_cutting_through_a_burst_keeps_its_members(tmp_path):
 
     def lossless(store):
         return [
-            fmt.encode(r) for r in store.events() if r.get("rel") != "poke"
+            codec.dumps(r) for r in store.events() if r.get("rel") != "poke"
         ]
 
     assert lossless(plain) == lossless(packed)
@@ -354,12 +357,12 @@ def test_time_window_cutting_through_a_burst_keeps_its_members(tmp_path):
         everything = store.events()
         for t0, t1 in windows:
             expected = [
-                fmt.encode(r)
+                codec.dumps(r)
                 for r in everything
                 if (t0 is None or r["t"] >= t0) and (t1 is None or r["t"] <= t1)
             ]
             got = store.events(t0=t0, t1=t1)
-            assert [fmt.encode(r) for r in got] == expected, (t0, t1)
+            assert [codec.dumps(r) for r in got] == expected, (t0, t1)
 
 
 def test_cli_info_query_slice(tmp_path, capsys):
