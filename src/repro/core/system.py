@@ -1,4 +1,9 @@
-"""The :class:`System` façade: simulator + network + nodes in one object."""
+"""The :class:`System` façade: simulator + network + nodes in one object.
+
+Every System runs on the simulator's one loop, a tick at a time, with
+the fabric coalescing each tick's messages to a node into one event
+(:mod:`repro.sim.simulator`); ``execution`` only sets the tick width.
+"""
 
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ from repro.overload.controller import OverloadConfig
 from repro.overlog.program import Program
 from repro.overlog.types import DEFAULT_ID_BITS
 from repro.runtime.node import P2Node
-from repro.sim.batch import BatchKernel, ExecutionConfig
+from repro.sim.batch import ExecutionConfig
 from repro.sim.simulator import Simulator
 from repro.introspect import EventLogger, Reflector, Tracer
 from repro.introspect.tracer import RULE_EXEC
@@ -86,10 +91,8 @@ class System:
         log_capacity: int = 2000,
         tuple_entries: int = 100000,
     ) -> None:
-        #: How events execute (:mod:`repro.sim.batch`): the tick grid,
-        #: and on it the tick kernel with the coalescing fabric (the
-        #: default) or the per-event reference loop (``batch_size=1``).
-        #: Nodes run the same code under both.
+        #: The tick grid the simulator's one loop runs on
+        #: (:mod:`repro.sim.batch`).
         if not isinstance(execution, ExecutionConfig):
             raise ReproError(
                 f"execution must be an ExecutionConfig, got {execution!r}"
@@ -109,13 +112,6 @@ class System:
             duplicate_rate=duplicate_rate,
             obs=self.telemetry if observability else None,
         )
-        #: The batch kernel driving ``run_until`` (None = per-event loop).
-        self.kernel: Optional[BatchKernel] = None
-        if execution.batched:
-            self.kernel = BatchKernel(self.sim)
-            self.sim.use_batch_kernel(self.kernel)
-            if transport == "udp":
-                self.network.use_batch_fabric()
         self.id_bits = id_bits
         #: Overload-protection config applied to every node (None keeps
         #: all hot paths exactly as before; see :mod:`repro.overload`).
@@ -132,10 +128,8 @@ class System:
         self.store: Optional[ForensicStore] = None
         if store is not None:
             self.store = ForensicStore(store, clock=self.sim.clock.reader())
-            if self.kernel is not None:
-                # Cut segments at tick barriers, never mid-tick.
-                self.store.tick_mode = True
-                self.kernel.on_tick.append(self.store.on_tick_barrier)
+            # Cut segments at tick barriers, never mid-tick.
+            self.sim.on_tick.append(self.store.on_tick_barrier)
         #: Ring evictions per ``(node address, ring name)`` — the
         #: counter behind ``store_ring_rotations_total``.  A ring's
         #: first eviction also emits one ``store.ring_rotated`` recorder
@@ -174,6 +168,7 @@ class System:
             id_bits=self.id_bits,
             overload=self.overload,
         )
+        node.system = self
         if node.overload is not None and self.telemetry.enabled:
             node.overload.telemetry = self.telemetry
         self.nodes[address] = node

@@ -16,7 +16,10 @@ drives the schedule through its fault window, and emits a structured
 Same seed + same config ⇒ byte-for-byte identical verdict
 (:meth:`CampaignVerdict.fingerprint`), which is what the regression
 tests pin and what ``python -m repro faults --seeds ... --fingerprints``
-prints for the CI smoke job.
+prints for the CI smoke job.  A campaign runs on the simulator's one
+loop, a tick at a time; ``tests/batchexec`` replays campaigns under the
+test-side one-event-at-a-time reference loop and pins the same
+fingerprint.
 """
 
 from __future__ import annotations
@@ -112,9 +115,7 @@ class CampaignConfig:
     #: the JSONL path so a failure can be replayed in Perfetto or
     #: ``python -m repro obs summarize``.
     artifact_dir: Optional[str] = None
-    #: Execution mode (:mod:`repro.sim.batch`): the tick kernel by
-    #: default; the batch-vs-per-tuple differential battery pins that
-    #: the verdict fingerprint is identical under the per-event loop.
+    #: The tick grid the campaign runs on (:mod:`repro.sim.batch`).
     execution: ExecutionConfig = ExecutionConfig()
     #: Run every node traced + logged with a durable forensic store
     #: (:mod:`repro.store`) spilling under ``<store_dir>/seed<seed>``

@@ -22,6 +22,13 @@ class MonitorHandle:
     Also the removal handle: :meth:`remove` deactivates the monitor's
     rules on every node (tables and their soft-state contents remain,
     per :meth:`repro.runtime.node.P2Node.uninstall`).
+
+    The handle is keyed on addresses.  When the nodes' system has a
+    :class:`~repro.recovery.manager.RecoveryManager` at install time, a
+    restarted node replays the monitor's program from its durable
+    image, and the handle's ``on_restart`` hook re-subscribes to the
+    replacement and takes over its copy of the program, so alarms keep
+    arriving and :meth:`remove` reaches the node that is live.
     """
 
     def __init__(
@@ -31,18 +38,46 @@ class MonitorHandle:
         compiled: Optional[dict] = None,
     ) -> None:
         self.monitor = monitor
-        self.nodes = nodes
         self.alarms: Dict[str, List[Tuple]] = {
             name: [] for name in monitor.alarm_events
         }
+        self._nodes = {node.address: node for node in nodes}
         self._compiled = compiled or {}
         self._subscriptions = []
         for node in nodes:
-            for name in monitor.alarm_events:
-                sink = self._make_sink(node, name)
-                node.subscribe(name, sink)
-                self._subscriptions.append((node, name, sink))
+            self._subscribe(node)
         self.removed = False
+        system = nodes[0].system if nodes else None
+        self._recovery = system.recovery if system is not None else None
+        if self._recovery is not None:
+            self._recovery.on_restart.append(self._rewire)
+
+    @property
+    def nodes(self) -> List[P2Node]:
+        """The live node at each address the monitor is installed on."""
+        return list(self._nodes.values())
+
+    def _subscribe(self, node: P2Node) -> None:
+        for name in self.monitor.alarm_events:
+            sink = self._make_sink(node, name)
+            node.subscribe(name, sink)
+            self._subscriptions.append((node, name, sink))
+
+    def _rewire(self, address, node: P2Node, report) -> None:
+        """``RecoveryManager.on_restart``: follow ``address`` to the
+        node that replaced it (its old subscriptions died with it)."""
+        if self.removed or address not in self._nodes:
+            return
+        self._nodes[address] = node
+        self._subscriptions = [
+            entry for entry in self._subscriptions if entry[0].address != address
+        ]
+        self._subscribe(node)
+        old = self._compiled.get(address)
+        if old is not None:
+            self._compiled[address] = next(
+                (c for c in node.programs if c.program is old.program), None
+            )
 
     def _make_sink(self, node: P2Node, name: str):
         """The subscription callback for one (node, alarm) pair.
@@ -74,6 +109,8 @@ class MonitorHandle:
         if self.removed:
             return
         self.removed = True
+        if self._recovery is not None:
+            self._recovery.on_restart.remove(self._rewire)
         for node, name, sink in self._subscriptions:
             node.unsubscribe(name, sink)
         for node in self.nodes:

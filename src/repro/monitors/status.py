@@ -5,8 +5,8 @@ node periodically reports a small local observation to a collector,
 which materializes the reports and periodically summarizes them.  The
 per-node rules are trivial; the system-wide cost is dominated by the
 *message fan-in* — thousands of tiny tuples per second converging on a
-handful of collectors.  That is exactly the regime the batch-execution
-kernel targets (``docs/SCALE.md``), so this monitor doubles as the
+handful of collectors.  That is exactly the regime the simulator's
+tick loop targets (``docs/SCALE.md``), so this monitor doubles as the
 load on the ``ring_bare`` and ``ring_observed`` workloads of
 ``benchmarks/e2e``: real OverLog rules, real wire traffic, tunable rate.
 

@@ -47,7 +47,7 @@ DROP_RETRIES = "retries_exhausted"
 DROP_BACKLOG = "send_backlog_full"
 
 #: Simulator priority of every message, ack and nack delivery: a tick's
-#: deliveries sort before its timers under both loops.
+#: deliveries sort before its timers.
 DELIVERY_PRIORITY = -1
 
 
@@ -224,10 +224,8 @@ class Network:
         self._channels: Dict[Tuple[Address, Address], Channel] = {}
         self._blocked: Set[frozenset] = set()
         self._down: Set[Address] = set()
-        # Batch fabric (enabled alongside the batch kernel): one
-        # simulator event per (delivery tick, destination) carrying the
-        # whole message list, instead of one event per message.
-        self._batch_fabric = False
+        # UDP messages in flight, per (delivery tick, destination): one
+        # simulator event carries each list (see _post).
         self._pending_batches: Dict[Tuple[float, Address], List[Message]] = {}
         self.stats = NetworkStats()
         #: Telemetry plane (``repro.obs.telemetry.Telemetry``) or None;
@@ -246,7 +244,8 @@ class Network:
     def _stream(self, name: str, entity: Address):
         """The fabric random stream ``name`` of sender ``entity``: each
         sender's draw sequence depends only on its own processing
-        order, so it is the same under both loops (docs/SCALE.md)."""
+        order, so it is the same however a tick is grouped
+        (docs/SCALE.md)."""
         return self._sim.random.stream(f"{name}.{entity}")
 
     # ------------------------------------------------------------------
@@ -257,14 +256,6 @@ class Network:
         if address in self._receivers:
             raise NetworkError(f"address already attached: {address}")
         self._receivers[address] = receiver
-
-    def use_batch_fabric(self) -> None:
-        """Coalesce UDP deliveries into per-(tick, destination) batches.
-
-        Reliable-transport frames keep per-message events (their
-        ack/retransmit machinery is per-frame).
-        """
-        self._batch_fabric = True
 
     def set_admission(
         self, address: Address, gate: Callable[[Message], bool]
@@ -415,33 +406,7 @@ class Network:
                     0, self._reorder_window
                 )
                 fifo = False
-            when = channel.next_delivery_time(now, delay, fifo)
-            if self._batch_fabric:
-                # One event per (arrival tick, destination): the first
-                # message to the pair schedules the event, later ones
-                # append to the in-flight batch.  Append order equals the
-                # canonical per-message delivery order — senders execute
-                # in canonical order and each sender's sends are its own
-                # origin-seq order.
-                arrival = (when, dst)
-                batch = self._pending_batches.get(arrival)
-                if batch is None:
-                    self._pending_batches[arrival] = [message]
-                    self._sim.schedule_at(
-                        when,
-                        partial(self._deliver_batch, arrival),
-                        priority=DELIVERY_PRIORITY,
-                        group=dst,
-                    )
-                else:
-                    batch.append(message)
-            else:
-                self._sim.schedule_at(
-                    when,
-                    partial(self._hand_over, (message,), self._down),
-                    priority=DELIVERY_PRIORITY,
-                    group=dst,
-                )
+            self._post(channel.next_delivery_time(now, delay, fifo), message)
             if duplicate or not (
                 self._duplicate_rate > 0.0
                 and self._stream("net.dup", src).random() < self._duplicate_rate
@@ -482,9 +447,33 @@ class Network:
             )
         return channel
 
+    def _post(self, when: float, message: Message) -> None:
+        """Put one UDP message on the fabric, to arrive at ``when``.
+
+        One event per (arrival tick, destination): the first message to
+        the pair schedules the event, later ones append to the in-flight
+        batch.  Append order equals the canonical per-message delivery
+        order — senders execute in canonical order and each sender's
+        sends are its own origin-seq order.  Reliable frames keep
+        per-message events (their ack/retransmit machinery is
+        per-frame).
+        """
+        arrival = (when, message.dst)
+        batch = self._pending_batches.get(arrival)
+        if batch is None:
+            self._pending_batches[arrival] = [message]
+            self._sim.schedule_at(
+                when,
+                partial(self._deliver_batch, arrival),
+                priority=DELIVERY_PRIORITY,
+                group=message.dst,
+            )
+        else:
+            batch.append(message)
+
     def _deliver_batch(self, arrival: Tuple[float, Address]) -> None:
         """Deliver one (tick, destination) batch of UDP messages, each
-        exactly as its own per-message event would have been."""
+        exactly as its own event would have been."""
         self._hand_over(self._pending_batches.pop(arrival), self._down)
 
     def _hand_over(self, messages: Iterable[Message], down=frozenset()) -> None:

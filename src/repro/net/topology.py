@@ -41,8 +41,8 @@ class UniformLatency(LatencyModel):
     Draws come from the sender's own stream of the simulation's random
     source, so runs stay reproducible and a sender's delays depend only
     on its own send order: one node's send volume never perturbs
-    another's, and regrouping a tick per node (the batch kernel) leaves
-    every draw where the per-event loop makes it.  FIFO ordering is
+    another's, and regrouping a tick per node leaves every draw where
+    a one-event-at-a-time loop makes it.  FIFO ordering is
     still enforced per channel by the network layer (delivery times are
     made monotone).
     """

@@ -8,11 +8,12 @@ uniform: the tracer and event subscribers observe everything.
 
 There is one execution path: :meth:`receive` admits and applies one
 message, :meth:`_pump` drains the work queue one ``(strand, trigger)``
-at a time, and :meth:`RuleStrand.fire` runs it.  The simulator loop
-and the fabric (the tick kernel's coalesced deliveries, or the
-per-event reference loop — :mod:`repro.sim.batch`) only decide *when*
-those are called, so tracers, telemetry and overload control attach to
-the path every node runs rather than selecting another one.
+at a time, and :meth:`RuleStrand.fire` runs it.  The simulator's tick
+loop and the fabric's coalesced deliveries (:mod:`repro.sim.simulator`)
+only decide *when* those are called — the tests' one-event-at-a-time
+reference loop calls the same ones — so tracers, telemetry and
+overload control attach to the path every node runs rather than
+selecting another one.
 
 Tracing attachment is by composition to keep layering clean: the
 introspection package sets ``node.hooks`` (a
@@ -84,7 +85,8 @@ class P2Node:
         self.work = WorkModel()
         # Rules and the tracer read the micro-clock, so a rule's ruleExec
         # row ends after it starts (§3.2's RuleT).  Its reset points are
-        # this node's own turns, which both loops run in the same order.
+        # this node's own turns, which the tick loop runs in the order
+        # a one-event-at-a-time loop would.
         self.ctx = EvalContext(self.work_clock, self.rng, id_bits)
         self.planner = Planner(self.store, node_label=address)
 
@@ -140,6 +142,9 @@ class P2Node:
         # replacement node inherits predecessor's count + 1 (set by
         # System.restart_node).
         self.restarts = 0
+        # The System that made this node (set by System.add_node), or
+        # None: a monitor handle reaches its recovery manager through it.
+        self.system = None
 
         # Counters beyond the work model.
         self.tuples_delivered = 0

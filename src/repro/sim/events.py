@@ -5,14 +5,15 @@ Priority lets the network deliver messages before
 timers that fire at the same instant (or vice versa) in a controlled
 way; the default priority of 0 is fine for nearly all uses.
 
-The *origin* fields are the batch-execution kernel's determinism
-contract (docs/SCALE.md).  The simulator stamps every event with the
-entity that created it (``okey`` — a node address, or ``""`` for
+The *origin* fields are the tick loop's determinism contract
+(docs/SCALE.md).  The simulator stamps every event with the entity
+that created it (``okey`` — a node address, or ``""`` for
 harness/control code) and a per-origin counter (``oseq``).  Because
-each entity's own processing order is preserved by both the per-event
-loop and the batch kernel, the pair ``(okey, oseq)`` is identical
-across loops, which makes same-tick ordering independent of how the
-previous tick's work was interleaved globally.  Every push takes the
+the loop preserves each entity's own processing order however it
+groups a tick, the pair ``(okey, oseq)`` is the same as under the
+one-event-at-a-time reference loop the tests keep, which makes
+same-tick ordering independent of how the previous tick's work was
+interleaved globally.  Every push takes the
 next ``oseq`` of its origin, so the pair is unique: the order is total,
 and two events one entity schedules for the same instant fire in
 scheduling order.
@@ -22,9 +23,8 @@ key tuples ``(time, priority, okey, oseq, event)`` — C-speed
 comparisons that never reach the event, because ``(okey, oseq)`` is
 unique.
 :class:`ScheduledEvent` is the cancellation handle riding along in the
-last slot.  ``Simulator._push`` pushes and both loops
-(``Simulator._run_events``, ``BatchKernel.run_until``) pop the heap
-directly: those are the hottest lines in a run.
+last slot.  ``Simulator._push`` pushes and ``Simulator._run_ticks``
+pops the heap directly: those are the hottest lines in a run.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class ScheduledEvent:
     Cancellation is lazy: :meth:`cancel` marks the event and the queue
     skips it on pop, so cancelling is O(1).  ``group`` names the entity
     that will *execute* the event (a node address for deliveries and
-    node timers); the batch kernel gathers a tick's events per group.
+    node timers); the loop gathers a tick's events per group.
     """
 
     __slots__ = (

@@ -19,19 +19,45 @@ carries an *origin key*: the entity (node) whose processing created
 it, plus a per-origin sequence number.  Ordering within a tick is
 ``(priority, origin, origin_seq)`` — independent of how the previous
 tick's work was interleaved across entities, which is what lets the
-batch kernel regroup a tick per node without changing any node's
-observable event order.
+loop regroup a tick per node without changing any node's observable
+event order.
 
-``run_until`` itself is the per-event loop, the reference the batch
-kernel is tested against.  When a :class:`~repro.sim.batch.BatchKernel`
-is installed (see :meth:`use_batch_kernel`), ``run_until`` delegates to
-it; harness code never needs to know which loop is driving.
+There is one loop, and it runs a *tick* at a time:
+
+1. advance the clock to the earliest pending event time ``t`` (every
+   event sits on the tick grid);
+2. drain **all** events at ``t`` in canonical order
+   ``(priority, origin, origin_seq)``;
+3. gather grouped events per *group* (the node that executes them) and
+   run each group's events in that canonical order, groups in address
+   order;
+4. treat ungrouped (control/harness) events as ordering barriers: the
+   grouped events that canonically precede a control event run before
+   it, because control code can touch node state directly (injects,
+   kills) and so *is* ordered relative to each node's own event stream;
+5. call the ``on_tick`` hooks (the forensic store cuts segments here).
+
+A tick whose events share one group — a single node's timers, or one
+event alone — is already in that order, so it runs straight off the
+heap.  The loop only *schedules*: what a node does with an event —
+receive, pump, fire — is the node's own code.  Draining a tick in one
+pass, and the fabric's one event per ``(tick, destination)`` instead
+of one per message (:meth:`repro.net.network.Network._post`), are what
+make a thousand-node run cheap (docs/SCALE.md).
+
+Equivalence contract (docs/SCALE.md): within a tick, nodes interact
+only through events scheduled for *later* ticks, and all per-message
+randomness is drawn from per-entity streams, so regrouping a tick per
+node cannot change any node's observable history.  The tests keep the
+one-event-at-a-time loop as a reference (``tests/runtime/
+reference_loop.py``, which replaces :meth:`_run_ticks` on an instance)
+and demand byte-identical runs of every bundled program from both.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.clock import Clock
@@ -41,7 +67,7 @@ from repro.sim.rand import SimRandom
 #: Origin key used for events created outside any entity's processing
 #: turn (harness code, fault schedules, campaign probes).  The empty
 #: string sorts before every node address, so control events at a tick
-#: run before that tick's node work in both loops.
+#: run before that tick's node work.
 GLOBAL_ORIGIN = ""
 
 #: Default tick width (seconds).  Matches the default one-way network
@@ -64,8 +90,15 @@ class Simulator:
         self._heap: list = []
         self._running = False
         self._events_processed = 0
-        # Batch kernel (repro.sim.batch.BatchKernel) or None.
-        self._kernel = None
+        #: Ticks executed (one per distinct event time processed).
+        self.ticks = 0
+        #: Largest single-tick event batch seen (e2e's ``sim.max_tick_events``).
+        self.max_tick_events = 0
+        #: Tick-barrier hooks, called with the tick time after all of a
+        #: tick's events have run.  The forensic store registers here so
+        #: its segment cuts align with tick boundaries instead of
+        #: landing mid-tick between two events of the same instant.
+        self.on_tick: List[Callable[[float], None]] = []
         # Entity whose event is currently executing; schedules inherit
         # it as their origin key.
         self._origin = GLOBAL_ORIGIN
@@ -88,13 +121,11 @@ class Simulator:
         return sum(1 for entry in self._heap if not entry[4].cancelled)
 
     @property
-    def kernel(self):
-        """The installed batch kernel, or None (the per-event loop)."""
-        return self._kernel
-
-    def use_batch_kernel(self, kernel) -> None:
-        """Route ``run_until`` through ``kernel`` from now on."""
-        self._kernel = kernel
+    def kernel(self) -> "Simulator":
+        """This simulator: ``sim.kernel.ticks`` is the older spelling of
+        :attr:`ticks` (and ``.max_tick_events``), still read by
+        ``benchmarks/e2e``."""
+        return self
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -137,8 +168,7 @@ class Simulator:
         """Run ``callback`` after ``delay`` seconds of virtual time.
 
         ``group`` names the entity that will execute the event (a node
-        address); the batch kernel gathers each tick's events per group
-        and the per-event loop ignores it.
+        address); the loop gathers each tick's events per group.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: delay={delay}")
@@ -197,39 +227,110 @@ class Simulator:
             raise SimulationError("run_until called re-entrantly")
         self._running = True
         try:
-            if self._kernel is not None:
-                self._kernel.run_until(when)
-            else:
-                self._run_events(when)
+            self._run_ticks(when)
             self.clock.advance_to(when)
         finally:
             self._origin = GLOBAL_ORIGIN
             self._running = False
 
-    def _run_events(self, when: float) -> None:
-        """The per-event loop: one event at a time in canonical order.
+    def _run_ticks(self, when: float) -> None:
+        """Run every tick at or before ``when`` (see the module doc).
 
         It works the queue's heap itself, so an event costs its
-        callback's frame and no queue or clock call.  Entries are
-        (time, priority, okey, oseq, event); the heap never yields
-        a time before the clock because nothing can be scheduled in the
+        callback's frame and no queue or clock call; the tick and event
+        counters are kept in locals and stored once.  Entries are
+        (time, priority, okey, oseq, event); the heap never yields a
+        time before the clock because nothing can be scheduled in the
         past.
         """
         heap = self._heap
         clock = self.clock
-        while heap:
-            entry = heap[0]
-            if entry[0] > when:
-                break
-            heappop(heap)
-            event = entry[4]
+        on_tick = self.on_tick
+        ticks = processed = 0
+        most = self.max_tick_events
+        try:
+            while heap:
+                t = heap[0][0]
+                if t > when:
+                    break
+                events = []
+                group = None
+                mixed = False
+                while True:  # the heap holds at least one entry at t
+                    event = heappop(heap)[4]
+                    if not event.cancelled:
+                        events += (event,)  # no call: cheaper than append
+                        g = event.group
+                        if g != group and g is not None:
+                            # A second group makes the tick mixed for good.
+                            mixed = group is not None
+                            group = g
+                    if not heap or heap[0][0] != t:
+                        break
+                if not events:
+                    continue
+                clock._now = t
+                ticks += 1
+                n = len(events)
+                if n > most:
+                    most = n
+                processed += n
+                if mixed:
+                    self._run_grouped(events)
+                else:
+                    # One group (with or without control events):
+                    # canonical order already is the grouped order.
+                    for event in events:
+                        # An earlier event this tick may have cancelled
+                        # a later one (crash cancelling timers).
+                        if not event.cancelled:
+                            self._origin = event.group or GLOBAL_ORIGIN
+                            event.callback()
+                if on_tick:
+                    for hook in on_tick:
+                        hook(t)
+        finally:
+            self.ticks += ticks
+            self.max_tick_events = most
+            self._events_processed += processed
+
+    def _run_grouped(self, events: List[ScheduledEvent]) -> None:
+        """Run a tick that spans several groups, per group."""
+        groups: Dict[str, List[ScheduledEvent]] = {}
+        for event in events:
             if event.cancelled:
                 continue
-            clock._now = entry[0]
-            self._events_processed += 1
             group = event.group
-            self._origin = group if group is not None else GLOBAL_ORIGIN
-            event.callback()
+            if group is None:
+                # Control code can inject into or kill nodes, so a
+                # control event is ordered relative to each node's own
+                # stream: everything gathered so far sorts canonically
+                # before it and must run first.
+                self._flush(groups)
+                self._origin = GLOBAL_ORIGIN
+                event.callback()
+            else:
+                bucket = groups.get(group)
+                if bucket is None:
+                    groups[group] = [event]
+                else:
+                    bucket.append(event)
+        self._flush(groups)
+
+    def _flush(self, groups: Dict[str, List[ScheduledEvent]]) -> None:
+        """Run each group's gathered events, in stable address order.
+
+        Node histories are interaction-free within a tick, so group
+        order is unobservable; sorting makes it deterministic.
+        """
+        if not groups:
+            return
+        for key in sorted(groups):
+            self._origin = key
+            for event in groups[key]:
+                if not event.cancelled:
+                    event.callback()
+        groups.clear()
 
     def run_for(self, duration: float) -> None:
         """Process events for ``duration`` seconds of virtual time."""

@@ -11,13 +11,13 @@ is the history that survives when they rotate.
 
 Write path: each capture callback appends the event's scalars, behind
 the store-wide capture sequence number ``q``, to the buffer of its kind
-— no per-event object.  When ``segment_events`` are buffered the store
-cuts a segment from everything it holds: one encode per block, one file
-write, then the manifest.  Under the batch kernel the cut is deferred
-to the next tick barrier (segments align to tick boundaries); under the
-per-event reference loop, and for a store fed by hand, it happens
-inline.  ``close()`` flushes the remainder and
-(re)writes ``manifest.json``.
+— no per-event object.  At each tick barrier
+(:meth:`on_tick_barrier`, a simulator ``on_tick`` hook) where
+``segment_events`` or more are buffered, the store cuts a segment from
+everything it holds: one encode per block, one file write, then the
+manifest.  Segments so align to tick boundaries; a store fed by hand
+cuts when its feeder calls the hook.  ``close()`` flushes the remainder
+and (re)writes ``manifest.json``.
 
 Read path: :meth:`iter_events` / :meth:`events` for filtered scans
 (time / relation / node / kind), streamed in ``(t, q)`` order — time,
@@ -64,7 +64,8 @@ class StoreConfig:
 
     #: Directory segments are written into (created on first flush).
     directory: str
-    #: Events per segment (the buffer bound — memory stays O(this)).
+    #: Events per segment: a tick barrier cuts once this many are
+    #: buffered, so memory stays O(this plus one tick's capture).
     segment_events: int = 4096
     #: Noise folding on/off.
     compress: bool = True
@@ -90,16 +91,11 @@ class ForensicStore:
         self._segments: List[Segment] = []
         self._next_seg = 1
         self._dir_ready = False
-        #: ``events_appended`` at the last cut, and the ``q`` whose
-        #: append fills the buffer.
+        #: ``events_appended`` at the last cut.
         self._cut_q = 0
-        self._full_at = config.segment_events - 1
         #: The buffer as a segment, with the ``events_appended`` it was
         #: built at (see :meth:`_tail`).
         self._tail_built: Optional[PyTuple[int, Segment]] = None
-        #: Deferred-cut mode: True once registered on a batch kernel's
-        #: tick-barrier hook (segments then align to tick boundaries).
-        self.tick_mode = False
         # Counters (exported as store_* metrics).  ``events_appended``
         # is also the next capture sequence number.
         self.events_appended = 0
@@ -188,8 +184,8 @@ class ForensicStore:
 
     # ------------------------------------------------------------------
     # Capture: one buffer ``extend`` per event, in ``COLUMNS`` order.
-    # The four callbacks repeat the sequence-number and cut lines rather
-    # than share them: a helper would be one more call for every event.
+    # The four callbacks repeat the sequence-number lines rather than
+    # share them: a helper would be one more call for every event.
 
     def _on_rule_exec(self, node: str, row, outcome) -> None:
         if outcome is InsertOutcome.REFRESHED or self.closed:
@@ -200,8 +196,6 @@ class ForensicStore:
         self._flat[fmt.RULE_EXEC].extend(
             (q, node, rule, cause, effect, in_t, out_t, bool(is_event))
         )
-        if q >= self._full_at and not self.tick_mode:
-            self.flush_segment()
 
     def _on_register(self, node: str, tid, src, src_tid, loc, tup) -> None:
         # ``tup`` comes only with the write that mints ``tid``: each
@@ -216,8 +210,6 @@ class ForensicStore:
         self._flat[fmt.TUPLE_IDENT].extend(
             (q, node, tid, src, src_tid, loc, self._clock(), rel, values)
         )
-        if q >= self._full_at and not self.tick_mode:
-            self.flush_segment()
 
     def _on_tuple_log(self, node: str, row, outcome=None) -> None:
         if self.closed:
@@ -226,8 +218,6 @@ class ForensicStore:
         q = self.events_appended
         self.events_appended = q + 1
         self._flat[fmt.TUPLE_LOG].extend((q, node, seq, when, rel, text))
-        if q >= self._full_at and not self.tick_mode:
-            self.flush_segment()
 
     def _on_table_log(self, node: str, row, outcome=None) -> None:
         if self.closed:
@@ -236,8 +226,6 @@ class ForensicStore:
         q = self.events_appended
         self.events_appended = q + 1
         self._flat[fmt.TABLE_LOG].extend((q, node, seq, when, rel, op, text))
-        if q >= self._full_at and not self.tick_mode:
-            self.flush_segment()
 
     # ------------------------------------------------------------------
     # Write path
@@ -259,7 +247,7 @@ class ForensicStore:
         return columns
 
     def on_tick_barrier(self, when: float) -> None:
-        """Tick-barrier hook (batch kernel): cut a full buffer now."""
+        """Tick-barrier hook: cut a full buffer now."""
         if self.buffered >= self.config.segment_events:
             self.flush_segment()
 
@@ -272,7 +260,6 @@ class ForensicStore:
             del flat[:]
         self._tail_built = None
         self._cut_q = self.events_appended
-        self._full_at = self._cut_q + self.config.segment_events - 1
         if self.config.compress:
             bursts: List[tuple] = []
             for kind in (fmt.TUPLE_LOG, fmt.TABLE_LOG):

@@ -1,9 +1,10 @@
-"""Shared runners for the batch-vs-per-tuple differential battery.
+"""Shared runners for the tick-loop-vs-reference differential battery.
 
 Every test in ``tests/batchexec`` follows the same shape: run one of
-the bundled workloads twice on the same seed — once under the
-per-tuple compatibility kernel (``batch_size=1``) and once under the
-batched kernel — and demand *byte-identical* observable state.  The
+the bundled workloads twice on the same seed — once on the test-side
+reference (one event at a time, one event per message:
+``tests/runtime/reference_loop.py``) and once on the simulator's tick
+loop — and demand *byte-identical* observable state.  The
 equivalence claim is deliberately maximal: not just final tables and
 alarm streams, but work-model counters, exact ``busy_seconds`` floats
 (hex-encoded, so FP addition order is pinned), delivered-byte counts,
@@ -18,7 +19,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Iterable, Optional
+from contextlib import nullcontext
+from typing import Any, Dict, Iterable
 
 from repro.chord.harness import ChordNetwork
 from repro.gossip.harness import GossipNetwork
@@ -29,14 +31,12 @@ from repro.monitors import (
 )
 from repro.net.topology import JitteredLatency
 from repro.overload.controller import OverloadConfig
-from repro.sim.batch import DEFAULT_TICK, ExecutionConfig
+from tests.runtime.reference_loop import reference
 
-#: The two kernels under comparison.  Both run on the same tick grid —
-#: the differential isolates *batching*, not quantization.
-PER_TUPLE = ExecutionConfig(batch_size=1, tick=DEFAULT_TICK)
-BATCHED = ExecutionConfig(batch_size=None, tick=DEFAULT_TICK)
-
-MODES = {"per-tuple": PER_TUPLE, "batched": BATCHED}
+#: The two executions under comparison, as context managers that every
+#: system built inside runs on.  Both use the same tick grid — the
+#: differential isolates *batching*, not quantization.
+MODES = {"reference": reference, "tick": nullcontext}
 
 
 # ----------------------------------------------------------------------
@@ -120,18 +120,18 @@ def assert_identical(states: Dict[str, Dict[str, Any]]) -> None:
 
 
 # ----------------------------------------------------------------------
-# Workload runners (one seed, one execution mode → state dict)
+# Workload runners (one seed → state dict, on whichever execution the
+# caller's ``with`` block selects)
 
 
 def run_chord(
     seed: int,
-    execution: ExecutionConfig,
     nodes: int = 12,
     duration: float = 90.0,
     kill_last: bool = False,
 ) -> Dict[str, Any]:
     """Chord join + maintenance (stabilize/ping/finger-fix traffic)."""
-    net = ChordNetwork(num_nodes=nodes, seed=seed, execution=execution)
+    net = ChordNetwork(num_nodes=nodes, seed=seed)
     net.start()
     if kill_last:
         net.system.sim.schedule(
@@ -145,20 +145,17 @@ def run_chord(
 
 def run_chord_jittered(
     seed: int,
-    execution: ExecutionConfig,
     transport: str,
     nodes: int = 10,
     duration: float = 90.0,
 ) -> Dict[str, Any]:
     """Chord over jittered links (10–40 ms one way) on ``transport``.
 
-    Every message draws its delay, so the kernels agree only if each
+    Every message draws its delay, so the loops agree only if each
     sender's draws depend on its own send order and not on how a tick
     interleaves the senders.
     """
-    net = ChordNetwork(
-        num_nodes=nodes, seed=seed, transport=transport, execution=execution
-    )
+    net = ChordNetwork(num_nodes=nodes, seed=seed, transport=transport)
     system = net.system
     system.network.set_latency_model(JitteredLatency(system.sim.random, 0.01, 0.03))
     net.start()
@@ -168,7 +165,6 @@ def run_chord_jittered(
 
 def observed_chord(
     seed: int,
-    execution: ExecutionConfig,
     nodes: int = 6,
     duration: float = 45.0,
 ) -> ChordNetwork:
@@ -176,7 +172,7 @@ def observed_chord(
     telemetry spans and an overload controller on every node (UDP).
 
     The paper's configuration.  Observers attach to the one
-    receive → pump → fire path, so the kernels must agree on what each
+    receive → pump → fire path, so the loops must agree on what each
     observer saw, not only on what the protocol computed.
     """
     net = ChordNetwork(
@@ -186,29 +182,25 @@ def observed_chord(
         logging=True,
         observability=True,
         overload=OverloadConfig(),
-        execution=execution,
     )
     net.start()
     net.run_for(duration)
     return net
 
 
-def run_chord_observed(
-    seed: int, execution: ExecutionConfig, **kwargs
-) -> Dict[str, Any]:
+def run_chord_observed(seed: int, **kwargs) -> Dict[str, Any]:
     """:func:`observed_chord`'s state."""
-    net = observed_chord(seed, execution, **kwargs)
+    net = observed_chord(seed, **kwargs)
     return system_state(net.system, net.addresses)
 
 
 def run_gossip(
     seed: int,
-    execution: ExecutionConfig,
     nodes: int = 16,
     duration: float = 60.0,
 ) -> Dict[str, Any]:
     """Gossip epidemics: rumor mongering over the contact graph."""
-    net = GossipNetwork(num_nodes=nodes, seed=seed, execution=execution)
+    net = GossipNetwork(num_nodes=nodes, seed=seed)
     net.start()
     net.run_for(duration)
     state = system_state(net.system, net.addresses)
@@ -221,7 +213,6 @@ def run_gossip(
 
 def run_monitors(
     seed: int,
-    execution: ExecutionConfig,
     nodes: int = 10,
     duration: float = 120.0,
 ) -> Dict[str, Any]:
@@ -231,7 +222,7 @@ def run_monitors(
     watch, and the status-flow fan-in monitor all run while a victim
     dies, and the *ordered* alarm streams must match byte for byte.
     """
-    net = ChordNetwork(num_nodes=nodes, seed=seed, execution=execution)
+    net = ChordNetwork(num_nodes=nodes, seed=seed)
     net.start()
     net.run_for(30.0)
     monitors = [
@@ -268,7 +259,6 @@ def run_monitors(
 
 def run_aggtree(
     seed: int,
-    execution: ExecutionConfig,
     nodes: int = 8,
     stabilize: float = 60.0,
     duration: float = 100.0,
@@ -281,7 +271,6 @@ def run_aggtree(
         num_nodes=nodes,
         seed=seed,
         recycle_dead_bug=True,
-        execution=execution,
     )
     net.start()
     net.run_for(stabilize)
@@ -306,7 +295,6 @@ def run_aggtree(
 
 def run_campaign_fingerprint(
     seed: int,
-    execution: ExecutionConfig,
     *,
     churn: bool = False,
     storm: bool = False,
@@ -319,7 +307,7 @@ def run_campaign_fingerprint(
     The campaign is the battery's hardest target: reliable transport,
     randomized fault schedules, monitors, and (in its variants)
     crash–restart recovery or overload storms — all of whose verdict
-    fields must agree across kernels down to alarm timestamps.
+    fields must agree across loops down to alarm timestamps.
     """
     from repro.faults.campaign import CampaignConfig, FaultCampaign
 
@@ -329,15 +317,22 @@ def run_campaign_fingerprint(
         recovery_time=recovery,
         churn=churn,
         storm=storm,
-        execution=execution,
     )
     return FaultCampaign(seed, config).run().fingerprint()
 
 
-def differential(run, seed: int, **kwargs) -> None:
-    """Run ``run`` under both kernels and assert identical state."""
-    states = {
-        label: run(seed, execution, **kwargs)
-        for label, execution in MODES.items()
-    }
+def on_both(run, seed: int, **kwargs) -> Dict[str, Any]:
+    """``run``'s result on each execution, by label."""
+    results = {}
+    for label, mode in MODES.items():
+        with mode():
+            results[label] = run(seed, **kwargs)
+    return results
+
+
+def differential(run, seed: int, **kwargs) -> Dict[str, Dict[str, Any]]:
+    """Run ``run`` on both executions, assert identical state, and
+    return the states."""
+    states = on_both(run, seed, **kwargs)
     assert_identical(states)
+    return states

@@ -1,9 +1,9 @@
-"""Batch-vs-per-tuple differential battery over the bundled programs.
+"""Tick-loop-vs-reference differential battery over the bundled programs.
 
-Each test runs one workload twice on the same seed — per-tuple kernel
-(``batch_size=1``) vs batched kernel — and asserts byte-identical
-state: final tables, ordered alarm streams, work counters, exact
-``busy_seconds`` bit patterns, and network accounting.  The fast tier
+Each test runs one workload twice on the same seed — the test-side
+reference (``tests/runtime/reference_loop.py``) vs the tick loop — and
+asserts byte-identical state: final tables, ordered alarm streams, work
+counters, exact ``busy_seconds`` bit patterns, and network accounting.  The fast tier
 sweeps five seeds per workload; the slow sweep (CI nightly) covers
 twenty-five on the heaviest workload.
 """
@@ -13,10 +13,10 @@ from __future__ import annotations
 import pytest
 
 from tests.batchexec.harness import (
-    MODES,
     assert_identical,
     differential,
     observed_chord,
+    on_both,
     run_aggtree,
     run_chord,
     run_chord_jittered,
@@ -27,6 +27,20 @@ from tests.batchexec.harness import (
 )
 
 FAST_SEEDS = (0, 1, 2, 3, 4)
+
+
+@pytest.fixture(scope="module")
+def observed_seed0():
+    """Seed 0 of the observed workload on both executions, run once for
+    its differential and its vacuity check."""
+    return on_both(observed_chord, 0)
+
+
+@pytest.fixture(scope="module")
+def monitors_seed0():
+    """Seed 0 of the monitor workload on both executions, run once for
+    its differential and its vacuity check."""
+    return differential(run_monitors, 0)
 
 
 @pytest.mark.parametrize("seed", FAST_SEEDS)
@@ -40,8 +54,14 @@ def test_chord_with_failure_identical(seed):
 
 
 @pytest.mark.parametrize("seed", FAST_SEEDS[:3])
-def test_observed_chord_identical(seed):
-    differential(run_chord_observed, seed)
+def test_observed_chord_identical(seed, request):
+    if seed == 0:
+        nets = request.getfixturevalue("observed_seed0")
+        assert_identical(
+            {label: system_state(net.system, net.addresses) for label, net in nets.items()}
+        )
+    else:
+        differential(run_chord_observed, seed)
 
 
 @pytest.mark.parametrize("transport", ("udp", "reliable"))
@@ -50,20 +70,16 @@ def test_jittered_chord_identical(seed, transport):
     differential(run_chord_jittered, seed, transport=transport)
 
 
-def test_observed_workload_is_not_vacuous():
+def test_observed_workload_is_not_vacuous(observed_seed0):
     """Every observer in the observed differential actually recorded,
-    the kernels agree on it, and every retained rule execution took
-    time: its ``ruleExec`` row ends after it starts (§3.2's RuleT)."""
-    nets = {label: observed_chord(0, execution) for label, execution in MODES.items()}
-    states = {
-        label: system_state(net.system, net.addresses) for label, net in nets.items()
-    }
-    assert_identical(states)
-    for node in states["batched"]["nodes"].values():
+    and every retained rule execution took time: its ``ruleExec`` row
+    ends after it starts (§3.2's RuleT)."""
+    net = observed_seed0["tick"]
+    state = system_state(net.system, net.addresses)
+    for node in state["nodes"].values():
         for ring in ("ruleExec", "tupleLog", "tableLog"):
             assert node["tables"][ring], ring
         assert sum(c["offered"] for c in node["overload"].values()) > 0
-    net = nets["batched"]
     for address in net.addresses:
         rows = list(net.system.node(address).store.get("ruleExec").scan())
         # ruleExec@N(Rule, CauseID, EffectID, InT, OutT, IsEvent)
@@ -76,8 +92,11 @@ def test_gossip_identical(seed):
 
 
 @pytest.mark.parametrize("seed", FAST_SEEDS)
-def test_monitors_identical(seed):
-    differential(run_monitors, seed)
+def test_monitors_identical(seed, request):
+    if seed == 0:
+        request.getfixturevalue("monitors_seed0")
+    else:
+        differential(run_monitors, seed)
 
 
 @pytest.mark.parametrize("seed", (0, 1))
@@ -89,13 +108,11 @@ def test_aggtree_centralized_mode_identical():
     differential(run_aggtree, 0, mode="centralized")
 
 
-def test_monitors_workload_is_not_vacuous():
+def test_monitors_workload_is_not_vacuous(monitors_seed0):
     """The equivalence must be over a run that actually did something:
     rules fired, messages flowed, and at least one monitor alarmed
     (a killed node must trip the ring probe eventually)."""
-    from tests.batchexec.harness import BATCHED
-
-    state = run_monitors(0, BATCHED)
+    state = monitors_seed0["tick"]
     assert state["net"]["delivered"] > 1000
     total_rules = sum(
         n["rule_executions"] for n in state["nodes"].values()

@@ -1,10 +1,10 @@
-"""Hypothesis properties behind the batch kernel's equivalence claims.
+"""Hypothesis properties behind the tick loop's equivalence claims.
 
 Three families:
 
-- *Loop invariance*: the per-event loop (``batch_size=1``) and the
-  tick kernel (``batch_size=None``) reach the same fixpoint — and no
-  other ``batch_size`` exists.
+- *Loop invariance*: the test-side reference loop
+  (``tests/runtime/reference_loop.py``) and the tick loop reach the
+  same fixpoint — and ``batch_size`` no longer selects anything.
 - *Wire-length exactness*: :func:`repro.net.marshal.wire_length` and
   :func:`~repro.net.marshal.delete_length` equal the encoder's byte
   count for arbitrary marshalable tuples and delete patterns (the send
@@ -33,7 +33,8 @@ from repro.net.marshal import (
 from repro.overlog.program import Program
 from repro.overlog.types import INFINITY, NodeID
 from repro.runtime.tuples import Tuple
-from repro.sim.batch import DEFAULT_TICK, ExecutionConfig
+from repro.sim.batch import ExecutionConfig
+from tests.runtime.reference_loop import use_reference
 
 # ----------------------------------------------------------------------
 # Loop invariance
@@ -50,10 +51,11 @@ b1 best@Y(Y, X, min<C>) :- path@Y(Y, X, C).
 """
 
 
-def _fixpoint(batch_size, links):
+def _fixpoint(on_reference, links):
     """Run the path cascade to quiescence; return all final tables."""
-    execution = ExecutionConfig(batch_size=batch_size, tick=DEFAULT_TICK)
-    system = System(seed=7, execution=execution)
+    system = System(seed=7)
+    if on_reference:
+        use_reference(system)
     addrs = sorted({a for a, _, _ in links} | {b for _, b, _ in links})
     for addr in addrs:
         system.add_node(addr)
@@ -94,15 +96,16 @@ def link_sets(draw):
 @settings(max_examples=12, deadline=None)
 @given(links=link_sets())
 def test_loop_never_changes_fixpoint(links):
-    """A recursive join cascade reaches the same fixpoint under the
-    per-event loop and the tick kernel."""
-    assert _fixpoint(None, links) == _fixpoint(1, links)
+    """A recursive join cascade reaches the same fixpoint on the
+    reference loop and the tick loop."""
+    assert _fixpoint(False, links) == _fixpoint(True, links)
 
 
-@pytest.mark.parametrize("batch_size", (0, 2, 4))
+@pytest.mark.parametrize("batch_size", (0, 1, 2, 4))
 def test_batch_size_is_not_a_chunk_size(batch_size):
-    """``batch_size`` selects a loop; there is no deltaset to size."""
-    with pytest.raises(SimulationError):
+    """``batch_size`` selects nothing — there is no deltaset to size,
+    and the per-event loop (``1``) is a test-side reference."""
+    with pytest.raises(SimulationError, match="reference_loop"):
         ExecutionConfig(batch_size=batch_size)
 
 

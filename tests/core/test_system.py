@@ -14,7 +14,6 @@ def test_add_and_get_node():
 
 def test_every_run_is_on_the_tick_kernel_by_default():
     system = System()
-    assert system.kernel is not None
     assert system.sim.tick == DEFAULT_TICK
     assert CampaignConfig().execution == ExecutionConfig()
 

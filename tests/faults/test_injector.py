@@ -125,7 +125,6 @@ def test_storm_above_the_tick_rate_keeps_its_rate_and_ends_on_time():
     rate x tick messages a tick, so it ends ``duration`` after it
     starts instead of stretching to one message a tick."""
     system = System(seed=1)
-    assert system.kernel is not None
     system.add_node("a:1")
     injector = FaultInjector(system)
     system.run_for(1.0)
@@ -147,7 +146,6 @@ def drained_per_second(factor):
         seed=1,
         overload=OverloadConfig(mailbox_capacity=None, service_time=0.002),
     )
-    assert system.kernel is not None
     node = system.add_node("a:1")
     injector = FaultInjector(system)
     injector.slow_node("a:1", factor)

@@ -1,6 +1,7 @@
 """One send path: what a node ships is the tuple the wire would deliver.
 
-Both loops (tick kernel, per-event) and both transports carry the same
+The tick loop, the test-side per-event reference loop
+(``tests/runtime/reference_loop.py``) and both transports carry the same
 body; these pin the two properties the bytes used to guarantee — an
 unmarshalable value fails at send time, and the receiver's tuple is
 what decoding the real wire bytes gives — plus exact byte accounting
@@ -16,11 +17,11 @@ from repro.errors import NetworkError
 from repro.net.marshal import encode_delete, encode_message, wire_length
 from repro.overlog.types import INFINITY, NodeID
 from repro.runtime.tuples import Tuple
-from repro.sim.batch import ExecutionConfig
+from tests.runtime.reference_loop import use_reference
 
 LOOPS = {
-    "per-event": {"execution": ExecutionConfig(batch_size=1)},
-    "tick": {"execution": ExecutionConfig()},
+    "per-event": {},
+    "tick": {},
     "reliable": {"transport": "reliable"},
 }
 
@@ -40,6 +41,8 @@ class Reading(float):
 
 def pair(loop, tracing=False, reorder_rate=0.0, **options):
     system = System(seed=3, **LOOPS[loop], **options)
+    if loop == "per-event":
+        use_reference(system)
     system.network.set_reorder_rate(reorder_rate)
     a = system.add_node("a:1", tracing=tracing)
     b = system.add_node("b:1", tracing=tracing)

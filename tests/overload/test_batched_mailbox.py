@@ -1,8 +1,8 @@
-"""Overload protection under the batch-execution kernel.
+"""Overload protection under the tick loop.
 
-The batch fabric coalesces a tick's deliveries to a node into one
-event, so the admission gate sees bursts back to back rather than one
-tuple per event.  That must not change the overload contract
+The fabric coalesces a tick's deliveries to a node into one event, so
+the admission gate sees bursts back to back rather than one tuple per
+event.  That must not change the overload contract
 (docs/OVERLOAD.md):
 
 - the accounting identity ``offered == admitted + shed + deferred``
@@ -10,9 +10,10 @@ tuple per event.  That must not change the overload contract
   every tuple individually admitted, shed, or deferred;
 - the priority invariant holds: DATA is only ever shed while
   lower-priority (MONITOR/TRACE) admission is already closed;
-- storms produce the same verdict fingerprint under both kernels
-  (overload peaks and shed logs are part of the differential
-  battery's equivalence surface, see tests/batchexec/).
+- storms produce the same verdict fingerprint on the tick loop and on
+  the test-side per-event reference loop (overload peaks and shed logs
+  are part of the differential battery's equivalence surface, see
+  tests/batchexec/).
 """
 
 from __future__ import annotations
@@ -20,16 +21,11 @@ from __future__ import annotations
 import pytest
 
 from repro.faults.campaign import CampaignConfig, FaultCampaign
-from repro.sim.batch import DEFAULT_TICK, ExecutionConfig
-
-PER_TUPLE = ExecutionConfig(batch_size=1, tick=DEFAULT_TICK)
-BATCHED = ExecutionConfig(batch_size=None, tick=DEFAULT_TICK)
+from tests.runtime.reference_loop import reference
 
 
-def storm_config(execution, **overrides) -> CampaignConfig:
-    defaults = dict(
-        num_nodes=6, storm=True, transport="udp", execution=execution
-    )
+def storm_config(**overrides) -> CampaignConfig:
+    defaults = dict(num_nodes=6, storm=True, transport="udp")
     defaults.update(overrides)
     return CampaignConfig(**defaults)
 
@@ -50,28 +46,26 @@ def assert_accounting(verdict) -> None:
 @pytest.mark.parametrize("seed", (0, 1))
 def test_batched_storm_accounting_identity(seed):
     """Batch offers are N offers: identity + invariant per class."""
-    verdict = FaultCampaign(seed, storm_config(BATCHED)).run()
+    verdict = FaultCampaign(seed, storm_config()).run()
     assert verdict.stabilized and verdict.converged
     assert_accounting(verdict)
 
 
 @pytest.mark.parametrize("seed", (0,))
 def test_batched_storm_matches_per_tuple_verdict(seed):
-    """One storm seed pinned across kernels end to end (the full sweep
+    """One storm seed pinned across loops end to end (the full sweep
     lives in tests/batchexec/test_campaigns.py)."""
-    prints = {}
-    for label, execution in (("per-tuple", PER_TUPLE), ("batched", BATCHED)):
-        prints[label] = FaultCampaign(seed, storm_config(execution)).run()
-    assert (
-        prints["per-tuple"].fingerprint() == prints["batched"].fingerprint()
-    )
-    assert_accounting(prints["batched"])
+    with reference():
+        per_tuple = FaultCampaign(seed, storm_config()).run()
+    batched = FaultCampaign(seed, storm_config()).run()
+    assert per_tuple.fingerprint() == batched.fingerprint()
+    assert_accounting(batched)
 
 
 def test_batched_reliable_storm_defers_data():
     """Backpressure (BUSY nacks / sender backlog) survives batching."""
     verdict = FaultCampaign(
-        0, storm_config(BATCHED, transport="reliable")
+        0, storm_config(transport="reliable")
     ).run()
     assert verdict.stabilized and verdict.converged
     assert verdict.overload["invariant_ok"]

@@ -10,7 +10,6 @@ from repro.overload.controller import (
 )
 from repro.overload.policy import CLASS_DATA, CLASS_MONITOR
 from repro.overlog.program import Program
-from repro.sim.batch import ExecutionConfig
 
 PROGRAM = "r out@Dst(X) :- evt@N(Dst, X)."
 
@@ -44,28 +43,20 @@ def test_zero_service_time_processes_inline(sim, make_node):
 
 
 @pytest.mark.parametrize(
-    "transport, execution, expected",
+    "transport, expected",
     [
         # UDP: the message was never admitted, so the mailbox decides —
         # exactly once.
-        ("udp", ExecutionConfig(), {"admit_mailbox": 1}),
+        ("udp", {"admit_mailbox": 1}),
         # Reliable: the gate decided before the ack; receive only
-        # counts the arrival.  Its frames are per-message events on
-        # either loop; this row runs the per-event one.
-        (
-            "reliable",
-            ExecutionConfig(batch_size=1),
-            {"admit_remote": 1, "count_arrival": 1},
-        ),
+        # counts the arrival.  Its frames are per-message events.
+        ("reliable", {"admit_remote": 1, "count_arrival": 1}),
     ],
 )
-def test_admission_is_decided_once_per_message(
-    monkeypatch, transport, execution, expected
-):
+def test_admission_is_decided_once_per_message(monkeypatch, transport, expected):
     system = System(
         seed=1,
         transport=transport,
-        execution=execution,
         overload=OverloadConfig(service_time=0.0),
     )
     a = system.add_node("a:1")

@@ -1,17 +1,17 @@
 """Event ordering as the loops see it: every case runs under both the
-per-event loop and the tick kernel, which pop the queue's heap
+simulator's tick loop and the test-side per-event reference loop
+(``tests/runtime/reference_loop.py``), which pop the queue's heap
 themselves."""
 
-from repro.sim.batch import BatchKernel
 from repro.sim.simulator import Simulator
+from tests.runtime.reference_loop import use_reference
 
 
 def loops():
-    """A fresh simulator on each loop: the per-event loop, the kernel."""
+    """A fresh simulator on each loop: the reference, the tick loop."""
     plain = Simulator()
-    kernel = Simulator()
-    kernel.use_batch_kernel(BatchKernel(kernel))
-    return plain, kernel
+    use_reference(plain)
+    return plain, Simulator()
 
 
 def test_pop_in_time_order():
@@ -29,8 +29,10 @@ def test_same_time_events_fire_in_scheduling_order():
         order = []
         for i in range(10):
             sim.schedule_at(1.0, lambda i=i: order.append(i))
+        sim.schedule_at(0.5, lambda: order.append("early"))
         sim.run_until(1.0)
-        assert order == list(range(10))
+        assert order == ["early", *range(10)]
+    assert (sim.ticks, sim.max_tick_events) == (2, 10)
 
 
 def test_priority_breaks_ties_before_sequence():
@@ -72,8 +74,7 @@ def test_peek_time_skips_cancelled():
         first.cancel()
         sim.run_until(5.0)
         assert seen == [2.0]
-        if sim.kernel is not None:
-            assert sim.kernel.ticks == 1
+    assert sim.ticks == 1
 
 
 def test_peek_time_empty():
@@ -81,5 +82,4 @@ def test_peek_time_empty():
         sim.run_until(3.0)
         assert sim.now == 3.0
         assert sim.events_processed == 0
-        if sim.kernel is not None:
-            assert sim.kernel.ticks == 0
+    assert sim.ticks == 0

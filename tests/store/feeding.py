@@ -4,6 +4,11 @@ The store has no "append this dict" entry point — capture appends
 scalars to per-kind buffers — so tests that start from the record model
 of ``repro.store.format`` hand each record to the callback of its kind,
 shaped as the ring row or registry write it would have come from.
+
+A live store cuts segments at the simulator's tick barriers; a fed
+store is its own simulator, and each record is a tick of its own:
+:func:`feed` calls the barrier hook after every capture, so a store
+cuts a segment at the record that fills it.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ def feed(store, record) -> None:
         store._on_table_log(node, row)
     else:
         raise ValueError(f"not a capturable record kind: {kind}")
+    store.on_tick_barrier(record["t"])
 
 
 def feed_all(store, records) -> None:

@@ -28,6 +28,7 @@ from collections import Counter
 
 import pytest
 
+from repro import codec
 from repro.analysis import trace_back
 from repro.core.system import System
 from repro.sim.batch import ExecutionConfig
@@ -39,6 +40,7 @@ from repro.store import (
     backward_slice,
 )
 from repro.store.slicing import spine
+from tests.runtime.reference_loop import reference
 
 FAST_SEEDS = [0, 1, 2, 3, 4]
 # The full sweep (nightly tier).
@@ -231,6 +233,20 @@ def test_store_slice_matches_memory_then_survives_rotation(seed, tmp_path):
 @pytest.mark.parametrize("seed", [0, 3])
 def test_battery_holds_under_tick_execution(seed, tmp_path):
     run_battery(seed, tmp_path, execution=ExecutionConfig(tick=0.001))
+
+
+def test_battery_holds_on_the_reference_loop(tmp_path):
+    """On the test-side per-event reference loop, which cuts a segment
+    after any event that fills the buffer instead of at tick barriers,
+    the battery holds and the store reads back byte-identical to the
+    tick loop's."""
+    with reference():
+        ref = run_battery(0, tmp_path / "reference")
+    tick = run_battery(0, tmp_path / "tick")
+    assert ref.store.segments_written > tick.store.segments_written
+    assert [codec.dumps(r) for r in ref.store.events()] == [
+        codec.dumps(r) for r in tick.store.events()
+    ]
 
 
 def test_closed_store_returns_the_same_bytes_from_disk(tmp_path):

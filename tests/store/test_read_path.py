@@ -43,6 +43,7 @@ from repro.store import ForensicStore, StoreConfig, StoreProvider, backward_slic
 from repro.store import format as fmt
 from repro.store.segment import Segment, code_blocks
 from tests.core.test_codec import same
+from tests.runtime.reference_loop import reference
 from tests.store.feeding import columns_of, feed, feed_all
 
 # ----------------------------------------------------------------------
@@ -480,10 +481,10 @@ def boundary_ties(directory):
 
 
 def tick_capture(directory):
-    """A live batch-kernel capture: segments are cut at tick barriers,
-    each from whatever the tick left buffered."""
+    """A live capture: segments are cut at tick barriers, each from
+    whatever the tick left buffered."""
     store, fed = captured_run(directory, 48, ExecutionConfig(tick=0.05))
-    assert store.tick_mode and store.buffered and store.segments_written > 3
+    assert store.buffered and store.segments_written > 3
     store.fed = fed
     return store
 
@@ -662,13 +663,18 @@ def captured_run(directory, segment_events, execution):
 def test_events_are_the_captured_records_in_capture_order(
     tmp_path, segment_events, loop
 ):
-    # "inline": the per-event loop, whose store cuts a segment the
-    # moment it fills; "tick": the kernel, which cuts at tick barriers.
+    # "inline": the test-side reference loop, whose store cuts a
+    # segment after the event that fills it; "tick": the tick loop,
+    # which cuts at tick barriers.
     if loop == "tick":
-        execution = ExecutionConfig(tick=0.05)
+        store, fed = captured_run(
+            tmp_path / "s", segment_events, ExecutionConfig(tick=0.05)
+        )
     else:
-        execution = ExecutionConfig(batch_size=1)
-    store, fed = captured_run(tmp_path / "s", segment_events, execution)
+        with reference():
+            store, fed = captured_run(
+                tmp_path / "s", segment_events, ExecutionConfig()
+            )
     assert len(fed) == store.events_appended > 300
     assert {r["k"] for r in fed} == set(KINDS) - {fmt.LOG_BURST}
     assert (store.segments_written > 3) == (segment_events == 64)

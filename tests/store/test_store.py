@@ -267,7 +267,25 @@ def test_manifest_is_written_once_per_cut_and_once_by_an_idle_close(
     assert ForensicStore.open(str(tmp_path / "idle")).ring_rotations
 
 
-def test_tick_mode_flushes_at_tick_barriers(tmp_path):
+def test_tick_mode_flushes_at_tick_barriers(tmp_path, monkeypatch):
+    """The store's one cut mode: a run cuts a segment only at a tick
+    barrier, never mid-tick, and only once ``segment_events`` (64 here)
+    are buffered."""
+    barriers, cuts = [], []
+    on_tick_barrier = ForensicStore.on_tick_barrier
+    flush_segment = ForensicStore.flush_segment
+
+    def at_barrier(self, when):
+        barriers.append(when)
+        on_tick_barrier(self, when)
+        barriers.pop()
+
+    def cut(self):
+        cuts.append((bool(barriers), self.buffered))
+        flush_segment(self)
+
+    monkeypatch.setattr(ForensicStore, "on_tick_barrier", at_barrier)
+    monkeypatch.setattr(ForensicStore, "flush_segment", cut)
     system, got = chain_system(
         tmp_path,
         injections=30,
@@ -275,8 +293,9 @@ def test_tick_mode_flushes_at_tick_barriers(tmp_path):
     )
     assert len(got) == 30
     store = system.store
-    assert store.tick_mode
-    assert store.segments_written >= 1  # barrier hook cut segments mid-run
+    assert cuts, "no segment was cut mid-run"
+    assert all(in_barrier and held >= 64 for in_barrier, held in cuts), cuts
+    assert store.segments_written == len(cuts)
     system.close_store()
     assert (
         sum(fmt.logical_events(r) for r in store.events())
