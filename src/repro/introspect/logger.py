@@ -11,8 +11,10 @@ entries are tuples stored (more precisely, buffered) in P2 tables."
 - ``tableLog@N(Seq, Time, Table, Op, Repr)`` — one row per table change
   (insert / replace / delete / expire / evict).
 
-Being ordinary tables, both can be joined from OverLog monitoring rules
-— the "querying P2 logs in P2 itself" the paper found so convenient.
+Both are bounded :class:`~repro.runtime.table.Ring` relations — a row is
+appended as its values — that answer every read a table does, so they
+can be joined from OverLog monitoring rules: the "querying P2 logs in
+P2 itself" the paper found so convenient.
 """
 
 from __future__ import annotations
@@ -40,10 +42,10 @@ class EventLogger:
 
     def __init__(self, node: P2Node, capacity: Any = 2000) -> None:
         self._node = node
-        self._tuple_log = node.store.materialize(
+        self._tuple_log = node.store.ring(
             Materialize(TUPLE_LOG, LOG_LIFETIME, capacity, [2])
         )
-        self._table_log = node.store.materialize(
+        self._table_log = node.store.ring(
             Materialize(TABLE_LOG, LOG_LIFETIME, capacity, [2])
         )
         self._seq = 0
@@ -51,8 +53,8 @@ class EventLogger:
         self._address = node.address
         self._charge = node.work.charge
         self._work_clock = node.work_clock
-        self._log_tuple = self._tuple_log.insert
-        self._log_table = self._table_log.insert
+        self._log_tuple = self._tuple_log.append
+        self._log_table = self._table_log.append
         self._shown: Any = None
         self._text = ""
 
@@ -80,26 +82,20 @@ class EventLogger:
         self._shown = tup
         self._text = text = repr(tup)
         self._log_tuple(
-            Tuple(
-                TUPLE_LOG,
-                (self._address, self._seq, self._work_clock(), tup.name, text),
-            )
+            (self._address, self._seq, self._work_clock(), tup.name, text)
         )
 
     def _table_changed(self, table_name: str, tup: Tuple, change: enum.Enum) -> None:
         self._seq += 1
         self._charge("trace")
         self._log_table(
-            Tuple(
-                TABLE_LOG,
-                (
-                    self._address,
-                    self._seq,
-                    self._work_clock(),
-                    table_name,
-                    change._value_,
-                    self._text if tup is self._shown else repr(tup),
-                ),
+            (
+                self._address,
+                self._seq,
+                self._work_clock(),
+                table_name,
+                change._value_,
+                self._text if tup is self._shown else repr(tup),
             )
         )
 

@@ -23,12 +23,13 @@ Each observed output produces the paper's normalized rows::
 
 one row with the triggering event as cause (IsEvent = true) and one per
 filled precondition (IsEvent = false).  Rows reference tuples by their
-``tupleTable`` IDs; reference counts are maintained via table observers
-so tuple memos die with their last referring row.
+``tupleTable`` IDs; reference counts are maintained via the ring's
+values observers so tuple memos die with their last referring row.
 
 Only completed executions are stored (the paper's "only store executions
-that produce a valid output" optimization), and the ruleExec table is
-bounded (the "fixed number of execution records" optimization).
+that produce a valid output" optimization), and ``ruleExec`` is a
+bounded :class:`~repro.runtime.table.Ring` (the "fixed number of
+execution records" optimization): a row is appended as its values.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from typing import Any, Dict, List, Optional
 from repro.overlog.ast import Materialize
 from repro.runtime.node import P2Node
 from repro.runtime.strand import RuleStrand, TraceHooks
-from repro.runtime.table import RemoveReason
 from repro.runtime.tuples import Tuple
 from repro.introspect.tuple_table import TUPLE_TABLE, TupleRegistry
 
@@ -75,22 +75,21 @@ class Tracer(TraceHooks):
         self.registry = TupleRegistry(
             node, lifetime=lifetime, max_entries=tuple_entries
         )
-        self._table = node.store.materialize(
+        self._table = node.store.ring(
             Materialize(RULE_EXEC, lifetime, max_entries, [2, 3, 4, 7])
         )
-        self._table.on_insert.append(self._row_inserted)
-        self._table.on_remove.append(self._row_removed)
+        self._table.on_append.append(self._row_written)
+        self._table.on_drop.append(self._row_removed)
         # strand id -> the strand's in-flight records, or None for a
         # strand that is never traced (see :meth:`_lane`).
         self._records: Dict[str, Optional[List[_Record]]] = {}
         # Retired records, reused by the next inputs.
         self._spare: List[_Record] = []
-        self._deferred_decrefs: List[int] = []
         self.executions_recorded = 0
         # What every hook calls, looked up once.
         self._address = node.address
         self._charge = node.work.charge
-        self._insert = self._table.insert
+        self._append = self._table.append
         self._ids = self.registry._ids
         self._refs = self.registry._refs
 
@@ -179,38 +178,18 @@ class Tracer(TraceHooks):
             effect_id = self.registry.id_of(tup)
         rule_id = strand.rule_id
         address = self._address
-        insert = self._insert
-        insert(
-            Tuple(
-                RULE_EXEC,
-                (
-                    address,
-                    rule_id,
-                    record.input_id,
-                    effect_id,
-                    record.input_time,
-                    when,
-                    True,
-                ),
-            )
+        append = self._append
+        append(
+            (address, rule_id, record.input_id, effect_id, record.input_time,
+             when, True)
         )
         precs = record.precs
         if precs:
             for stage in sorted(precs):
                 prec_id, prec_time = precs[stage]
-                insert(
-                    Tuple(
-                        RULE_EXEC,
-                        (
-                            address,
-                            rule_id,
-                            prec_id,
-                            effect_id,
-                            prec_time,
-                            when,
-                            False,
-                        ),
-                    )
+                append(
+                    (address, rule_id, prec_id, effect_id, prec_time, when,
+                     False)
                 )
         self.executions_recorded += 1
 
@@ -238,32 +217,24 @@ class Tracer(TraceHooks):
             record.hi = record.lo
 
     # ------------------------------------------------------------------
-    # Reference counting via table observers
+    # Reference counting via the ring's values observers
 
-    def _row_inserted(self, row: Tuple, outcome) -> None:
-        values = row.values
+    def _row_written(self, values: tuple, replaced: Optional[tuple]) -> None:
         refs = self._refs
         cause, effect = values[2], values[3]
         if cause in refs:
             refs[cause] += 1
         if effect in refs:
             refs[effect] += 1
-        # Settle decrefs deferred from a same-key replacement, now that
-        # the replacing row holds its references.
-        deferred = self._deferred_decrefs
-        while deferred:
-            self.registry.decref(deferred.pop())
+        if replaced is not None:
+            # Released only now that the replacing row holds its own
+            # references: a tid both rows name never drops to zero.
+            self.registry.decref(replaced[2])
+            self.registry.decref(replaced[3])
 
-    def _row_removed(self, row: Tuple, reason) -> None:
-        if reason is RemoveReason.REPLACED:
-            # The replacing insert is notified right after this removal;
-            # decrementing now would transiently zero the refcount and
-            # discard memos the new row still references.
-            self._deferred_decrefs.append(row.values[2])
-            self._deferred_decrefs.append(row.values[3])
-            return
-        self.registry.decref(row.values[2])
-        self.registry.decref(row.values[3])
+    def _row_removed(self, values: tuple, reason) -> None:
+        self.registry.decref(values[2])
+        self.registry.decref(values[3])
 
     # ------------------------------------------------------------------
 

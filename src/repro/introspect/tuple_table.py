@@ -45,11 +45,11 @@ class TupleRegistry:
         self._node = node
         self._address = node.address
         self._now = node.now
-        self._table = node.store.materialize(
+        self._table = node.store.ring(
             Materialize(TUPLE_TABLE, lifetime, max_entries, [2])
         )
-        self._insert = self._table.insert
-        self._table.on_remove.append(self._row_removed)
+        self._append = self._table.append
+        self._table.on_drop.append(self._row_removed)
         self._ids: Dict[Tuple, int] = {}
         self._memo: Dict[int, Tuple] = {}
         self._refs: Dict[int, int] = {}
@@ -188,16 +188,14 @@ class TupleRegistry:
         self._refs.pop(tid, None)
         if tup is not None:
             self._ids.pop(tup, None)
-        row = self._table.lookup_key((tid,))
-        if row is not None:
-            self._table.delete(row)
+        self._table.delete_key((tid,))
 
-    def _row_removed(self, row: Tuple, reason: RemoveReason) -> None:
+    def _row_removed(self, values: tuple, reason: RemoveReason) -> None:
         # TTL expiry / eviction of a tupleTable row drops the memo too
         # (the paper's "or times out").  DELETED comes from _discard and
-        # REPLACED from metadata updates; both keep the memo.
-        if reason in (RemoveReason.EXPIRED, RemoveReason.EVICTED):
-            tid = row.values[1]
+        # keeps it (as a replace by a metadata update does).
+        if reason is not RemoveReason.DELETED:
+            tid = values[1]
             tup = self._memo.pop(tid, None)
             self._refs.pop(tid, None)
             if tup is not None:
@@ -213,9 +211,7 @@ class TupleRegistry:
         loc_spec: Any,
         minted: Optional[Tuple] = None,
     ) -> None:
-        self._insert(
-            Tuple(TUPLE_TABLE, (self._address, tid, src, src_tid, loc_spec))
-        )
+        self._append((self._address, tid, src, src_tid, loc_spec))
         for callback in self.on_register:
             callback(tid, src, src_tid, loc_spec, minted)
 

@@ -700,9 +700,7 @@ class P2Node:
                     message.body.name, reason=SHED_STOPPED
                 )
         for table in self.store.tables():
-            table.on_insert.clear()
-            table.on_remove.clear()
-            table.on_refresh.clear()
+            table.clear_observers()
         self.store.on_create.clear()
         self._observed_tables.clear()
         self._subscribers.clear()

@@ -6,7 +6,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.errors import UnknownTableError, ValidationError
 from repro.overlog.ast import Materialize
-from repro.runtime.table import Table
+from repro.runtime.table import Ring, Table
 
 
 class TableStore:
@@ -26,6 +26,19 @@ class TableStore:
         monitor program shipping its own declarations can be installed on
         a node that already has them; conflicting parameters are an error.
         """
+        return self._declare(decl, Table)
+
+    def ring(self, decl: Materialize) -> Ring:
+        """Create (or validate re-declaration of) a :class:`Ring`: an
+        introspection relation kept as appended values."""
+        ring = self._declare(decl, Ring)
+        if not isinstance(ring, Ring):
+            raise ValidationError(
+                f"table {decl.name!r} is materialized as a table, not a ring"
+            )
+        return ring
+
+    def _declare(self, decl: Materialize, kind: type) -> Any:
         existing = self._tables.get(decl.name)
         if existing is not None:
             same = (
@@ -40,7 +53,7 @@ class TableStore:
                     f"size={existing.max_size}, keys={existing.key_positions})"
                 )
             return existing
-        table = Table(decl.name, decl.lifetime, decl.max_size, decl.keys, self._now)
+        table = kind(decl.name, decl.lifetime, decl.max_size, decl.keys, self._now)
         self._tables[decl.name] = table
         for callback in list(self.on_create):
             callback(table)

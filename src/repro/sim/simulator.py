@@ -275,17 +275,20 @@ class Simulator:
                 if n > most:
                     most = n
                 processed += n
+                # An earlier event this tick may cancel a later one (a
+                # crash cancelling timers): it never runs, so it is
+                # taken back off the count.
                 if mixed:
-                    self._run_grouped(events)
+                    processed -= self._run_grouped(events)
                 else:
                     # One group (with or without control events):
                     # canonical order already is the grouped order.
                     for event in events:
-                        # An earlier event this tick may have cancelled
-                        # a later one (crash cancelling timers).
                         if not event.cancelled:
                             self._origin = event.group or GLOBAL_ORIGIN
                             event.callback()
+                        else:
+                            processed -= 1
                 if on_tick:
                     for hook in on_tick:
                         hook(t)
@@ -294,11 +297,14 @@ class Simulator:
             self.max_tick_events = most
             self._events_processed += processed
 
-    def _run_grouped(self, events: List[ScheduledEvent]) -> None:
-        """Run a tick that spans several groups, per group."""
+    def _run_grouped(self, events: List[ScheduledEvent]) -> int:
+        """Run a tick that spans several groups, per group; returns how
+        many of ``events`` were cancelled before their turn."""
         groups: Dict[str, List[ScheduledEvent]] = {}
+        skipped = 0
         for event in events:
             if event.cancelled:
+                skipped += 1
                 continue
             group = event.group
             if group is None:
@@ -306,7 +312,7 @@ class Simulator:
                 # control event is ordered relative to each node's own
                 # stream: everything gathered so far sorts canonically
                 # before it and must run first.
-                self._flush(groups)
+                skipped += self._flush(groups)
                 self._origin = GLOBAL_ORIGIN
                 event.callback()
             else:
@@ -315,22 +321,27 @@ class Simulator:
                     groups[group] = [event]
                 else:
                     bucket.append(event)
-        self._flush(groups)
+        return skipped + self._flush(groups)
 
-    def _flush(self, groups: Dict[str, List[ScheduledEvent]]) -> None:
-        """Run each group's gathered events, in stable address order.
+    def _flush(self, groups: Dict[str, List[ScheduledEvent]]) -> int:
+        """Run each group's gathered events, in stable address order;
+        returns how many were cancelled before their turn.
 
         Node histories are interaction-free within a tick, so group
         order is unobservable; sorting makes it deterministic.
         """
+        skipped = 0
         if not groups:
-            return
+            return skipped
         for key in sorted(groups):
             self._origin = key
             for event in groups[key]:
                 if not event.cancelled:
                     event.callback()
+                else:
+                    skipped += 1
         groups.clear()
+        return skipped
 
     def run_for(self, duration: float) -> None:
         """Process events for ``duration`` seconds of virtual time."""

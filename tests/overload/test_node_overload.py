@@ -1,5 +1,7 @@
 """Overload protection threaded through a live P2Node."""
 
+from collections import deque
+
 import pytest
 
 from repro.core.system import System
@@ -190,3 +192,85 @@ def test_watch_default_capacity_comes_from_overload_config(make_node):
         node.inject("evt", ("w:1", i))
     assert len(node.watched("out")) == 2
     assert node.watch_evicted["out"] == 2
+
+
+# ----------------------------------------------------------------------
+# Mailbox drain, against independent counts
+
+
+def served_at(sim, node):
+    """Wrap ``node._apply``: the virtual time each message is served."""
+    times = []
+    apply = node._apply
+
+    def record(message):
+        times.append(sim.now)
+        apply(message)
+
+    node._apply = record
+    return times
+
+
+def test_each_drain_serves_the_credit_its_elapsed_time_pays_for(sim, make_node):
+    # One message per 4 ms on a 10 ms grid: drains land every tick and
+    # pay 2.5 messages each, the fraction banked for the next drain.
+    delay = 0.004
+    a, b = make_pair(make_node, mailbox_capacity=1000, service_time=delay)
+    times = served_at(sim, b)
+    flood(a, 40)
+    sim.run_for(0.011)  # everything has arrived and armed the drain
+    armed = b._drain_armed
+    assert len(b.overload.mailbox) == 40 and not times
+    sim.run_for(1.0)
+    assert len(times) == 40
+    drains = sorted(set(times))
+    served = 0
+    for when in drains:
+        served += times.count(when)
+        # Cumulative service is what the whole elapsed time pays for,
+        # however it was split into drains.
+        paid = int((when - armed) / delay + 1e-9)
+        assert served == min(40, paid), f"drain at {when}"
+
+
+def test_a_drained_message_reads_its_own_turns_clock(sim, make_node):
+    b = make_node("b:1", overload=OverloadConfig(
+        mailbox_capacity=1000, service_time=0.004
+    ))
+    a = make_node("a:1")
+    a.install_source(PROGRAM)
+    b.install_source("s stamp@N(X, T) :- out@N(X), T := f_now().")
+    got = b.collect("stamp")
+    flood(a, 12)
+    sim.run_for(1.0)
+    assert len(got) == 12
+    stamps = {}
+    for tup in got:
+        stamps.setdefault(round(tup.values[2], 2), []).append(tup.values[2])
+    # Several messages per drain, and each starts its turn from the
+    # drain's instant: every one of them reads the same clock.
+    assert max(len(same) for same in stamps.values()) > 1
+    for tick, same in stamps.items():
+        assert same == [same[0]] * len(same), f"drain at {tick}"
+        assert tick <= same[0] < tick + 0.004
+
+
+def test_peak_strand_depth_is_the_longest_queue_the_pump_saw(make_node):
+    node = make_node("p:1", overload=OverloadConfig())
+    node.install_source(
+        "\n".join(f"r{i} out{i}@N(X) :- evt@N(X)." for i in range(5))
+        + "\nq chain@N(X) :- out0@N(X)."
+    )
+    seen = []
+
+    class Queue(deque):
+        def popleft(self):
+            item = super().popleft()
+            seen.append(len(self))
+            return item
+
+    node._queue = Queue(node._queue)
+    for i in range(3):
+        node.inject("evt", ("p:1", i))
+    assert seen and max(seen) > 1
+    assert node.overload.strand_state.depth_peak == max(seen)

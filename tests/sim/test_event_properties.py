@@ -146,11 +146,7 @@ def test_batch_drain_equals_per_event_pops(case, cancel):
             p_fired, schedule, group
         )
     assert plain.events_processed == len(live)
-    # The tick loop counts an event cancelled earlier in its own tick as
-    # processed (it counts a tick's events before running them).
-    assert kernel.events_processed >= len(live)
-    if not kills:
-        assert kernel.events_processed == len(live)
+    assert kernel.events_processed == plain.events_processed
     assert kernel.ticks == len(set(times))
 
 

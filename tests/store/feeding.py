@@ -3,7 +3,8 @@
 The store has no "append this dict" entry point — capture appends
 scalars to per-kind buffers — so tests that start from the record model
 of ``repro.store.format`` hand each record to the callback of its kind,
-shaped as the ring row or registry write it would have come from.
+shaped as the ring row values or registry write it would have come
+from.
 
 A live store cuts segments at the simulator's tick barriers; a fed
 store is its own simulator, and each record is a tick of its own:
@@ -13,8 +14,6 @@ cuts a segment at the record that fills it.
 
 from __future__ import annotations
 
-from repro.runtime.table import InsertOutcome
-from repro.runtime.tuples import Tuple
 from repro.store import format as fmt
 
 
@@ -22,12 +21,9 @@ def feed(store, record) -> None:
     """Capture one ``re`` / ``tt`` / ``tl`` / ``xl`` record."""
     kind, node = record["k"], record["n"]
     if kind == fmt.RULE_EXEC:
-        row = Tuple(
-            "ruleExec",
-            (node, record["r"], record["c"], record["e"],
-             record["ti"], record["to"], record["ev"]),
-        )
-        store._on_rule_exec(node, row, InsertOutcome.NEW)
+        row = (node, record["r"], record["c"], record["e"],
+               record["ti"], record["to"], record["ev"])
+        store._on_rule_exec(node, row, None)
     elif kind == fmt.TUPLE_IDENT:
         # The callback stamps the store's clock: make it say what the
         # record does.
@@ -37,17 +33,11 @@ def feed(store, record) -> None:
             fmt.payload_tuple(record.get("rep")),
         )
     elif kind == fmt.TUPLE_LOG:
-        row = Tuple(
-            "tupleLog",
-            (node, record["seq"], record["t"], record["rel"], record["rep"]),
-        )
+        row = (node, record["seq"], record["t"], record["rel"], record["rep"])
         store._on_tuple_log(node, row)
     elif kind == fmt.TABLE_LOG:
-        row = Tuple(
-            "tableLog",
-            (node, record["seq"], record["t"], record["rel"],
-             record["op"], record["rep"]),
-        )
+        row = (node, record["seq"], record["t"], record["rel"],
+               record["op"], record["rep"])
         store._on_table_log(node, row)
     else:
         raise ValueError(f"not a capturable record kind: {kind}")
