@@ -49,6 +49,7 @@ from repro.recovery.durable import (
 from repro.recovery.recorder import NodeRecorder
 from repro.runtime.node import P2Node
 from repro.runtime.tuples import Tuple
+from repro.store.store import RINGS
 
 
 class RecoveryReport:
@@ -152,11 +153,13 @@ def replay_image(
 def _ensure_table(node: P2Node, name: str, lifetime, max_size, keys):
     if node.store.has(name):
         return node.store.get(name)
-    return node.store.materialize(
-        Materialize(
-            name, codec.decode(lifetime), codec.decode(max_size), list(keys)
-        )
+    decl = Materialize(
+        name, codec.decode(lifetime), codec.decode(max_size), list(keys)
     )
+    # The introspection relations come back as the rings they were.
+    if name in RINGS:
+        return node.store.ring(decl)
+    return node.store.materialize(decl)
 
 
 class RecoveryManager:

@@ -79,7 +79,7 @@ class PostMortem:
             rule_exec.max_size = INFINITY
             rule_exec.lifetime = INFINITY
         else:
-            rule_exec = self.node.store.materialize(
+            rule_exec = self.node.store.ring(
                 Materialize("ruleExec", INFINITY, INFINITY, [2, 3, 4, 7])
             )
         present = {
@@ -111,7 +111,7 @@ class PostMortem:
             tuple_table.max_size = INFINITY
             tuple_table.lifetime = INFINITY
         else:
-            tuple_table = self.node.store.materialize(
+            tuple_table = self.node.store.ring(
                 Materialize("tupleTable", INFINITY, INFINITY, [2])
             )
         held = {r.values[1] for r in tuple_table.scan()}

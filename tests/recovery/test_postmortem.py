@@ -13,6 +13,8 @@ import pytest
 from repro.core.system import System
 from repro.errors import ReproError
 from repro.recovery import DurableMedium, PostMortem, RecoveryManager
+from repro.runtime.table import Ring
+from repro.store.store import RINGS
 
 KV_PROGRAM = """
 materialize(item, infinity, infinity, keys(2)).
@@ -50,6 +52,17 @@ def test_postmortem_reconstructs_rule_exec_history():
     history = pm.rule_exec_history()
     times = [t.values[5] for t in history]
     assert times == sorted(times)
+
+
+def test_postmortem_replica_holds_the_introspection_relations_as_rings():
+    # WAL replay creates ruleExec, tupleTable and the logs the way their
+    # writers do, so a reader never meets one of them as a Table.
+    system, manager, _ = crashed_traced_node()
+    pm = manager.post_mortem("a:1")
+    held = [name for name in RINGS if pm.node.store.has(name)]
+    assert {"ruleExec", "tupleLog"} <= set(held)
+    for name in held:
+        assert isinstance(pm.node.store.get(name), Ring), name
 
 
 def test_postmortem_reconstructs_materialized_state_and_logs():

@@ -11,6 +11,8 @@ import pytest
 from repro import codec
 from repro.core.system import System
 from repro.errors import ReproError
+from repro.overlog.types import INFINITY
+from repro.runtime.table import Ring
 from repro.sim.batch import ExecutionConfig
 from repro.store import format as fmt
 from repro.store.store import ForensicStore, StoreConfig
@@ -226,12 +228,21 @@ def pinned_records():
     return records
 
 
+def rotated_once(node: str, name: str):
+    """A store's rotations source, as a system hands it: the eviction
+    counter of one ring that has evicted one row."""
+    ring = Ring(name, INFINITY, 1, [2], lambda: 0.0)
+    ring.append((node, 1))
+    ring.append((node, 2))
+    return lambda: {(node, name): ring.evicted}
+
+
 def test_written_files_match_digests_pinned_at_the_parent(tmp_path):
     store = ForensicStore(
-        StoreConfig(directory=str(tmp_path / "s"), segment_events=12)
+        StoreConfig(directory=str(tmp_path / "s"), segment_events=12),
+        rotations=rotated_once("n1:1", "tupleLog"),
     )
     feed_all(store, pinned_records())
-    store.ring_rotated("n1:1", "tupleLog")
     store.close()
     assert store.bursts_written == 1 and store.segments_written == 2
     digests = {
@@ -260,8 +271,10 @@ def test_manifest_is_written_once_per_cut_and_once_by_an_idle_close(
     assert writes == [1, 2], "close() rewrote what its last cut just wrote"
     assert ForensicStore.open(str(tmp_path / "s")).events() == store.events()
 
-    idle = ForensicStore(StoreConfig(directory=str(tmp_path / "idle")))
-    idle.ring_rotated("n1:1", "ruleExec")
+    idle = ForensicStore(
+        StoreConfig(directory=str(tmp_path / "idle")),
+        rotations=rotated_once("n1:1", "ruleExec"),
+    )
     idle.close()
     assert writes == [1, 2, 0]
     assert ForensicStore.open(str(tmp_path / "idle")).ring_rotations
